@@ -54,7 +54,6 @@ from .core import (
 )
 from .duality import (
     DualReport,
-    NonRepresentable,
     check_self_dual,
     dual_ab,
     dual_closed_form,
@@ -84,6 +83,8 @@ from .rules import (
     Proportional,
     RuleSpec,
     ScalarFn,
+    WeightedRule,
+    ab_payoffs,
     equivalent_on,
     evaluate,
     format_rule,

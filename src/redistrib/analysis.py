@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .axioms import AxiomReport, SampleConfig, axiom_suite, rng_for, sample_problem
 from .core import Problem, make_problem, problem_scale
-from .rules import ParseError, RuleSpec
+from .rules import ParseError, RuleSpec, ab_payoffs
 
 LABELS = (
     "laissez-faire",
@@ -26,6 +26,8 @@ LABELS = (
 )
 
 DEFAULT_GRID = (-2.0, -1.0, 0.0, 0.5, 1.0, 2.0)
+
+MAX_GRID_POINTS = 100_000
 
 
 class AnalysisError(ValueError):
@@ -158,7 +160,8 @@ def _fit_b_shape(
 ) -> tuple[str, float | None]:
     if all(abs(v) <= tol for v in values):
         return "zero", 0.0
-    if all(abs(v - t) <= tol for v, t in zip(values, grid)):
+    # B = t is extracted to a relative precision, so compare relative to |t|.
+    if all(abs(v - t) <= tol * max(1.0, abs(t)) for v, t in zip(values, grid)):
         return "identity", None
     if max(values) - min(values) <= tol:
         return "constant", sum(values) / len(values)
@@ -204,13 +207,7 @@ def classify(
             scale=(problem.total_income, problem.total_need),
             agents=len(problem),
         )
-        n = len(problem)
-        mean_income = problem.total_income / n
-        mean_need = problem.total_need / n
-        predicted = tuple(
-            mean_income + (y - mean_income) * a + (z - mean_need) * b
-            for y, z in zip(problem.incomes, problem.needs)
-        )
+        predicted = ab_payoffs(problem, a, b)
         actual = rule.payoffs(problem)
         residual = max(
             abs(u - v) for u, v in zip(predicted, actual)
@@ -295,7 +292,7 @@ def verify_characterization(
     a_zero = classification.a_shape == "zero"
     profile = classification.profile
     afam_shape = is_ab and all(
-        abs(b - (1.0 - a) * t) <= tol
+        abs(b - (1.0 - a) * t) <= tol * max(1.0, abs(t))
         for a, b, t in zip(profile.a_values, profile.b_values, profile.grid)
     )
 
@@ -333,8 +330,9 @@ def verify_characterization(
 def parse_grid(text: str) -> tuple[float, ...]:
     """Parse ``lo:hi:step`` into an inclusive grid of ratios.
 
-    Endpoints are inclusive within floating tolerance, so "-2:2:1" yields
-    five points ending exactly at 2.
+    Endpoints are inclusive within a billionth of a step, so "-2:2:1"
+    yields five points ending exactly at 2. Grids of more than
+    MAX_GRID_POINTS points are rejected before any is built.
     """
     pieces = text.strip().split(":")
     if len(pieces) != 3:
@@ -347,7 +345,7 @@ def parse_grid(text: str) -> tuple[float, ...]:
         raise ParseError(f"grid step must be positive, got {pieces[2]!r}")
     if hi < lo:
         raise ParseError(f"grid upper end {hi!r} is below lower end {lo!r}")
-    slack = 1e-9 * max(1.0, abs(lo), abs(hi), step)
-    count = int((hi - lo) / step + slack) + 1
-    values = tuple(lo + k * step for k in range(count))
-    return values
+    steps = (hi - lo) / step + 1e-9
+    if not steps < MAX_GRID_POINTS:
+        raise ParseError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
+    return tuple(lo + k * step for k in range(int(steps) + 1))

@@ -417,6 +417,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         report, code = _DISPATCH[args.command](args)
+        _emit(report, args)
     except (ParseError, UnknownAxiom, InvalidWeight) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
@@ -426,7 +427,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (AnalysisError, ValueError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
-    _emit(report, args)
     return code
 
 

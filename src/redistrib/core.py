@@ -72,7 +72,9 @@ class Problem:
                 raise NonFinite(f"need {value!r} is not finite")
             if value < 0:
                 raise NegativeNeed(f"need {value!r} is negative")
-        if self.total_need <= balance_tolerance(self.total_income):
+        # Needs are non-negative, so their sum cannot cancel; only a total
+        # within the slack of its own scale is too close to zero.
+        if self.total_need <= balance_tolerance(self.total_need):
             raise ZeroTotalNeed(f"total need {self.total_need!r} is not positive")
 
     def __len__(self) -> int:
@@ -120,18 +122,11 @@ class Allocation:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if len(self.values) != len(self.problem):
-            raise LengthMismatch(
-                f"{len(self.values)} values for {len(self.problem)} agents"
-            )
-        for value in self.values:
-            if not math.isfinite(value):
-                raise NonFinite(f"allocation entry {value!r} is not finite")
-        total_income = self.problem.total_income
-        residual = float(sum(self.values)) - total_income
-        if abs(residual) > balance_tolerance(total_income):
+        verdict = check_allocation(self.problem, self.values)
+        if not verdict.passed:
+            total_income = self.problem.total_income
             raise BalanceViolation(
-                f"allocation sums to {total_income + residual!r}, "
+                f"allocation sums to {total_income + verdict.residual!r}, "
                 f"expected {total_income!r}"
             )
 

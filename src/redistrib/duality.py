@@ -34,10 +34,6 @@ from .rules import (
 )
 
 
-class NonRepresentable(ValueError):
-    """The catalog cannot express a requested composite function."""
-
-
 def reflected_problem(problem: Problem) -> Problem:
     """Same agents and needs, incomes replaced by need minus income."""
     return make_problem(
@@ -78,11 +74,7 @@ def _sub_coeffs(
     return tuple(u - v for u, v in zip(padded_left, padded_right))
 
 
-def _coefficients(fn: ScalarFn) -> tuple[float, ...]:
-    try:
-        return fn.coefficients()
-    except Exception as exc:  # pragma: no cover - catalog kinds always convert
-        raise NonRepresentable(f"cannot express {fn!r} as a polynomial") from exc
+_ZERO = ScalarFn.constant(0.0)
 
 
 def dual_ab(income_weight: FnLike, need_weight: FnLike) -> tuple[FnLike, FnLike]:
@@ -93,8 +85,8 @@ def dual_ab(income_weight: FnLike, need_weight: FnLike) -> tuple[FnLike, FnLike]
     functions stay in the catalog; plain callables come back as closures.
     """
     if isinstance(income_weight, ScalarFn) and isinstance(need_weight, ScalarFn):
-        income_reflected = _reflect_coeffs(_coefficients(income_weight))
-        need_reflected = _reflect_coeffs(_coefficients(need_weight))
+        income_reflected = _reflect_coeffs(income_weight.coefficients())
+        need_reflected = _reflect_coeffs(need_weight.coefficients())
         dual_need = _sub_coeffs(_sub_coeffs((1.0,), income_reflected), need_reflected)
         return from_coefficients(income_reflected), from_coefficients(dual_need)
 
@@ -107,28 +99,6 @@ def dual_ab(income_weight: FnLike, need_weight: FnLike) -> tuple[FnLike, FnLike]
         return 1.0 - float(a_fn(1.0 - t)) - float(b_fn(1.0 - t))
 
     return reflected_income_weight, reflected_need_weight
-
-
-def _reflect_fn(fn: FnLike) -> FnLike:
-    if isinstance(fn, ScalarFn):
-        return from_coefficients(_reflect_coeffs(_coefficients(fn)))
-
-    def reflected(t: float) -> float:
-        return float(fn(1.0 - t))
-
-    return reflected
-
-
-def _one_minus_reflect_fn(fn: FnLike) -> FnLike:
-    if isinstance(fn, ScalarFn):
-        return from_coefficients(
-            _sub_coeffs((1.0,), _reflect_coeffs(_coefficients(fn)))
-        )
-
-    def complemented(t: float) -> float:
-        return 1.0 - float(fn(1.0 - t))
-
-    return complemented
 
 
 def dual_closed_form(rule: RuleSpec) -> RuleSpec | None:
@@ -146,10 +116,12 @@ def dual_closed_form(rule: RuleSpec) -> RuleSpec | None:
     if isinstance(rule, ABRule):
         income, need = dual_ab(rule.income_weight, rule.need_weight)
         return ABRule(income, need)
+    # bfam is ab with A = 0, which reflection keeps; afam's dual is afam
+    # with the reflected A.
     if isinstance(rule, BFamilyRule):
-        return BFamilyRule(_one_minus_reflect_fn(rule.need_weight))
+        return BFamilyRule(dual_ab(_ZERO, rule.need_weight)[1])
     if isinstance(rule, AFamilyRule):
-        return AFamilyRule(_reflect_fn(rule.income_weight))
+        return AFamilyRule(dual_ab(rule.income_weight, _ZERO)[0])
     if isinstance(rule, LinearRule):
         return LinearDualRule(rule.income_coeff, rule.need_share_coeff)
     if isinstance(rule, LinearDualRule):

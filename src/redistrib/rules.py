@@ -2,7 +2,9 @@
 
 Every rule maps a problem to one payoff vector that exhausts total income.
 Family rules are parameterized by scalar functions of the problem's
-income-to-need ratio.
+income-to-need ratio. Catalog and family rules are WeightedRule subclasses
+that give only their two deviation weights; ab_payoffs is the one payoff
+formula they share.
 """
 
 from __future__ import annotations
@@ -122,10 +124,6 @@ def from_coefficients(coeffs: Sequence[float]) -> ScalarFn:
 FnLike = Union[ScalarFn, Callable[[float], float]]
 
 
-def _fn_value(fn: FnLike, t: float) -> float:
-    return float(fn(t))
-
-
 class RuleSpec:
     """A rule maps each problem to the unique payoff vector its formula defines."""
 
@@ -133,98 +131,98 @@ class RuleSpec:
         raise NotImplementedError
 
 
+def ab_payoffs(problem: Problem, a: float, b: float) -> tuple[float, ...]:
+    """Equal split plus a times each income deviation and b times each need deviation."""
+    n = len(problem)
+    mean_income = problem.total_income / n
+    mean_need = problem.total_need / n
+    return tuple(
+        mean_income + (y - mean_income) * a + (z - mean_need) * b
+        for y, z in zip(problem.incomes, problem.needs)
+    )
+
+
+class WeightedRule(RuleSpec):
+    """A rule of the deviation-weighted form ȳ + A(t)(y−ȳ) + B(t)(z−z̄), t = Y/Z.
+
+    Subclasses give only their weights (A(t), B(t)) at the problem's
+    income-to-need ratio, evaluated once per problem.
+    """
+
+    def weights_at(self, t: float) -> tuple[float, float]:
+        raise NotImplementedError
+
+    def payoffs(self, problem: Problem) -> tuple[float, ...]:
+        a, b = self.weights_at(problem.total_income / problem.total_need)
+        return ab_payoffs(problem, a, b)
+
+
 @dataclass(frozen=True)
-class LaissezFaire(RuleSpec):
+class LaissezFaire(WeightedRule):
     """Leaves every agent's income untouched."""
 
-    def payoffs(self, problem: Problem) -> tuple[float, ...]:
-        return problem.incomes
+    def weights_at(self, t: float) -> tuple[float, float]:
+        return 1.0, 0.0
 
 
 @dataclass(frozen=True)
-class FullRedistribution(RuleSpec):
+class FullRedistribution(WeightedRule):
     """Pays every agent an equal share of total income."""
 
-    def payoffs(self, problem: Problem) -> tuple[float, ...]:
-        share = problem.total_income / len(problem)
-        return (share,) * len(problem)
+    def weights_at(self, t: float) -> tuple[float, float]:
+        return 0.0, 0.0
 
 
 @dataclass(frozen=True)
-class Proportional(RuleSpec):
+class Proportional(WeightedRule):
     """Splits total income in proportion to needs."""
 
-    def payoffs(self, problem: Problem) -> tuple[float, ...]:
-        ratio = problem.total_income / problem.total_need
-        return tuple(z * ratio for z in problem.needs)
+    def weights_at(self, t: float) -> tuple[float, float]:
+        return 0.0, t
 
 
 @dataclass(frozen=True)
-class NeedAdjustedFull(RuleSpec):
+class NeedAdjustedFull(WeightedRule):
     """Covers each need exactly, splitting the surplus or deficit equally."""
 
-    def payoffs(self, problem: Problem) -> tuple[float, ...]:
-        top_up = (problem.total_income - problem.total_need) / len(problem)
-        return tuple(z + top_up for z in problem.needs)
+    def weights_at(self, t: float) -> tuple[float, float]:
+        return 0.0, 1.0
 
 
 @dataclass(frozen=True)
-class ABRule(RuleSpec):
-    """Equal split adjusted by weighted income and need deviations.
-
-    Both weights are functions of the problem's income-to-need ratio,
-    evaluated once per problem.
-    """
+class ABRule(WeightedRule):
+    """Equal split adjusted by weighted income and need deviations."""
 
     income_weight: FnLike
     need_weight: FnLike
 
-    def payoffs(self, problem: Problem) -> tuple[float, ...]:
-        n = len(problem)
-        mean_income = problem.total_income / n
-        mean_need = problem.total_need / n
-        ratio = problem.total_income / problem.total_need
-        a = _fn_value(self.income_weight, ratio)
-        b = _fn_value(self.need_weight, ratio)
-        return tuple(
-            mean_income + (y - mean_income) * a + (z - mean_need) * b
-            for y, z in zip(problem.incomes, problem.needs)
-        )
+    def weights_at(self, t: float) -> tuple[float, float]:
+        return float(self.income_weight(t)), float(self.need_weight(t))
 
 
 @dataclass(frozen=True)
-class BFamilyRule(RuleSpec):
+class BFamilyRule(WeightedRule):
     """Equal split adjusted by weighted need deviations only."""
 
     need_weight: FnLike
 
-    def payoffs(self, problem: Problem) -> tuple[float, ...]:
-        n = len(problem)
-        mean_income = problem.total_income / n
-        mean_need = problem.total_need / n
-        b = _fn_value(self.need_weight, problem.total_income / problem.total_need)
-        return tuple(
-            mean_income + (z - mean_need) * b for z in problem.needs
-        )
+    def weights_at(self, t: float) -> tuple[float, float]:
+        return 0.0, float(self.need_weight(t))
 
 
 @dataclass(frozen=True)
-class AFamilyRule(RuleSpec):
+class AFamilyRule(WeightedRule):
     """Mixes untouched incomes with the proportional split via an income weight."""
 
     income_weight: FnLike
 
-    def payoffs(self, problem: Problem) -> tuple[float, ...]:
-        ratio = problem.total_income / problem.total_need
-        a = _fn_value(self.income_weight, ratio)
-        return tuple(
-            a * y + (1.0 - a) * ratio * z
-            for y, z in zip(problem.incomes, problem.needs)
-        )
+    def weights_at(self, t: float) -> tuple[float, float]:
+        a = float(self.income_weight(t))
+        return a, (1.0 - a) * t
 
 
 @dataclass(frozen=True)
-class LinearRule(RuleSpec):
+class LinearRule(WeightedRule):
     """Linear mix of untouched incomes, the proportional split, and the equal split.
 
     Coefficients need not lie in [0, 1]; the three terms always sum to
@@ -234,35 +232,20 @@ class LinearRule(RuleSpec):
     income_coeff: float
     need_share_coeff: float
 
-    def payoffs(self, problem: Problem) -> tuple[float, ...]:
-        n = len(problem)
-        ratio = problem.total_income / problem.total_need
-        equal_share = problem.total_income / n
-        rest = 1.0 - self.income_coeff - self.need_share_coeff
-        return tuple(
-            self.income_coeff * y + self.need_share_coeff * ratio * z + rest * equal_share
-            for y, z in zip(problem.incomes, problem.needs)
-        )
+    def weights_at(self, t: float) -> tuple[float, float]:
+        return self.income_coeff, self.need_share_coeff * t
 
 
 @dataclass(frozen=True)
-class LinearDualRule(RuleSpec):
+class LinearDualRule(WeightedRule):
     """Like LinearRule but the remainder goes to the need-adjusted equal split."""
 
     income_coeff: float
     need_share_coeff: float
 
-    def payoffs(self, problem: Problem) -> tuple[float, ...]:
-        n = len(problem)
-        ratio = problem.total_income / problem.total_need
-        top_up = (problem.total_income - problem.total_need) / n
-        rest = 1.0 - self.income_coeff - self.need_share_coeff
-        return tuple(
-            self.income_coeff * y
-            + self.need_share_coeff * ratio * z
-            + rest * (z + top_up)
-            for y, z in zip(problem.incomes, problem.needs)
-        )
+    def weights_at(self, t: float) -> tuple[float, float]:
+        c1, c2 = self.income_coeff, self.need_share_coeff
+        return c1, c2 * t + 1.0 - c1 - c2
 
 
 @dataclass(frozen=True)

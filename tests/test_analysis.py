@@ -1,5 +1,6 @@
 import pytest
 
+from redistrib import analysis
 from redistrib import (
     ABRule,
     AFamilyRule,
@@ -172,6 +173,13 @@ def test_characterization_of_income_weight_family_member():
     assert report.consistent
 
 
+def test_characterization_at_large_ratios():
+    grid = (-2e9, -1e9, 0.0, 1e9, 2e9)
+    report = verify_characterization(AFamilyRule(ScalarFn.constant(0.5)), CFG, grid=grid)
+    assert report.classification.label == "generic-AB"
+    assert report.consistent
+
+
 def test_characterization_outside_the_family():
     report = verify_characterization(needs_squared_rule(), CFG)
     assert report.classification.label == "non-AB"
@@ -184,11 +192,34 @@ def test_parse_grid():
     assert parse_grid("0:1:0.25") == pytest.approx((0.0, 0.25, 0.5, 0.75, 1.0))
     assert parse_grid("1:1:1") == (1.0,)
     assert parse_grid("0:0.3:0.1") == pytest.approx((0.0, 0.1, 0.2, 0.3))
+    assert parse_grid("-1e200:1e200:1e200") == (-1e200, 0.0, 1e200)
 
 
 @pytest.mark.parametrize(
-    "bad", ["1:2", "a:2:1", "1:2:0", "2:1:1", "1:2:-1", "1:2:3:4", ""]
+    "bad",
+    [
+        "1:2",
+        "a:2:1",
+        "1:2:0",
+        "2:1:1",
+        "1:2:-1",
+        "1:2:3:4",
+        "",
+        "0:1:1e-300",
+        "-1e308:1e308:1e-300",
+        "0:inf:1",
+        "nan:1:1",
+    ],
 )
 def test_parse_grid_rejects_malformed_text(bad):
     with pytest.raises(ParseError):
         parse_grid(bad)
+
+
+def test_parse_grid_caps_the_point_count_before_building(monkeypatch):
+    with pytest.raises(ParseError):
+        parse_grid(f"0:{analysis.MAX_GRID_POINTS}:1")
+    monkeypatch.setattr(analysis, "MAX_GRID_POINTS", 5)
+    assert parse_grid("1:5:1") == (1.0, 2.0, 3.0, 4.0, 5.0)
+    with pytest.raises(ParseError):
+        parse_grid("0:5:1")

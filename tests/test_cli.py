@@ -250,6 +250,8 @@ def test_check_stdout_stays_machine_readable_on_failure(capsys):
         ["extract", "--rule", "prop", "--grid", "2:1:1"],
         ["extract", "--rule", "prop", "--grid", "1:1:1"],
         ["classify", "--rule", "prop", "--grid", "0.5:4.5:1"],
+        # a report value overflows to inf and cannot be written as JSON
+        ["extract", "--rule", "ab:A=poly:" + "0," * 20 + "1e300,B=id", "--grid=1e7:3e7:1e7"],
     ],
 )
 def test_parse_failures_exit_2(capsys, argv):
@@ -337,6 +339,21 @@ def test_classify_full(capsys):
     assert report["b_shape"] == "zero"
     assert report["max_residual"] <= 1e-9
     assert report["profile"]["grid"] == [-2.0, -1.0, 0.0, 1.0, 2.0]
+
+
+def test_classify_at_large_ratios(capsys):
+    code, report, _ = run_cli(
+        capsys,
+        "classify",
+        "--rule",
+        "prop",
+        "--grid=-2e9:2e9:1e9",
+        "--samples",
+        "60",
+        "--no-timestamp",
+    )
+    assert code == 0
+    assert report["label"] == "proportional"
 
 
 def test_compare_with_greedy_rule_lists(capsys, csv_path):

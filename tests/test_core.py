@@ -75,6 +75,11 @@ def test_near_zero_total_need_rejected():
         make_problem(("a",), (1.0,), (1e-12,))
 
 
+def test_large_incomes_do_not_shrink_the_need_domain():
+    p = make_problem("ab", (1e12, 0.0), (50.0, 50.0))
+    assert p.total_need == 100.0
+
+
 def test_individual_zero_needs_are_fine():
     p = make_problem(("a", "b"), (1.0, 1.0), (0.0, 2.0))
     assert p.total_need == 2.0

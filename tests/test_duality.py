@@ -5,6 +5,7 @@ from redistrib import (
     AFamilyRule,
     BFamilyRule,
     ConvexCombination,
+    DEFAULT_GRID,
     DualReport,
     DualRule,
     FULL,
@@ -15,6 +16,7 @@ from redistrib import (
     PROP,
     SampleConfig,
     ScalarFn,
+    WeightedRule,
     check_allocation,
     check_self_dual,
     dual_ab,
@@ -23,6 +25,7 @@ from redistrib import (
     dual_payoffs,
     equivalent_on,
     evaluate,
+    extract_ab,
     format_rule,
     reflected_problem,
 )
@@ -110,7 +113,9 @@ def test_closed_form_unknown_rules_return_none():
 
 
 REWRITE_CASES = [
+    LF,
     FULL,
+    PROP,
     NAFR,
     ABRule(ScalarFn.constant(0.5), ScalarFn.identity()),
     ABRule(ScalarFn.poly(0.0, 0.0, 1.0), ScalarFn.poly(1.0, -1.0)),
@@ -137,6 +142,22 @@ def test_applying_the_operator_twice_restores_the_rule(rule):
     assert verdict.passed, verdict.max_deviation
     for p in random_problems(13, 20):
         assert dual_payoffs(DualRule(rule), p) == pytest.approx(rule.payoffs(p))
+
+
+WEIGHTED_CASES = [rule for rule in REWRITE_CASES if isinstance(rule, WeightedRule)]
+
+
+def test_weighted_cases_cover_every_weighted_class():
+    assert {type(rule) for rule in WEIGHTED_CASES} == set(WeightedRule.__subclasses__())
+
+
+@pytest.mark.parametrize("rule", WEIGHTED_CASES, ids=format_rule)
+def test_weights_match_extraction_and_reflect_under_duality(rule):
+    dual = dual_closed_form(rule)
+    for t in DEFAULT_GRID:
+        assert rule.weights_at(t) == pytest.approx(extract_ab(rule, t), abs=1e-9)
+        a, b = rule.weights_at(1.0 - t)
+        assert dual.weights_at(t) == pytest.approx((a, 1.0 - a - b), abs=1e-12)
 
 
 def test_self_dual_verdicts():
