@@ -14,8 +14,8 @@ import json
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from pathlib import Path
-from typing import Sequence
+from itertools import chain, islice, repeat
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .analysis import AnalysisError, classify, parse_grid, profile_rule
 from .axioms import (
@@ -62,9 +62,11 @@ class DatasetError(ValueError):
 
 @dataclass(frozen=True)
 class Dataset:
-    """Parsed agent records in input order."""
+    """Parsed agent columns in input order."""
 
-    records: tuple[tuple[str, float, float], ...]
+    ids: tuple[str, ...]
+    incomes: tuple[float, ...]
+    needs: tuple[float, ...]
     source: str
     format: str
 
@@ -72,78 +74,107 @@ class Dataset:
 def _parse_record_value(raw: object, what: str, where: str) -> float:
     try:
         return float(raw)  # type: ignore[arg-type]
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise DatasetError(f"{where}: {what} {raw!r} is not a number") from None
 
 
+def _checked_csv_row(row: list[str], where: str) -> tuple[str, float, float] | None:
+    """A row the fast path refused, checked field by field: None if it is blank."""
+    if not row or all(not cell.strip() for cell in row):
+        return None
+    if len(row) != 3:
+        raise DatasetError(f"{where}: expected 3 columns, got {len(row)}")
+    return (
+        row[0].strip(),
+        _parse_record_value(row[1], "income", where),
+        _parse_record_value(row[2], "need", where),
+    )
+
+
+def _read_csv(handle: TextIO, path: str) -> list[tuple[str, float, float]]:
+    reader = csv.reader(handle)
+    header = next(reader, None)
+    if header is None:
+        raise DatasetError(f"{path}: empty file")
+    header = [cell.strip().lower() for cell in header]
+    if header != ["id", "income", "need"]:
+        raise DatasetError(
+            f"{path}: header must be id,income,need, got {','.join(header)!r}"
+        )
+    records = []
+    for k, row in enumerate(reader, start=2):
+        try:
+            agent_id, income, need = row
+            record = (agent_id.strip(), float(income), float(need))
+        except ValueError:
+            record = _checked_csv_row(row, f"{path} line {k}")
+            if record is None:
+                continue
+        records.append(record)
+    return records
+
+
+def _checked_json_entry(entry: object, where: str) -> tuple[str, float, float]:
+    """An entry the fast path refused, checked field by field."""
+    if not isinstance(entry, dict) or not {"id", "income", "need"} <= set(entry):
+        raise DatasetError(f"{where}: expected keys id, income, need")
+    return (
+        str(entry["id"]),
+        _parse_record_value(entry["income"], "income", where),
+        _parse_record_value(entry["need"], "need", where),
+    )
+
+
+def _read_json(handle: TextIO, path: str) -> list[tuple[str, float, float]]:
+    try:
+        payload = json.load(handle)
+    except ValueError as exc:
+        raise DatasetError(f"{path}: invalid JSON ({exc})") from None
+    agents = payload.get("agents") if isinstance(payload, dict) else None
+    if not isinstance(agents, list):
+        raise DatasetError(f"{path}: expected an object with an 'agents' list")
+    records = []
+    for k, entry in enumerate(agents):
+        try:
+            record = (str(entry["id"]), float(entry["income"]), float(entry["need"]))
+        except (KeyError, TypeError, ValueError, OverflowError):
+            record = _checked_json_entry(entry, f"{path} agents[{k}]")
+        records.append(record)
+    return records
+
+
 def load_dataset(path: str, fmt: str | None = None) -> Dataset:
-    """Read a csv or json dataset of id, income, need records."""
+    """Read a csv or json dataset of id, income, need records.
+
+    Csv is parsed row by row as it is read; well-formed rows go straight
+    through float(), and any other row gets the checks that name its line.
+    """
     if fmt is None:
         fmt = "json" if path.lower().endswith(".json") else "csv"
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, newline="", encoding="utf-8") as handle:
+            if fmt == "csv":
+                records = _read_csv(handle, path)
+            elif fmt == "json":
+                records = _read_json(handle, path)
+            else:
+                raise DatasetError(f"unknown format {fmt!r}")
     except OSError as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from None
-    records: list[tuple[str, float, float]] = []
-    if fmt == "csv":
-        rows = list(csv.reader(text.splitlines()))
-        if not rows:
-            raise DatasetError(f"{path}: empty file")
-        header = [cell.strip().lower() for cell in rows[0]]
-        if header != ["id", "income", "need"]:
-            raise DatasetError(
-                f"{path}: header must be id,income,need, got {','.join(header)!r}"
-            )
-        for k, row in enumerate(rows[1:], start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != 3:
-                raise DatasetError(f"{path} line {k}: expected 3 columns, got {len(row)}")
-            where = f"{path} line {k}"
-            records.append(
-                (
-                    row[0].strip(),
-                    _parse_record_value(row[1], "income", where),
-                    _parse_record_value(row[2], "need", where),
-                )
-            )
-    elif fmt == "json":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise DatasetError(f"{path}: invalid JSON ({exc})") from None
-        agents = payload.get("agents") if isinstance(payload, dict) else None
-        if not isinstance(agents, list):
-            raise DatasetError(f"{path}: expected an object with an 'agents' list")
-        for k, entry in enumerate(agents):
-            if not isinstance(entry, dict) or not {"id", "income", "need"} <= set(entry):
-                raise DatasetError(
-                    f"{path} agents[{k}]: expected keys id, income, need"
-                )
-            where = f"{path} agents[{k}]"
-            records.append(
-                (
-                    str(entry["id"]),
-                    _parse_record_value(entry["income"], "income", where),
-                    _parse_record_value(entry["need"], "need", where),
-                )
-            )
-    else:
-        raise DatasetError(f"unknown format {fmt!r}")
-    seen: set[str] = set()
-    for agent_id, _, _ in records:
-        if agent_id in seen:
-            raise DatasetError(f"{path}: duplicate agent id {agent_id!r}")
-        seen.add(agent_id)
-    return Dataset(tuple(records), path, fmt)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DatasetError(f"{path}: {exc}") from None
+    ids, incomes, needs = zip(*records) if records else ((), (), ())
+    if len(set(ids)) != len(ids):
+        seen: set[str] = set()
+        for agent_id in ids:
+            if agent_id in seen:
+                raise DatasetError(f"{path}: duplicate agent id {agent_id!r}")
+            seen.add(agent_id)
+    return Dataset(ids, incomes, needs, path, fmt)
 
 
 def dataset_problem(dataset: Dataset) -> Problem:
-    return make_problem(
-        tuple(r[0] for r in dataset.records),
-        tuple(r[1] for r in dataset.records),
-        tuple(r[2] for r in dataset.records),
-    )
+    return make_problem(dataset.ids, dataset.incomes, dataset.needs)
 
 
 def _summary(values: Sequence[float]) -> dict:
@@ -192,17 +223,154 @@ def _base_report(command: str, args: argparse.Namespace) -> dict:
     return report
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+# Rows of a table joined into one string before it is written.
+_BLOCK_ROWS = 4096
+
+
+@dataclass(frozen=True)
+class _Table:
+    """A list of objects with the same keys, held as one column per key.
+
+    A column is a list of JSON texts, one per row, or a nested _Table whose
+    rows are the objects under that key. Rows are spliced together from
+    the columns only when the report is written.
+    """
+
+    columns: dict[str, list[str] | _Table]
+
+
+def _finite(texts: list[str]) -> list[str]:
+    """Raise json's error if these float.__repr__ texts hold a non-finite value.
+
+    A report holding one is then refused before any byte of it is written.
+    """
+    for bad in ("nan", "inf", "-inf"):
+        if bad in texts:
+            raise ValueError(f"Out of range float values are not JSON compliant: {bad}")
+    return texts
+
+
+def _float_texts(values: Iterable[float]) -> list[str]:
+    """The JSON texts of finite floats, as json.dumps writes them."""
+    return _finite(list(map(float.__repr__, values)))
+
+
+def _row_parts(table: _Table, depth: int) -> list[str | list[str]]:
+    """One row at indent level depth: its literal texts and columns, in order."""
+    pad = "  " * (depth + 1)
+    parts: list[str | list[str]] = ["{"]
+    for k, (key, column) in enumerate(table.columns.items()):
+        parts.append(f"{',' if k else ''}\n{pad}{_encode_str(key)}: ")
+        if isinstance(column, _Table):
+            parts += _row_parts(column, depth + 1)
+        else:
+            parts.append(column)
+    parts.append("\n" + "  " * depth + "}" if table.columns else "}")
+    return parts
+
+
+def _table_chunks(table: _Table) -> Iterator[str]:
+    """The table as the value of a top-level key in json.dumps(indent=2) layout.
+
+    The literal texts of one row and its columns are zipped and joined a
+    block of rows at a time, so neither a per-row string nor the whole
+    table's text is ever built.
+    """
+    streams: list[Iterable[str]] = []
+    literal = "    "
+    for part in _row_parts(table, 2):
+        if isinstance(part, str):
+            literal += part
+        else:
+            streams += [repeat(literal), part]
+            literal = ""
+    n = len(streams[1])  # the first column of texts
+    if n == 0:
+        yield "[]"
+        return
+    streams.append(chain(repeat(literal + ",\n", n - 1), [literal + "\n"]))
+    rows = zip(*streams)
+    yield "[\n"
+    while block := list(islice(rows, _BLOCK_ROWS)):
+        yield "".join(chain.from_iterable(block))
+    yield "  ]"
+
+
+def _report_chunks(report: dict) -> Iterator[str]:
+    """The report as json.dumps(report, indent=2) writes it, plus a newline.
+
+    Top-level keys are spliced in that layout. Every value but a _Table is
+    encoded here, by json.dumps with its lines shifted one level in (JSON
+    strings never hold a raw newline), so a value JSON cannot hold raises
+    before the first chunk is returned. Tables are joined as they are read.
+    """
+    pieces: list[Iterable[str]] = []
+    for k, (key, value) in enumerate(report.items()):
+        head = ("{\n" if k == 0 else ",\n") + f"  {_encode_str(key)}: "
+        if isinstance(value, _Table):
+            pieces += [[head], _table_chunks(value)]
+        else:
+            text = json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n  ")
+            pieces.append([head + text])
+    pieces.append(["\n}\n"])
+    return chain.from_iterable(pieces)
+
+
 def _emit(report: dict, args: argparse.Namespace) -> None:
-    text = json.dumps(report, indent=2, allow_nan=False) + "\n"
+    chunks = _report_chunks(report)
     if args.output == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
-        Path(args.output).write_text(text, encoding="utf-8")
+        with open(args.output, "w", encoding="utf-8") as handle:
+            handle.writelines(chunks)
         print(f"wrote report to {args.output}", file=sys.stderr)
 
 
 def _sample_config(args: argparse.Namespace) -> SampleConfig:
     return SampleConfig(seed=args.seed, trials=args.samples)
+
+
+def _agent_columns(
+    ids: Sequence[str], incomes: Sequence[float], needs: Sequence[float]
+) -> dict[str, list[str] | _Table]:
+    return {
+        "id": list(map(_encode_str, ids)),
+        "income": _float_texts(incomes),
+        "need": _float_texts(needs),
+    }
+
+
+def _apply_rows(
+    ids: Sequence[str],
+    incomes: Sequence[float],
+    needs: Sequence[float],
+    values: Sequence[float],
+) -> _Table:
+    """Rows of id, income, need, allocation and needs coverage per agent."""
+    columns = _agent_columns(ids, incomes, needs)
+    columns["allocation"] = _float_texts(values)
+    columns["needs_coverage"] = _finite(
+        [
+            float.__repr__(value / need) if need > 0 else "null"
+            for value, need in zip(values, needs)
+        ]
+    )
+    return _Table(columns)
+
+
+def _compare_rows(
+    ids: Sequence[str],
+    incomes: Sequence[float],
+    needs: Sequence[float],
+    allocations: dict[str, Sequence[float]],
+) -> _Table:
+    """Rows of id, income, need and each rule's allocation per agent."""
+    columns = _agent_columns(ids, incomes, needs)
+    columns["allocations"] = _Table(
+        {spec: _float_texts(values) for spec, values in allocations.items()}
+    )
+    return _Table(columns)
 
 
 def _cmd_apply(args: argparse.Namespace) -> tuple[dict, int]:
@@ -212,18 +380,9 @@ def _cmd_apply(args: argparse.Namespace) -> tuple[dict, int]:
     allocation = evaluate(rule, problem)
     report = _base_report("apply", args)
     report["input"] = args.input
-    report["agents"] = [
-        {
-            "id": str(agent),
-            "income": income,
-            "need": need,
-            "allocation": value,
-            "needs_coverage": (value / need) if need > 0 else None,
-        }
-        for agent, income, need, value in zip(
-            problem.agents, problem.incomes, problem.needs, allocation.values
-        )
-    ]
+    report["agents"] = _apply_rows(
+        problem.agents, problem.incomes, problem.needs, allocation.values
+    )
     report["summary"] = _summary(allocation.values)
     return report, EXIT_OK
 
@@ -323,17 +482,9 @@ def _cmd_compare(args: argparse.Namespace) -> tuple[dict, int]:
     report = _base_report("compare", args)
     report["rules"] = specs
     report["input"] = args.input
-    report["agents"] = [
-        {
-            "id": str(agent),
-            "income": income,
-            "need": need,
-            "allocations": {spec: allocations[spec][k] for spec in specs},
-        }
-        for k, (agent, income, need) in enumerate(
-            zip(problem.agents, problem.incomes, problem.needs)
-        )
-    ]
+    report["agents"] = _compare_rows(
+        problem.agents, problem.incomes, problem.needs, allocations
+    )
     report["summary"] = {spec: _summary(allocations[spec]) for spec in specs}
     return report, EXIT_OK
 

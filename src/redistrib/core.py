@@ -38,9 +38,13 @@ class BalanceViolation(ValidationError):
     """Allocation values do not sum to the problem's total income."""
 
 
-def balance_tolerance(total_income: float) -> float:
-    """Absolute slack allowed when checking that payoffs sum to total income."""
-    return BALANCE_REL_TOL * max(1.0, abs(total_income))
+def balance_tolerance(magnitude: float) -> float:
+    """Absolute slack allowed when checking a sum whose terms have this size.
+
+    Pass the sum of the terms' absolute values, not the sum itself: when
+    terms cancel, the rounding error of a sum scales with its terms.
+    """
+    return BALANCE_REL_TOL * max(1.0, abs(magnitude))
 
 
 @dataclass(frozen=True)
@@ -156,6 +160,10 @@ def check_allocation(problem: Problem, values: Sequence[float]) -> BalanceVerdic
     for value in coerced:
         if not math.isfinite(value):
             raise NonFinite(f"allocation entry {value!r} is not finite")
-    tolerance = balance_tolerance(problem.total_income)
+    # Both sums round in proportion to the size of their terms, which can
+    # dwarf the totals when positive and negative entries cancel.
+    tolerance = balance_tolerance(
+        max(sum(map(abs, problem.incomes)), sum(map(abs, coerced)))
+    )
     residual = float(sum(coerced)) - problem.total_income
     return BalanceVerdict(abs(residual) <= tolerance, residual, tolerance)

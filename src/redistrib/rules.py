@@ -134,10 +134,13 @@ class RuleSpec:
 def ab_payoffs(problem: Problem, a: float, b: float) -> tuple[float, ...]:
     """Equal split plus a times each income deviation and b times each need deviation."""
     n = len(problem)
-    mean_income = problem.total_income / n
     mean_need = problem.total_need / n
+    # a·y + (1−a)·ȳ rather than ȳ + a(y−ȳ): with a = 1 and b = 0 every
+    # other term is zero, so incomes come back exactly, and with a = 0 the
+    # equal split does.
+    rest = problem.total_income / n * (1.0 - a)
     return tuple(
-        mean_income + (y - mean_income) * a + (z - mean_need) * b
+        y * a + rest + (z - mean_need) * b
         for y, z in zip(problem.incomes, problem.needs)
     )
 

@@ -23,6 +23,7 @@ from redistrib import (
     check_axiom,
     expand_axiom_names,
     make_problem,
+    parse_rule,
     recheck_counterexample,
     rng_for,
     sample_problem,
@@ -210,6 +211,17 @@ def test_needs_squared_group_total_drifts_by_known_amount():
     deviation, scale = recheck_counterexample("nat", needs_squared_rule(), cex)
     assert deviation == pytest.approx(2.0 / 13.0)
     assert scale == 4.0
+
+
+@pytest.mark.parametrize(
+    "spec,seed", [("lin:0.3,0.2", 151), ("afam:A=affine:0.2,0.4", 24)]
+)
+def test_continuity_allows_gap_growth_at_large_steps(spec, seed):
+    # These seeds draw a trial whose gap grows at the first halvings and
+    # then shrinks to rounding noise: the rule is continuous.
+    cfg = SampleConfig(seed=seed, trials=1000)
+    report = check_axiom("continuity", parse_rule(spec), cfg)
+    assert report.passed
 
 
 def test_continuity_probe_records_gap_sequence():

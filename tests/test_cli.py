@@ -1,11 +1,23 @@
+import argparse
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from redistrib import ALL_AXIOMS, evaluate, make_problem, parse_rule
-from redistrib.cli import main
+from redistrib.cli import (
+    _BLOCK_ROWS,
+    _apply_rows,
+    _compare_rows,
+    _emit,
+    load_dataset,
+    main,
+)
 
 CSV_TEXT = "id,income,need\na,5,1\nb,1,3\n"
 JSON_TEXT = json.dumps(
@@ -285,6 +297,154 @@ def test_data_failures_exit_3(capsys, tmp_path):
     )
     capsys.readouterr()
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "text,ids,incomes",
+    [
+        ("id,income,need\r\na,5,1\r\nb,1,3\r\n", ("a", "b"), (5.0, 1.0)),
+        ('id,income,need\n"x, y",5,1\nb,1,3\n', ("x, y", "b"), (5.0, 1.0)),
+        ("id,income,need\n\na,5,1\n , ,\n\nb,1,3\n\n", ("a", "b"), (5.0, 1.0)),
+        (" ID , Income,need\n a ,-2.5 , 1e1\n", ("a",), (-2.5,)),
+        # only \n, \r and \r\n end a csv line, not every str.splitlines break
+        ("id,income,need\na\x0cb\u2028c,5,1\n", ("a\x0cb\u2028c",), (5.0,)),
+    ],
+    ids=["crlf", "quoted-comma", "blank-lines", "padded-cells", "form-feed-in-id"],
+)
+def test_csv_loader_accepts(tmp_path, text, ids, incomes):
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode("utf-8"))
+    dataset = load_dataset(str(path))
+    assert dataset.ids == ids
+    assert dataset.incomes == incomes
+
+
+HUGE_INCOME = b'{"agents": [{"id": "a", "income": 1' + b"0" * 400 + b', "need": 1}]}'
+
+
+@pytest.mark.parametrize(
+    "name,data,message",
+    [
+        # blank lines count: the bad row is the fourth line of the file
+        ("columns.csv", b"id,income,need\na,5,1\n\nb,1\n", "line 4: expected 3 columns"),
+        ("number.csv", b"id,income,need\r\na,5,1\r\nb,x,3\r\n", "line 3: income 'x'"),
+        ("late.csv", b"id,income,need\na,5,1\nb,1,3,4\nc,1,y\n", "line 3: expected 3"),
+        ("latin1.csv", b"id,income,need\n\xe9,5,1\n", "can't decode"),
+        ("need.json", b'{"agents": [{"id": "a", "income": 5, "need": [1]}]}', "need [1]"),
+        ("keys.json", b'{"agents": [{"id": "a", "income": 5}]}', "agents[0]: expected"),
+        ("huge.json", HUGE_INCOME, "agents[0]: income 1000"),
+    ],
+)
+def test_loader_errors_exit_3_and_name_the_row(capsys, tmp_path, name, data, message):
+    path = tmp_path / name
+    path.write_bytes(data)
+    code = main(["apply", "--rule", "lf", "--input", str(path), "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert str(path) in captured.err and message in captured.err
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "file"])
+def test_non_finite_needs_coverage_exits_2_before_writing(capsys, tmp_path, to_file):
+    path = tmp_path / "tiny_need.csv"
+    path.write_text("id,income,need\na,5,1\nb,1,5e-324\nc,2,3\n", encoding="utf-8")
+    out = tmp_path / "report.json"
+    argv = ["apply", "--rule", "lf", "--input", str(path), "--no-timestamp"]
+    code = main(argv + (["--output", str(out)] if to_file else []))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "not JSON compliant: inf" in captured.err
+    assert not out.exists()
+
+
+# Ids with quotes, backslashes, control and non-ASCII characters.
+AWKWARD = st.sampled_from('"\\\n\t\x00\x1f\x7f/\u00e9\u20ac\U0001f600')
+TEXTS = st.text(st.one_of(AWKWARD, st.characters()), max_size=6)
+FLOATS = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e16, -1e16, 1e308, -1e308, 0.1]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def _emitted(report):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit(report, argparse.Namespace(output="-"))
+    return out.getvalue()
+
+
+def _check_emit(head, rows, build, tail):
+    """_emit of the column form must write what json.dumps writes of the rows."""
+    try:
+        reference = {**head, "agents": rows, **tail}
+        expected = json.dumps(reference, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            _emitted({**head, "agents": build(), **tail})
+        return
+    assert _emitted({**head, "agents": build(), **tail}) == expected
+
+
+def _apply_case(ids, incomes, needs, values, rule="prop"):
+    head = {"schema_version": "1", "command": "apply", "rule": rule, "input": "in.csv"}
+    rows = [
+        {
+            "id": i,
+            "income": y,
+            "need": z,
+            "allocation": x,
+            "needs_coverage": x / z if z > 0 else None,
+        }
+        for i, y, z, x in zip(ids, incomes, needs, values)
+    ]
+    return head, rows, lambda: _apply_rows(ids, incomes, needs, values)
+
+
+@given(st.data(), st.integers(min_value=0, max_value=4), TEXTS)
+def test_emit_of_apply_report_matches_json_dumps(data, n, rule):
+    columns = [data.draw(st.lists(TEXTS, min_size=n, max_size=n))]
+    columns += [data.draw(st.lists(FLOATS, min_size=n, max_size=n)) for _ in range(3)]
+    head, rows, build = _apply_case(*columns, rule=rule)
+    tail = {"summary": {"total": data.draw(FLOATS), "min": data.draw(FLOATS)}}
+    _check_emit(head, rows, build, tail)
+
+
+def test_emit_of_a_table_longer_than_a_block_matches_json_dumps():
+    n = 2 * _BLOCK_ROWS + 1
+    values = [k / 7 for k in range(n)]
+    head, rows, build = _apply_case([f"a{k}" for k in range(n)], values, values, values)
+    _check_emit(head, rows, build, {"summary": {}})
+
+
+@given(
+    st.data(),
+    st.integers(min_value=0, max_value=4),
+    st.lists(TEXTS, max_size=3, unique=True),
+)
+def test_emit_of_compare_report_matches_json_dumps(data, n, specs):
+    ids = data.draw(st.lists(TEXTS, min_size=n, max_size=n))
+    incomes, needs = (data.draw(st.lists(FLOATS, min_size=n, max_size=n)) for _ in range(2))
+    allocations = {
+        spec: data.draw(st.lists(FLOATS, min_size=n, max_size=n)) for spec in specs
+    }
+    head = {"schema_version": "1", "command": "compare", "rules": specs, "input": "in.json"}
+    rows = [
+        {
+            "id": i,
+            "income": y,
+            "need": z,
+            "allocations": {spec: allocations[spec][k] for spec in specs},
+        }
+        for k, (i, y, z) in enumerate(zip(ids, incomes, needs))
+    ]
+    tail = {"summary": {spec: {"total": sum(allocations[spec])} for spec in specs}}
+
+    def build():
+        return _compare_rows(ids, incomes, needs, allocations)
+
+    _check_emit(head, rows, build, tail)
 
 
 def test_dual_of_full(capsys):

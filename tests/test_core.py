@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,7 +17,9 @@ from redistrib import (
     aggregates,
     balance_tolerance,
     check_allocation,
+    evaluate,
     make_problem,
+    parse_rule,
     problem_scale,
 )
 from conftest import reference_problem
@@ -109,7 +112,8 @@ def test_check_allocation_verdicts():
     bad = check_allocation(p, (2.0, 5.0))
     assert not bad.passed
     assert bad.residual == pytest.approx(1.0)
-    assert bad.tolerance == balance_tolerance(6.0)
+    # scaled by the larger of sum |income| = 6 and sum |allocation| = 7
+    assert bad.tolerance == balance_tolerance(7.0)
 
 
 def test_check_allocation_rejects_malformed_input():
@@ -127,6 +131,36 @@ def test_allocation_enforces_balance_on_construction():
         Allocation(p, (1.5, 5.5))
     with pytest.raises(LengthMismatch):
         Allocation(p, (6.0,))
+
+
+def _mirrored_incomes():
+    # 200k incomes from U(-1e6, 1e6) and their negatives: total about -6e-7
+    rng = np.random.default_rng(0)
+    half = rng.uniform(-1e6, 1e6, 100_000)
+    needs = rng.uniform(0.0, 10.0, 200_000)
+    incomes = np.concatenate([half, -half])
+    return make_problem(range(200_000), incomes.tolist(), needs.tolist())
+
+
+def _zero_incomes_large_needs():
+    needs = np.random.default_rng(0).uniform(0.0, 1e6, 200_000)
+    return make_problem(range(200_000), [0.0] * 200_000, needs.tolist())
+
+
+@pytest.mark.parametrize(
+    "build,specs",
+    [
+        (_mirrored_incomes, ("nafr", "lin:0.3,0.2", "convex(lf;prop;0.3)")),
+        (_zero_incomes_large_needs, ("nafr",)),
+    ],
+    ids=["mirrored-incomes", "zero-incomes-large-needs"],
+)
+def test_balance_check_scales_with_cancelling_terms(build, specs):
+    # The sums cancel to near zero, so their rounding error dwarfs |total|.
+    p = build()
+    for spec in specs:
+        allocation = evaluate(parse_rule(spec), p)
+        assert check_allocation(p, allocation.values).passed, spec
 
 
 def test_allocation_total():

@@ -78,6 +78,18 @@ def test_ab_rule_evaluates_ratio_once_per_problem():
     assert calls == [1.5, 1.5]
 
 
+def test_corner_weights_pay_exactly():
+    # (A, B) = (1, 0) pays the incomes and (0, 0) the mean income, bit for
+    # bit; prop pays the mean income plus t times each need deviation.
+    for p in random_problems(11, 1000):
+        n = len(p)
+        mean_income, mean_need = p.total_income / n, p.total_need / n
+        t = p.total_income / p.total_need
+        assert LF.payoffs(p) == p.incomes
+        assert FULL.payoffs(p) == (mean_income,) * n
+        assert PROP.payoffs(p) == tuple(mean_income + (z - mean_need) * t for z in p.needs)
+
+
 def test_single_agent_gets_everything():
     p = make_problem(("only",), (7.0,), (2.0,))
     rules = [
