@@ -185,7 +185,8 @@ def _measure_homogeneity(rule, instance):
     )
     expected = tuple(factor * x for x in rule.payoffs(problem))
     observed = rule.payoffs(scaled)
-    scale = max(problem_scale(problem), problem_scale(scaled))
+    # Rounding grows with the payoffs, which can dwarf the problem's totals.
+    scale = max(problem_scale(problem), problem_scale(scaled), *map(abs, observed))
     return _max_abs_diff(observed, expected), scale, expected, observed
 
 
@@ -251,6 +252,7 @@ def _measure_continuity(rule, instance):
     income_dir = instance["income_dir"]
     need_dir = instance["need_dir"]
     delta = instance["base_delta"]
+    scale = max(problem_scale(problem), *map(abs, base))
     gaps: list[float] = []
     for _ in range(CONTINUITY_STEPS + 1):
         nearby = make_problem(
@@ -258,7 +260,9 @@ def _measure_continuity(rule, instance):
             tuple(y + delta * u for y, u in zip(problem.incomes, income_dir)),
             tuple(z + delta * v for z, v in zip(problem.needs, need_dir)),
         )
-        gaps.append(_max_abs_diff(rule.payoffs(nearby), base))
+        moved = rule.payoffs(nearby)
+        gaps.append(_max_abs_diff(moved, base))
+        scale = max(scale, *map(abs, moved))
         delta *= 0.5
     # Violation when the gap fails to vanish, or grows along the tail. A
     # continuous rule's gap may grow at the first, large steps, before the
@@ -267,7 +271,7 @@ def _measure_continuity(rule, instance):
     worst = gaps[-1]
     for earlier, later in zip(tail, tail[1:]):
         worst = max(worst, later - earlier)
-    return worst, problem_scale(problem), None, tuple(gaps)
+    return worst, scale, None, tuple(gaps)
 
 
 # --- nat: within-group reallocation never changes the group's total payoff ---

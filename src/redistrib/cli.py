@@ -67,8 +67,6 @@ class Dataset:
     ids: tuple[str, ...]
     incomes: tuple[float, ...]
     needs: tuple[float, ...]
-    source: str
-    format: str
 
 
 def _parse_record_value(raw: object, what: str, where: str) -> float:
@@ -170,11 +168,7 @@ def load_dataset(path: str, fmt: str | None = None) -> Dataset:
             if agent_id in seen:
                 raise DatasetError(f"{path}: duplicate agent id {agent_id!r}")
             seen.add(agent_id)
-    return Dataset(ids, incomes, needs, path, fmt)
-
-
-def dataset_problem(dataset: Dataset) -> Problem:
-    return make_problem(dataset.ids, dataset.incomes, dataset.needs)
+    return Dataset(ids, incomes, needs)
 
 
 def _summary(values: Sequence[float]) -> dict:
@@ -376,7 +370,7 @@ def _compare_rows(
 def _cmd_apply(args: argparse.Namespace) -> tuple[dict, int]:
     rule = parse_rule(args.rule)
     dataset = load_dataset(args.input, args.format)
-    problem = dataset_problem(dataset)
+    problem = make_problem(dataset.ids, dataset.incomes, dataset.needs)
     allocation = evaluate(rule, problem)
     report = _base_report("apply", args)
     report["input"] = args.input
@@ -475,7 +469,7 @@ def _cmd_compare(args: argparse.Namespace) -> tuple[dict, int]:
         rules.extend(split_rule_list(chunk))
     specs = [format_rule(rule) for rule in rules]
     dataset = load_dataset(args.input, args.format)
-    problem = dataset_problem(dataset)
+    problem = make_problem(dataset.ids, dataset.incomes, dataset.needs)
     allocations = {
         spec: evaluate(rule, problem).values for spec, rule in zip(specs, rules)
     }

@@ -19,7 +19,6 @@ from .rules import (
     BFamilyRule,
     ConvexCombination,
     DualRule,
-    FnLike,
     FULL,
     FullRedistribution,
     LaissezFaire,
@@ -77,36 +76,27 @@ def _sub_coeffs(
 _ZERO = ScalarFn.constant(0.0)
 
 
-def dual_ab(income_weight: FnLike, need_weight: FnLike) -> tuple[FnLike, FnLike]:
-    """Weights of the dual of a deviation-weighted rule.
+def dual_ab(income_weight: ScalarFn, need_weight: ScalarFn) -> tuple[ScalarFn, ScalarFn]:
+    """Weights of the dual of a deviation-weighted rule with catalog weights.
 
     The dual's income weight is t -> A(1-t) and its need weight is
-    t -> 1 - A(1-t) - B(1-t), writing A and B for the inputs. Catalog
-    functions stay in the catalog; plain callables come back as closures.
+    t -> 1 - A(1-t) - B(1-t), writing A and B for the inputs.
     """
-    if isinstance(income_weight, ScalarFn) and isinstance(need_weight, ScalarFn):
-        income_reflected = _reflect_coeffs(income_weight.coefficients())
-        need_reflected = _reflect_coeffs(need_weight.coefficients())
-        dual_need = _sub_coeffs(_sub_coeffs((1.0,), income_reflected), need_reflected)
-        return from_coefficients(income_reflected), from_coefficients(dual_need)
-
-    a_fn, b_fn = income_weight, need_weight
-
-    def reflected_income_weight(t: float) -> float:
-        return float(a_fn(1.0 - t))
-
-    def reflected_need_weight(t: float) -> float:
-        return 1.0 - float(a_fn(1.0 - t)) - float(b_fn(1.0 - t))
-
-    return reflected_income_weight, reflected_need_weight
+    income_reflected = _reflect_coeffs(income_weight.coefficients())
+    need_reflected = _reflect_coeffs(need_weight.coefficients())
+    dual_need = _sub_coeffs(_sub_coeffs((1.0,), income_reflected), need_reflected)
+    return from_coefficients(income_reflected), from_coefficients(dual_need)
 
 
 def dual_closed_form(rule: RuleSpec) -> RuleSpec | None:
     """Rewrite a rule into the closed form of its dual, when one is known.
 
-    Returns None for rules outside the rewrite catalog, such as custom
-    rules; those still evaluate through dual_evaluate.
+    Returns None for rules outside the rewrite catalog, such as custom rules;
+    a family rule with plain callable weights comes back as its DualRule.
     """
+    if isinstance(rule, (ABRule, AFamilyRule, BFamilyRule)):
+        if not all(isinstance(fn, ScalarFn) for fn in vars(rule).values()):
+            return DualRule(rule)
     if isinstance(rule, (LaissezFaire, Proportional)):
         return rule
     if isinstance(rule, FullRedistribution):

@@ -4,7 +4,7 @@ Every rule maps a problem to one payoff vector that exhausts total income.
 Family rules are parameterized by scalar functions of the problem's
 income-to-need ratio. Catalog and family rules are WeightedRule subclasses
 that give only their two deviation weights; ab_payoffs is the one payoff
-formula they share.
+formula they share with their convex mixtures and duals.
 """
 
 from __future__ import annotations
@@ -130,6 +130,10 @@ class RuleSpec:
     def payoffs(self, problem: Problem) -> tuple[float, ...]:
         raise NotImplementedError
 
+    def weights_at(self, t: float) -> tuple[float, float] | None:
+        """(A(t), B(t)) if the rule pays ȳ + A(t)(y−ȳ) + B(t)(z−z̄), else None."""
+        return None
+
 
 def ab_payoffs(problem: Problem, a: float, b: float) -> tuple[float, ...]:
     """Equal split plus a times each income deviation and b times each need deviation."""
@@ -151,9 +155,6 @@ class WeightedRule(RuleSpec):
     Subclasses give only their weights (A(t), B(t)) at the problem's
     income-to-need ratio, evaluated once per problem.
     """
-
-    def weights_at(self, t: float) -> tuple[float, float]:
-        raise NotImplementedError
 
     def payoffs(self, problem: Problem) -> tuple[float, ...]:
         a, b = self.weights_at(problem.total_income / problem.total_need)
@@ -253,7 +254,10 @@ class LinearDualRule(WeightedRule):
 
 @dataclass(frozen=True)
 class ConvexCombination(RuleSpec):
-    """Pointwise mix of two rules, with the given weight on the first."""
+    """Pointwise mix of two rules, with the given weight on the first.
+
+    Weights mix as w·(A₁, B₁) + (1−w)·(A₂, B₂); payoffs mix when a rule has none.
+    """
 
     first: RuleSpec
     second: RuleSpec
@@ -264,20 +268,38 @@ class ConvexCombination(RuleSpec):
         if not (isinstance(w, (int, float)) and math.isfinite(w) and 0.0 <= w <= 1.0):
             raise InvalidWeight(f"weight {w!r} is not in [0, 1]")
 
-    def payoffs(self, problem: Problem) -> tuple[float, ...]:
+    def _mix(self, first: Sequence[float], second: Sequence[float]) -> tuple[float, ...]:
         w = self.weight
-        x1 = self.first.payoffs(problem)
-        x2 = self.second.payoffs(problem)
-        return tuple(w * u + (1.0 - w) * v for u, v in zip(x1, x2))
+        return tuple(w * u + (1.0 - w) * v for u, v in zip(first, second))
+
+    def weights_at(self, t: float) -> tuple[float, float] | None:
+        first, second = self.first.weights_at(t), self.second.weights_at(t)
+        return None if first is None or second is None else self._mix(first, second)
+
+    def payoffs(self, problem: Problem) -> tuple[float, ...]:
+        weights = self.weights_at(problem.total_income / problem.total_need)
+        if weights is not None:
+            return ab_payoffs(problem, *weights)
+        return self._mix(self.first.payoffs(problem), self.second.payoffs(problem))
 
 
 @dataclass(frozen=True)
 class DualRule(RuleSpec):
-    """Applies the reflection operator to another rule."""
+    """Applies the reflection operator to another rule.
+
+    Weights reflect to (A(1−t), 1 − A(1−t) − B(1−t)); else the problem does.
+    """
 
     inner: RuleSpec
 
+    def weights_at(self, t: float) -> tuple[float, float] | None:
+        weights = self.inner.weights_at(1.0 - t)
+        return None if weights is None else (weights[0], 1.0 - weights[0] - weights[1])
+
     def payoffs(self, problem: Problem) -> tuple[float, ...]:
+        weights = self.weights_at(problem.total_income / problem.total_need)
+        if weights is not None:
+            return ab_payoffs(problem, *weights)
         from .duality import dual_payoffs
 
         return dual_payoffs(self.inner, problem)

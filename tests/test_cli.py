@@ -243,6 +243,17 @@ def test_check_axiom_list_expansion_order(capsys):
     ]
 
 
+def test_check_passes_when_payoffs_dwarf_the_problem(capsys):
+    # A = 1e10·t²⁰ pays ~1e24 on problems of size ~10: rounding in the
+    # payoffs must not read as a homogeneity or continuity violation.
+    rule = "ab:A=poly:" + "0," * 20 + "1e10,B=id"
+    code, report, _ = run_cli(
+        capsys, "check", "--rule", rule, "--axioms", "core", "--no-timestamp"
+    )
+    assert code == 0
+    assert report["all_passed"] is True
+
+
 def test_check_stdout_stays_machine_readable_on_failure(capsys):
     code = main(
         ["check", "--rule", "full", "--axioms", "dummy", "--samples", "40",
@@ -470,13 +481,35 @@ def test_dual_of_proportional(capsys):
     assert report["self_dual"]["witness"] is None
 
 
+AB_POLY = "ab:A=poly:0.2,0.1,-0.05,B=poly:0.1,0.3,0.02"
+DUAL_RULES = [
+    ("convex(lf;prop;0.5)", "convex(lf;prop;0.5)"),
+    (
+        AB_POLY,
+        "ab:A=poly:0.25000000000000006,-0.0,-0.05"
+        ",B=poly:0.32999999999999996,0.33999999999999997,0.030000000000000002",
+    ),
+    ("afam:A=affine:0.2,0.4", "afam:A=affine:-0.2,0.6000000000000001"),
+    ("bfam:B=poly:0.5,0.3,0.1", "bfam:B=poly:0.09999999999999998,0.5,-0.1"),
+    ("lin:0.3,0.2", "lindual:0.3,0.2"),
+    ("lindual:0.3,0.2", "lin:0.3,0.2"),
+    (f"dual({AB_POLY})", AB_POLY),
+    ("dual(convex(lf;nafr;0.4))", "convex(lf;nafr;0.4)"),
+    (
+        "convex(dual(lin:0.3,0.2);afam:A=id;0.6)",
+        "convex(lin:0.3,0.2;afam:A=affine:-1.0,1.0;0.6)",
+    ),
+]
+
+
 def test_dual_outside_the_label_catalog(capsys):
-    code, report, _ = run_cli(
-        capsys, "dual", "--rule", "convex(lf;prop;0.5)", "--no-timestamp"
-    )
-    assert code == 0
-    assert report["dual_rule"] == "convex(lf;prop;0.5)"
-    assert report["dual_label"] is None
+    for rule, dual_rule in DUAL_RULES:
+        code, report, _ = run_cli(
+            capsys, "dual", "--rule", rule, "--samples", "20", "--no-timestamp"
+        )
+        assert code == 0
+        assert report["dual_rule"] == dual_rule, rule
+        assert report["dual_label"] is None
 
 
 def test_extract_proportional_weights(capsys):

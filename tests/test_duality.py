@@ -1,5 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from redistrib import duality as duality_module
+from redistrib import rules as rules_module
 from redistrib import (
     ABRule,
     AFamilyRule,
@@ -17,6 +21,7 @@ from redistrib import (
     SampleConfig,
     ScalarFn,
     WeightedRule,
+    ab_payoffs,
     check_allocation,
     check_self_dual,
     dual_ab,
@@ -27,9 +32,13 @@ from redistrib import (
     evaluate,
     extract_ab,
     format_rule,
+    parse_rule,
+    problem_scale,
     reflected_problem,
 )
 from conftest import needs_squared_rule, random_problems, reference_problem
+
+TOL = 1e-9
 
 
 def test_reflected_problem_swaps_income_for_shortfall():
@@ -81,11 +90,15 @@ def test_dual_ab_catalog_weights():
 
 
 def test_dual_ab_callables_match_catalog_pointwise():
+    # plain callables have no closed form: the dual rule reflects them pointwise
     catalog = dual_ab(ScalarFn.poly(0.0, 0.0, 1.0), ScalarFn.identity())
-    plain = dual_ab(lambda t: t * t, lambda t: t)
+    rule = ABRule(lambda t: t * t, lambda t: t)
+    plain = dual_closed_form(rule)
+    assert plain == DualRule(rule)
     for t in (-2.0, -0.5, 0.0, 0.5, 1.0, 3.0):
-        assert plain[0](t) == pytest.approx(catalog[0](t), abs=1e-12)
-        assert plain[1](t) == pytest.approx(catalog[1](t), abs=1e-12)
+        assert plain.weights_at(t) == pytest.approx(
+            (catalog[0](t), catalog[1](t)), abs=1e-12
+        )
 
 
 def test_closed_form_catalog():
@@ -105,6 +118,8 @@ def test_closed_form_catalog():
     assert combo == ConvexCombination(NAFR, PROP, 0.25)
     inner = LinearRule(0.3, 0.2)
     assert dual_closed_form(DualRule(inner)) is inner
+    for rule in (AFamilyRule(lambda t: t), BFamilyRule(lambda t: t)):
+        assert dual_closed_form(rule) == DualRule(rule)
 
 
 def test_closed_form_unknown_rules_return_none():
@@ -145,19 +160,104 @@ def test_applying_the_operator_twice_restores_the_rule(rule):
 
 
 WEIGHTED_CASES = [rule for rule in REWRITE_CASES if isinstance(rule, WeightedRule)]
+KERNEL_CASES = REWRITE_CASES + [
+    parse_rule("dual(convex(lf;nafr;0.4))"),
+    parse_rule("convex(dual(lin:0.3,0.2);afam:A=id;0.6)"),
+    parse_rule("dual(dual(ab:A=poly:0.2,0.1,-0.05,B=poly:0.1,0.3,0.02))"),
+]
 
 
 def test_weighted_cases_cover_every_weighted_class():
     assert {type(rule) for rule in WEIGHTED_CASES} == set(WeightedRule.__subclasses__())
 
 
-@pytest.mark.parametrize("rule", WEIGHTED_CASES, ids=format_rule)
+@pytest.mark.parametrize("rule", KERNEL_CASES, ids=format_rule)
 def test_weights_match_extraction_and_reflect_under_duality(rule):
     dual = dual_closed_form(rule)
     for t in DEFAULT_GRID:
         assert rule.weights_at(t) == pytest.approx(extract_ab(rule, t), abs=1e-9)
         a, b = rule.weights_at(1.0 - t)
         assert dual.weights_at(t) == pytest.approx((a, 1.0 - a - b), abs=1e-12)
+
+
+def _assert_close(observed, expected, problem):
+    gap = max(abs(u - v) for u, v in zip(observed, expected))
+    assert gap <= TOL * problem_scale(problem), gap
+
+
+def _assert_kernel_matches_definitions(rule, problems):
+    mix = ConvexCombination(rule, PROP, 0.3)
+    for p in problems:
+        _assert_close(DualRule(rule).payoffs(p), dual_payoffs(rule, p), p)
+        mixed = [0.3 * u + 0.7 * v for u, v in zip(rule.payoffs(p), PROP.payoffs(p))]
+        _assert_close(mix.payoffs(p), mixed, p)
+
+
+@pytest.mark.parametrize("rule", KERNEL_CASES, ids=format_rule)
+def test_kernel_matches_reflection_and_payoff_mixing(rule):
+    _assert_kernel_matches_definitions(rule, random_problems(17, 50))
+
+
+_COEFFS = st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=4)
+_POLY_RULES = st.builds(
+    ABRule,
+    _COEFFS.map(lambda c: ScalarFn.poly(*c)),
+    _COEFFS.map(lambda c: ScalarFn.poly(*c)),
+)
+
+
+def _nested_rules(depth):
+    if depth == 0:
+        return _POLY_RULES
+    inner = _nested_rules(depth - 1)
+    return st.one_of(
+        inner,
+        st.builds(DualRule, inner),
+        st.builds(ConvexCombination, inner, inner, st.floats(0.0, 1.0)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(rule=_nested_rules(2), seed=st.integers(0, 2**32 - 1))
+def test_kernel_matches_definitions_for_random_polynomial_rules(rule, seed):
+    assert rule.weights_at(0.5) is not None
+    _assert_kernel_matches_definitions(rule, random_problems(seed, 5))
+
+
+def test_grammar_duals_and_mixtures_evaluate_through_the_kernel(monkeypatch):
+    calls = []
+
+    def counting(problem, a, b):
+        calls.append((a, b))
+        return ab_payoffs(problem, a, b)
+
+    def refuse(problem):
+        raise AssertionError("reflected problem built")
+
+    monkeypatch.setattr(rules_module, "ab_payoffs", counting)
+    monkeypatch.setattr(duality_module, "reflected_problem", refuse)
+    p = reference_problem()
+    for spec in (
+        "dual(convex(lf;nafr;0.4))",
+        "dual(ab:A=poly:0.2,0.1,-0.05,B=poly:0.1,0.3,0.02)",
+    ):
+        calls.clear()
+        evaluate(parse_rule(spec), p)
+        assert len(calls) == 1, spec
+
+
+def test_rules_with_a_custom_rule_inside_have_no_weights():
+    custom = needs_squared_rule()
+    for rule in (
+        custom,
+        DualRule(custom),
+        ConvexCombination(LF, custom, 0.5),
+        DualRule(ConvexCombination(custom, PROP, 0.5)),
+    ):
+        assert rule.weights_at(0.5) is None
+        for p in random_problems(19, 20):
+            evaluate(rule, p)  # balance-checked on construction
+    _assert_kernel_matches_definitions(custom, random_problems(23, 20))
 
 
 def test_self_dual_verdicts():
