@@ -12,9 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .axioms import AxiomReport, SampleConfig, axiom_suite, rng_for, sample_problem
-from .core import Problem, make_problem, problem_scale
-from .rules import ParseError, RuleSpec, ab_payoffs
+import numpy as np
+
+from .axioms import AxiomReport, SampleConfig, axiom_suite, rng_for, worst_trial
+from .core import Problem, block_scales, block_totals, make_problem
+from .rules import ParseError, RuleSpec, ab_payoffs_batch
 
 LABELS = (
     "laissez-faire",
@@ -91,6 +93,33 @@ def extract_ab(
     income_weight = (payoffs[0] - mean_income) / income_bump
 
     return float(income_weight), float(need_weight)
+
+
+def _extract_ab_batch(
+    rule: RuleSpec, total_income: np.ndarray, total_need: np.ndarray, agents: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """extract_ab at each row's totals, probing all rows as two blocks."""
+    n = agents
+    mean_income = total_income / n
+    mean_need = total_need / n
+    flat_incomes = np.repeat(mean_income[:, None], n, axis=1)
+    flat_needs = np.repeat(mean_need[:, None], n, axis=1)
+
+    need_bump = total_need / (2 * n)
+    needs = flat_needs.copy()
+    needs[:, 0] += need_bump
+    needs[:, 1] -= need_bump
+    payoffs = rule.payoffs_batch(flat_incomes, needs)
+    need_weight = (payoffs[:, 0] - mean_income) / need_bump
+
+    income_bump = np.abs(total_income) / (2 * n) + 1.0
+    incomes = flat_incomes.copy()
+    incomes[:, 0] += income_bump
+    incomes[:, 1] -= income_bump
+    payoffs = rule.payoffs_batch(incomes, flat_needs)
+    income_weight = (payoffs[:, 0] - mean_income) / income_bump
+
+    return income_weight, need_weight
 
 
 @dataclass(frozen=True)
@@ -195,25 +224,16 @@ def classify(
     a_shape, a_value = _fit_a_shape(profile.a_values, tol)
     b_shape, b_value = _fit_b_shape(profile.b_values, values, tol)
 
-    rng = rng_for(cfg.seed, "classify")
-    max_residual = 0.0
-    witness: Problem | None = None
-    for _ in range(cfg.trials):
-        problem = sample_problem(rng, cfg, min_agents=2)
-        t = problem.total_income / problem.total_need
-        a, b = extract_ab(
-            rule,
-            t,
-            scale=(problem.total_income, problem.total_need),
-            agents=len(problem),
-        )
-        predicted = ab_payoffs(problem, a, b)
-        actual = rule.payoffs(problem)
-        residual = max(
-            abs(u - v) for u, v in zip(predicted, actual)
-        ) / problem_scale(problem)
-        if residual > max_residual:
-            max_residual, witness = residual, problem
+    def residual(incomes: np.ndarray, needs: np.ndarray) -> np.ndarray:
+        totals = block_totals(incomes, needs)
+        a, b = _extract_ab_batch(rule, *totals, agents=incomes.shape[1])
+        predicted = ab_payoffs_batch(incomes, needs, totals, a, b)
+        actual = rule.payoffs_batch(incomes, needs)
+        return np.abs(predicted - actual).max(axis=1) / block_scales(incomes, needs)
+
+    max_residual, witness = worst_trial(
+        rng_for(cfg.seed, "classify"), cfg, residual, min_agents=2
+    )
 
     if max_residual > tol:
         label = "non-AB"

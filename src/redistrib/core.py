@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Sequence
+
+import numpy as np
 
 BALANCE_REL_TOL = 1e-9
 
@@ -59,6 +60,8 @@ class Problem:
     agents: tuple[Hashable, ...]
     incomes: tuple[float, ...]
     needs: tuple[float, ...]
+    total_income: float = field(init=False, repr=False, compare=False)
+    total_need: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.agents)
@@ -76,23 +79,23 @@ class Problem:
                 raise NonFinite(f"need {value!r} is not finite")
             if value < 0:
                 raise NegativeNeed(f"need {value!r} is negative")
+        # Plain left-to-right sums; no pairwise or compensated summation, so
+        # results are reproducible across platforms.
+        total_income = float(sum(self.incomes))
+        total_need = float(sum(self.needs))
+        if not math.isfinite(total_income):
+            raise NonFinite(f"total income {total_income!r} is not finite")
+        if not math.isfinite(total_need):
+            raise NonFinite(f"total need {total_need!r} is not finite")
         # Needs are non-negative, so their sum cannot cancel; only a total
         # within the slack of its own scale is too close to zero.
-        if self.total_need <= balance_tolerance(self.total_need):
-            raise ZeroTotalNeed(f"total need {self.total_need!r} is not positive")
+        if total_need <= balance_tolerance(total_need):
+            raise ZeroTotalNeed(f"total need {total_need!r} is not positive")
+        object.__setattr__(self, "total_income", total_income)
+        object.__setattr__(self, "total_need", total_need)
 
     def __len__(self) -> int:
         return len(self.agents)
-
-    @cached_property
-    def total_income(self) -> float:
-        # Plain left-to-right sum; no pairwise or compensated summation, so
-        # results are reproducible across platforms.
-        return float(sum(self.incomes))
-
-    @cached_property
-    def total_need(self) -> float:
-        return float(sum(self.needs))
 
 
 def make_problem(
@@ -106,6 +109,49 @@ def make_problem(
         tuple(float(v) for v in incomes),
         tuple(float(v) for v in needs),
     )
+
+
+def row_sums(values: np.ndarray) -> np.ndarray:
+    """Sum each row left to right, adding exactly as Problem totals its tuples."""
+    total = np.zeros(len(values))
+    for column in values.T:
+        total += column
+    return total
+
+
+def block_totals(
+    incomes: np.ndarray, needs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a block of problems, one per row, and return their totals.
+
+    A row is accepted exactly when Problem accepts it; for an invalid block,
+    the first invalid row is built as a Problem to raise its error.
+    """
+    if incomes.ndim != 2 or incomes.shape != needs.shape:
+        raise LengthMismatch(
+            f"got income and need blocks of shapes {incomes.shape} and {needs.shape}"
+        )
+    if incomes.shape[1] == 0:
+        raise EmptyAgentSet("a problem needs at least one agent")
+    with np.errstate(over="ignore", invalid="ignore"):
+        total_income, total_need = row_sums(incomes), row_sums(needs)
+        # A NaN or infinite entry makes its row's total NaN or infinite, so
+        # finite totals also vouch for every entry.
+        valid = (
+            np.isfinite(total_income)
+            & np.isfinite(total_need)
+            & (needs >= 0.0).all(axis=1)
+            & (total_need > BALANCE_REL_TOL * np.maximum(1.0, np.abs(total_need)))
+        )
+    if not valid.all():
+        k = int(np.argmin(valid))
+        make_problem(range(incomes.shape[1]), incomes[k].tolist(), needs[k].tolist())
+    return total_income, total_need
+
+
+def block_scales(incomes: np.ndarray, needs: np.ndarray) -> np.ndarray:
+    """problem_scale of each row of a block of valid problems."""
+    return np.maximum(np.maximum(1.0, np.abs(row_sums(incomes))), row_sums(needs))
 
 
 def aggregates(problem: Problem) -> tuple[float, float, int]:

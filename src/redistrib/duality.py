@@ -11,8 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .axioms import SampleConfig, rng_for, sample_problem
-from .core import Allocation, Problem, make_problem, problem_scale
+import numpy as np
+
+from .axioms import SampleConfig, rng_for, worst_trial
+from .core import Allocation, Problem, block_scales, make_problem
 from .rules import (
     ABRule,
     AFamilyRule,
@@ -144,21 +146,17 @@ def check_self_dual(
     """Compare rule and dual payoffs on sampled problems.
 
     Deviations are scaled by each problem's magnitude before comparison
-    with tol, matching the axiom checkers.
+    with tol, matching the axiom checkers. Problems are drawn in blocks,
+    and the dual is evaluated on each block as z − R(z − y, z).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    rng = rng_for(cfg.seed, "self_dual")
-    worst = 0.0
-    witness: Problem | None = None
-    for _ in range(cfg.trials):
-        problem = sample_problem(rng, cfg)
-        direct = rule.payoffs(problem)
-        mirrored = dual_payoffs(rule, problem)
-        deviation = max(
-            abs(u - v) for u, v in zip(direct, mirrored)
-        ) / problem_scale(problem)
-        if deviation > worst:
-            worst, witness = deviation, problem
+
+    def deviation(incomes: np.ndarray, needs: np.ndarray) -> np.ndarray:
+        direct = rule.payoffs_batch(incomes, needs)
+        mirrored = needs - rule.payoffs_batch(needs - incomes, needs)
+        return np.abs(direct - mirrored).max(axis=1) / block_scales(incomes, needs)
+
+    worst, witness = worst_trial(rng_for(cfg.seed, "self_dual"), cfg, deviation)
     passed = worst <= tol
     return DualReport(rule, passed, worst, tol, None if passed else witness)

@@ -13,7 +13,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
-from .core import Allocation, Problem
+import numpy as np
+
+from .core import Allocation, Problem, block_totals, make_problem
 
 
 class InvalidWeight(ValueError):
@@ -134,6 +136,24 @@ class RuleSpec:
         """(A(t), B(t)) if the rule pays ȳ + A(t)(y−ȳ) + B(t)(z−z̄), else None."""
         return None
 
+    def payoffs_batch(self, incomes: np.ndarray, needs: np.ndarray) -> np.ndarray:
+        """Payoffs of a block of problems, one per row of the (m, n) arrays.
+
+        A rule with weights is evaluated at each row's ratio through
+        ab_payoffs_batch. Any other rule is evaluated row by row, each row
+        built as a Problem of agents 1..n.
+        """
+        totals = block_totals(incomes, needs)
+        weights = [self.weights_at(t) for t in (totals[0] / totals[1]).tolist()]
+        if None not in weights:
+            a, b = np.array(weights, dtype=float).reshape(-1, 2).T
+            return ab_payoffs_batch(incomes, needs, totals, a, b)
+        agents = range(1, incomes.shape[1] + 1)
+        rows = zip(incomes.tolist(), needs.tolist())
+        return np.array(
+            [self.payoffs(make_problem(agents, y, z)) for y, z in rows], dtype=float
+        ).reshape(incomes.shape)
+
 
 def ab_payoffs(problem: Problem, a: float, b: float) -> tuple[float, ...]:
     """Equal split plus a times each income deviation and b times each need deviation."""
@@ -147,6 +167,26 @@ def ab_payoffs(problem: Problem, a: float, b: float) -> tuple[float, ...]:
         y * a + rest + (z - mean_need) * b
         for y, z in zip(problem.incomes, problem.needs)
     )
+
+
+def ab_payoffs_batch(
+    incomes: np.ndarray,
+    needs: np.ndarray,
+    totals: tuple[np.ndarray, np.ndarray],
+    a: np.ndarray,
+    b: np.ndarray,
+) -> np.ndarray:
+    """ab_payoffs of each row of a block of problems, with that row's a and b.
+
+    totals are the block's (total income, total need) from block_totals.
+    The same operations in the same order as ab_payoffs, so each row's
+    payoffs equal the scalar kernel's bit for bit.
+    """
+    total_income, total_need = totals
+    n = incomes.shape[1]
+    mean_need = (total_need / n)[:, None]
+    rest = (total_income / n * (1.0 - a))[:, None]
+    return incomes * a[:, None] + rest + (needs - mean_need) * b[:, None]
 
 
 class WeightedRule(RuleSpec):
@@ -274,7 +314,11 @@ class ConvexCombination(RuleSpec):
 
     def weights_at(self, t: float) -> tuple[float, float] | None:
         first, second = self.first.weights_at(t), self.second.weights_at(t)
-        return None if first is None or second is None else self._mix(first, second)
+        if first is None or second is None:
+            return None
+        # _mix unrolled for two weights: evaluated once per row of a block.
+        w, rest = self.weight, 1.0 - self.weight
+        return w * first[0] + rest * second[0], w * first[1] + rest * second[1]
 
     def payoffs(self, problem: Problem) -> tuple[float, ...]:
         weights = self.weights_at(problem.total_income / problem.total_need)

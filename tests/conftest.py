@@ -2,7 +2,20 @@
 
 from __future__ import annotations
 
-from redistrib import CustomRule, Problem, SampleConfig, make_problem, rng_for, sample_problem
+from hypothesis import strategies as st
+
+from redistrib import (
+    ABRule,
+    ConvexCombination,
+    CustomRule,
+    DualRule,
+    Problem,
+    SampleConfig,
+    ScalarFn,
+    make_problem,
+    rng_for,
+    sample_problem,
+)
 
 
 def needs_squared_rule() -> CustomRule:
@@ -30,3 +43,23 @@ def random_problems(
 
 def reference_problem() -> Problem:
     return make_problem(("a", "b"), (5.0, 1.0), (1.0, 3.0))
+
+
+_COEFFS = st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=4)
+_POLY_RULES = st.builds(
+    ABRule,
+    _COEFFS.map(lambda c: ScalarFn.poly(*c)),
+    _COEFFS.map(lambda c: ScalarFn.poly(*c)),
+)
+
+
+def nested_rules(depth):
+    """Random polynomial ab rules nested in convex and dual to the given depth."""
+    if depth == 0:
+        return _POLY_RULES
+    inner = nested_rules(depth - 1)
+    return st.one_of(
+        inner,
+        st.builds(DualRule, inner),
+        st.builds(ConvexCombination, inner, inner, st.floats(0.0, 1.0)),
+    )

@@ -311,6 +311,24 @@ def test_data_failures_exit_3(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "column,message",
+    [
+        ("income", "NonFinite: total income inf is not finite"),
+        ("need", "NonFinite: total need inf is not finite"),
+    ],
+)
+def test_overflowing_totals_exit_3_and_name_the_total(capsys, tmp_path, column, message):
+    path = tmp_path / "huge.csv"
+    rows = ("a,1e308,1\nb,1e308,1\n" if column == "income" else "a,1,1e308\nb,1,1e308\n")
+    path.write_text("id,income,need\n" + rows, encoding="utf-8")
+    code = main(["apply", "--rule", "prop", "--input", str(path), "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert message in captured.err
+
+
+@pytest.mark.parametrize(
     "text,ids,incomes",
     [
         ("id,income,need\r\na,5,1\r\nb,1,3\r\n", ("a", "b"), (5.0, 1.0)),

@@ -62,6 +62,28 @@ def test_non_finite_entries_rejected():
         make_problem(("a",), (1.0,), (math.inf,))
 
 
+@pytest.mark.parametrize(
+    "incomes,needs,message",
+    [
+        ((1e308, 1e308), (1.0, 1.0), "total income inf is not finite"),
+        ((-1e308, -1e308), (1.0, 1.0), "total income -inf is not finite"),
+        ((1.0, 1.0), (1e308, 1e308), "total need inf is not finite"),
+    ],
+    ids=["income", "negative-income", "need"],
+)
+def test_overflowing_totals_rejected(incomes, needs, message):
+    with pytest.raises(NonFinite, match=message):
+        make_problem(("a", "b"), incomes, needs)
+
+
+def test_totals_are_set_at_construction():
+    p = make_problem(("a", "b", "c"), (0.1, 0.2, 0.3), (1.0, 2.0, 0.5))
+    assert vars(p)["total_income"] == 0.1 + 0.2 + 0.3
+    assert vars(p)["total_need"] == 3.5
+    assert p == make_problem(("a", "b", "c"), (0.1, 0.2, 0.3), (1.0, 2.0, 0.5))
+    assert "total" not in repr(p)
+
+
 def test_negative_need_rejected():
     with pytest.raises(NegativeNeed):
         make_problem(("a", "b"), (1.0, 1.0), (2.0, -0.5))

@@ -36,7 +36,7 @@ from redistrib import (
     problem_scale,
     reflected_problem,
 )
-from conftest import needs_squared_rule, random_problems, reference_problem
+from conftest import nested_rules, needs_squared_rule, random_problems, reference_problem
 
 TOL = 1e-9
 
@@ -198,27 +198,8 @@ def test_kernel_matches_reflection_and_payoff_mixing(rule):
     _assert_kernel_matches_definitions(rule, random_problems(17, 50))
 
 
-_COEFFS = st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=4)
-_POLY_RULES = st.builds(
-    ABRule,
-    _COEFFS.map(lambda c: ScalarFn.poly(*c)),
-    _COEFFS.map(lambda c: ScalarFn.poly(*c)),
-)
-
-
-def _nested_rules(depth):
-    if depth == 0:
-        return _POLY_RULES
-    inner = _nested_rules(depth - 1)
-    return st.one_of(
-        inner,
-        st.builds(DualRule, inner),
-        st.builds(ConvexCombination, inner, inner, st.floats(0.0, 1.0)),
-    )
-
-
 @settings(max_examples=60, deadline=None)
-@given(rule=_nested_rules(2), seed=st.integers(0, 2**32 - 1))
+@given(rule=nested_rules(2), seed=st.integers(0, 2**32 - 1))
 def test_kernel_matches_definitions_for_random_polynomial_rules(rule, seed):
     assert rule.weights_at(0.5) is not None
     _assert_kernel_matches_definitions(rule, random_problems(seed, 5))
