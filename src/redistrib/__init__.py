@@ -33,7 +33,6 @@ from .axioms import (
     expand_axiom_names,
     recheck_counterexample,
     rng_for,
-    sample_problem,
 )
 from .core import (
     Allocation,

@@ -141,23 +141,11 @@ def _validate_grid(grid: Sequence[float]) -> tuple[float, ...]:
     return values
 
 
-def profile_rule(
-    rule: RuleSpec,
-    grid: Sequence[float],
-    agents: int = 3,
-    base_need: float = 1.0,
-) -> ABProfile:
+def profile_rule(rule: RuleSpec, grid: Sequence[float]) -> ABProfile:
     """Extract deviation weights at every ratio in a strictly increasing grid."""
     values = _validate_grid(grid)
-    if base_need <= 0:
-        raise AnalysisError(f"base_need must be positive, got {base_need!r}")
-    a_values = []
-    b_values = []
-    for t in values:
-        a, b = extract_ab(rule, t, scale=(t * base_need, base_need), agents=agents)
-        a_values.append(a)
-        b_values.append(b)
-    return ABProfile(values, tuple(a_values), tuple(b_values))
+    a_values, b_values = zip(*(extract_ab(rule, t) for t in values))
+    return ABProfile(values, a_values, b_values)
 
 
 @dataclass(frozen=True)
@@ -231,11 +219,10 @@ def classify(
         actual = rule.payoffs_batch(incomes, needs)
         return np.abs(predicted - actual).max(axis=1) / block_scales(incomes, needs)
 
-    max_residual, witness = worst_trial(
-        rng_for(cfg.seed, "classify"), cfg, residual, min_agents=2
-    )
+    max_residual, witness = worst_trial(rng_for(cfg.seed, "classify"), cfg, residual)
 
-    if max_residual > tol:
+    # A NaN residual (a rule error) shows no membership either.
+    if not max_residual <= tol:
         label = "non-AB"
     elif a_shape == "one" and b_shape == "zero":
         label = "laissez-faire"

@@ -12,6 +12,7 @@ scalar measure of its axiom confirms, shrinks and reports.
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
@@ -41,9 +42,18 @@ CONTINUITY_STEPS = 40
 # Halvings at the end of the continuity probe whose gap must not grow.
 CONTINUITY_TAIL = CONTINUITY_STEPS // 2
 MAX_SHRINK_STEPS = 40
-# Agent entries (trials times agents) drawn and screened together: bounds
-# the memory of a check whatever its trial count and problem size.
-BLOCK_ENTRIES = 768
+
+# The sampled domain. Every problem has 2 to 6 agents, so each axiom's
+# construction (a second identical agent, a group, a dummy) fits. Needs
+# stay strictly positive so every sampled problem has positive total need.
+N_RANGE = (2, 6)
+INCOME_RANGE = (-10.0, 10.0)
+NEED_RANGE = (0.1, 10.0)
+# The largest step of the continuity probe.
+PERTURBATION_SCALE = 0.5
+# Trials drawn and screened together: bounds the memory of a check
+# whatever its trial count.
+BLOCK_TRIALS = 128
 
 
 class UnknownAxiom(ValueError):
@@ -52,32 +62,14 @@ class UnknownAxiom(ValueError):
 
 @dataclass(frozen=True)
 class SampleConfig:
-    """Controls the randomized sampling used by axiom and duality checks.
-
-    need_range must stay strictly positive so every sampled problem has
-    positive total need. perturbation_scale is the largest step used by
-    the continuity probe.
-    """
+    """Seed and trial count of the randomized sampling used by the checks."""
 
     seed: int = 0
     trials: int = 100
-    n_range: tuple[int, int] = (2, 6)
-    income_range: tuple[float, float] = (-10.0, 10.0)
-    need_range: tuple[float, float] = (0.1, 10.0)
-    perturbation_scale: float = 0.5
 
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        lo, hi = self.n_range
-        if not (1 <= lo <= hi):
-            raise ValueError(f"bad n_range {self.n_range!r}")
-        if not self.income_range[0] < self.income_range[1]:
-            raise ValueError(f"bad income_range {self.income_range!r}")
-        if not 0.0 < self.need_range[0] <= self.need_range[1]:
-            raise ValueError(f"bad need_range {self.need_range!r}")
-        if self.perturbation_scale <= 0:
-            raise ValueError("perturbation_scale must be positive")
 
 
 def rng_for(seed: int, label: str) -> np.random.Generator:
@@ -87,43 +79,27 @@ def rng_for(seed: int, label: str) -> np.random.Generator:
     )
 
 
-def sample_problem(
-    rng: np.random.Generator, cfg: SampleConfig, min_agents: int = 1
-) -> Problem:
-    """Draw one random problem within the config's ranges."""
-    low = max(min_agents, cfg.n_range[0])
-    n = int(rng.integers(low, cfg.n_range[1] + 1))
-    return block_problem(*draw_profiles(rng, cfg, n, 1), 0)
-
-
-def block_trials(cfg: SampleConfig) -> int:
-    """Trials per block: as many as BLOCK_ENTRIES holds at the most agents."""
-    return max(1, BLOCK_ENTRIES // cfg.n_range[1])
-
-
 def trial_blocks(
-    rng: np.random.Generator, cfg: SampleConfig, min_agents: int = 1
+    rng: np.random.Generator, cfg: SampleConfig
 ) -> Iterator[tuple[int, list[tuple[int, np.ndarray]]]]:
-    """Split cfg.trials into blocks of block_trials(cfg) trials or fewer.
+    """Split cfg.trials into blocks of BLOCK_TRIALS trials or fewer.
 
     Yields each block's first trial index and its trials grouped by agent
     count: (n, positions of the block's trials with n agents), n ascending.
     """
-    low = max(min_agents, cfg.n_range[0])
-    step = block_trials(cfg)
-    for start in range(0, cfg.trials, step):
-        size = min(step, cfg.trials - start)
-        counts = rng.integers(low, cfg.n_range[1] + 1, size)
+    for start in range(0, cfg.trials, BLOCK_TRIALS):
+        size = min(BLOCK_TRIALS, cfg.trials - start)
+        counts = rng.integers(N_RANGE[0], N_RANGE[1] + 1, size)
         yield start, [
             (n, np.flatnonzero(counts == n)) for n in sorted(set(counts.tolist()))
         ]
 
 
 def draw_profiles(
-    rng: np.random.Generator, cfg: SampleConfig, n: int, m: int
+    rng: np.random.Generator, n: int, m: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Incomes and needs of m random problems of n agents, one per row."""
-    return rng.uniform(*cfg.income_range, (m, n)), rng.uniform(*cfg.need_range, (m, n))
+    return rng.uniform(*INCOME_RANGE, (m, n)), rng.uniform(*NEED_RANGE, (m, n))
 
 
 def block_problem(incomes: np.ndarray, needs: np.ndarray, k: int) -> Problem:
@@ -136,28 +112,31 @@ def worst_trial(
     rng: np.random.Generator,
     cfg: SampleConfig,
     measure: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    min_agents: int = 1,
 ) -> tuple[float, Problem | None]:
     """Largest measure over cfg.trials random problems, and its first problem.
 
     measure maps a block of problems to one value per row; values that are
-    not positive, or NaN, never count.
+    not positive never count. A NaN value, which only a rule error gives,
+    is worse than any number: the first one is returned with its problem.
     """
     worst, witness = 0.0, None
-    for _, groups in trial_blocks(rng, cfg, min_agents):
+    for _, groups in trial_blocks(rng, cfg):
         values = np.zeros(sum(len(rows) for _, rows in groups))
         drawn = []
         for n, rows in groups:
-            incomes, needs = draw_profiles(rng, cfg, n, len(rows))
+            incomes, needs = draw_profiles(rng, n, len(rows))
             values[rows] = measure(incomes, needs)
             drawn.append((rows, incomes, needs))
-        k = int(np.argmax(np.where(values > 0.0, values, 0.0)))
-        if values[k] > worst:
+        nan_rows = np.flatnonzero(np.isnan(values))
+        k = int(nan_rows[0]) if nan_rows.size else int(np.argmax(values))
+        if not values[k] <= worst:
             worst = float(values[k])
             for rows, incomes, needs in drawn:
                 hit = np.flatnonzero(rows == k)
                 if hit.size:
                     witness = block_problem(incomes, needs, int(hit[0]))
+            if nan_rows.size:
+                break
     return worst, witness
 
 
@@ -212,13 +191,12 @@ class AxiomReport:
 class _Checker:
     """An axiom's block form (draw, screen) and its scalar measure.
 
-    draw(rng, cfg, n, m) gives m trials of n agents as a block; screen gives
+    draw(rng, n, m) gives m trials of n agents as a block; screen gives
     each trial's deviation and scale; measure does the same for one trial's
     instance and confirms, shrinks and re-checks counterexamples.
     """
 
-    min_agents: int
-    draw: Callable[[np.random.Generator, SampleConfig, int, int], dict]
+    draw: Callable[[np.random.Generator, int, int], dict]
     screen: Callable[[RuleSpec, dict], tuple[np.ndarray, np.ndarray]]
     measure: Callable[
         [RuleSpec, dict],
@@ -228,8 +206,19 @@ class _Checker:
     droppable: Callable[[dict], tuple] | None = None
 
 
+def _peak(values: Iterable[float]) -> float:
+    """The largest value, or NaN if any value is NaN."""
+    values = list(values)
+    return math.nan if any(math.isnan(v) for v in values) else max(values)
+
+
 def _max_abs_diff(xs: Sequence[float], ys: Sequence[float]) -> float:
-    return max(abs(u - v) for u, v in zip(xs, ys))
+    return _peak(abs(u - v) for u, v in zip(xs, ys))
+
+
+def _violates(deviation: float, tol: float, scale: float) -> bool:
+    """Whether a deviation exceeds tol times scale; a NaN always does."""
+    return not deviation <= tol * scale
 
 
 def _row_max_abs(values: np.ndarray) -> np.ndarray:
@@ -274,9 +263,9 @@ def _drop_agent(instance: dict, agent) -> dict:
 # --- homogeneity: scaling incomes and needs together scales payoffs ---
 
 
-def _draw_homogeneity(rng, cfg, n, m):
+def _draw_homogeneity(rng, n, m):
     return {
-        "problem": draw_profiles(rng, cfg, n, m),
+        "problem": draw_profiles(rng, n, m),
         "factor": rng.uniform(0.1, 10.0, m),
     }
 
@@ -316,8 +305,8 @@ def _shrink_homogeneity(instance, s):
 # --- equal treatment: identical agents receive identical payoffs ---
 
 
-def _draw_equal_treatment(rng, cfg, n, m):
-    incomes, needs = draw_profiles(rng, cfg, n, m)
+def _draw_equal_treatment(rng, n, m):
+    incomes, needs = draw_profiles(rng, n, m)
     rows = np.arange(m)
     first = rng.integers(0, n, m)
     second = (first + rng.integers(1, n, m)) % n
@@ -351,9 +340,9 @@ def _droppable_equal_treatment(instance):
 # --- continuity: payoffs converge as a perturbation shrinks ---
 
 
-def _draw_continuity(rng, cfg, n, m):
-    incomes, needs = draw_profiles(rng, cfg, n, m)
-    delta = cfg.perturbation_scale
+def _draw_continuity(rng, n, m):
+    incomes, needs = draw_profiles(rng, n, m)
+    delta = PERTURBATION_SCALE
     income_dir = rng.uniform(-1.0, 1.0, (m, n))
     # Need directions are damped so every step keeps needs at or above half
     # their original value, hence valid.
@@ -388,9 +377,8 @@ def _measure_continuity(rule, instance):
     # continuous rule's gap may grow at the first, large steps, before the
     # perturbation is small enough for the rule to look linear.
     tail = gaps[-(CONTINUITY_TAIL + 1):]
-    worst = gaps[-1]
-    for earlier, later in zip(tail, tail[1:]):
-        worst = max(worst, later - earlier)
+    growth = [later - earlier for earlier, later in zip(tail, tail[1:])]
+    worst = _peak([gaps[-1]] + growth)
     return worst, scale, None, tuple(gaps)
 
 
@@ -423,8 +411,8 @@ def _screen_continuity(rule, block):
 # --- nat: within-group reallocation never changes the group's total payoff ---
 
 
-def _draw_nat(rng, cfg, n, m):
-    incomes, needs = draw_profiles(rng, cfg, n, m)
+def _draw_nat(rng, n, m):
+    incomes, needs = draw_profiles(rng, n, m)
     size = rng.integers(2, n + 1, m)[:, None]
     # Each row ranks its agents at random; the size lowest form the group.
     members = rng.permuted(np.broadcast_to(np.arange(n), (m, n)), axis=1) < size
@@ -432,7 +420,7 @@ def _draw_nat(rng, cfg, n, m):
     need_total = (needs * members).sum(axis=1, keepdims=True)
     spread = rng.uniform(-1.0, 1.0, (m, n)) * members
     spread -= spread.sum(axis=1, keepdims=True) / size
-    amp = rng.uniform(0.0, cfg.income_range[1] - cfg.income_range[0], (m, 1))
+    amp = rng.uniform(0.0, INCOME_RANGE[1] - INCOME_RANGE[0], (m, 1))
     # Normalized exponentials: flat Dirichlet weights over the group.
     weights = rng.standard_exponential((m, n)) * members
     weights /= weights.sum(axis=1, keepdims=True)
@@ -484,8 +472,8 @@ def _shrink_nat(instance, s):
 # --- stability: reapplying a rule to its own output changes nothing ---
 
 
-def _draw_stability(rng, cfg, n, m):
-    return {"problem": draw_profiles(rng, cfg, n, m)}
+def _draw_stability(rng, n, m):
+    return {"problem": draw_profiles(rng, n, m)}
 
 
 def _screen_stability(rule, block):
@@ -510,8 +498,8 @@ def _droppable_stability(instance):
 # --- dummy: an agent with zero income and zero need receives zero ---
 
 
-def _draw_dummy(rng, cfg, n, m):
-    incomes, needs = draw_profiles(rng, cfg, n, m)
+def _draw_dummy(rng, n, m):
+    incomes, needs = draw_profiles(rng, n, m)
     rows = np.arange(m)
     agent = rng.integers(0, n, m)
     incomes[rows, agent] = 0.0
@@ -541,10 +529,10 @@ def _droppable_dummy(instance):
 # --- income additivity: payoffs add across income profiles at fixed needs ---
 
 
-def _draw_income_additivity(rng, cfg, n, m):
+def _draw_income_additivity(rng, n, m):
     return {
-        "problem": draw_profiles(rng, cfg, n, m),
-        "extra_incomes": rng.uniform(*cfg.income_range, (m, n)),
+        "problem": draw_profiles(rng, n, m),
+        "extra_incomes": rng.uniform(*INCOME_RANGE, (m, n)),
     }
 
 
@@ -628,42 +616,35 @@ def _screen_dual_income_additivity(rule, block):
 
 _CHECKERS: dict[str, _Checker] = {
     "homogeneity": _Checker(
-        1,
         _draw_homogeneity,
         _screen_homogeneity,
         _measure_homogeneity,
         shrink=_shrink_homogeneity,
     ),
     "equal_treatment": _Checker(
-        2,
         _draw_equal_treatment,
         _screen_equal_treatment,
         _measure_equal_treatment,
         droppable=_droppable_equal_treatment,
     ),
-    "continuity": _Checker(
-        1, _draw_continuity, _screen_continuity, _measure_continuity
-    ),
-    "nat": _Checker(2, _draw_nat, _screen_nat, _measure_nat, shrink=_shrink_nat),
+    "continuity": _Checker(_draw_continuity, _screen_continuity, _measure_continuity),
+    "nat": _Checker(_draw_nat, _screen_nat, _measure_nat, shrink=_shrink_nat),
     "stability": _Checker(
-        1,
         _draw_stability,
         _screen_stability,
         _measure_stability,
         droppable=_droppable_stability,
     ),
     "dummy": _Checker(
-        2, _draw_dummy, _screen_dummy, _measure_dummy, droppable=_droppable_dummy
+        _draw_dummy, _screen_dummy, _measure_dummy, droppable=_droppable_dummy
     ),
     "income_additivity": _Checker(
-        1,
         _draw_income_additivity,
         _screen_income_additivity,
         _measure_income_additivity,
         shrink=_shrink_extra_incomes,
     ),
     "dual_income_additivity": _Checker(
-        1,
         _draw_income_additivity,
         _screen_dual_income_additivity,
         _measure_dual_income_additivity,
@@ -680,7 +661,7 @@ def _shrunk(checker: _Checker, rule: RuleSpec, instance: dict, tol: float) -> di
             s *= 0.5
             candidate = checker.shrink(instance, s)
             deviation, scale, _, _ = checker.measure(rule, candidate)
-            if deviation > tol * scale:
+            if _violates(deviation, tol, scale):
                 instance = candidate
             else:
                 break
@@ -695,7 +676,7 @@ def _shrunk(checker: _Checker, rule: RuleSpec, instance: dict, tol: float) -> di
                     deviation, scale, _, _ = checker.measure(rule, candidate)
                 except ValidationError:
                     continue
-                if deviation > tol * scale:
+                if _violates(deviation, tol, scale):
                     instance = candidate
                     steps += 1
                     progressing = True
@@ -709,7 +690,8 @@ def check_axiom(
     """Run one axiom's sampled predicate for cfg.trials trials.
 
     Stops at the first violation, shrinks it, and reports a counterexample
-    whose re-measured deviation exceeds tol scaled by instance magnitude.
+    whose re-measured deviation exceeds tol scaled by instance magnitude;
+    a NaN deviation, as a NaN payoff gives, counts as a violation.
     Trials are screened a block at a time; the first trial the screen flags
     that the scalar measure confirms is the violation. When a block holds a
     problem that Problem rejects, every trial of the block goes to the
@@ -721,25 +703,21 @@ def check_axiom(
     if tol <= 0:
         raise ValueError("tol must be positive")
     checker = _CHECKERS[axiom]
-    if cfg.n_range[0] < checker.min_agents:
-        raise ValueError(
-            f"axiom {axiom!r} needs n_range to start at {checker.min_agents} or more"
-        )
     rng = rng_for(cfg.seed, axiom)
-    for start, groups in trial_blocks(rng, cfg, checker.min_agents):
+    for start, groups in trial_blocks(rng, cfg):
         flagged = []
         for n, rows in groups:
-            block = checker.draw(rng, cfg, n, len(rows))
+            block = checker.draw(rng, n, len(rows))
             try:
                 deviation, scale = checker.screen(rule, block)
-                hits = np.flatnonzero(deviation > tol * scale)
+                hits = np.flatnonzero(~(deviation <= tol * scale))
             except ValidationError:
                 hits = range(len(rows))
             flagged += [(int(rows[k]), block, k) for k in hits]
         for trial, block, k in sorted(flagged, key=lambda hit: hit[0]):
             instance = _trial(block, k)
             deviation, scale, _, _ = checker.measure(rule, instance)
-            if deviation > tol * scale:
+            if _violates(deviation, tol, scale):
                 instance = _shrunk(checker, rule, instance, tol)
                 deviation, scale, expected, observed = checker.measure(rule, instance)
                 counterexample = Counterexample(

@@ -60,15 +60,6 @@ class DatasetError(ValueError):
     """The input dataset is malformed or violates a domain rule."""
 
 
-@dataclass(frozen=True)
-class Dataset:
-    """Parsed agent columns in input order."""
-
-    ids: tuple[str, ...]
-    incomes: tuple[float, ...]
-    needs: tuple[float, ...]
-
-
 def _parse_record_value(raw: object, what: str, where: str) -> float:
     try:
         return float(raw)  # type: ignore[arg-type]
@@ -141,11 +132,12 @@ def _read_json(handle: TextIO, path: str) -> list[tuple[str, float, float]]:
     return records
 
 
-def load_dataset(path: str, fmt: str | None = None) -> Dataset:
-    """Read a csv or json dataset of id, income, need records.
+def load_dataset(path: str, fmt: str | None = None) -> Problem:
+    """Read a csv or json dataset of id, income, need records as a Problem.
 
     Csv is parsed row by row as it is read; well-formed rows go straight
     through float(), and any other row gets the checks that name its line.
+    A duplicate id is reported before the Problem's own checks run.
     """
     if fmt is None:
         fmt = "json" if path.lower().endswith(".json") else "csv"
@@ -168,7 +160,7 @@ def load_dataset(path: str, fmt: str | None = None) -> Dataset:
             if agent_id in seen:
                 raise DatasetError(f"{path}: duplicate agent id {agent_id!r}")
             seen.add(agent_id)
-    return Dataset(ids, incomes, needs)
+    return make_problem(ids, incomes, needs)
 
 
 def _summary(values: Sequence[float]) -> dict:
@@ -369,8 +361,7 @@ def _compare_rows(
 
 def _cmd_apply(args: argparse.Namespace) -> tuple[dict, int]:
     rule = parse_rule(args.rule)
-    dataset = load_dataset(args.input, args.format)
-    problem = make_problem(dataset.ids, dataset.incomes, dataset.needs)
+    problem = load_dataset(args.input, args.format)
     allocation = evaluate(rule, problem)
     report = _base_report("apply", args)
     report["input"] = args.input
@@ -468,8 +459,7 @@ def _cmd_compare(args: argparse.Namespace) -> tuple[dict, int]:
     for chunk in args.rules:
         rules.extend(split_rule_list(chunk))
     specs = [format_rule(rule) for rule in rules]
-    dataset = load_dataset(args.input, args.format)
-    problem = make_problem(dataset.ids, dataset.incomes, dataset.needs)
+    problem = load_dataset(args.input, args.format)
     allocations = {
         spec: evaluate(rule, problem).values for spec, rule in zip(specs, rules)
     }

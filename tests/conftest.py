@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 from hypothesis import strategies as st
 
 from redistrib import (
@@ -9,13 +11,13 @@ from redistrib import (
     ConvexCombination,
     CustomRule,
     DualRule,
+    PROP,
     Problem,
-    SampleConfig,
     ScalarFn,
     make_problem,
     rng_for,
-    sample_problem,
 )
+from redistrib.axioms import block_problem, draw_profiles
 
 
 def needs_squared_rule() -> CustomRule:
@@ -32,13 +34,29 @@ def needs_squared_rule() -> CustomRule:
     return CustomRule("needs-squared", allocate)
 
 
-def random_problems(
-    seed: int, count: int, n_range: tuple[int, int] = (1, 6)
-) -> list[Problem]:
-    """A reproducible batch of random problems for equivalence sweeps."""
-    cfg = SampleConfig(seed=seed, trials=count, n_range=n_range)
+def _nan_payoffs(problem: Problem) -> list[float]:
+    return [math.nan] * len(problem)
+
+
+def _nan_for_last_agent(problem: Problem) -> tuple[float, ...]:
+    return PROP.payoffs(problem)[:-1] + (math.nan,)
+
+
+# Rules whose payoffs hold a NaN: for every agent, or for the last listed one.
+NAN_RULES = {
+    "nan": CustomRule("nan", _nan_payoffs),
+    "nan-last": CustomRule("nan-last", _nan_for_last_agent),
+}
+
+
+def random_problems(seed: int, count: int) -> list[Problem]:
+    """A reproducible batch of random problems of 1 to 6 agents."""
     rng = rng_for(seed, "problem-batch")
-    return [sample_problem(rng, cfg) for _ in range(count)]
+    problems = []
+    for _ in range(count):
+        n = int(rng.integers(1, 7))
+        problems.append(block_problem(*draw_profiles(rng, n, 1), 0))
+    return problems
 
 
 def reference_problem() -> Problem:

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from redistrib import analysis
@@ -25,7 +27,7 @@ from redistrib import (
     profile_rule,
     verify_characterization,
 )
-from conftest import needs_squared_rule
+from conftest import NAN_RULES, needs_squared_rule
 
 RATIOS = (-2.0, -1.0, 0.0, 0.5, 1.0, 2.0)
 
@@ -80,8 +82,6 @@ def test_profile_input_validation():
         profile_rule(PROP, (1.0, 1.0))
     with pytest.raises(AnalysisError):
         profile_rule(PROP, (2.0, 1.0))
-    with pytest.raises(AnalysisError):
-        profile_rule(PROP, (0.0, 1.0), base_need=0.0)
 
 
 CFG = SampleConfig(seed=17, trials=100)
@@ -110,6 +110,14 @@ def test_classification_labels(rule, label):
     else:
         assert result.max_residual <= 1e-9
         assert result.witness is None
+
+
+@pytest.mark.parametrize("name", NAN_RULES)
+def test_nan_payoffs_classify_as_non_ab(name):
+    result = classify(NAN_RULES[name], DEFAULT_GRID, SampleConfig(seed=0, trials=20))
+    assert result.label == "non-AB"
+    assert math.isnan(result.max_residual)
+    assert result.witness is not None
 
 
 def test_classification_shape_evidence():

@@ -14,6 +14,7 @@ from redistrib import (
     LF,
     LinearRule,
     NAFR,
+    NonFinite,
     PROP,
     Problem,
     SampleConfig,
@@ -26,10 +27,9 @@ from redistrib import (
     parse_rule,
     recheck_counterexample,
     rng_for,
-    sample_problem,
 )
 from redistrib import axioms
-from conftest import needs_squared_rule
+from conftest import NAN_RULES, needs_squared_rule
 
 
 def _bit_noise_rule():
@@ -76,24 +76,9 @@ def test_sample_config_defaults():
     cfg = SampleConfig()
     assert cfg.seed == 0
     assert cfg.trials == 100
-    assert cfg.n_range == (2, 6)
-    assert cfg.income_range == (-10.0, 10.0)
-    assert cfg.need_range == (0.1, 10.0)
-    assert cfg.perturbation_scale == 0.5
 
 
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"trials": 0},
-        {"n_range": (0, 4)},
-        {"n_range": (5, 2)},
-        {"income_range": (3.0, 3.0)},
-        {"need_range": (0.0, 1.0)},
-        {"need_range": (2.0, 1.0)},
-        {"perturbation_scale": 0.0},
-    ],
-)
+@pytest.mark.parametrize("kwargs", [{"trials": 0}])
 def test_sample_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
         SampleConfig(**kwargs)
@@ -107,16 +92,6 @@ def test_rng_for_streams():
     assert first == again
     assert first != other_label
     assert first != other_seed
-
-
-def test_sample_problem_respects_config():
-    cfg = SampleConfig(n_range=(2, 4), income_range=(-1.0, 1.0), need_range=(0.5, 2.0))
-    rng = rng_for(0, "probe")
-    for _ in range(50):
-        p = sample_problem(rng, cfg, min_agents=3)
-        assert 3 <= len(p) <= 4
-        assert all(-1.0 <= y <= 1.0 for y in p.incomes)
-        assert all(0.5 <= z <= 2.0 for z in p.needs)
 
 
 def test_expand_axiom_names():
@@ -257,9 +232,20 @@ def test_check_axiom_input_validation():
         check_axiom("symmetry", LF, SampleConfig())
     with pytest.raises(ValueError):
         check_axiom("homogeneity", LF, SampleConfig(), tol=0.0)
-    for axiom in ("equal_treatment", "nat", "dummy"):
-        with pytest.raises(ValueError):
-            check_axiom(axiom, LF, SampleConfig(n_range=(1, 6)))
+
+
+@pytest.mark.parametrize("name", NAN_RULES)
+@pytest.mark.parametrize("axiom", [a for a in ALL_AXIOMS if a != "stability"])
+def test_nan_payoffs_violate_the_axiom(axiom, name):
+    report = check_axiom(axiom, NAN_RULES[name], SampleConfig(seed=0, trials=20))
+    assert not report.passed
+    assert math.isnan(report.counterexample.deviation)
+
+
+@pytest.mark.parametrize("name", NAN_RULES)
+def test_nan_payoffs_cannot_be_reapplied_for_stability(name):
+    with pytest.raises(NonFinite):
+        check_axiom("stability", NAN_RULES[name], SampleConfig(seed=0, trials=20))
 
 
 def test_recheck_rejects_unknown_axiom():

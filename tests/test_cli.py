@@ -6,7 +6,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from redistrib import ALL_AXIOMS, evaluate, make_problem, parse_rule
@@ -275,6 +275,8 @@ def test_check_stdout_stays_machine_readable_on_failure(capsys):
         ["classify", "--rule", "prop", "--grid", "0.5:4.5:1"],
         # a report value overflows to inf and cannot be written as JSON
         ["extract", "--rule", "ab:A=poly:" + "0," * 20 + "1e300,B=id", "--grid=1e7:3e7:1e7"],
+        # payoffs overflow, and the sampled deviation is NaN
+        ["dual", "--rule", "ab:A=poly:" + "0," * 20 + "1e300,B=id", "--samples", "20"],
     ],
 )
 def test_parse_failures_exit_2(capsys, argv):
@@ -343,9 +345,9 @@ def test_overflowing_totals_exit_3_and_name_the_total(capsys, tmp_path, column, 
 def test_csv_loader_accepts(tmp_path, text, ids, incomes):
     path = tmp_path / "data.csv"
     path.write_bytes(text.encode("utf-8"))
-    dataset = load_dataset(str(path))
-    assert dataset.ids == ids
-    assert dataset.incomes == incomes
+    problem = load_dataset(str(path))
+    assert problem.agents == ids
+    assert problem.incomes == incomes
 
 
 HUGE_INCOME = b'{"agents": [{"id": "a", "income": 1' + b"0" * 400 + b', "need": 1}]}'
@@ -590,6 +592,61 @@ def test_compare_with_greedy_rule_lists(capsys, csv_path):
         "min": 3.0,
         "max": 3.0,
     }
+
+
+COEFFS = st.one_of(
+    st.sampled_from([0.0, 1.0, -1.0, 0.5, 1e300, -1e300, 5e-324]),
+    st.floats(-1e300, 1e300),
+)
+POLYS = st.lists(COEFFS, min_size=1, max_size=21).map(
+    lambda c: "poly:" + ",".join(map(repr, c))
+)
+LEAF_RULES = st.one_of(
+    st.sampled_from(["lf", "full", "prop", "nafr"]),
+    st.builds(
+        lambda head, a, b: f"{head}:{a!r},{b!r}",
+        st.sampled_from(["lin", "lindual"]),
+        COEFFS,
+        COEFFS,
+    ),
+    st.builds(lambda a, b: f"ab:A={a},B={b}", POLYS, POLYS),
+    POLYS.map(lambda a: f"afam:A={a}"),
+    POLYS.map(lambda b: f"bfam:B={b}"),
+)
+
+
+def _nested_rule_texts(depth):
+    if depth == 0:
+        return LEAF_RULES
+    inner = _nested_rule_texts(depth - 1)
+    return st.one_of(
+        inner,
+        inner.map(lambda r: f"dual({r})"),
+        st.builds(
+            lambda a, b, w: f"convex({a};{b};{w!r})", inner, inner, st.floats(0.0, 1.0)
+        ),
+    )
+
+
+CLI_COMMANDS = st.sampled_from(
+    [
+        ["check", "--samples", "20"],
+        ["dual", "--samples", "20"],
+        ["classify", "--samples", "20", "--grid=-2:2:1"],
+        ["extract"],
+    ]
+)
+
+
+# Huge coefficients overflow numpy's block arithmetic on purpose.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(rule=_nested_rule_texts(2), command=CLI_COMMANDS)
+def test_cli_returns_a_documented_exit_code_and_never_raises(rule, command):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command[0], "--rule", rule, *command[1:], "--no-timestamp"])
+    assert code in (0, 1, 2, 3), err.getvalue()
 
 
 def test_missing_required_flag_exits_2(capsys):

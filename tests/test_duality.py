@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,7 +38,13 @@ from redistrib import (
     problem_scale,
     reflected_problem,
 )
-from conftest import nested_rules, needs_squared_rule, random_problems, reference_problem
+from conftest import (
+    NAN_RULES,
+    nested_rules,
+    needs_squared_rule,
+    random_problems,
+    reference_problem,
+)
 
 TOL = 1e-9
 
@@ -267,6 +275,14 @@ def test_self_dual_in_the_income_weight_family():
     cfg = SampleConfig(seed=11, trials=100)
     assert check_self_dual(AFamilyRule(ScalarFn.constant(0.4)), cfg).is_self_dual
     assert not check_self_dual(AFamilyRule(ScalarFn.identity()), cfg).is_self_dual
+
+
+@pytest.mark.parametrize("name", NAN_RULES)
+def test_nan_payoffs_are_not_self_dual(name):
+    report = check_self_dual(NAN_RULES[name], SampleConfig(seed=0, trials=20))
+    assert not report.is_self_dual
+    assert math.isnan(report.max_deviation)
+    assert report.witness is not None
 
 
 def test_check_self_dual_rejects_bad_tol():
