@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .axioms import AxiomReport, SampleConfig, axiom_suite, rng_for, worst_trial
-from .core import Problem, block_scales, block_totals, make_problem
+from .core import Problem, block_scales, block_totals, check_tol, make_problem
 from .rules import ParseError, RuleSpec, ab_payoffs_batch
 
 LABELS = (
@@ -205,8 +205,7 @@ def classify(
         raise AnalysisError(
             f"grid {values!r} must include negative, zero, and positive ratios"
         )
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    check_tol(tol)
 
     profile = profile_rule(rule, values)
     a_shape, a_value = _fit_a_shape(profile.a_values, tol)

@@ -23,6 +23,7 @@ from .core import (
     Problem,
     ValidationError,
     block_scales,
+    check_tol,
     make_problem,
     problem_scale,
     row_sums,
@@ -125,7 +126,8 @@ def worst_trial(
         drawn = []
         for n, rows in groups:
             incomes, needs = draw_profiles(rng, n, len(rows))
-            values[rows] = measure(incomes, needs)
+            with np.errstate(over="ignore", invalid="ignore"):
+                values[rows] = measure(incomes, needs)
             drawn.append((rows, incomes, needs))
         nan_rows = np.flatnonzero(np.isnan(values))
         k = int(nan_rows[0]) if nan_rows.size else int(np.argmax(values))
@@ -700,8 +702,7 @@ def check_axiom(
     """
     if axiom not in _CHECKERS:
         raise UnknownAxiom(f"unknown axiom {axiom!r}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    check_tol(tol)
     checker = _CHECKERS[axiom]
     rng = rng_for(cfg.seed, axiom)
     for start, groups in trial_blocks(rng, cfg):
@@ -709,7 +710,8 @@ def check_axiom(
         for n, rows in groups:
             block = checker.draw(rng, n, len(rows))
             try:
-                deviation, scale = checker.screen(rule, block)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    deviation, scale = checker.screen(rule, block)
                 hits = np.flatnonzero(~(deviation <= tol * scale))
             except ValidationError:
                 hits = range(len(rows))

@@ -216,14 +216,15 @@ _BLOCK_ROWS = 4096
 
 @dataclass(frozen=True)
 class _Table:
-    """A list of objects with the same keys, held as one column per key.
+    """A list of `rows` objects with the same keys, held as one column per key.
 
-    A column is a list of JSON texts, one per row, or a nested _Table whose
-    rows are the objects under that key. Rows are spliced together from
-    the columns only when the report is written.
+    A column is an iterable of JSON texts, one per row, read once as the
+    report is written, or a nested _Table whose rows are the objects under
+    that key.
     """
 
-    columns: dict[str, list[str] | _Table]
+    rows: int
+    columns: dict[str, Iterable[str] | _Table]
 
 
 def _finite(texts: list[str]) -> list[str]:
@@ -237,15 +238,10 @@ def _finite(texts: list[str]) -> list[str]:
     return texts
 
 
-def _float_texts(values: Iterable[float]) -> list[str]:
-    """The JSON texts of finite floats, as json.dumps writes them."""
-    return _finite(list(map(float.__repr__, values)))
-
-
-def _row_parts(table: _Table, depth: int) -> list[str | list[str]]:
+def _row_parts(table: _Table, depth: int) -> list[str | Iterable[str]]:
     """One row at indent level depth: its literal texts and columns, in order."""
     pad = "  " * (depth + 1)
-    parts: list[str | list[str]] = ["{"]
+    parts: list[str | Iterable[str]] = ["{"]
     for k, (key, column) in enumerate(table.columns.items()):
         parts.append(f"{',' if k else ''}\n{pad}{_encode_str(key)}: ")
         if isinstance(column, _Table):
@@ -271,7 +267,7 @@ def _table_chunks(table: _Table) -> Iterator[str]:
         else:
             streams += [repeat(literal), part]
             literal = ""
-    n = len(streams[1])  # the first column of texts
+    n = table.rows
     if n == 0:
         yield "[]"
         return
@@ -289,7 +285,8 @@ def _report_chunks(report: dict) -> Iterator[str]:
     Top-level keys are spliced in that layout. Every value but a _Table is
     encoded here, by json.dumps with its lines shifted one level in (JSON
     strings never hold a raw newline), so a value JSON cannot hold raises
-    before the first chunk is returned. Tables are joined as they are read.
+    before the first chunk is returned. Tables, whose columns hold only
+    finite values, are joined as they are read.
     """
     pieces: list[Iterable[str]] = []
     for k, (key, value) in enumerate(report.items()):
@@ -319,11 +316,11 @@ def _sample_config(args: argparse.Namespace) -> SampleConfig:
 
 def _agent_columns(
     ids: Sequence[str], incomes: Sequence[float], needs: Sequence[float]
-) -> dict[str, list[str] | _Table]:
+) -> dict[str, Iterable[str] | _Table]:
     return {
-        "id": list(map(_encode_str, ids)),
-        "income": _float_texts(incomes),
-        "need": _float_texts(needs),
+        "id": map(_encode_str, ids),
+        "income": map(float.__repr__, incomes),
+        "need": map(float.__repr__, needs),
     }
 
 
@@ -333,16 +330,19 @@ def _apply_rows(
     needs: Sequence[float],
     values: Sequence[float],
 ) -> _Table:
-    """Rows of id, income, need, allocation and needs coverage per agent."""
+    """Rows of id, income, need, allocation and needs coverage per agent.
+
+    Coverage alone can overflow, so only its texts are held and checked.
+    """
     columns = _agent_columns(ids, incomes, needs)
-    columns["allocation"] = _float_texts(values)
+    columns["allocation"] = map(float.__repr__, values)
     columns["needs_coverage"] = _finite(
         [
             float.__repr__(value / need) if need > 0 else "null"
             for value, need in zip(values, needs)
         ]
     )
-    return _Table(columns)
+    return _Table(len(ids), columns)
 
 
 def _compare_rows(
@@ -353,10 +353,9 @@ def _compare_rows(
 ) -> _Table:
     """Rows of id, income, need and each rule's allocation per agent."""
     columns = _agent_columns(ids, incomes, needs)
-    columns["allocations"] = _Table(
-        {spec: _float_texts(values) for spec, values in allocations.items()}
-    )
-    return _Table(columns)
+    texts = {spec: map(float.__repr__, values) for spec, values in allocations.items()}
+    columns["allocations"] = _Table(len(ids), texts)
+    return _Table(len(ids), columns)
 
 
 def _cmd_apply(args: argparse.Namespace) -> tuple[dict, int]:

@@ -48,6 +48,12 @@ def balance_tolerance(magnitude: float) -> float:
     return BALANCE_REL_TOL * max(1.0, abs(magnitude))
 
 
+def check_tol(tol: float) -> None:
+    """Reject a comparison tolerance that is not positive and finite."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+
+
 @dataclass(frozen=True)
 class Problem:
     """An ordered set of agents, each with an income and a non-negative need.

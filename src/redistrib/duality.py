@@ -14,7 +14,7 @@ from math import comb
 import numpy as np
 
 from .axioms import SampleConfig, rng_for, worst_trial
-from .core import Allocation, Problem, block_scales, make_problem
+from .core import Allocation, Problem, block_scales, check_tol, make_problem
 from .rules import (
     ABRule,
     AFamilyRule,
@@ -149,8 +149,7 @@ def check_self_dual(
     with tol, matching the axiom checkers. Problems are drawn in blocks,
     and the dual is evaluated on each block as z − R(z − y, z).
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    check_tol(tol)
 
     def deviation(incomes: np.ndarray, needs: np.ndarray) -> np.ndarray:
         direct = rule.payoffs_batch(incomes, needs)

@@ -15,7 +15,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .core import Allocation, Problem, block_totals, make_problem
+from .core import Allocation, Problem, block_totals, check_tol, make_problem
 
 
 class InvalidWeight(ValueError):
@@ -392,8 +392,7 @@ def equivalent_on(
     tol: float = 1e-9,
 ) -> EquivalenceVerdict:
     """Compare two rules payoff-by-payoff over the given problems."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    check_tol(tol)
     worst = 0.0
     witness: Problem | None = None
     where: int | None = None

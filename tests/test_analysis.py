@@ -144,8 +144,9 @@ def test_classification_grid_validation():
         classify(PROP, (0.0, 0.5, 1.0, 1.5, 2.0), CFG)
     with pytest.raises(AnalysisError):
         classify(PROP, (-2.0, -1.5, -1.0, 0.5, 1.0), CFG)
-    with pytest.raises(ValueError):
-        classify(PROP, DEFAULT_GRID, CFG, tol=0.0)
+    for tol in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            classify(PROP, DEFAULT_GRID, CFG, tol=tol)
 
 
 def test_characterization_of_proportional():

@@ -230,8 +230,9 @@ def test_axiom_streams_do_not_interact():
 def test_check_axiom_input_validation():
     with pytest.raises(UnknownAxiom):
         check_axiom("symmetry", LF, SampleConfig())
-    with pytest.raises(ValueError):
-        check_axiom("homogeneity", LF, SampleConfig(), tol=0.0)
+    for tol in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            check_axiom("homogeneity", LF, SampleConfig(), tol=tol)
 
 
 @pytest.mark.parametrize("name", NAN_RULES)

@@ -2,14 +2,28 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from redistrib import ALL_AXIOMS, evaluate, make_problem, parse_rule
+from redistrib import (
+    ALL_AXIOMS,
+    LF,
+    NAFR,
+    PROP,
+    evaluate,
+    format_rule,
+    make_problem,
+    parse_rule,
+    split_rule_list,
+)
 from redistrib.cli import (
     _BLOCK_ROWS,
     _apply_rows,
@@ -277,14 +291,19 @@ def test_check_stdout_stays_machine_readable_on_failure(capsys):
         ["extract", "--rule", "ab:A=poly:" + "0," * 20 + "1e300,B=id", "--grid=1e7:3e7:1e7"],
         # payoffs overflow, and the sampled deviation is NaN
         ["dual", "--rule", "ab:A=poly:" + "0," * 20 + "1e300,B=id", "--samples", "20"],
+        # a tolerance that is not positive and finite, refused before any verdict
+        ["check", "--rule", "lf", "--samples", "10", "--tol", "nan"],
+        ["dual", "--rule", "lf", "--samples", "10", "--tol", "inf"],
+        ["classify", "--rule", "lf", "--samples", "10", "--tol", "nan"],
     ],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_parse_failures_exit_2(capsys, argv):
     code = main(argv + ["--no-timestamp"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err.strip()
+    assert len(captured.err.splitlines()) == 1  # the error, and no verdict or warning
 
 
 def test_data_failures_exit_3(capsys, tmp_path):
@@ -638,8 +657,9 @@ CLI_COMMANDS = st.sampled_from(
 )
 
 
-# Huge coefficients overflow numpy's block arithmetic on purpose.
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# Huge coefficients overflow numpy's block arithmetic on purpose, and no
+# numpy warning may reach stderr.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=60, deadline=None)
 @given(rule=_nested_rule_texts(2), command=CLI_COMMANDS)
 def test_cli_returns_a_documented_exit_code_and_never_raises(rule, command):
@@ -647,6 +667,139 @@ def test_cli_returns_a_documented_exit_code_and_never_raises(rule, command):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([command[0], "--rule", rule, *command[1:], "--no-timestamp"])
     assert code in (0, 1, 2, 3), err.getvalue()
+
+
+# Edges of the Problem domain: extreme and subnormal magnitudes, signed
+# zeros, and zero or tiny needs.
+DOMAIN_INCOMES = st.one_of(
+    st.sampled_from([1e308, -1e308, 5e-324, -5e-324, -0.0, 0.0, 1.0, -2.5, 0.1]),
+    st.floats(-1e6, 1e6),
+)
+DOMAIN_NEEDS = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e308, 1.0, 0.5]), st.floats(0.0, 1e6)
+)
+
+
+@st.composite
+def domain_datasets(draw):
+    """Ids, incomes and needs of 1-6 agents, incomes cancelling pairwise or not."""
+    n = draw(st.integers(1, 6))
+    incomes = draw(st.lists(DOMAIN_INCOMES, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        incomes[1::2] = [-y for y in incomes[0::2]][: len(incomes[1::2])]
+    needs = draw(st.lists(DOMAIN_NEEDS, min_size=n, max_size=n))
+    return [f"a{k}" for k in range(n)], incomes, needs
+
+
+def _write_dataset(directory, fmt, ids, incomes, needs):
+    path = os.path.join(directory, f"data.{fmt}")
+    if fmt == "csv":
+        lines = ["id,income,need"] + [
+            f"{i},{y!r},{z!r}" for i, y, z in zip(ids, incomes, needs)
+        ]
+        text = "\n".join(lines) + "\n"
+    else:
+        agents = [{"id": i, "income": y, "need": z} for i, y, z in zip(ids, incomes, needs)]
+        text = json.dumps({"agents": agents})
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
+    return path
+
+
+def _refuse_constant(name):
+    raise ValueError(f"report holds {name}")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=80, deadline=None)
+@given(
+    data=domain_datasets(),
+    fmt=st.sampled_from(["csv", "json"]),
+    rules=st.lists(_nested_rule_texts(1), min_size=1, max_size=3),
+    compare=st.booleans(),
+    to_file=st.booleans(),
+)
+def test_dataset_reports_are_finite_and_exact_or_not_written(
+    data, fmt, rules, compare, to_file
+):
+    """apply and compare write a report of the exact allocations, or nothing."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = _write_dataset(directory, fmt, *data)
+        target = os.path.join(directory, "report.json")
+        if compare:
+            argv = ["compare", *(arg for r in rules for arg in ("--rules", r))]
+        else:
+            argv = ["apply", "--rule", rules[0]]
+        argv += ["--input", path, "--no-timestamp"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + (["--output", target] if to_file else []))
+        assert code in (0, 2, 3), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if code != 0:
+            assert out.getvalue() == ""
+            assert not os.path.exists(target)
+            return
+        if to_file:
+            assert out.getvalue() == ""
+            with open(target, encoding="utf-8") as handle:
+                text = handle.read()
+        else:
+            text = out.getvalue()
+    report = json.loads(text, parse_constant=_refuse_constant)
+    problem = make_problem(*data)
+    if compare:
+        parsed = [rule for r in rules for rule in split_rule_list(r)]
+        assert report["rules"] == [format_rule(rule) for rule in parsed]
+        for rule in parsed:
+            observed = [row["allocations"][format_rule(rule)] for row in report["agents"]]
+            assert observed == list(evaluate(rule, problem).values)
+    else:
+        observed = [row["allocation"] for row in report["agents"]]
+        assert observed == list(evaluate(parse_rule(rules[0]), problem).values)
+
+
+MEMORY_ROWS = 50_000
+
+
+def _emit_peak_per_row(build):
+    """Traced peak bytes per row of building a report and writing it to a null sink."""
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            _emit({"agents": build()}, argparse.Namespace(output="-"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peak / MEMORY_ROWS
+
+
+def _memory_problem():
+    rng = np.random.default_rng(0)
+    ids = [f"h{k:07d}" for k in rng.permutation(MEMORY_ROWS)]
+    incomes = np.round(rng.lognormal(10.0, 0.8, MEMORY_ROWS), 2).tolist()
+    needs = np.round(rng.uniform(200.0, 30000.0, MEMORY_ROWS), 2).tolist()
+    return make_problem(ids, incomes, needs)
+
+
+def test_apply_report_holds_little_per_row():
+    problem = _memory_problem()
+    values = evaluate(PROP, problem).values
+    per_row = _emit_peak_per_row(
+        lambda: _apply_rows(problem.agents, problem.incomes, problem.needs, values)
+    )
+    assert per_row < 200
+
+
+def test_compare_report_holds_little_per_row():
+    problem = _memory_problem()
+    allocations = {
+        format_rule(rule): evaluate(rule, problem).values for rule in (LF, PROP, NAFR)
+    }
+    per_row = _emit_peak_per_row(
+        lambda: _compare_rows(problem.agents, problem.incomes, problem.needs, allocations)
+    )
+    assert per_row < 150
 
 
 def test_missing_required_flag_exits_2(capsys):

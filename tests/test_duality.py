@@ -286,5 +286,6 @@ def test_nan_payoffs_are_not_self_dual(name):
 
 
 def test_check_self_dual_rejects_bad_tol():
-    with pytest.raises(ValueError):
-        check_self_dual(LF, SampleConfig(), tol=-1.0)
+    for tol in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            check_self_dual(LF, SampleConfig(), tol=tol)

@@ -141,8 +141,9 @@ def test_equivalent_on_reports_worst_gap():
 
 
 def test_equivalent_on_rejects_bad_tol():
-    with pytest.raises(ValueError):
-        equivalent_on(LF, LF, [], tol=0.0)
+    for tol in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            equivalent_on(LF, LF, [], tol=tol)
 
 
 def test_invalid_convex_weight():
