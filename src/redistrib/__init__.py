@@ -11,7 +11,6 @@ from .analysis import (
     CharacterizationReport,
     Classification,
     DEFAULT_GRID,
-    DegenerateProbe,
     ImplicationCheck,
     LABELS,
     NotApplicable,

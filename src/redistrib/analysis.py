@@ -9,13 +9,15 @@ family apart from lookalikes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .axioms import AxiomReport, SampleConfig, axiom_suite, rng_for, worst_trial
-from .core import Problem, block_scales, block_totals, check_tol, make_problem
+# make_problem is looked up here by perfbench's tracer, which wraps it per module.
+from .core import Problem, block_scales, block_totals, check_tol, make_problem  # noqa: F401
 from .rules import ParseError, RuleSpec, ab_payoffs_batch
 
 LABELS = (
@@ -38,10 +40,6 @@ class AnalysisError(ValueError):
 
 class NotApplicable(AnalysisError):
     """The probe construction needs at least two agents."""
-
-
-class DegenerateProbe(AnalysisError):
-    """A probe perturbation would push a need below zero."""
 
 
 def extract_ab(
@@ -71,53 +69,39 @@ def extract_ab(
         raise AnalysisError(
             f"scale {scale!r} is inconsistent with ratio {t!r}"
         )
-    n = agents
-    ids = tuple(range(1, n + 1))
-    mean_income = total_income / n
-    mean_need = total_need / n
-
-    need_bump = total_need / (2 * n)
-    needs = [mean_need] * n
-    needs[0] += need_bump
-    needs[1] -= need_bump
-    if min(needs) < 0:
-        raise DegenerateProbe(f"probe needs {needs!r} leave the domain")
-    payoffs = rule.payoffs(make_problem(ids, (mean_income,) * n, needs))
-    need_weight = (payoffs[0] - mean_income) / need_bump
-
-    income_bump = abs(total_income) / (2 * n) + 1.0
-    incomes = [mean_income] * n
-    incomes[0] += income_bump
-    incomes[1] -= income_bump
-    payoffs = rule.payoffs(make_problem(ids, incomes, (mean_need,) * n))
-    income_weight = (payoffs[0] - mean_income) / income_bump
-
-    return float(income_weight), float(need_weight)
+    a, b = _extract_ab_batch(
+        rule, np.array([total_income]), np.array([total_need]), agents
+    )
+    return float(a[0]), float(b[0])
 
 
 def _extract_ab_batch(
     rule: RuleSpec, total_income: np.ndarray, total_need: np.ndarray, agents: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """extract_ab at each row's totals, probing all rows as two blocks."""
+    """The extract_ab probe at each row's totals, all rows probed as two blocks.
+
+    Bumps are half a mean need, which leaves every probe need nonnegative.
+    """
     n = agents
-    mean_income = total_income / n
-    mean_need = total_need / n
-    flat_incomes = np.repeat(mean_income[:, None], n, axis=1)
-    flat_needs = np.repeat(mean_need[:, None], n, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean_income = total_income / n
+        mean_need = total_need / n
+        flat_incomes = np.repeat(mean_income[:, None], n, axis=1)
+        flat_needs = np.repeat(mean_need[:, None], n, axis=1)
 
-    need_bump = total_need / (2 * n)
-    needs = flat_needs.copy()
-    needs[:, 0] += need_bump
-    needs[:, 1] -= need_bump
-    payoffs = rule.payoffs_batch(flat_incomes, needs)
-    need_weight = (payoffs[:, 0] - mean_income) / need_bump
+        need_bump = total_need / (2 * n)
+        needs = flat_needs.copy()
+        needs[:, 0] += need_bump
+        needs[:, 1] -= need_bump
+        payoffs = rule.payoffs_batch(flat_incomes, needs)
+        need_weight = (payoffs[:, 0] - mean_income) / need_bump
 
-    income_bump = np.abs(total_income) / (2 * n) + 1.0
-    incomes = flat_incomes.copy()
-    incomes[:, 0] += income_bump
-    incomes[:, 1] -= income_bump
-    payoffs = rule.payoffs_batch(incomes, flat_needs)
-    income_weight = (payoffs[:, 0] - mean_income) / income_bump
+        income_bump = np.abs(total_income) / (2 * n) + 1.0
+        incomes = flat_incomes.copy()
+        incomes[:, 0] += income_bump
+        incomes[:, 1] -= income_bump
+        payoffs = rule.payoffs_batch(incomes, flat_needs)
+        income_weight = (payoffs[:, 0] - mean_income) / income_bump
 
     return income_weight, need_weight
 
@@ -142,10 +126,15 @@ def _validate_grid(grid: Sequence[float]) -> tuple[float, ...]:
 
 
 def profile_rule(rule: RuleSpec, grid: Sequence[float]) -> ABProfile:
-    """Extract deviation weights at every ratio in a strictly increasing grid."""
+    """Extract deviation weights at every ratio in a strictly increasing grid.
+
+    The whole grid is probed as one block, at totals (t, 1) with 3 agents,
+    which is extract_ab(rule, t) at each point.
+    """
     values = _validate_grid(grid)
-    a_values, b_values = zip(*(extract_ab(rule, t) for t in values))
-    return ABProfile(values, a_values, b_values)
+    ratios = np.array(values)
+    a, b = _extract_ab_batch(rule, ratios, np.ones_like(ratios), agents=3)
+    return ABProfile(values, tuple(a.tolist()), tuple(b.tolist()))
 
 
 @dataclass(frozen=True)
@@ -347,6 +336,9 @@ def parse_grid(text: str) -> tuple[float, ...]:
         lo, hi, step = (float(p) for p in pieces)
     except ValueError:
         raise ParseError(f"grid has a non-numeric part in {text!r}") from None
+    for name, value in (("lower end", lo), ("upper end", hi), ("step", step)):
+        if not math.isfinite(value):
+            raise ParseError(f"grid {name} {value!r} is not finite in {text!r}")
     if step <= 0:
         raise ParseError(f"grid step must be positive, got {pieces[2]!r}")
     if hi < lo:

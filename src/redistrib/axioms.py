@@ -143,7 +143,10 @@ def worst_trial(
 
 
 def expand_axiom_names(names: Iterable[str]) -> tuple[str, ...]:
-    """Resolve composite names; 'core' and 'all' expand to their members."""
+    """Resolve composite names; 'core' and 'all' expand to their members.
+
+    An empty list is refused: it would pass without checking any axiom.
+    """
     if isinstance(names, str):
         names = [names]
     out: list[str] = []
@@ -159,6 +162,8 @@ def expand_axiom_names(names: Iterable[str]) -> tuple[str, ...]:
         for member in group:
             if member not in out:
                 out.append(member)
+    if not out:
+        raise UnknownAxiom("no axiom named")
     return tuple(out)
 
 

@@ -17,29 +17,11 @@ from datetime import datetime, timezone
 from itertools import chain, islice, repeat
 from typing import Iterable, Iterator, Sequence, TextIO
 
-from .analysis import AnalysisError, classify, parse_grid, profile_rule
-from .axioms import (
-    Counterexample,
-    SampleConfig,
-    UnknownAxiom,
-    axiom_suite,
-    expand_axiom_names,
-)
+from .analysis import classify, parse_grid, profile_rule
+from .axioms import Counterexample, SampleConfig, axiom_suite, expand_axiom_names
 from .core import Problem, ValidationError, make_problem
 from .duality import check_self_dual, dual_closed_form
-from .rules import (
-    FULL,
-    InvalidWeight,
-    LF,
-    NAFR,
-    ParseError,
-    PROP,
-    RuleSpec,
-    evaluate,
-    format_rule,
-    parse_rule,
-    split_rule_list,
-)
+from .rules import RuleSpec, evaluate, format_rule, parse_rule, split_rule_list
 
 SCHEMA_VERSION = "1"
 
@@ -454,14 +436,14 @@ def _cmd_classify(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cmd_compare(args: argparse.Namespace) -> tuple[dict, int]:
-    rules: list[RuleSpec] = []
+    # One rule per distinct spec, in first-seen order.
+    rules: dict[str, RuleSpec] = {}
     for chunk in args.rules:
-        rules.extend(split_rule_list(chunk))
-    specs = [format_rule(rule) for rule in rules]
+        for rule in split_rule_list(chunk):
+            rules.setdefault(format_rule(rule), rule)
+    specs = list(rules)
     problem = load_dataset(args.input, args.format)
-    allocations = {
-        spec: evaluate(rule, problem).values for spec, rule in zip(specs, rules)
-    }
+    allocations = {spec: evaluate(rule, problem).values for spec, rule in rules.items()}
     report = _base_report("compare", args)
     report["rules"] = specs
     report["input"] = args.input
@@ -552,14 +534,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         report, code = _DISPATCH[args.command](args)
         _emit(report, args)
-    except (ParseError, UnknownAxiom, InvalidWeight) as exc:
+    except ValueError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
-    except (DatasetError, ValidationError) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_DATA_ERROR
-    except (AnalysisError, ValueError) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        if isinstance(exc, (DatasetError, ValidationError)):
+            return EXIT_DATA_ERROR
         return EXIT_PARSE_ERROR
     return code
 

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from redistrib import analysis
 from redistrib import (
@@ -10,7 +12,6 @@ from redistrib import (
     BFamilyRule,
     ConvexCombination,
     DEFAULT_GRID,
-    DegenerateProbe,
     FULL,
     LABELS,
     LF,
@@ -24,17 +25,17 @@ from redistrib import (
     classify,
     extract_ab,
     parse_grid,
+    parse_rule,
     profile_rule,
     verify_characterization,
 )
-from conftest import NAN_RULES, needs_squared_rule
+from conftest import NAN_RULES, needs_squared_rule, nested_rules
 
 RATIOS = (-2.0, -1.0, 0.0, 0.5, 1.0, 2.0)
 
 
 def test_error_hierarchy():
     assert issubclass(NotApplicable, AnalysisError)
-    assert issubclass(DegenerateProbe, AnalysisError)
     assert issubclass(AnalysisError, ValueError)
 
 
@@ -49,6 +50,25 @@ def test_extracted_weights_match_known_forms(t):
     )
     quad = ABRule(ScalarFn.poly(0.0, 0.0, 1.0), ScalarFn.identity())
     assert extract_ab(quad, t) == pytest.approx((t * t, t), abs=1e-9)
+
+
+@given(rule=nested_rules(2), t=st.floats(-5.0, 5.0))
+def test_extracted_weights_match_closed_form(rule, t):
+    assert extract_ab(rule, t) == pytest.approx(rule.weights_at(t), rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [parse_rule("dual(lin:0.3,0.2)"), needs_squared_rule(), NAN_RULES["nan"]],
+    ids=["grammar", "sqneed", "nan"],
+)
+def test_profile_is_extract_ab_at_each_point(rule):
+    grid = (-1e6, -2.0, -0.5, 0.0, 0.5, 1.0, 2.0, 1e6)
+    profile = profile_rule(rule, grid)
+    pointwise = [extract_ab(rule, t) for t in grid]
+    bits = lambda values: [float.hex(v) for v in values]  # NaN and -0.0 included
+    assert bits(profile.a_values) == bits(a for a, _ in pointwise)
+    assert bits(profile.b_values) == bits(b for _, b in pointwise)
 
 
 def test_extraction_ignores_problem_magnitude_and_size():
@@ -204,6 +224,17 @@ def test_parse_grid():
     assert parse_grid("-1e200:1e200:1e200") == (-1e200, 0.0, 1e200)
 
 
+# A non-finite part is named before the points are counted.
+NON_FINITE_GRIDS = {
+    "nan:1:1": "lower end nan",
+    "0:nan:1": "upper end nan",
+    "0:1:nan": "step nan",
+    "-inf:0:1": "lower end -inf",
+    "0:inf:1": "upper end inf",
+    "0:1:inf": "step inf",
+}
+
+
 @pytest.mark.parametrize(
     "bad",
     [
@@ -216,12 +247,11 @@ def test_parse_grid():
         "",
         "0:1:1e-300",
         "-1e308:1e308:1e-300",
-        "0:inf:1",
-        "nan:1:1",
+        *NON_FINITE_GRIDS,
     ],
 )
 def test_parse_grid_rejects_malformed_text(bad):
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match=NON_FINITE_GRIDS.get(bad)):
         parse_grid(bad)
 
 

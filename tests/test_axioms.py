@@ -106,6 +106,8 @@ def test_expand_axiom_names():
     )
     with pytest.raises(UnknownAxiom):
         expand_axiom_names(["core", "monotonicity"])
+    with pytest.raises(UnknownAxiom):
+        expand_axiom_names([])
 
 
 @pytest.mark.parametrize("rule", [LF, PROP], ids=["lf", "prop"])

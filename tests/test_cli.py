@@ -295,6 +295,9 @@ def test_check_stdout_stays_machine_readable_on_failure(capsys):
         ["check", "--rule", "lf", "--samples", "10", "--tol", "nan"],
         ["dual", "--rule", "lf", "--samples", "10", "--tol", "inf"],
         ["classify", "--rule", "lf", "--samples", "10", "--tol", "nan"],
+        # an empty axiom list, which would pass with no axiom checked
+        ["check", "--rule", "lf", "--axioms", ","],
+        ["check", "--rule", "lf", "--axioms", ""],
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -561,6 +564,19 @@ def test_extract_proportional_weights(capsys):
     assert report["b_values"] == pytest.approx(report["grid"], abs=1e-9)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_extract_on_the_longest_grid(capsys):
+    code, report, err = run_cli(
+        capsys, "extract", "--rule", "lin:0.3,0.2", "--grid=0:99999:1", "--no-timestamp"
+    )
+    assert (code, err) == (0, "")
+    assert report["grid"] == [float(k) for k in range(100_000)]
+    assert report["a_values"] == pytest.approx([0.3] * 100_000, rel=1e-12)
+    assert report["b_values"] == pytest.approx(
+        [0.2 * t for t in report["grid"]], rel=1e-12, abs=1e-12
+    )
+
+
 def test_classify_full(capsys):
     code, report, _ = run_cli(
         capsys, "classify", "--rule", "full", "--samples", "60", "--no-timestamp"
@@ -586,6 +602,14 @@ def test_classify_at_large_ratios(capsys):
     )
     assert code == 0
     assert report["label"] == "proportional"
+
+
+def test_compare_reports_a_repeated_spec_once(capsys, csv_path):
+    def report_of(*rules):
+        argv = ["compare", *(a for r in rules for a in ("--rules", r))]
+        return run_cli(capsys, *argv, "--input", csv_path, "--no-timestamp")
+
+    assert report_of("lf,lf", "prop") == report_of("lf,prop")
 
 
 def test_compare_with_greedy_rule_lists(capsys, csv_path):
@@ -750,7 +774,8 @@ def test_dataset_reports_are_finite_and_exact_or_not_written(
     problem = make_problem(*data)
     if compare:
         parsed = [rule for r in rules for rule in split_rule_list(r)]
-        assert report["rules"] == [format_rule(rule) for rule in parsed]
+        # each distinct spec once, at its first place
+        assert report["rules"] == list(dict.fromkeys(map(format_rule, parsed)))
         for rule in parsed:
             observed = [row["allocations"][format_rule(rule)] for row in report["agents"]]
             assert observed == list(evaluate(rule, problem).values)
