@@ -16,8 +16,9 @@ from typing import Sequence
 import numpy as np
 
 from .axioms import AxiomReport, SampleConfig, axiom_suite, rng_for, worst_trial
+from .core import Problem, block_scales, block_totals, check_tol, left_sum
 # make_problem is looked up here by perfbench's tracer, which wraps it per module.
-from .core import Problem, block_scales, block_totals, check_tol, make_problem  # noqa: F401
+from .core import make_problem  # noqa: F401
 from .rules import ParseError, RuleSpec, ab_payoffs_batch
 
 LABELS = (
@@ -157,7 +158,7 @@ def _fit_a_shape(values: tuple[float, ...], tol: float) -> tuple[str, float | No
     if all(abs(v - 1.0) <= tol for v in values):
         return "one", 1.0
     if max(values) - min(values) <= tol:
-        return "constant", sum(values) / len(values)
+        return "constant", left_sum(values) / len(values)
     return "other", None
 
 
@@ -170,7 +171,7 @@ def _fit_b_shape(
     if all(abs(v - t) <= tol * max(1.0, abs(t)) for v, t in zip(values, grid)):
         return "identity", None
     if max(values) - min(values) <= tol:
-        return "constant", sum(values) / len(values)
+        return "constant", left_sum(values) / len(values)
     return "other", None
 
 

@@ -24,6 +24,7 @@ from .core import (
     ValidationError,
     block_scales,
     check_tol,
+    left_sum,
     make_problem,
     problem_scale,
     row_sums,
@@ -451,8 +452,8 @@ def _measure_nat(rule, instance):
     members = instance["members"]
     before = rule.payoffs(problem)
     after = rule.payoffs(modified)
-    group_before = sum(before[k] for k in members)
-    group_after = sum(after[k] for k in members)
+    group_before = left_sum(before[k] for k in members)
+    group_after = left_sum(after[k] for k in members)
     scale = max(problem_scale(problem), problem_scale(modified))
     return (
         abs(group_after - group_before),

@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Sequence, TextIO
 
 from .analysis import classify, parse_grid, profile_rule
 from .axioms import Counterexample, SampleConfig, axiom_suite, expand_axiom_names
-from .core import Problem, ValidationError, make_problem
+from .core import Problem, ValidationError, left_sum, make_problem
 from .duality import check_self_dual, dual_closed_form
 from .rules import RuleSpec, evaluate, format_rule, parse_rule, split_rule_list
 
@@ -146,9 +146,10 @@ def load_dataset(path: str, fmt: str | None = None) -> Problem:
 
 
 def _summary(values: Sequence[float]) -> dict:
+    total = left_sum(values)
     return {
-        "total": float(sum(values)),
-        "mean": float(sum(values)) / len(values),
+        "total": total,
+        "mean": total / len(values),
         "min": min(values),
         "max": max(values),
     }

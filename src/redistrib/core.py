@@ -85,10 +85,8 @@ class Problem:
                 raise NonFinite(f"need {value!r} is not finite")
             if value < 0:
                 raise NegativeNeed(f"need {value!r} is negative")
-        # Plain left-to-right sums; no pairwise or compensated summation, so
-        # results are reproducible across platforms.
-        total_income = float(sum(self.incomes))
-        total_need = float(sum(self.needs))
+        total_income = left_sum(self.incomes)
+        total_need = left_sum(self.needs)
         if not math.isfinite(total_income):
             raise NonFinite(f"total income {total_income!r} is not finite")
         if not math.isfinite(total_need):
@@ -115,6 +113,18 @@ def make_problem(
         tuple(float(v) for v in incomes),
         tuple(float(v) for v in needs),
     )
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """Sum left to right, rounding once per addition, as row_sums adds a row.
+
+    Not sum(): from Python 3.12 it compensates float rounding, so its totals
+    would depend on the Python version and stop matching row_sums.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def row_sums(values: np.ndarray) -> np.ndarray:
@@ -188,7 +198,7 @@ class Allocation:
 
     @property
     def total(self) -> float:
-        return float(sum(self.values))
+        return left_sum(self.values)
 
 
 @dataclass(frozen=True)
@@ -215,7 +225,7 @@ def check_allocation(problem: Problem, values: Sequence[float]) -> BalanceVerdic
     # Both sums round in proportion to the size of their terms, which can
     # dwarf the totals when positive and negative entries cancel.
     tolerance = balance_tolerance(
-        max(sum(map(abs, problem.incomes)), sum(map(abs, coerced)))
+        max(left_sum(map(abs, problem.incomes)), left_sum(map(abs, coerced)))
     )
-    residual = float(sum(coerced)) - problem.total_income
+    residual = left_sum(coerced) - problem.total_income
     return BalanceVerdict(abs(residual) <= tolerance, residual, tolerance)

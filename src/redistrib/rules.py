@@ -31,7 +31,7 @@ _ARITY = {"const": 1, "id": 0, "scale": 1, "affine": 2}
 
 @dataclass(frozen=True)
 class ScalarFn:
-    """Serializable continuous function of one real variable.
+    """Serializable polynomial of one real variable, evaluated on floats or arrays.
 
     Kinds: ``const:c``, ``id``, ``scale:c`` (c*t), ``affine:a,b`` (a*t + b),
     and ``poly:c0,c1,...`` with ascending coefficients.
@@ -57,31 +57,21 @@ class ScalarFn:
             if not math.isfinite(p):
                 raise ValueError(f"parameter {p!r} is not finite")
 
-    def __call__(self, t: float) -> float:
-        if self.kind == "const":
-            return self.params[0]
-        if self.kind == "id":
-            return float(t)
-        if self.kind == "scale":
-            return self.params[0] * t
-        if self.kind == "affine":
-            return self.params[0] * t + self.params[1]
-        acc = 0.0
-        for c in reversed(self.params):
+    def __call__(self, t: Ratio) -> Ratio:
+        *rest, acc = self.coefficients()
+        for c in reversed(rest):
             acc = acc * t + c
         return acc
 
     def coefficients(self) -> tuple[float, ...]:
         """Ascending polynomial coefficients equal to this function."""
-        if self.kind == "const":
-            return (self.params[0],)
         if self.kind == "id":
             return (0.0, 1.0)
         if self.kind == "scale":
             return (0.0, self.params[0])
         if self.kind == "affine":
             return (self.params[1], self.params[0])
-        return self.params
+        return self.params  # const:c is the polynomial c
 
     @staticmethod
     def constant(c: float) -> "ScalarFn":
@@ -124,6 +114,16 @@ def from_coefficients(coeffs: Sequence[float]) -> ScalarFn:
 
 
 FnLike = Union[ScalarFn, Callable[[float], float]]
+Ratio = Union[float, np.ndarray]
+
+
+def _weight(fn: FnLike, t: Ratio) -> Ratio:
+    """fn at t; a plain callable takes one float, so an array goes entry by entry."""
+    if not isinstance(t, np.ndarray):
+        return float(fn(t))
+    if isinstance(fn, ScalarFn):
+        return fn(t)
+    return np.array([float(fn(x)) for x in t.tolist()])
 
 
 class RuleSpec:
@@ -132,22 +132,24 @@ class RuleSpec:
     def payoffs(self, problem: Problem) -> tuple[float, ...]:
         raise NotImplementedError
 
-    def weights_at(self, t: float) -> tuple[float, float] | None:
-        """(A(t), B(t)) if the rule pays ȳ + A(t)(y−ȳ) + B(t)(z−z̄), else None."""
+    def weights_at(self, t: Ratio) -> tuple[Ratio, Ratio] | None:
+        """(A(t), B(t)) if the rule pays ȳ + A(t)(y−ȳ) + B(t)(z−z̄), else None.
+
+        For an array of ratios t, a weight is an array or one float for all.
+        """
         return None
 
     def payoffs_batch(self, incomes: np.ndarray, needs: np.ndarray) -> np.ndarray:
         """Payoffs of a block of problems, one per row of the (m, n) arrays.
 
-        A rule with weights is evaluated at each row's ratio through
-        ab_payoffs_batch. Any other rule is evaluated row by row, each row
-        built as a Problem of agents 1..n.
+        A rule with weights takes them in one weights_at call on the array of
+        row ratios and pays through ab_payoffs_batch. Any other rule is
+        evaluated row by row, each row built as a Problem of agents 1..n.
         """
         totals = block_totals(incomes, needs)
-        weights = [self.weights_at(t) for t in (totals[0] / totals[1]).tolist()]
-        if None not in weights:
-            a, b = np.array(weights, dtype=float).reshape(-1, 2).T
-            return ab_payoffs_batch(incomes, needs, totals, a, b)
+        weights = self.weights_at(totals[0] / totals[1])
+        if weights is not None:
+            return ab_payoffs_batch(incomes, needs, totals, *weights)
         agents = range(1, incomes.shape[1] + 1)
         rows = zip(incomes.tolist(), needs.tolist())
         return np.array(
@@ -173,20 +175,21 @@ def ab_payoffs_batch(
     incomes: np.ndarray,
     needs: np.ndarray,
     totals: tuple[np.ndarray, np.ndarray],
-    a: np.ndarray,
-    b: np.ndarray,
+    a: np.ndarray | float,
+    b: np.ndarray | float,
 ) -> np.ndarray:
     """ab_payoffs of each row of a block of problems, with that row's a and b.
 
-    totals are the block's (total income, total need) from block_totals.
-    The same operations in the same order as ab_payoffs, so each row's
-    payoffs equal the scalar kernel's bit for bit.
+    totals are the block's (total income, total need) from block_totals; a
+    float weight holds for every row. The same operations in the same order
+    as ab_payoffs, so each row's payoffs equal the scalar kernel's bit for bit.
     """
     total_income, total_need = totals
     n = incomes.shape[1]
+    a, b = np.reshape(a, (-1, 1)), np.reshape(b, (-1, 1))
     mean_need = (total_need / n)[:, None]
-    rest = (total_income / n * (1.0 - a))[:, None]
-    return incomes * a[:, None] + rest + (needs - mean_need) * b[:, None]
+    rest = (total_income / n)[:, None] * (1.0 - a)
+    return incomes * a + rest + (needs - mean_need) * b
 
 
 class WeightedRule(RuleSpec):
@@ -205,7 +208,7 @@ class WeightedRule(RuleSpec):
 class LaissezFaire(WeightedRule):
     """Leaves every agent's income untouched."""
 
-    def weights_at(self, t: float) -> tuple[float, float]:
+    def weights_at(self, t: Ratio) -> tuple[Ratio, Ratio]:
         return 1.0, 0.0
 
 
@@ -213,7 +216,7 @@ class LaissezFaire(WeightedRule):
 class FullRedistribution(WeightedRule):
     """Pays every agent an equal share of total income."""
 
-    def weights_at(self, t: float) -> tuple[float, float]:
+    def weights_at(self, t: Ratio) -> tuple[Ratio, Ratio]:
         return 0.0, 0.0
 
 
@@ -221,7 +224,7 @@ class FullRedistribution(WeightedRule):
 class Proportional(WeightedRule):
     """Splits total income in proportion to needs."""
 
-    def weights_at(self, t: float) -> tuple[float, float]:
+    def weights_at(self, t: Ratio) -> tuple[Ratio, Ratio]:
         return 0.0, t
 
 
@@ -229,7 +232,7 @@ class Proportional(WeightedRule):
 class NeedAdjustedFull(WeightedRule):
     """Covers each need exactly, splitting the surplus or deficit equally."""
 
-    def weights_at(self, t: float) -> tuple[float, float]:
+    def weights_at(self, t: Ratio) -> tuple[Ratio, Ratio]:
         return 0.0, 1.0
 
 
@@ -240,8 +243,8 @@ class ABRule(WeightedRule):
     income_weight: FnLike
     need_weight: FnLike
 
-    def weights_at(self, t: float) -> tuple[float, float]:
-        return float(self.income_weight(t)), float(self.need_weight(t))
+    def weights_at(self, t: Ratio) -> tuple[Ratio, Ratio]:
+        return _weight(self.income_weight, t), _weight(self.need_weight, t)
 
 
 @dataclass(frozen=True)
@@ -250,8 +253,8 @@ class BFamilyRule(WeightedRule):
 
     need_weight: FnLike
 
-    def weights_at(self, t: float) -> tuple[float, float]:
-        return 0.0, float(self.need_weight(t))
+    def weights_at(self, t: Ratio) -> tuple[Ratio, Ratio]:
+        return 0.0, _weight(self.need_weight, t)
 
 
 @dataclass(frozen=True)
@@ -260,8 +263,8 @@ class AFamilyRule(WeightedRule):
 
     income_weight: FnLike
 
-    def weights_at(self, t: float) -> tuple[float, float]:
-        a = float(self.income_weight(t))
+    def weights_at(self, t: Ratio) -> tuple[Ratio, Ratio]:
+        a = _weight(self.income_weight, t)
         return a, (1.0 - a) * t
 
 
@@ -276,7 +279,7 @@ class LinearRule(WeightedRule):
     income_coeff: float
     need_share_coeff: float
 
-    def weights_at(self, t: float) -> tuple[float, float]:
+    def weights_at(self, t: Ratio) -> tuple[Ratio, Ratio]:
         return self.income_coeff, self.need_share_coeff * t
 
 
@@ -287,7 +290,7 @@ class LinearDualRule(WeightedRule):
     income_coeff: float
     need_share_coeff: float
 
-    def weights_at(self, t: float) -> tuple[float, float]:
+    def weights_at(self, t: Ratio) -> tuple[Ratio, Ratio]:
         c1, c2 = self.income_coeff, self.need_share_coeff
         return c1, c2 * t + 1.0 - c1 - c2
 
@@ -308,17 +311,13 @@ class ConvexCombination(RuleSpec):
         if not (isinstance(w, (int, float)) and math.isfinite(w) and 0.0 <= w <= 1.0):
             raise InvalidWeight(f"weight {w!r} is not in [0, 1]")
 
-    def _mix(self, first: Sequence[float], second: Sequence[float]) -> tuple[float, ...]:
+    def _mix(self, first: Sequence[Ratio], second: Sequence[Ratio]) -> tuple[Ratio, ...]:
         w = self.weight
         return tuple(w * u + (1.0 - w) * v for u, v in zip(first, second))
 
-    def weights_at(self, t: float) -> tuple[float, float] | None:
+    def weights_at(self, t: Ratio) -> tuple[Ratio, Ratio] | None:
         first, second = self.first.weights_at(t), self.second.weights_at(t)
-        if first is None or second is None:
-            return None
-        # _mix unrolled for two weights: evaluated once per row of a block.
-        w, rest = self.weight, 1.0 - self.weight
-        return w * first[0] + rest * second[0], w * first[1] + rest * second[1]
+        return None if first is None or second is None else self._mix(first, second)
 
     def payoffs(self, problem: Problem) -> tuple[float, ...]:
         weights = self.weights_at(problem.total_income / problem.total_need)
@@ -336,7 +335,7 @@ class DualRule(RuleSpec):
 
     inner: RuleSpec
 
-    def weights_at(self, t: float) -> tuple[float, float] | None:
+    def weights_at(self, t: Ratio) -> tuple[Ratio, Ratio] | None:
         weights = self.inner.weights_at(1.0 - t)
         return None if weights is None else (weights[0], 1.0 - weights[0] - weights[1])
 
@@ -474,7 +473,13 @@ def _split_top(text: str, sep: str) -> list[str]:
     return parts
 
 
-def parse_rule(text: str) -> RuleSpec:
+# The deepest nesting of convex(...) and dual(...) parse_rule accepts.
+# Parsing, evaluating and formatting a rule recurse once per level, so the
+# cap keeps every rule far from Python's recursion limit.
+MAX_RULE_DEPTH = 64
+
+
+def parse_rule(text: str, _depth: int = 0) -> RuleSpec:
     """Parse a rule spec string.
 
     Grammar::
@@ -483,7 +488,11 @@ def parse_rule(text: str) -> RuleSpec:
         | ab:A=<fn>,B=<fn> | afam:A=<fn> | bfam:B=<fn>
         | lin:<r>,<r> | lindual:<r>,<r>
         | convex(<rule>;<rule>;<weight>) | dual(<rule>)
+
+    convex and dual nest at most MAX_RULE_DEPTH deep.
     """
+    if _depth > MAX_RULE_DEPTH:
+        raise ParseError(f"rule nests convex and dual more than {MAX_RULE_DEPTH} deep")
     s = text.strip()
     simple = {"lf": LF, "full": FULL, "prop": PROP, "nafr": NAFR}
     if s in simple:
@@ -493,13 +502,15 @@ def parse_rule(text: str) -> RuleSpec:
         if len(parts) != 3:
             raise ParseError(f"convex takes rule;rule;weight, got {text!r}")
         return ConvexCombination(
-            parse_rule(parts[0]), parse_rule(parts[1]), _parse_real(parts[2])
+            parse_rule(parts[0], _depth + 1),
+            parse_rule(parts[1], _depth + 1),
+            _parse_real(parts[2]),
         )
     if s.startswith("dual(") and s.endswith(")"):
         inner = s[len("dual(") : -1]
         # Reject trailing junk like "dual(lf)x" by checking balance.
         _split_top(inner, "\x00")
-        return DualRule(parse_rule(inner))
+        return DualRule(parse_rule(inner, _depth + 1))
     if s.startswith("ab:"):
         body = s[len("ab:") :]
         marker = body.find(",B=")

@@ -81,3 +81,11 @@ def nested_rules(depth):
         st.builds(DualRule, inner),
         st.builds(ConvexCombination, inner, inner, st.floats(0.0, 1.0)),
     )
+
+
+def nested_spec(kind, depth):
+    """A rule spec string with lin:0.3,0.2 inside depth levels of convex or dual."""
+    spec = "lin:0.3,0.2"
+    for _ in range(depth):
+        spec = f"dual({spec})" if kind == "dual" else f"convex({spec};prop;0.5)"
+    return spec

@@ -14,8 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from redistrib import (
+    ABRule,
     ALL_AXIOMS,
+    BFamilyRule,
+    ConvexCombination,
     CustomRule,
+    DualRule,
     EmptyAgentSet,
     LF,
     LengthMismatch,
@@ -33,6 +37,7 @@ from redistrib import (
     classify,
     dual_payoffs,
     extract_ab,
+    format_rule,
     make_problem,
     parse_rule,
     problem_scale,
@@ -42,6 +47,7 @@ from redistrib import axioms
 from redistrib.core import block_totals
 from conftest import needs_squared_rule, nested_rules
 from test_axioms import NEGATIVE_CONTROLS
+from test_duality import KERNEL_CASES
 
 TOL = 1e-9
 # Screen and scalar measure do the same float64 operations; allow a few
@@ -83,8 +89,78 @@ def test_screen_matches_scalar_measure_through_the_custom_fallback(rule):
             _assert_screen_matches_measure(axiom, _through_fallback(rule), 40 + n, n)
 
 
+def _step(t):
+    return 1.0 if t > 0.5 else 0.0
+
+
+def _one(t):
+    return 1
+
+
+# Rules with plain-callable weights, which take one float at a time.
+CALLABLE_RULES = [
+    AFamilyRule(_step),
+    BFamilyRule(_step),
+    ABRule(_one, ScalarFn.identity()),
+    ABRule(_step, _one),
+]
+_WITH_CALLABLES = st.one_of(
+    st.sampled_from(CALLABLE_RULES),
+    st.builds(DualRule, st.sampled_from(CALLABLE_RULES)),
+    st.builds(
+        ConvexCombination,
+        st.sampled_from(CALLABLE_RULES),
+        nested_rules(1),
+        st.floats(0.0, 1.0),
+    ),
+)
+
+
+def _assert_array_weights_match_scalar(rule, ts):
+    """weights_at on an array of ratios, broadcast, equals it ratio by ratio."""
+    at_array = rule.weights_at(np.array(ts))
+    at_each = [rule.weights_at(t) for t in ts]
+    for k in range(2):
+        broadcast = np.broadcast_to(np.asarray(at_array[k], dtype=float), len(ts))
+        scalar = np.array([weights[k] for weights in at_each], dtype=float)
+        assert broadcast.tobytes() == scalar.tobytes(), (k, broadcast, scalar)
+
+
+RATIOS = [-2.0, -0.5, 0.0, 0.25, 0.5, 0.75, 1.0, 3.0]
+
+
+@pytest.mark.parametrize("rule", KERNEL_CASES + CALLABLE_RULES, ids=format_rule)
+def test_weights_at_an_array_equal_weights_at_each_ratio(rule):
+    _assert_array_weights_match_scalar(rule, RATIOS)
+
+
 @settings(max_examples=40, deadline=None)
-@given(rule=nested_rules(2), seed=st.integers(0, 2**32 - 1))
+@given(
+    rule=st.one_of(nested_rules(2), _WITH_CALLABLES),
+    ts=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=8),
+)
+def test_weights_at_an_array_equal_weights_at_each_ratio_for_nested_rules(rule, ts):
+    _assert_array_weights_match_scalar(rule, ts)
+
+
+def test_payoffs_batch_takes_weights_once_per_block(monkeypatch):
+    calls = []
+    weights_at = ABRule.weights_at
+
+    def counting(self, t):
+        calls.append(np.shape(t))
+        return weights_at(self, t)
+
+    monkeypatch.setattr(ABRule, "weights_at", counting)
+    rule = parse_rule("dual(convex(ab:A=id,B=const:0.5;dual(ab:A=const:0.2,B=id);0.3))")
+    incomes, needs = axioms.draw_profiles(rng_for(3, "count"), 4, 50)
+    rule.payoffs_batch(incomes, needs)
+    # One call per ab rule inside, each on the block's 50 ratios.
+    assert calls == [(50,), (50,)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(rule=st.one_of(nested_rules(2), _WITH_CALLABLES), seed=st.integers(0, 2**32 - 1))
 def test_kernel_block_equals_scalar_payoffs_bit_for_bit(rule, seed):
     incomes, needs = axioms.draw_profiles(rng_for(seed, "bits"), 4, 20)
     block = rule.payoffs_batch(incomes, needs)

@@ -32,6 +32,8 @@ from redistrib.cli import (
     load_dataset,
     main,
 )
+from redistrib.rules import MAX_RULE_DEPTH
+from conftest import nested_spec
 
 CSV_TEXT = "id,income,need\na,5,1\nb,1,3\n"
 JSON_TEXT = json.dumps(
@@ -307,6 +309,23 @@ def test_parse_failures_exit_2(capsys, argv):
     assert code == 2
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1  # the error, and no verdict or warning
+
+
+@pytest.mark.parametrize("kind", ["convex", "dual"])
+@pytest.mark.parametrize("command", ["check", "dual"])
+def test_rule_nesting_is_capped(capsys, kind, command):
+    def run(depth):
+        argv = [command, "--rule", nested_spec(kind, depth), "--samples", "20"]
+        return main(argv + ["--no-timestamp"]), capsys.readouterr()
+
+    code, captured = run(MAX_RULE_DEPTH)
+    assert code in (0, 1) and json.loads(captured.out)["command"] == command
+    for depth in (MAX_RULE_DEPTH + 1, 2000):
+        code, captured = run(depth)
+        assert code == 2 and captured.out == ""
+        assert captured.err == (
+            f"ParseError: rule nests convex and dual more than {MAX_RULE_DEPTH} deep\n"
+        )
 
 
 def test_data_failures_exit_3(capsys, tmp_path):

@@ -1,5 +1,7 @@
 import dataclasses
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from redistrib import (
     parse_rule,
     problem_scale,
 )
+from redistrib.core import left_sum, row_sums
 from conftest import reference_problem
 
 
@@ -206,12 +209,25 @@ def problems(draw):
     )
 
 
+def _added_left_to_right(values):
+    return functools.reduce(operator.add, values, 0.0)
+
+
 @given(problems())
 def test_aggregates_match_plain_sums(p):
     total_income, total_need, n = aggregates(p)
-    assert total_income == sum(p.incomes)
-    assert total_need == sum(p.needs)
+    assert total_income == _added_left_to_right(p.incomes)
+    assert total_need == _added_left_to_right(p.needs)
     assert n == len(p.agents)
+
+
+def test_totals_add_left_to_right_as_row_sums_do():
+    # A compensated sum (Python 3.12's sum()) gives 1.0 here.
+    incomes = (1e16, 1.0, -1e16)
+    p = make_problem(("a", "b", "c"), incomes, (1.0, 1.0, 1.0))
+    assert p.total_income == 0.0 == row_sums(np.array([incomes]))[0]
+    assert left_sum(incomes) == 0.0
+    assert Allocation(p, incomes).total == 0.0
 
 
 @given(problems())

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -30,7 +31,8 @@ from redistrib import (
     parse_scalar_fn,
     split_rule_list,
 )
-from conftest import random_problems, reference_problem
+from redistrib.rules import MAX_RULE_DEPTH
+from conftest import nested_spec, random_problems, reference_problem
 
 # Hand-computed payoffs on incomes (5, 1) with needs (1, 3).
 REFERENCE_PAYOFFS = {
@@ -163,6 +165,19 @@ def test_scalar_fn_kinds_evaluate():
     assert ScalarFn.poly(1.0, 0.0, 2.0)(3.0) == 19.0
 
 
+def test_scalar_fn_takes_an_array_of_ratios():
+    ts = [-2.0, -0.5, 0.0, 0.3, 1.0, 3.0]
+    for fn in (
+        ScalarFn.constant(2.0),
+        ScalarFn.identity(),
+        ScalarFn.scaled(-3.0),
+        ScalarFn.affine(2.0, 1.0),
+        ScalarFn.poly(1.0, -2.0, 0.5),
+    ):
+        at_array = np.broadcast_to(fn(np.array(ts)), len(ts))
+        assert at_array.tobytes() == np.array([fn(t) for t in ts]).tobytes()
+
+
 def test_scalar_fn_validation():
     with pytest.raises(ValueError):
         ScalarFn("const", (1.0, 2.0))
@@ -250,6 +265,17 @@ def test_parse_scalar_fn_round_trip():
 def test_parse_rejects_malformed_specs(bad):
     with pytest.raises(ParseError):
         parse_rule(bad)
+
+
+@pytest.mark.parametrize("kind", ["convex", "dual"])
+def test_parse_caps_nesting_depth(kind):
+    deepest = nested_spec(kind, MAX_RULE_DEPTH)
+    rule = parse_rule(deepest)
+    assert format_rule(rule) == deepest
+    assert sum(evaluate(rule, reference_problem()).values) == pytest.approx(6.0)
+    for depth in (MAX_RULE_DEPTH + 1, 2000):
+        with pytest.raises(ParseError, match=f"more than {MAX_RULE_DEPTH} deep"):
+            parse_rule(nested_spec(kind, depth))
 
 
 def test_parse_convex_weight_out_of_range():
