@@ -79,6 +79,7 @@ from .rules import (
     PROP,
     ParseError,
     Proportional,
+    RuleError,
     RuleSpec,
     ScalarFn,
     WeightedRule,

@@ -2,7 +2,8 @@
 
 Subcommands: apply, check, dual, extract, classify, compare. Reports are
 JSON on stdout (or a file via --output); human messages go to stderr.
-Exit codes: 0 success, 1 axiom check failures, 2 parse errors, 3 dataset
+Exit codes: 0 success, 1 axiom check failures, 2 parse errors and rules
+whose payoffs do not allocate a valid dataset (RuleError), 3 dataset
 validation errors.
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -42,6 +44,10 @@ class DatasetError(ValueError):
     """The input dataset is malformed or violates a domain rule."""
 
 
+# A dataset as read: its id, income and need columns.
+_Columns = tuple[list[str], list[float], list[float]]
+
+
 def _parse_record_value(raw: object, what: str, where: str) -> float:
     try:
         return float(raw)  # type: ignore[arg-type]
@@ -50,19 +56,22 @@ def _parse_record_value(raw: object, what: str, where: str) -> float:
 
 
 def _checked_csv_row(row: list[str], where: str) -> tuple[str, float, float] | None:
-    """A row the fast path refused, checked field by field: None if it is blank."""
+    """A row the fast path refused, checked field by field: None if it is blank.
+
+    The id comes back as read; the caller strips it, as for every row.
+    """
     if not row or all(not cell.strip() for cell in row):
         return None
     if len(row) != 3:
         raise DatasetError(f"{where}: expected 3 columns, got {len(row)}")
     return (
-        row[0].strip(),
+        row[0],
         _parse_record_value(row[1], "income", where),
         _parse_record_value(row[2], "need", where),
     )
 
 
-def _read_csv(handle: TextIO, path: str) -> list[tuple[str, float, float]]:
+def _read_csv(handle: TextIO, path: str) -> _Columns:
     reader = csv.reader(handle)
     header = next(reader, None)
     if header is None:
@@ -72,17 +81,22 @@ def _read_csv(handle: TextIO, path: str) -> list[tuple[str, float, float]]:
         raise DatasetError(
             f"{path}: header must be id,income,need, got {','.join(header)!r}"
         )
-    records = []
+    ids: list[str] = []
+    incomes: list[float] = []
+    needs: list[float] = []
     for k, row in enumerate(reader, start=2):
         try:
-            agent_id, income, need = row
-            record = (agent_id.strip(), float(income), float(need))
+            agent_id, income_text, need_text = row
+            income, need = float(income_text), float(need_text)
         except ValueError:
-            record = _checked_csv_row(row, f"{path} line {k}")
-            if record is None:
+            checked = _checked_csv_row(row, f"{path} line {k}")
+            if checked is None:
                 continue
-        records.append(record)
-    return records
+            agent_id, income, need = checked
+        ids.append(agent_id.strip())
+        incomes.append(income)
+        needs.append(need)
+    return ids, incomes, needs
 
 
 def _checked_json_entry(entry: object, where: str) -> tuple[str, float, float]:
@@ -96,7 +110,7 @@ def _checked_json_entry(entry: object, where: str) -> tuple[str, float, float]:
     )
 
 
-def _read_json(handle: TextIO, path: str) -> list[tuple[str, float, float]]:
+def _read_json(handle: TextIO, path: str) -> _Columns:
     try:
         payload = json.load(handle)
     except ValueError as exc:
@@ -104,38 +118,44 @@ def _read_json(handle: TextIO, path: str) -> list[tuple[str, float, float]]:
     agents = payload.get("agents") if isinstance(payload, dict) else None
     if not isinstance(agents, list):
         raise DatasetError(f"{path}: expected an object with an 'agents' list")
-    records = []
+    ids: list[str] = []
+    incomes: list[float] = []
+    needs: list[float] = []
     for k, entry in enumerate(agents):
         try:
-            record = (str(entry["id"]), float(entry["income"]), float(entry["need"]))
+            agent_id, income, need = (
+                str(entry["id"]), float(entry["income"]), float(entry["need"])
+            )
         except (KeyError, TypeError, ValueError, OverflowError):
-            record = _checked_json_entry(entry, f"{path} agents[{k}]")
-        records.append(record)
-    return records
+            agent_id, income, need = _checked_json_entry(entry, f"{path} agents[{k}]")
+        ids.append(agent_id)
+        incomes.append(income)
+        needs.append(need)
+    return ids, incomes, needs
 
 
 def load_dataset(path: str, fmt: str | None = None) -> Problem:
     """Read a csv or json dataset of id, income, need records as a Problem.
 
-    Csv is parsed row by row as it is read; well-formed rows go straight
-    through float(), and any other row gets the checks that name its line.
-    A duplicate id is reported before the Problem's own checks run.
+    Rows go straight into an id, an income and a need column, csv rows as
+    they are read; well-formed rows go through float(), and any other row
+    gets the checks that name its line. A duplicate id is reported before
+    the Problem's own checks run.
     """
     if fmt is None:
         fmt = "json" if path.lower().endswith(".json") else "csv"
     try:
         with open(path, newline="", encoding="utf-8") as handle:
             if fmt == "csv":
-                records = _read_csv(handle, path)
+                ids, incomes, needs = _read_csv(handle, path)
             elif fmt == "json":
-                records = _read_json(handle, path)
+                ids, incomes, needs = _read_json(handle, path)
             else:
                 raise DatasetError(f"unknown format {fmt!r}")
     except OSError as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from None
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DatasetError(f"{path}: {exc}") from None
-    ids, incomes, needs = zip(*records) if records else ((), (), ())
     if len(set(ids)) != len(ids):
         seen: set[str] = set()
         for agent_id in ids:
@@ -208,17 +228,6 @@ class _Table:
 
     rows: int
     columns: dict[str, Iterable[str] | _Table]
-
-
-def _finite(texts: list[str]) -> list[str]:
-    """Raise json's error if these float.__repr__ texts hold a non-finite value.
-
-    A report holding one is then refused before any byte of it is written.
-    """
-    for bad in ("nan", "inf", "-inf"):
-        if bad in texts:
-            raise ValueError(f"Out of range float values are not JSON compliant: {bad}")
-    return texts
 
 
 def _row_parts(table: _Table, depth: int) -> list[str | Iterable[str]]:
@@ -307,24 +316,37 @@ def _agent_columns(
     }
 
 
+def _coverage(values: Sequence[float], needs: Sequence[float]) -> Iterator[str]:
+    """Needs coverage texts, value / need per agent or null for a zero need.
+
+    Coverage alone can overflow, so one pass checks it before the texts are
+    made lazily: a report holding a non-finite value is then refused with
+    json's own error before any byte of it is written.
+    """
+    bad = {
+        float.__repr__(value / need)
+        for value, need in zip(values, needs)
+        if need > 0 and not math.isfinite(value / need)
+    }
+    for text in ("nan", "inf", "-inf"):
+        if text in bad:
+            raise ValueError(f"Out of range float values are not JSON compliant: {text}")
+    return (
+        float.__repr__(value / need) if need > 0 else "null"
+        for value, need in zip(values, needs)
+    )
+
+
 def _apply_rows(
     ids: Sequence[str],
     incomes: Sequence[float],
     needs: Sequence[float],
     values: Sequence[float],
 ) -> _Table:
-    """Rows of id, income, need, allocation and needs coverage per agent.
-
-    Coverage alone can overflow, so only its texts are held and checked.
-    """
+    """Rows of id, income, need, allocation and needs coverage per agent."""
     columns = _agent_columns(ids, incomes, needs)
     columns["allocation"] = map(float.__repr__, values)
-    columns["needs_coverage"] = _finite(
-        [
-            float.__repr__(value / need) if need > 0 else "null"
-            for value, need in zip(values, needs)
-        ]
-    )
+    columns["needs_coverage"] = _coverage(values, needs)
     return _Table(len(ids), columns)
 
 

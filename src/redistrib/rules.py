@@ -15,7 +15,14 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .core import Allocation, Problem, block_totals, check_tol, make_problem
+from .core import (
+    Allocation,
+    Problem,
+    ValidationError,
+    block_totals,
+    check_tol,
+    make_problem,
+)
 
 
 class InvalidWeight(ValueError):
@@ -24,6 +31,13 @@ class InvalidWeight(ValueError):
 
 class ParseError(ValueError):
     """A rule or function spec string could not be parsed."""
+
+
+class RuleError(ValueError):
+    """A rule's payoffs on a valid problem are not an allocation of it.
+
+    Not a ValidationError: the problem is valid, so the rule is at fault.
+    """
 
 
 _ARITY = {"const": 1, "id": 0, "scale": 1, "affine": 2}
@@ -370,8 +384,17 @@ NAFR = NeedAdjustedFull()
 
 
 def evaluate(rule: RuleSpec, problem: Problem) -> Allocation:
-    """Apply a rule to a problem; the result is balance-checked on construction."""
-    return Allocation(problem, rule.payoffs(problem))
+    """Apply a rule to a problem; the result is balance-checked on construction.
+
+    The problem is valid, so payoffs that do not allocate it raise RuleError.
+    """
+    try:
+        return Allocation(problem, rule.payoffs(problem))
+    except ValidationError as exc:
+        raise RuleError(
+            f"rule {_rule_name(rule)} does not allocate this problem: "
+            f"{type(exc).__name__}: {exc}"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -461,14 +484,14 @@ def _split_top(text: str, sep: str) -> list[str]:
         elif ch == ")":
             depth -= 1
             if depth < 0:
-                raise ParseError(f"unbalanced ')' in {text!r}")
+                raise ParseError(f"unbalanced ')' in {_excerpt(text)!r}")
         if ch == sep and depth == 0:
             parts.append("".join(current))
             current = []
         else:
             current.append(ch)
     if depth != 0:
-        raise ParseError(f"unbalanced '(' in {text!r}")
+        raise ParseError(f"unbalanced '(' in {_excerpt(text)!r}")
     parts.append("".join(current))
     return parts
 
@@ -477,6 +500,7 @@ def _split_top(text: str, sep: str) -> list[str]:
 # Parsing, evaluating and formatting a rule recurse once per level, so the
 # cap keeps every rule far from Python's recursion limit.
 MAX_RULE_DEPTH = 64
+_TOO_DEEP = f"rule nests convex and dual more than {MAX_RULE_DEPTH} deep"
 
 
 def parse_rule(text: str, _depth: int = 0) -> RuleSpec:
@@ -492,7 +516,7 @@ def parse_rule(text: str, _depth: int = 0) -> RuleSpec:
     convex and dual nest at most MAX_RULE_DEPTH deep.
     """
     if _depth > MAX_RULE_DEPTH:
-        raise ParseError(f"rule nests convex and dual more than {MAX_RULE_DEPTH} deep")
+        raise ParseError(_TOO_DEEP)
     s = text.strip()
     simple = {"lf": LF, "full": FULL, "prop": PROP, "nafr": NAFR}
     if s in simple:
@@ -577,6 +601,19 @@ def format_rule(rule: RuleSpec) -> str:
     raise ValueError(f"cannot format {rule!r}")
 
 
+def _rule_name(rule: RuleSpec) -> str:
+    """The rule's spec string, or its repr if the grammar cannot spell it."""
+    try:
+        return repr(format_rule(rule))
+    except ValueError:
+        return repr(rule)
+
+
+def _excerpt(text: str, limit: int = 60) -> str:
+    """The text, cut to its first limit characters with a marker if longer."""
+    return text if len(text) <= limit else text[:limit] + "..."
+
+
 def split_rule_list(text: str) -> list[RuleSpec]:
     """Parse a comma-separated list of rule specs.
 
@@ -589,11 +626,14 @@ def split_rule_list(text: str) -> list[RuleSpec]:
         pending = part if pending is None else pending + "," + part
         try:
             rules.append(parse_rule(pending))
-        except ParseError:
+        except ParseError as exc:
+            # A fragment nested too deep stays so whatever follows it.
+            if exc.args == (_TOO_DEEP,):
+                raise
             continue
         pending = None
     if pending is not None:
-        raise ParseError(f"could not parse rule list near {pending!r}")
+        raise ParseError(f"could not parse rule list near {_excerpt(pending)!r}")
     if not rules:
         raise ParseError("empty rule list")
     return rules

@@ -18,6 +18,7 @@ from redistrib import (
     LF,
     NAFR,
     PROP,
+    ValidationError,
     evaluate,
     format_rule,
     make_problem,
@@ -328,6 +329,33 @@ def test_rule_nesting_is_capped(capsys, kind, command):
         )
 
 
+@pytest.mark.parametrize("depth", [MAX_RULE_DEPTH + 1, 2000])
+def test_compare_rule_lists_name_the_nesting_cap(capsys, depth):
+    argv = ["compare", "--rules", "lf," + nested_spec("dual", depth), "--input", "unused"]
+    code = main(argv + ["--no-timestamp"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        f"ParseError: rule nests convex and dual more than {MAX_RULE_DEPTH} deep\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "spec,message",
+    [
+        ("lf,bogus" + ",prop" * 2000, "could not parse rule list near 'bogus,prop,"),
+        ("lf," + "dual(" * 2000 + "lf", "unbalanced '(' in 'lf,dual(dual("),
+    ],
+    ids=["unparsable", "unbalanced"],
+)
+def test_a_long_rule_list_is_quoted_in_short(capsys, spec, message):
+    code = main(["compare", "--rules", spec, "--input", "unused", "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"ParseError: {message}")
+    assert len(captured.err.splitlines()) == 1 and len(captured.err) < 300
+
+
 def test_data_failures_exit_3(capsys, tmp_path):
     cases = {
         "zero_need.csv": "id,income,need\na,5,0\nb,1,0\n",
@@ -369,6 +397,25 @@ def test_overflowing_totals_exit_3_and_name_the_total(capsys, tmp_path, column, 
     assert code == 3
     assert captured.out == ""
     assert message in captured.err
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "file"])
+def test_a_rule_that_fails_on_valid_data_exits_2_and_names_the_rule(
+    capsys, tmp_path, to_file
+):
+    # the kernel's y*a + (Y/n)*(1 - a) cancels to 0.0 for a = 1e300
+    path = tmp_path / "one.csv"
+    path.write_text("id,income,need\na,-710534.77,490051.41\n", encoding="utf-8")
+    out = tmp_path / "report.json"
+    argv = ["apply", "--rule", "dual(lin:1e+300,0.0)", "--input", str(path)]
+    code = main(argv + ["--no-timestamp"] + (["--output", str(out)] if to_file else []))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith(
+        "RuleError: rule 'dual(lin:1e+300,0.0)' does not allocate this problem: "
+        "BalanceViolation: "
+    )
 
 
 @pytest.mark.parametrize(
@@ -429,6 +476,144 @@ def test_non_finite_needs_coverage_exits_2_before_writing(capsys, tmp_path, to_f
     assert captured.out == ""
     assert "not JSON compliant: inf" in captured.err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "rows,bad",
+    [
+        ("b,-1e300,5e-324\nc,1e300,3\n", "-inf"),
+        # json names inf when the column holds both signs
+        ("b,-1e300,5e-324\nc,1e300,5e-324\n", "inf"),
+        ("b,1e300,5e-324\nc,-1e300,5e-324\n", "inf"),
+    ],
+    ids=["-inf", "-inf-then-inf", "inf-then-inf"],
+)
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "file"])
+def test_non_finite_coverage_is_named_as_json_names_it(capsys, tmp_path, rows, bad, to_file):
+    path = tmp_path / "tiny_need.csv"
+    path.write_text("id,income,need\na,5,1\n" + rows + "d,2,3\n", encoding="utf-8")
+    out = tmp_path / "report.json"
+    argv = ["apply", "--rule", "lf", "--input", str(path), "--no-timestamp"]
+    code = main(argv + (["--output", str(out)] if to_file else []))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and not out.exists()
+    assert captured.err == f"ValueError: Out of range float values are not JSON compliant: {bad}\n"
+
+
+# Datasets whose rows take each path of the loaders, with the columns they hold.
+EDGE_DATASETS = {
+    # blank and whitespace-only rows are skipped but still counted as lines
+    "blank-lines.csv": (
+        "id,income,need\n\na,5,1\n , ,\n\nb,1,3\n\n",
+        ["a", "b"], [5.0, 1.0], [1.0, 3.0],
+    ),
+    "padded.csv": (
+        " ID , Income,need\r\n a ,-2.5 , 1e1\r\n\t,\t,\r\n b , 7.5,2 \r\n",
+        ["a", "b"], [-2.5, 7.5], [10.0, 2.0],
+    ),
+    "zero-need.csv": (
+        "id,income,need\na,5,1\nb,1,3\nc,2,0\n",
+        ["a", "b", "c"], [5.0, 1.0, 2.0], [1.0, 3.0, 0.0],
+    ),
+    "integer-income.json": (
+        json.dumps(
+            {
+                "agents": [
+                    {"id": "a", "income": 5, "need": 1},
+                    {"id": 7, "income": 1.5, "need": 3},
+                    {"id": "c", "income": -2, "need": 0},
+                ]
+            }
+        ),
+        ["a", "7", "c"], [5.0, 1.5, -2.0], [1.0, 3.0, 0.0],
+    ),
+}
+
+
+def _reference_report(command, specs, path, ids, incomes, needs):
+    """The report json.dumps writes, built from the expected columns."""
+    problem = make_problem(ids, incomes, needs)
+    values = {spec: evaluate(parse_rule(spec), problem).values for spec in specs}
+    agents = [{"id": i, "income": y, "need": z} for i, y, z in zip(ids, incomes, needs)]
+    report = {"schema_version": "1", "command": command}
+    if command == "apply":
+        (spec,) = specs
+        report.update(rule=spec, input=path)
+        for row, x in zip(agents, values[spec]):
+            row.update(allocation=x, needs_coverage=x / row["need"] if row["need"] else None)
+        report["agents"] = agents
+        report["summary"] = _summary_of(values[spec])
+    else:
+        report.update(rules=specs, input=path)
+        for k, row in enumerate(agents):
+            row["allocations"] = {spec: values[spec][k] for spec in specs}
+        report["agents"] = agents
+        report["summary"] = {spec: _summary_of(values[spec]) for spec in specs}
+    return json.dumps(report, indent=2) + "\n"
+
+
+def _summary_of(values):
+    total = 0.0
+    for x in values:
+        total += x
+    return {"total": total, "mean": total / len(values), "min": min(values), "max": max(values)}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_DATASETS))
+@pytest.mark.parametrize(
+    "command,specs",
+    [("apply", ["prop"]), ("apply", ["nafr"]), ("compare", ["lf", "prop", "dual(lin:0.3,0.2)"])],
+)
+def test_edge_dataset_reports_are_exact(capsys, tmp_path, name, command, specs):
+    text, *columns = EDGE_DATASETS[name]
+    path = tmp_path / name
+    path.write_bytes(text.encode("utf-8"))
+    if command == "apply":
+        argv = ["apply", "--rule", specs[0]]
+    else:
+        argv = ["compare", "--rules", ",".join(specs)]
+    code = main(argv + ["--input", str(path), "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert captured.out == _reference_report(command, specs, str(path), *columns)
+
+
+@pytest.mark.parametrize(
+    "name,text,message",
+    [
+        ("columns.csv", "id,income,need\na,5,1\n\nb,1\n", " line 4: expected 3 columns, got 2"),
+        ("blank.csv", "id,income,need\n\n \t, ,\nb,x,3\n", " line 4: income 'x' is not a number"),
+        ("padded.csv", "id,income,need\n a , 5 , one \n", " line 2: need ' one ' is not a number"),
+        ("extra.csv", "id,income,need\na,5,1,\n", " line 2: expected 3 columns, got 4"),
+        # the first bad row is named, and before any duplicate id
+        ("first.csv", "id,income,need\na,5,1\na,1,3\nc,1,y\nd,z,1\n", " line 4: need 'y' is not a number"),
+        # a duplicate id is named before the Problem's own checks
+        ("duplicate.csv", "id,income,need\na,5,0\nb,1,0\na,1,0\n", ": duplicate agent id 'a'"),
+        (
+            "income.json",
+            '{"agents": [{"id": "a", "income": 5, "need": 1}, {"id": "b", "income": "x", "need": 1}]}',
+            " agents[1]: income 'x' is not a number",
+        ),
+        (
+            "keys.json",
+            '{"agents": [{"id": "a", "income": 5, "need": 1}, {"id": "b", "need": 1}]}',
+            " agents[1]: expected keys id, income, need",
+        ),
+        (
+            "duplicate.json",
+            '{"agents": [{"id": 1, "income": 5, "need": 1}, {"id": "1", "income": 1, "need": 1}]}',
+            ": duplicate agent id '1'",
+        ),
+    ],
+)
+def test_loader_errors_are_named_exactly(capsys, tmp_path, name, text, message):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    code = main(["apply", "--rule", "lf", "--input", str(path), "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == f"DatasetError: {path}{message}\n"
 
 
 # Ids with quotes, backslashes, control and non-ASCII characters.
@@ -749,6 +934,14 @@ def _write_dataset(directory, fmt, ids, incomes, needs):
     return path
 
 
+def _is_valid_problem(data):
+    try:
+        make_problem(*data)
+    except ValidationError:
+        return False
+    return True
+
+
 def _refuse_constant(name):
     raise ValueError(f"report holds {name}")
 
@@ -779,6 +972,8 @@ def test_dataset_reports_are_finite_and_exact_or_not_written(
             code = main(argv + (["--output", target] if to_file else []))
         assert code in (0, 2, 3), err.getvalue()
         assert "Traceback" not in err.getvalue()
+        # exit 3 is for invalid data; a rule that fails on valid data exits 2
+        assert code != 3 or not _is_valid_problem(data), err.getvalue()
         if code != 0:
             assert out.getvalue() == ""
             assert not os.path.exists(target)
@@ -826,13 +1021,35 @@ def _memory_problem():
     return make_problem(ids, incomes, needs)
 
 
+def test_load_dataset_holds_little_beyond_the_problem(tmp_path):
+    problem = _memory_problem()
+    path = tmp_path / "memory.csv"
+    rows = zip(problem.agents, problem.incomes, problem.needs)
+    path.write_text(
+        "id,income,need\n" + "".join(f"{i},{y!r},{z!r}\n" for i, y, z in rows),
+        encoding="utf-8",
+    )
+    del problem, rows
+    tracemalloc.start()
+    try:
+        loaded = load_dataset(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(loaded) == MEMORY_ROWS
+    # about 184 B, of which the Problem keeps about 129 B: the rows are read
+    # straight into columns, with no per-row record to re-split
+    assert peak / MEMORY_ROWS < 220
+
+
 def test_apply_report_holds_little_per_row():
     problem = _memory_problem()
     values = evaluate(PROP, problem).values
     per_row = _emit_peak_per_row(
         lambda: _apply_rows(problem.agents, problem.incomes, problem.needs, values)
     )
-    assert per_row < 200
+    # about 72 B: the columns are read once, and no coverage text is held
+    assert per_row < 100
 
 
 def test_compare_report_holds_little_per_row():

@@ -10,6 +10,7 @@ from redistrib import (
     AFamilyRule,
     BFamilyRule,
     ConvexCombination,
+    CustomRule,
     DualRule,
     FULL,
     InvalidWeight,
@@ -19,7 +20,9 @@ from redistrib import (
     NAFR,
     PROP,
     ParseError,
+    RuleError,
     ScalarFn,
+    ValidationError,
     check_allocation,
     equivalent_on,
     evaluate,
@@ -66,6 +69,24 @@ def test_linear_rule_payoffs():
     p = reference_problem()
     assert evaluate(LinearRule(0.3, 0.2), p).values == pytest.approx((3.3, 2.7))
     assert evaluate(LinearDualRule(0.3, 0.2), p).values == pytest.approx((2.8, 3.2))
+
+
+@pytest.mark.parametrize(
+    "payoffs,failure",
+    [
+        ([1.0, 1.0], "BalanceViolation"),
+        ([6.0, math.inf], "NonFinite"),
+        ([6.0], "LengthMismatch"),
+    ],
+)
+def test_evaluate_blames_the_rule_when_a_valid_problem_is_not_allocated(payoffs, failure):
+    assert not issubclass(RuleError, ValidationError)
+    rule = CustomRule("broken", lambda problem: payoffs)
+    with pytest.raises(RuleError, match=f"rule 'custom:broken' .*: {failure}: "):
+        evaluate(rule, reference_problem())
+    # inside a dual, whose reflected problem is built from the valid one
+    with pytest.raises(RuleError, match=r"rule 'dual\(custom:broken\)'"):
+        evaluate(DualRule(rule), reference_problem())
 
 
 def test_ab_rule_evaluates_ratio_once_per_problem():
