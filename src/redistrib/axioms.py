@@ -5,14 +5,14 @@ measure how far the rule deviates from the property, and fail when the
 deviation exceeds a tolerance scaled by the instance's magnitude. A pass is
 evidence, not proof; a fail comes with a concrete re-runnable counterexample.
 
-Trials are drawn and screened in blocks of numpy arrays, one row per trial.
-The first violating trial is rebuilt as an instance of Problems, which the
-scalar measure of its axiom confirms, shrinks and reports.
+Trials are drawn and screened in blocks of numpy arrays, one row per trial;
+the screen is each axiom's only measure. The first flagged trial is rebuilt
+as an instance of Problems, re-screened as a one-row block, then shrunk and
+reported.
 """
 
 from __future__ import annotations
 
-import math
 import zlib
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
@@ -24,9 +24,7 @@ from .core import (
     ValidationError,
     block_scales,
     check_tol,
-    left_sum,
     make_problem,
-    problem_scale,
     row_sums,
 )
 from .rules import RuleSpec
@@ -197,31 +195,18 @@ class AxiomReport:
 
 @dataclass(frozen=True)
 class _Checker:
-    """An axiom's block form (draw, screen) and its scalar measure.
+    """An axiom's draw and screen, and how its counterexamples shrink.
 
-    draw(rng, n, m) gives m trials of n agents as a block; screen gives
-    each trial's deviation and scale; measure does the same for one trial's
-    instance and confirms, shrinks and re-checks counterexamples.
+    draw(rng, n, m) gives m trials of n agents as a block. screen gives each
+    trial's deviation, scale, expected and observed values (expected may be
+    None); on a one-row block rebuilt from an instance it confirms, shrinks
+    and re-checks counterexamples.
     """
 
     draw: Callable[[np.random.Generator, int, int], dict]
-    screen: Callable[[RuleSpec, dict], tuple[np.ndarray, np.ndarray]]
-    measure: Callable[
-        [RuleSpec, dict],
-        tuple[float, float, tuple[float, ...] | None, tuple[float, ...] | None],
-    ]
+    screen: Callable[[RuleSpec, dict], tuple]
     shrink: Callable[[dict, float], dict] | None = None
     droppable: Callable[[dict], tuple] | None = None
-
-
-def _peak(values: Iterable[float]) -> float:
-    """The largest value, or NaN if any value is NaN."""
-    values = list(values)
-    return math.nan if any(math.isnan(v) for v in values) else max(values)
-
-
-def _max_abs_diff(xs: Sequence[float], ys: Sequence[float]) -> float:
-    return _peak(abs(u - v) for u, v in zip(xs, ys))
 
 
 def _violates(deviation: float, tol: float, scale: float) -> bool:
@@ -233,11 +218,22 @@ def _row_max_abs(values: np.ndarray) -> np.ndarray:
     return np.abs(values).max(axis=1)
 
 
+def _payoff_scale(scales: list[np.ndarray], *payoffs: np.ndarray) -> np.ndarray:
+    """Each row's largest problem scale and absolute payoff; rows come first.
+
+    A NaN payoff is skipped where a number exists: it fails its trial
+    through the deviation, and the threshold stays that of the numbers.
+    """
+    peaks = [np.fmax.reduce(np.abs(x).reshape(len(x), -1), axis=1) for x in payoffs]
+    return np.fmax.reduce(scales + peaks)
+
+
 def _trial(block: dict, k: int) -> dict:
-    """Trial k of a block as the instance dict that the scalar measures take.
+    """Trial k of a block as an instance dict, the form counterexamples take.
 
     An (incomes, needs) pair becomes a Problem, a boolean mask the positions
     it selects, a 2-D array a tuple, a 1-D array an entry; a scalar is kept.
+    _block turns the instance back into a one-row block.
     """
     instance = {}
     for key, value in block.items():
@@ -252,6 +248,43 @@ def _trial(block: dict, k: int) -> dict:
         else:
             instance[key] = value[k].item()
     return instance
+
+
+# Instance entries that name an agent by id; the screens take its column.
+_AGENT_KEYS = ("first", "second", "agent")
+
+
+def _block(instance: dict) -> dict:
+    """The one-row block whose trial is this instance: the inverse of _trial.
+
+    Agent ids become 1-based columns of the instance's problem, which
+    shrinking may have left with gaps in its ids; member positions become a
+    mask. The screen's rule sees agents 1..n, as in the block it was drawn in.
+    """
+    agents = instance["problem"].agents
+    block = {}
+    for key, value in instance.items():
+        if isinstance(value, Problem):
+            block[key] = (np.array([value.incomes]), np.array([value.needs]))
+        elif key == "members":
+            block[key] = np.isin(np.arange(len(agents)), value)[None]
+        elif key in _AGENT_KEYS:
+            block[key] = np.array([agents.index(value) + 1])
+        else:
+            block[key] = np.array([value], dtype=float)
+    return block
+
+
+def _measure(checker: _Checker, rule: RuleSpec, instance: dict) -> tuple:
+    """Screen an instance as a one-row block.
+
+    Returns its deviation and scale as floats, and its expected and observed
+    values as tuples of floats (or None).
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        deviation, scale, *values = checker.screen(rule, _block(instance))
+    expected, observed = (None if v is None else tuple(v[0].tolist()) for v in values)
+    return deviation[0].item(), scale[0].item(), expected, observed
 
 
 def _drop_agent(instance: dict, agent) -> dict:
@@ -283,24 +316,11 @@ def _screen_homogeneity(rule, block):
     scaled = (factor * incomes, factor * needs)
     expected = factor * rule.payoffs_batch(incomes, needs)
     observed = rule.payoffs_batch(*scaled)
-    scale = np.maximum.reduce(
-        [block_scales(incomes, needs), block_scales(*scaled), _row_max_abs(observed)]
-    )
-    return _row_max_abs(observed - expected), scale
-
-
-def _measure_homogeneity(rule, instance):
-    problem, factor = instance["problem"], instance["factor"]
-    scaled = make_problem(
-        problem.agents,
-        tuple(factor * y for y in problem.incomes),
-        tuple(factor * z for z in problem.needs),
-    )
-    expected = tuple(factor * x for x in rule.payoffs(problem))
-    observed = rule.payoffs(scaled)
     # Rounding grows with the payoffs, which can dwarf the problem's totals.
-    scale = max(problem_scale(problem), problem_scale(scaled), *map(abs, observed))
-    return _max_abs_diff(observed, expected), scale, expected, observed
+    scale = _payoff_scale(
+        [block_scales(incomes, needs), block_scales(*scaled)], observed
+    )
+    return _row_max_abs(observed - expected), scale, expected, observed
 
 
 def _shrink_homogeneity(instance, s):
@@ -328,16 +348,13 @@ def _screen_equal_treatment(rule, block):
     incomes, needs = block["problem"]
     x = rule.payoffs_batch(incomes, needs)
     rows = np.arange(len(x))
-    gap = x[rows, block["first"] - 1] - x[rows, block["second"] - 1]
-    return np.abs(gap), block_scales(incomes, needs)
-
-
-def _measure_equal_treatment(rule, instance):
-    problem = instance["problem"]
-    x = rule.payoffs(problem)
-    i = problem.agents.index(instance["first"])
-    j = problem.agents.index(instance["second"])
-    return abs(x[i] - x[j]), problem_scale(problem), (x[i], x[i]), (x[i], x[j])
+    first, second = x[rows, block["first"] - 1], x[rows, block["second"] - 1]
+    return (
+        np.abs(first - second),
+        block_scales(incomes, needs),
+        np.stack([first, first], axis=1),
+        np.stack([first, second], axis=1),
+    )
 
 
 def _droppable_equal_treatment(instance):
@@ -363,33 +380,6 @@ def _draw_continuity(rng, n, m):
     }
 
 
-def _measure_continuity(rule, instance):
-    problem = instance["problem"]
-    base = rule.payoffs(problem)
-    income_dir = instance["income_dir"]
-    need_dir = instance["need_dir"]
-    delta = instance["base_delta"]
-    scale = max(problem_scale(problem), *map(abs, base))
-    gaps: list[float] = []
-    for _ in range(CONTINUITY_STEPS + 1):
-        nearby = make_problem(
-            problem.agents,
-            tuple(y + delta * u for y, u in zip(problem.incomes, income_dir)),
-            tuple(z + delta * v for z, v in zip(problem.needs, need_dir)),
-        )
-        moved = rule.payoffs(nearby)
-        gaps.append(_max_abs_diff(moved, base))
-        scale = max(scale, *map(abs, moved))
-        delta *= 0.5
-    # Violation when the gap fails to vanish, or grows along the tail. A
-    # continuous rule's gap may grow at the first, large steps, before the
-    # perturbation is small enough for the rule to look linear.
-    tail = gaps[-(CONTINUITY_TAIL + 1):]
-    growth = [later - earlier for earlier, later in zip(tail, tail[1:])]
-    worst = _peak([gaps[-1]] + growth)
-    return worst, scale, None, tuple(gaps)
-
-
 _HALVINGS = 0.5 ** np.arange(CONTINUITY_STEPS + 1)
 
 
@@ -404,16 +394,13 @@ def _screen_continuity(rule, block):
         (needs + deltas * block["need_dir"]).reshape(-1, n),
     ).reshape(-1, m, n)
     gaps = np.abs(moved - base).max(axis=2)
+    # Violation when the gap fails to vanish, or grows along the tail. A
+    # continuous rule's gap may grow at the first, large steps, before the
+    # perturbation is small enough for the rule to look linear.
     tail = gaps[-(CONTINUITY_TAIL + 1):]
     worst = np.maximum(gaps[-1], (tail[1:] - tail[:-1]).max(axis=0))
-    scale = np.maximum.reduce(
-        [
-            block_scales(incomes, needs),
-            _row_max_abs(base),
-            np.abs(moved).max(axis=(0, 2)),
-        ]
-    )
-    return worst, scale
+    scale = _payoff_scale([block_scales(incomes, needs)], base, moved.swapaxes(0, 1))
+    return worst, scale, None, gaps.T
 
 
 # --- nat: within-group reallocation never changes the group's total payoff ---
@@ -444,23 +431,7 @@ def _screen_nat(rule, block):
     before = row_sums(np.where(members, rule.payoffs_batch(*problem), 0.0))
     after = row_sums(np.where(members, rule.payoffs_batch(*modified), 0.0))
     scale = np.maximum(block_scales(*problem), block_scales(*modified))
-    return np.abs(after - before), scale
-
-
-def _measure_nat(rule, instance):
-    problem, modified = instance["problem"], instance["modified"]
-    members = instance["members"]
-    before = rule.payoffs(problem)
-    after = rule.payoffs(modified)
-    group_before = left_sum(before[k] for k in members)
-    group_after = left_sum(after[k] for k in members)
-    scale = max(problem_scale(problem), problem_scale(modified))
-    return (
-        abs(group_after - group_before),
-        scale,
-        (group_before,),
-        (group_after,),
-    )
+    return np.abs(after - before), scale, before[:, None], after[:, None]
 
 
 def _shrink_nat(instance, s):
@@ -488,14 +459,7 @@ def _screen_stability(rule, block):
     incomes, needs = block["problem"]
     once = rule.payoffs_batch(incomes, needs)
     again = rule.payoffs_batch(once, needs)
-    return _row_max_abs(once - again), block_scales(incomes, needs)
-
-
-def _measure_stability(rule, instance):
-    problem = instance["problem"]
-    once = rule.payoffs(problem)
-    again = rule.payoffs(make_problem(problem.agents, once, problem.needs))
-    return _max_abs_diff(once, again), problem_scale(problem), once, again
+    return _row_max_abs(once - again), block_scales(incomes, needs), once, again
 
 
 def _droppable_stability(instance):
@@ -520,14 +484,8 @@ def _screen_dummy(rule, block):
     incomes, needs = block["problem"]
     x = rule.payoffs_batch(incomes, needs)
     paid = x[np.arange(len(x)), block["agent"] - 1]
-    return np.abs(paid), block_scales(incomes, needs)
-
-
-def _measure_dummy(rule, instance):
-    problem = instance["problem"]
-    k = problem.agents.index(instance["agent"])
-    x = rule.payoffs(problem)
-    return abs(x[k]), problem_scale(problem), (0.0,), (x[k],)
+    expected = np.zeros((len(x), 1))
+    return np.abs(paid), block_scales(incomes, needs), expected, paid[:, None]
 
 
 def _droppable_dummy(instance):
@@ -557,26 +515,7 @@ def _screen_income_additivity(rule, block):
     expected = rule.payoffs_batch(incomes, needs) + rule.payoffs_batch(extra, needs)
     observed = rule.payoffs_batch(combined, needs)
     scale = _additivity_scale(incomes, needs, extra, combined)
-    return _row_max_abs(observed - expected), scale
-
-
-def _measure_income_additivity(rule, instance):
-    problem = instance["problem"]
-    extra = instance["extra_incomes"]
-    second = make_problem(problem.agents, extra, problem.needs)
-    combined = make_problem(
-        problem.agents,
-        tuple(y + e for y, e in zip(problem.incomes, extra)),
-        problem.needs,
-    )
-    expected = tuple(
-        u + v for u, v in zip(rule.payoffs(problem), rule.payoffs(second))
-    )
-    observed = rule.payoffs(combined)
-    scale = max(
-        problem_scale(problem), problem_scale(second), problem_scale(combined)
-    )
-    return _max_abs_diff(observed, expected), scale, expected, observed
+    return _row_max_abs(observed - expected), scale, expected, observed
 
 
 def _shrink_extra_incomes(instance, s):
@@ -588,74 +527,38 @@ def _shrink_extra_incomes(instance, s):
 # --- dual income additivity: the reflected form of income additivity ---
 
 
-def _measure_dual_income_additivity(rule, instance):
-    problem = instance["problem"]
-    extra = instance["extra_incomes"]
-    combined = make_problem(
-        problem.agents,
-        tuple(y + e for y, e in zip(problem.incomes, extra)),
-        problem.needs,
-    )
-    shifted = make_problem(
-        problem.agents,
-        tuple(z + e for z, e in zip(problem.needs, extra)),
-        problem.needs,
-    )
-    observed = tuple(
-        z + r for z, r in zip(problem.needs, rule.payoffs(combined))
-    )
-    expected = tuple(
-        u + v for u, v in zip(rule.payoffs(problem), rule.payoffs(shifted))
-    )
-    scale = max(
-        problem_scale(problem), problem_scale(combined), problem_scale(shifted)
-    )
-    return _max_abs_diff(observed, expected), scale, expected, observed
-
-
 def _screen_dual_income_additivity(rule, block):
     (incomes, needs), extra = block["problem"], block["extra_incomes"]
     combined, shifted = incomes + extra, needs + extra
     observed = needs + rule.payoffs_batch(combined, needs)
     expected = rule.payoffs_batch(incomes, needs) + rule.payoffs_batch(shifted, needs)
     scale = _additivity_scale(incomes, needs, combined, shifted)
-    return _row_max_abs(observed - expected), scale
+    return _row_max_abs(observed - expected), scale, expected, observed
 
 
 _CHECKERS: dict[str, _Checker] = {
     "homogeneity": _Checker(
-        _draw_homogeneity,
-        _screen_homogeneity,
-        _measure_homogeneity,
-        shrink=_shrink_homogeneity,
+        _draw_homogeneity, _screen_homogeneity, shrink=_shrink_homogeneity
     ),
     "equal_treatment": _Checker(
         _draw_equal_treatment,
         _screen_equal_treatment,
-        _measure_equal_treatment,
         droppable=_droppable_equal_treatment,
     ),
-    "continuity": _Checker(_draw_continuity, _screen_continuity, _measure_continuity),
-    "nat": _Checker(_draw_nat, _screen_nat, _measure_nat, shrink=_shrink_nat),
+    "continuity": _Checker(_draw_continuity, _screen_continuity),
+    "nat": _Checker(_draw_nat, _screen_nat, shrink=_shrink_nat),
     "stability": _Checker(
-        _draw_stability,
-        _screen_stability,
-        _measure_stability,
-        droppable=_droppable_stability,
+        _draw_stability, _screen_stability, droppable=_droppable_stability
     ),
-    "dummy": _Checker(
-        _draw_dummy, _screen_dummy, _measure_dummy, droppable=_droppable_dummy
-    ),
+    "dummy": _Checker(_draw_dummy, _screen_dummy, droppable=_droppable_dummy),
     "income_additivity": _Checker(
         _draw_income_additivity,
         _screen_income_additivity,
-        _measure_income_additivity,
         shrink=_shrink_extra_incomes,
     ),
     "dual_income_additivity": _Checker(
         _draw_income_additivity,
         _screen_dual_income_additivity,
-        _measure_dual_income_additivity,
         shrink=_shrink_extra_incomes,
     ),
 }
@@ -668,7 +571,7 @@ def _shrunk(checker: _Checker, rule: RuleSpec, instance: dict, tol: float) -> di
         for _ in range(MAX_SHRINK_STEPS):
             s *= 0.5
             candidate = checker.shrink(instance, s)
-            deviation, scale, _, _ = checker.measure(rule, candidate)
+            deviation, scale, _, _ = _measure(checker, rule, candidate)
             if _violates(deviation, tol, scale):
                 instance = candidate
             else:
@@ -681,7 +584,7 @@ def _shrunk(checker: _Checker, rule: RuleSpec, instance: dict, tol: float) -> di
             for agent in checker.droppable(instance):
                 try:
                     candidate = _drop_agent(instance, agent)
-                    deviation, scale, _, _ = checker.measure(rule, candidate)
+                    deviation, scale, _, _ = _measure(checker, rule, candidate)
                 except ValidationError:
                     continue
                 if _violates(deviation, tol, scale):
@@ -700,11 +603,11 @@ def check_axiom(
     Stops at the first violation, shrinks it, and reports a counterexample
     whose re-measured deviation exceeds tol scaled by instance magnitude;
     a NaN deviation, as a NaN payoff gives, counts as a violation.
-    Trials are screened a block at a time; the first trial the screen flags
-    that the scalar measure confirms is the violation. When a block holds a
-    problem that Problem rejects, every trial of the block goes to the
-    scalar measure in order, so the first violation is reported or the
-    error raised, as trial by trial.
+    Trials are screened a block at a time. The first trial the screen flags
+    is re-screened as a one-row block rebuilt from its instance, which then
+    shrinks and is reported. When a block holds a problem that Problem
+    rejects, every trial of the block is re-screened that way in order, so
+    the first violation is reported or the error raised, as trial by trial.
     """
     if axiom not in _CHECKERS:
         raise UnknownAxiom(f"unknown axiom {axiom!r}")
@@ -717,17 +620,17 @@ def check_axiom(
             block = checker.draw(rng, n, len(rows))
             try:
                 with np.errstate(over="ignore", invalid="ignore"):
-                    deviation, scale = checker.screen(rule, block)
+                    deviation, scale, _, _ = checker.screen(rule, block)
                 hits = np.flatnonzero(~(deviation <= tol * scale))
             except ValidationError:
                 hits = range(len(rows))
             flagged += [(int(rows[k]), block, k) for k in hits]
         for trial, block, k in sorted(flagged, key=lambda hit: hit[0]):
             instance = _trial(block, k)
-            deviation, scale, _, _ = checker.measure(rule, instance)
+            deviation, scale, _, _ = _measure(checker, rule, instance)
             if _violates(deviation, tol, scale):
                 instance = _shrunk(checker, rule, instance, tol)
-                deviation, scale, expected, observed = checker.measure(rule, instance)
+                deviation, scale, expected, observed = _measure(checker, rule, instance)
                 counterexample = Counterexample(
                     instance=instance,
                     expected=expected,
@@ -744,10 +647,10 @@ def check_axiom(
 def recheck_counterexample(
     axiom: str, rule: RuleSpec, counterexample: Counterexample
 ) -> tuple[float, float]:
-    """Re-measure a stored counterexample; returns (deviation, threshold scale)."""
+    """Re-screen a stored counterexample; returns (deviation, threshold scale)."""
     if axiom not in _CHECKERS:
         raise UnknownAxiom(f"unknown axiom {axiom!r}")
-    deviation, scale, _, _ = _CHECKERS[axiom].measure(rule, counterexample.instance)
+    deviation, scale, _, _ = _measure(_CHECKERS[axiom], rule, counterexample.instance)
     return deviation, scale
 
 

@@ -448,7 +448,7 @@ def parse_scalar_fn(text: str) -> ScalarFn:
         return ScalarFn.identity()
     head, sep, rest = s.partition(":")
     if not sep:
-        raise ParseError(f"unknown function {text!r}")
+        raise ParseError(f"unknown function {_excerpt(text)!r}")
     values = [_parse_real(tok) for tok in rest.split(",")] if rest else []
     if head == "const" and len(values) == 1:
         return ScalarFn.constant(values[0])
@@ -459,17 +459,17 @@ def parse_scalar_fn(text: str) -> ScalarFn:
     if head == "poly" and values:
         return ScalarFn.poly(*values)
     if head in ("const", "scale", "affine", "poly"):
-        raise ParseError(f"wrong number of parameters in {text!r}")
-    raise ParseError(f"unknown function kind {head!r}")
+        raise ParseError(f"wrong number of parameters in {_excerpt(text)!r}")
+    raise ParseError(f"unknown function kind {_excerpt(head)!r}")
 
 
 def _parse_real(token: str) -> float:
     try:
         value = float(token.strip())
     except ValueError:
-        raise ParseError(f"expected a number, got {token.strip()!r}") from None
+        raise ParseError(f"expected a number, got {_excerpt(token.strip())!r}") from None
     if not math.isfinite(value):
-        raise ParseError(f"number {token.strip()!r} is not finite")
+        raise ParseError(f"number {_excerpt(token.strip())!r} is not finite")
     return value
 
 
@@ -524,7 +524,7 @@ def parse_rule(text: str, _depth: int = 0) -> RuleSpec:
     if s.startswith("convex(") and s.endswith(")"):
         parts = _split_top(s[len("convex(") : -1], ";")
         if len(parts) != 3:
-            raise ParseError(f"convex takes rule;rule;weight, got {text!r}")
+            raise ParseError(f"convex takes rule;rule;weight, got {_excerpt(text)!r}")
         return ConvexCombination(
             parse_rule(parts[0], _depth + 1),
             parse_rule(parts[1], _depth + 1),
@@ -539,7 +539,7 @@ def parse_rule(text: str, _depth: int = 0) -> RuleSpec:
         body = s[len("ab:") :]
         marker = body.find(",B=")
         if not body.startswith("A=") or marker < 0:
-            raise ParseError(f"ab takes A=<fn>,B=<fn>, got {text!r}")
+            raise ParseError(f"ab takes A=<fn>,B=<fn>, got {_excerpt(text)!r}")
         return ABRule(
             parse_scalar_fn(body[2:marker]),
             parse_scalar_fn(body[marker + len(",B=") :]),
@@ -547,20 +547,22 @@ def parse_rule(text: str, _depth: int = 0) -> RuleSpec:
     if s.startswith("afam:"):
         body = s[len("afam:") :]
         if not body.startswith("A="):
-            raise ParseError(f"afam takes A=<fn>, got {text!r}")
+            raise ParseError(f"afam takes A=<fn>, got {_excerpt(text)!r}")
         return AFamilyRule(parse_scalar_fn(body[2:]))
     if s.startswith("bfam:"):
         body = s[len("bfam:") :]
         if not body.startswith("B="):
-            raise ParseError(f"bfam takes B=<fn>, got {text!r}")
+            raise ParseError(f"bfam takes B=<fn>, got {_excerpt(text)!r}")
         return BFamilyRule(parse_scalar_fn(body[2:]))
     for head, cls in (("lin:", LinearRule), ("lindual:", LinearDualRule)):
         if s.startswith(head):
             tokens = s[len(head) :].split(",")
             if len(tokens) != 2:
-                raise ParseError(f"{head[:-1]} takes two coefficients, got {text!r}")
+                raise ParseError(
+                    f"{head[:-1]} takes two coefficients, got {_excerpt(text)!r}"
+                )
             return cls(_parse_real(tokens[0]), _parse_real(tokens[1]))
-    raise ParseError(f"unknown rule {text!r}")
+    raise ParseError(f"unknown rule {_excerpt(text)!r}")
 
 
 def format_rule(rule: RuleSpec) -> str:

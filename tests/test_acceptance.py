@@ -37,6 +37,7 @@ from redistrib import (
     recheck_counterexample,
 )
 from conftest import needs_squared_rule, random_problems
+from scalar_measures import MEASURES
 
 TOL = 1e-9
 AX_CFG = SampleConfig(seed=20260819, trials=1000)
@@ -77,6 +78,11 @@ def test_criterion_01_reference_rules_pass_main_axioms():
     )
 
 
+def _scalar_recheck(axiom, rule, counterexample):
+    deviation, scale, _, _ = MEASURES[axiom](rule, counterexample.instance)
+    return deviation, scale
+
+
 def test_criterion_02_negative_controls_with_witnesses():
     failures = []
     controls = [
@@ -93,12 +99,14 @@ def test_criterion_02_negative_controls_with_witnesses():
         if report.counterexample is None:
             failures.append(f"{name} fails {axiom} without a counterexample")
             continue
-        deviation, scale = recheck_counterexample(axiom, rule, report.counterexample)
-        if not deviation > TOL * scale:
-            failures.append(
-                f"{name} counterexample for {axiom} does not re-violate "
-                f"(deviation {deviation}, scale {scale})"
-            )
+        # Re-checked by the screen and by the independent scalar measure.
+        for recheck in (recheck_counterexample, _scalar_recheck):
+            deviation, scale = recheck(axiom, rule, report.counterexample)
+            if not deviation > TOL * scale:
+                failures.append(
+                    f"{name} counterexample for {axiom} does not re-violate "
+                    f"under {recheck.__name__} (deviation {deviation}, scale {scale})"
+                )
     _verdict(
         2,
         "negative controls fail the expected axioms with re-checkable "

@@ -29,7 +29,9 @@ from redistrib import (
     rng_for,
 )
 from redistrib import axioms
+from redistrib.rules import ConvexCombination, WeightedRule
 from conftest import NAN_RULES, needs_squared_rule
+from scalar_measures import MEASURES
 
 
 def _bit_noise_rule():
@@ -147,8 +149,35 @@ def test_negative_controls_fail_and_recheck(axiom, rule):
     deviation, scale = recheck_counterexample(axiom, rule, cex)
     assert deviation == pytest.approx(cex.deviation)
     assert deviation > report.tolerance * scale
+    # The scalar measure, which shares no code with the screen, re-fails it
+    # and reports the same values.
+    deviation, scale, expected, observed = MEASURES[axiom](rule, cex.instance)
+    assert deviation > report.tolerance * scale
+    assert (deviation, report.tolerance * scale, expected, observed) == (
+        cex.deviation,
+        cex.threshold,
+        cex.expected,
+        cex.observed,
+    )
     assert all(isinstance(p, Problem) for p in cex.problems)
     assert len(cex.problems) >= 1
+
+
+@pytest.mark.parametrize("spec", ["lf", "afam:A=const:0.5", "dual(lin:0.3,0.2)"])
+def test_grammar_rules_are_checked_without_scalar_payoffs(spec, monkeypatch):
+    # Screening, confirming, shrinking and re-checking all go through
+    # payoffs_batch, failing axioms included.
+    def scalar(self, problem):
+        raise AssertionError(f"scalar payoffs of {spec}")
+
+    for cls in (WeightedRule, ConvexCombination, DualRule):
+        monkeypatch.setattr(cls, "payoffs", scalar)
+    rule = parse_rule(spec)
+    reports = axiom_suite(rule, "all", SampleConfig(seed=33, trials=300))
+    failed = [report for report in reports if not report.passed]
+    assert bool(failed) == (spec != "lf")
+    for report in failed:
+        recheck_counterexample(report.axiom, rule, report.counterexample)
 
 
 def test_dummy_counterexample_shrinks_to_two_agents():
@@ -242,7 +271,13 @@ def test_check_axiom_input_validation():
 def test_nan_payoffs_violate_the_axiom(axiom, name):
     report = check_axiom(axiom, NAN_RULES[name], SampleConfig(seed=0, trials=20))
     assert not report.passed
-    assert math.isnan(report.counterexample.deviation)
+    cex = report.counterexample
+    assert math.isnan(cex.deviation)
+    # A NaN payoff stays out of the threshold, as in the scalar measure.
+    _, scale, expected, observed = MEASURES[axiom](NAN_RULES[name], cex.instance)
+    assert math.isfinite(cex.threshold)
+    assert cex.threshold == report.tolerance * scale
+    assert repr((cex.expected, cex.observed)) == repr((expected, observed))
 
 
 @pytest.mark.parametrize("name", NAN_RULES)

@@ -1,8 +1,10 @@
-"""The block screen against the scalar measures it stands in for.
+"""The block screens against independent scalar references.
 
-The sampled checkers draw and screen trials as numpy blocks; the scalar
-measures, extract_ab and the reflection definitions stay the reference.
-Every comparison here runs both on the same materialized trials.
+The sampled checkers draw and screen trials as numpy blocks, and the screen
+is each axiom's only measure: a flagged trial is re-screened as a one-row
+block, then shrunk and reported. The scalar measures in scalar_measures.py,
+extract_ab and the reflection definitions stay the reference. Every
+comparison here runs both on the same materialized trials.
 """
 
 import math
@@ -46,26 +48,37 @@ from redistrib import (
 from redistrib import axioms
 from redistrib.core import block_totals
 from conftest import needs_squared_rule, nested_rules
+from scalar_measures import MEASURES
 from test_axioms import NEGATIVE_CONTROLS
 from test_duality import KERNEL_CASES
 
 TOL = 1e-9
-# Screen and scalar measure do the same float64 operations; allow a few
-# rounding steps of the instance's scale in case the order ever differs.
+# The self-dual and classify comparisons allow a few rounding steps of the
+# instance's scale.
 AGREE = 1e-12
 BLOCK = axioms.BLOCK_TRIALS
 
 
+def _bits(values):
+    """Floats as hex strings, so that NaN, -0.0 and every last bit compare."""
+    return None if values is None else [float.hex(float(v)) for v in np.ravel(values)]
+
+
 def _assert_screen_matches_measure(axiom, rule, seed, n, m=12):
+    # The block row, the same trial screened as a one-row block, and the
+    # scalar measure agree bit for bit: deviation, scale, expected, observed.
     checker = axioms._CHECKERS[axiom]
     block = checker.draw(rng_for(seed, "differential"), n, m)
-    deviation, scale = checker.screen(rule, block)
+    deviation, scale, expected, observed = checker.screen(rule, block)
     assert deviation.shape == scale.shape == (m,)
     for k in range(m):
-        dev_k, scale_k, _, _ = checker.measure(rule, axioms._trial(block, k))
-        assert (deviation[k] > TOL * scale[k]) == (dev_k > TOL * scale_k), (axiom, k)
-        assert abs(deviation[k] - dev_k) <= AGREE * scale_k, (axiom, k)
-        assert abs(scale[k] - scale_k) <= AGREE * scale_k, (axiom, k)
+        instance = axioms._trial(block, k)
+        row_expected = None if expected is None else expected[k]
+        row = (deviation[k], scale[k], row_expected, observed[k])
+        one_row = axioms._measure(checker, rule, instance)
+        scalar = MEASURES[axiom](rule, instance)
+        assert list(map(_bits, row)) == list(map(_bits, one_row)), (axiom, k)
+        assert list(map(_bits, one_row)) == list(map(_bits, scalar)), (axiom, k)
 
 
 @settings(max_examples=40, deadline=None)
@@ -256,7 +269,7 @@ def _scalar_outcome(axiom, rule, cfg):
                 trials.update((start + int(row), (block, k)) for k, row in enumerate(rows))
             for index in sorted(trials):
                 instance = axioms._trial(*trials[index])
-                deviation, scale, _, _ = checker.measure(rule, instance)
+                deviation, scale, _, _ = MEASURES[axiom](rule, instance)
                 if not deviation <= TOL * scale:
                     return False, index + 1
     except ValidationError as exc:
@@ -301,9 +314,9 @@ def test_check_axiom_matches_scalar_loop(case, seed):
 
 
 def test_an_invalid_block_keeps_trial_order():
-    # A block whose screen raises goes to the scalar measure trial by trial:
-    # the earlier of a violation and an invalid trial decides, as it would
-    # without blocks. Both kinds of outcome occur over these seeds.
+    # A block whose screen raises is re-screened trial by trial as one-row
+    # blocks: the earlier of a violation and an invalid trial decides, as it
+    # would without blocks. Both kinds of outcome occur over these seeds.
     rule = CustomRule("mixed", _unstable_or_overflowing)
     outcomes = set()
     for seed in range(12):

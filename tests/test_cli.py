@@ -356,6 +356,51 @@ def test_a_long_rule_list_is_quoted_in_short(capsys, spec, message):
     assert len(captured.err.splitlines()) == 1 and len(captured.err) < 300
 
 
+@pytest.mark.parametrize(
+    "spec,message",
+    [
+        (
+            "convex(lf;" + "lf;" * 3000 + "lf;0.5)",
+            "convex takes rule;rule;weight, got 'convex(lf;lf;",
+        ),
+        ("x" * 5000, "unknown rule 'xxxx"),
+        ("lin:1," + "9" * 400, "number '9999"),
+        ("ab:A=poly:0.5,B=" + "q" * 400, "unknown function 'qqqq"),
+    ],
+    ids=["convex-parts", "unknown", "number", "function"],
+)
+def test_a_long_rule_is_quoted_in_short(capsys, spec, message):
+    code = main(["check", "--rule", spec, "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"ParseError: {message}")
+    assert len(captured.err.splitlines()) == 1
+    assert len(captured.err.encode("utf-8")) < 200
+
+
+@pytest.mark.parametrize(
+    "spec,message",
+    [
+        ("bogus", "unknown rule 'bogus'"),
+        ("convex(lf;prop)", "convex takes rule;rule;weight, got 'convex(lf;prop)'"),
+        ("ab:A=id", "ab takes A=<fn>,B=<fn>, got 'ab:A=id'"),
+        ("afam:B=id", "afam takes A=<fn>, got 'afam:B=id'"),
+        ("bfam:A=id", "bfam takes B=<fn>, got 'bfam:A=id'"),
+        ("lin:0.3", "lin takes two coefficients, got 'lin:0.3'"),
+        ("afam:A=sin", "unknown function 'sin'"),
+        ("afam:A=const:1,2", "wrong number of parameters in 'const:1,2'"),
+        ("afam:A=exp:1", "unknown function kind 'exp'"),
+        ("lin:0.3,x", "expected a number, got 'x'"),
+        ("lin:0.3,inf", "number 'inf' is not finite"),
+    ],
+)
+def test_a_short_rule_keeps_its_exact_message(capsys, spec, message):
+    code = main(["check", "--rule", spec, "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"ParseError: {message}\n"
+
+
 def test_data_failures_exit_3(capsys, tmp_path):
     cases = {
         "zero_need.csv": "id,income,need\na,5,0\nb,1,0\n",
