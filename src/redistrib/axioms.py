@@ -22,6 +22,7 @@ import numpy as np
 from .core import (
     Problem,
     ValidationError,
+    block_problem,
     block_scales,
     check_tol,
     make_problem,
@@ -100,12 +101,6 @@ def draw_profiles(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Incomes and needs of m random problems of n agents, one per row."""
     return rng.uniform(*INCOME_RANGE, (m, n)), rng.uniform(*NEED_RANGE, (m, n))
-
-
-def block_problem(incomes: np.ndarray, needs: np.ndarray, k: int) -> Problem:
-    """Row k of a block as a Problem of agents 1..n."""
-    agents = tuple(range(1, incomes.shape[1] + 1))
-    return make_problem(agents, incomes[k].tolist(), needs[k].tolist())
 
 
 def worst_trial(

@@ -48,27 +48,22 @@ class DatasetError(ValueError):
 _Columns = tuple[list[str], list[float], list[float]]
 
 
-def _parse_record_value(raw: object, what: str, where: str) -> float:
+def _record_error(income: object, need: object, where: str) -> DatasetError:
+    """The error naming income if float() refuses it, else need."""
     try:
-        return float(raw)  # type: ignore[arg-type]
+        float(income)  # type: ignore[arg-type]
     except (TypeError, ValueError, OverflowError):
-        raise DatasetError(f"{where}: {what} {raw!r} is not a number") from None
+        return DatasetError(f"{where}: income {income!r} is not a number")
+    return DatasetError(f"{where}: need {need!r} is not a number")
 
 
-def _checked_csv_row(row: list[str], where: str) -> tuple[str, float, float] | None:
-    """A row the fast path refused, checked field by field: None if it is blank.
-
-    The id comes back as read; the caller strips it, as for every row.
-    """
+def _csv_row_error(row: list[str], where: str) -> DatasetError | None:
+    """The error naming a row the fast path refused, or None if it is blank."""
     if not row or all(not cell.strip() for cell in row):
         return None
     if len(row) != 3:
-        raise DatasetError(f"{where}: expected 3 columns, got {len(row)}")
-    return (
-        row[0],
-        _parse_record_value(row[1], "income", where),
-        _parse_record_value(row[2], "need", where),
-    )
+        return DatasetError(f"{where}: expected 3 columns, got {len(row)}")
+    return _record_error(row[1], row[2], where)
 
 
 def _read_csv(handle: TextIO, path: str) -> _Columns:
@@ -89,25 +84,21 @@ def _read_csv(handle: TextIO, path: str) -> _Columns:
             agent_id, income_text, need_text = row
             income, need = float(income_text), float(need_text)
         except ValueError:
-            checked = _checked_csv_row(row, f"{path} line {k}")
-            if checked is None:
+            error = _csv_row_error(row, f"{path} line {k}")
+            if error is None:
                 continue
-            agent_id, income, need = checked
+            raise error from None
         ids.append(agent_id.strip())
         incomes.append(income)
         needs.append(need)
     return ids, incomes, needs
 
 
-def _checked_json_entry(entry: object, where: str) -> tuple[str, float, float]:
-    """An entry the fast path refused, checked field by field."""
+def _json_entry_error(entry: object, where: str) -> DatasetError:
+    """The error naming an entry the fast path refused."""
     if not isinstance(entry, dict) or not {"id", "income", "need"} <= set(entry):
-        raise DatasetError(f"{where}: expected keys id, income, need")
-    return (
-        str(entry["id"]),
-        _parse_record_value(entry["income"], "income", where),
-        _parse_record_value(entry["need"], "need", where),
-    )
+        return DatasetError(f"{where}: expected keys id, income, need")
+    return _record_error(entry["income"], entry["need"], where)
 
 
 def _read_json(handle: TextIO, path: str) -> _Columns:
@@ -127,7 +118,7 @@ def _read_json(handle: TextIO, path: str) -> _Columns:
                 str(entry["id"]), float(entry["income"]), float(entry["need"])
             )
         except (KeyError, TypeError, ValueError, OverflowError):
-            agent_id, income, need = _checked_json_entry(entry, f"{path} agents[{k}]")
+            raise _json_entry_error(entry, f"{path} agents[{k}]") from None
         ids.append(agent_id)
         incomes.append(income)
         needs.append(need)

@@ -115,6 +115,12 @@ def make_problem(
     )
 
 
+def block_problem(incomes: np.ndarray, needs: np.ndarray, k: int) -> Problem:
+    """Row k of a block of problems as a Problem of agents 1..n."""
+    agents = tuple(range(1, incomes.shape[1] + 1))
+    return make_problem(agents, incomes[k].tolist(), needs[k].tolist())
+
+
 def left_sum(values: Iterable[float]) -> float:
     """Sum left to right, rounding once per addition, as row_sums adds a row.
 
@@ -160,8 +166,7 @@ def block_totals(
             & (total_need > BALANCE_REL_TOL * np.maximum(1.0, np.abs(total_need)))
         )
     if not valid.all():
-        k = int(np.argmin(valid))
-        make_problem(range(incomes.shape[1]), incomes[k].tolist(), needs[k].tolist())
+        block_problem(incomes, needs, int(np.argmin(valid)))
     return total_income, total_need
 
 

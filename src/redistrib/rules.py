@@ -3,8 +3,9 @@
 Every rule maps a problem to one payoff vector that exhausts total income.
 Family rules are parameterized by scalar functions of the problem's
 income-to-need ratio. Catalog and family rules are WeightedRule subclasses
-that give only their two deviation weights; ab_payoffs is the one payoff
-formula they share with their convex mixtures and duals.
+that give only their two deviation weights; ab_payoffs_batch is the one
+payoff kernel they share with their convex mixtures and duals, on a block
+of problems or, through ab_payoffs, on one.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from .core import (
     Allocation,
     Problem,
     ValidationError,
+    block_problem,
     block_totals,
     check_tol,
-    make_problem,
 )
 
 
@@ -164,25 +165,23 @@ class RuleSpec:
         weights = self.weights_at(totals[0] / totals[1])
         if weights is not None:
             return ab_payoffs_batch(incomes, needs, totals, *weights)
-        agents = range(1, incomes.shape[1] + 1)
-        rows = zip(incomes.tolist(), needs.tolist())
         return np.array(
-            [self.payoffs(make_problem(agents, y, z)) for y, z in rows], dtype=float
+            [self.payoffs(block_problem(incomes, needs, k)) for k in range(len(incomes))],
+            dtype=float,
         ).reshape(incomes.shape)
 
 
 def ab_payoffs(problem: Problem, a: float, b: float) -> tuple[float, ...]:
-    """Equal split plus a times each income deviation and b times each need deviation."""
-    n = len(problem)
-    mean_need = problem.total_need / n
-    # a·y + (1−a)·ȳ rather than ȳ + a(y−ȳ): with a = 1 and b = 0 every
-    # other term is zero, so incomes come back exactly, and with a = 0 the
-    # equal split does.
-    rest = problem.total_income / n * (1.0 - a)
-    return tuple(
-        y * a + rest + (z - mean_need) * b
-        for y, z in zip(problem.incomes, problem.needs)
-    )
+    """Equal split plus a times each income deviation and b times each need deviation.
+
+    The one-row case of ab_payoffs_batch, at the totals the problem holds.
+    """
+    totals = (np.array([problem.total_income]), np.array([problem.total_need]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        row = ab_payoffs_batch(
+            np.array([problem.incomes]), np.array([problem.needs]), totals, a, b
+        )
+    return tuple(memoryview(row[0]))
 
 
 def ab_payoffs_batch(
@@ -192,18 +191,26 @@ def ab_payoffs_batch(
     a: np.ndarray | float,
     b: np.ndarray | float,
 ) -> np.ndarray:
-    """ab_payoffs of each row of a block of problems, with that row's a and b.
+    """Payoffs ȳ + a(y−ȳ) + b(z−z̄) of each row of a block of problems.
 
-    totals are the block's (total income, total need) from block_totals; a
-    float weight holds for every row. The same operations in the same order
-    as ab_payoffs, so each row's payoffs equal the scalar kernel's bit for bit.
+    Each row has its own a and b; a float weight holds for every row. totals
+    are the rows' (total income, total need), as block_totals gives them.
     """
     total_income, total_need = totals
     n = incomes.shape[1]
     a, b = np.reshape(a, (-1, 1)), np.reshape(b, (-1, 1))
-    mean_need = (total_need / n)[:, None]
-    rest = (total_income / n)[:, None] * (1.0 - a)
-    return incomes * a + rest + (needs - mean_need) * b
+    mean_income = (total_income / n)[:, None]
+    need_terms = (needs - (total_need / n)[:, None]) * b
+    # a·y + (1−a)·ȳ rather than ȳ + a(y−ȳ): with a = 1 and b = 0 every
+    # other term is zero, so incomes come back exactly, and with a = 0 the
+    # equal split does. For |a| > 1 its two terms cancel (a 1-agent problem
+    # at a = 1e300 would pay 0.0), so those rows take the deviation form.
+    payoffs = incomes * a + mean_income * (1.0 - a) + need_terms
+    large = np.abs(a) > 1.0
+    if large.any():
+        deviation = mean_income + (incomes - mean_income) * a + need_terms
+        payoffs = np.where(large, deviation, payoffs)
+    return payoffs
 
 
 class WeightedRule(RuleSpec):
@@ -636,6 +643,4 @@ def split_rule_list(text: str) -> list[RuleSpec]:
         pending = None
     if pending is not None:
         raise ParseError(f"could not parse rule list near {_excerpt(pending)!r}")
-    if not rules:
-        raise ParseError("empty rule list")
     return rules

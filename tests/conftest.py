@@ -17,7 +17,8 @@ from redistrib import (
     make_problem,
     rng_for,
 )
-from redistrib.axioms import block_problem, draw_profiles
+from redistrib.axioms import draw_profiles
+from redistrib.core import block_problem
 
 
 def needs_squared_rule() -> CustomRule:

@@ -1,4 +1,7 @@
-"""Scalar measures of the sampled axioms: an independent reference for the screen.
+"""Scalar references for the block code: the payoff kernel and the axiom measures.
+
+ab_payoffs_reference is the payoff kernel on Python floats, one agent at a
+time; redistrib.rules computes it only on numpy blocks.
 
 Each measure re-derives its axiom on one trial's instance, built from
 Problem tuples and scalar rule payoffs, and returns (deviation, scale,
@@ -15,6 +18,27 @@ from typing import Iterable, Sequence
 
 from redistrib.axioms import CONTINUITY_STEPS, CONTINUITY_TAIL
 from redistrib.core import left_sum, make_problem, problem_scale
+
+
+def ab_payoffs_reference(problem, a, b):
+    """ȳ + a(y−ȳ) + b(z−z̄) for each agent, rounding as ab_payoffs_batch does.
+
+    a·y + (1−a)·ȳ keeps a = 1 and a = 0 exact; for |a| > 1 its two terms
+    cancel, so the deviation form is used there.
+    """
+    n = len(problem)
+    mean_income = problem.total_income / n
+    mean_need = problem.total_need / n
+    if abs(a) > 1.0:
+        return tuple(
+            mean_income + (y - mean_income) * a + (z - mean_need) * b
+            for y, z in zip(problem.incomes, problem.needs)
+        )
+    rest = mean_income * (1.0 - a)
+    return tuple(
+        y * a + rest + (z - mean_need) * b
+        for y, z in zip(problem.incomes, problem.needs)
+    )
 
 
 def _peak(values: Iterable[float]) -> float:

@@ -1,10 +1,10 @@
-"""The block screens against independent scalar references.
+"""The block kernel and screens against independent scalar references.
 
-The sampled checkers draw and screen trials as numpy blocks, and the screen
-is each axiom's only measure: a flagged trial is re-screened as a one-row
-block, then shrunk and reported. The scalar measures in scalar_measures.py,
-extract_ab and the reflection definitions stay the reference. Every
-comparison here runs both on the same materialized trials.
+Payoffs and the sampled checkers are computed on numpy blocks, and the
+screen is each axiom's only measure: a flagged trial is re-screened as a
+one-row block, then shrunk and reported. The scalar kernel and measures in
+scalar_measures.py, extract_ab and the reflection definitions stay the
+reference. Every comparison here runs both on the same materialized trials.
 """
 
 import math
@@ -46,9 +46,9 @@ from redistrib import (
     rng_for,
 )
 from redistrib import axioms
-from redistrib.core import block_totals
+from redistrib.core import block_problem, block_totals
 from conftest import needs_squared_rule, nested_rules
-from scalar_measures import MEASURES
+from scalar_measures import MEASURES, ab_payoffs_reference
 from test_axioms import NEGATIVE_CONTROLS
 from test_duality import KERNEL_CASES
 
@@ -172,14 +172,40 @@ def test_payoffs_batch_takes_weights_once_per_block(monkeypatch):
     assert calls == [(50,), (50,)]
 
 
-@settings(max_examples=40, deadline=None)
-@given(rule=st.one_of(nested_rules(2), _WITH_CALLABLES), seed=st.integers(0, 2**32 - 1))
-def test_kernel_block_equals_scalar_payoffs_bit_for_bit(rule, seed):
-    incomes, needs = axioms.draw_profiles(rng_for(seed, "bits"), 4, 20)
+# Rules whose income weight exceeds 1 in size on most sampled ratios, so the
+# kernel pays those rows in its deviation form.
+_LARGE_INCOME_WEIGHTS = st.sampled_from(
+    [
+        parse_rule(spec)
+        for spec in (
+            "lin:2.0,0.0",
+            "lin:-1.5,0.5",
+            "ab:A=scale:3,B=id",
+            "dual(lin:1e+300,0.0)",
+            "convex(lin:4.0,0.0;lf;0.5)",
+        )
+    ]
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rule=st.one_of(nested_rules(2), _WITH_CALLABLES, _LARGE_INCOME_WEIGHTS),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 6),
+)
+def test_kernel_block_equals_scalar_payoffs_bit_for_bit(rule, seed, n):
+    # Block rows, one-row ab_payoffs and rule.payoffs against the kernel
+    # computed on Python floats.
+    incomes, needs = axioms.draw_profiles(rng_for(seed, "bits"), n, 20)
     block = rule.payoffs_batch(incomes, needs)
     for k in range(len(block)):
-        problem = axioms.block_problem(incomes, needs, k)
-        assert tuple(block[k].tolist()) == rule.payoffs(problem)
+        problem = block_problem(incomes, needs, k)
+        a, b = rule.weights_at(problem.total_income / problem.total_need)
+        reference = _bits(ab_payoffs_reference(problem, a, b))
+        assert _bits(block[k]) == reference
+        assert _bits(ab_payoffs(problem, a, b)) == reference
+        assert _bits(rule.payoffs(problem)) == reference
 
 
 def _trials_in_order(label, cfg):
@@ -190,7 +216,7 @@ def _trials_in_order(label, cfg):
         for n, rows in groups:
             incomes, needs = axioms.draw_profiles(rng, n, len(rows))
             for k, row in enumerate(rows):
-                problems[start + int(row)] = axioms.block_problem(incomes, needs, k)
+                problems[start + int(row)] = block_problem(incomes, needs, k)
     return [problems[k] for k in sorted(problems)]
 
 
@@ -247,7 +273,7 @@ def test_classify_residual_matches_scalar_loop(rule):
     def residual(p):
         t = p.total_income / p.total_need
         a, b = extract_ab(rule, t, scale=(p.total_income, p.total_need), agents=len(p))
-        predicted = ab_payoffs(p, a, b)
+        predicted = ab_payoffs_reference(p, a, b)
         return max(abs(u - v) for u, v in zip(predicted, rule.payoffs(p))) / problem_scale(p)
 
     worst, witness = _worst(

@@ -448,19 +448,30 @@ def test_overflowing_totals_exit_3_and_name_the_total(capsys, tmp_path, column, 
 def test_a_rule_that_fails_on_valid_data_exits_2_and_names_the_rule(
     capsys, tmp_path, to_file
 ):
-    # the kernel's y*a + (Y/n)*(1 - a) cancels to 0.0 for a = 1e300
-    path = tmp_path / "one.csv"
-    path.write_text("id,income,need\na,-710534.77,490051.41\n", encoding="utf-8")
+    # ȳ + (y − ȳ)·1e308 overflows for the deviations ±5
+    path = tmp_path / "two.csv"
+    path.write_text("id,income,need\na,0,1\nb,10,1\n", encoding="utf-8")
     out = tmp_path / "report.json"
-    argv = ["apply", "--rule", "dual(lin:1e+300,0.0)", "--input", str(path)]
+    argv = ["apply", "--rule", "lin:1e+308,0.0", "--input", str(path)]
     code = main(argv + ["--no-timestamp"] + (["--output", str(out)] if to_file else []))
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == "" and not out.exists()
     assert captured.err.startswith(
-        "RuleError: rule 'dual(lin:1e+300,0.0)' does not allocate this problem: "
-        "BalanceViolation: "
+        "RuleError: rule 'lin:1e+308,0.0' does not allocate this problem: "
+        "NonFinite: allocation entry -inf "
     )
+
+
+def test_a_huge_income_weight_pays_a_lone_agent_its_income(capsys, tmp_path):
+    # a·y + (1 − a)·ȳ cancels to 0.0 at a = 1e300; ȳ + a(y − ȳ) is exact
+    path = tmp_path / "one.csv"
+    path.write_text("id,income,need\na,-710534.77,490051.41\n", encoding="utf-8")
+    argv = ["apply", "--rule", "dual(lin:1e+300,0.0)", "--input", str(path)]
+    code = main(argv + ["--no-timestamp"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert json.loads(captured.out)["agents"][0]["allocation"] == -710534.77
 
 
 @pytest.mark.parametrize(

@@ -23,6 +23,7 @@ from redistrib import (
     RuleError,
     ScalarFn,
     ValidationError,
+    ab_payoffs,
     check_allocation,
     equivalent_on,
     evaluate,
@@ -338,22 +339,42 @@ RULE_POOL = [
 ]
 
 
+_REALS = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False, allow_infinity=False)
+_NEEDS = st.floats(min_value=0.05, max_value=50.0, allow_nan=False, allow_infinity=False)
+
+
+def _drawn_problem(data, n):
+    return make_problem(
+        tuple(range(n)),
+        tuple(data.draw(_REALS) for _ in range(n)),
+        tuple(data.draw(_NEEDS) for _ in range(n)),
+    )
+
+
 @given(
     st.sampled_from(RULE_POOL),
     st.integers(min_value=1, max_value=6),
     st.data(),
 )
 def test_every_rule_balances(rule, n, data):
-    reals = st.floats(
-        min_value=-50.0, max_value=50.0, allow_nan=False, allow_infinity=False
-    )
-    needs = st.floats(
-        min_value=0.05, max_value=50.0, allow_nan=False, allow_infinity=False
-    )
-    p = make_problem(
-        tuple(range(n)),
-        tuple(data.draw(reals) for _ in range(n)),
-        tuple(data.draw(needs) for _ in range(n)),
-    )
+    p = _drawn_problem(data, n)
     allocation = evaluate(rule, p)  # construction would raise on imbalance
     assert check_allocation(p, allocation.values).passed
+
+
+@given(
+    st.floats(min_value=1.0, max_value=1e6, exclude_min=True),
+    st.booleans(),
+    st.floats(min_value=-10.0, max_value=10.0),
+    st.integers(min_value=1, max_value=6),
+    st.data(),
+)
+def test_income_weights_beyond_one_balance(size, negative, b, n, data):
+    # For |a| > 1 the kernel pays ȳ + a(y−ȳ) + b(z−z̄): the deviations
+    # sum to about zero, and a lone agent, whose deviations are zero, keeps
+    # its income bit for bit.
+    p = _drawn_problem(data, n)
+    payoffs = ab_payoffs(p, -size if negative else size, b)
+    assert check_allocation(p, payoffs).passed
+    if n == 1:
+        assert payoffs == p.incomes
