@@ -36,6 +36,7 @@ from .axioms import (
 from .core import (
     Allocation,
     BalanceVerdict,
+    Block,
     BalanceViolation,
     EmptyAgentSet,
     LengthMismatch,

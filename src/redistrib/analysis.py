@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .axioms import AxiomReport, SampleConfig, axiom_suite, rng_for, worst_trial
-from .core import Problem, block_scales, block_totals, check_tol, left_sum
+from .core import Block, Problem, check_tol, left_sum
 # make_problem is looked up here by perfbench's tracer, which wraps it per module.
 from .core import make_problem  # noqa: F401
 from .rules import ParseError, RuleSpec, ab_payoffs_batch
@@ -94,14 +94,14 @@ def _extract_ab_batch(
         needs = flat_needs.copy()
         needs[:, 0] += need_bump
         needs[:, 1] -= need_bump
-        payoffs = rule.payoffs_batch(flat_incomes, needs)
+        payoffs = rule.payoffs_batch(Block(flat_incomes, needs))
         need_weight = (payoffs[:, 0] - mean_income) / need_bump
 
         income_bump = np.abs(total_income) / (2 * n) + 1.0
         incomes = flat_incomes.copy()
         incomes[:, 0] += income_bump
         incomes[:, 1] -= income_bump
-        payoffs = rule.payoffs_batch(incomes, flat_needs)
+        payoffs = rule.payoffs_batch(Block(incomes, flat_needs))
         income_weight = (payoffs[:, 0] - mean_income) / income_bump
 
     return income_weight, need_weight
@@ -201,12 +201,12 @@ def classify(
     a_shape, a_value = _fit_a_shape(profile.a_values, tol)
     b_shape, b_value = _fit_b_shape(profile.b_values, values, tol)
 
-    def residual(incomes: np.ndarray, needs: np.ndarray) -> np.ndarray:
-        totals = block_totals(incomes, needs)
-        a, b = _extract_ab_batch(rule, *totals, agents=incomes.shape[1])
-        predicted = ab_payoffs_batch(incomes, needs, totals, a, b)
-        actual = rule.payoffs_batch(incomes, needs)
-        return np.abs(predicted - actual).max(axis=1) / block_scales(incomes, needs)
+    def residual(block: Block) -> np.ndarray:
+        totals = (block.total_income, block.total_need)
+        a, b = _extract_ab_batch(rule, *totals, agents=block.incomes.shape[1])
+        predicted = ab_payoffs_batch(block.incomes, block.needs, totals, a, b)
+        actual = rule.payoffs_batch(block)
+        return np.abs(predicted - actual).max(axis=1) / block.scales
 
     max_residual, witness = worst_trial(rng_for(cfg.seed, "classify"), cfg, residual)
 

@@ -5,10 +5,10 @@ measure how far the rule deviates from the property, and fail when the
 deviation exceeds a tolerance scaled by the instance's magnitude. A pass is
 evidence, not proof; a fail comes with a concrete re-runnable counterexample.
 
-Trials are drawn and screened in blocks of numpy arrays, one row per trial;
-the screen is each axiom's only measure. The first flagged trial is rebuilt
-as an instance of Problems, re-screened as a one-row block, then shrunk and
-reported.
+Trials are drawn and screened in batches of numpy arrays, one row per
+trial, each problem of a batch held in a core.Block; the screen is each
+axiom's only measure. The first flagged trial is rebuilt as an instance of
+Problems, re-screened as a one-row batch, then shrunk and reported.
 """
 
 from __future__ import annotations
@@ -20,10 +20,9 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .core import (
+    Block,
     Problem,
     ValidationError,
-    block_problem,
-    block_scales,
     check_tol,
     make_problem,
     row_sums,
@@ -106,31 +105,31 @@ def draw_profiles(
 def worst_trial(
     rng: np.random.Generator,
     cfg: SampleConfig,
-    measure: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    measure: Callable[[Block], np.ndarray],
 ) -> tuple[float, Problem | None]:
     """Largest measure over cfg.trials random problems, and its first problem.
 
-    measure maps a block of problems to one value per row; values that are
-    not positive never count. A NaN value, which only a rule error gives,
-    is worse than any number: the first one is returned with its problem.
+    measure maps a Block to one value per row; values that are not positive
+    never count. A NaN value, which only a rule error gives, is worse than
+    any number: the first one is returned with its problem.
     """
     worst, witness = 0.0, None
     for _, groups in trial_blocks(rng, cfg):
         values = np.zeros(sum(len(rows) for _, rows in groups))
         drawn = []
         for n, rows in groups:
-            incomes, needs = draw_profiles(rng, n, len(rows))
+            block = Block(*draw_profiles(rng, n, len(rows)))
             with np.errstate(over="ignore", invalid="ignore"):
-                values[rows] = measure(incomes, needs)
-            drawn.append((rows, incomes, needs))
+                values[rows] = measure(block)
+            drawn.append((rows, block))
         nan_rows = np.flatnonzero(np.isnan(values))
         k = int(nan_rows[0]) if nan_rows.size else int(np.argmax(values))
         if not values[k] <= worst:
             worst = float(values[k])
-            for rows, incomes, needs in drawn:
+            for rows, block in drawn:
                 hit = np.flatnonzero(rows == k)
                 if hit.size:
-                    witness = block_problem(incomes, needs, int(hit[0]))
+                    witness = block.problem(int(hit[0]))
             if nan_rows.size:
                 break
     return worst, witness
@@ -192,10 +191,11 @@ class AxiomReport:
 class _Checker:
     """An axiom's draw and screen, and how its counterexamples shrink.
 
-    draw(rng, n, m) gives m trials of n agents as a block. screen gives each
-    trial's deviation, scale, expected and observed values (expected may be
-    None); on a one-row block rebuilt from an instance it confirms, shrinks
-    and re-checks counterexamples.
+    draw(rng, n, m) gives m trials of n agents as a batch: a dict of Blocks
+    and arrays, one row per trial. screen gives each trial's deviation,
+    scale, expected and observed values (expected may be None); on a one-row
+    batch rebuilt from an instance it confirms, shrinks and re-checks
+    counterexamples.
     """
 
     draw: Callable[[np.random.Generator, int, int], dict]
@@ -223,17 +223,17 @@ def _payoff_scale(scales: list[np.ndarray], *payoffs: np.ndarray) -> np.ndarray:
     return np.fmax.reduce(scales + peaks)
 
 
-def _trial(block: dict, k: int) -> dict:
-    """Trial k of a block as an instance dict, the form counterexamples take.
+def _trial(trials: dict, k: int) -> dict:
+    """Trial k of a batch as an instance dict, the form counterexamples take.
 
-    An (incomes, needs) pair becomes a Problem, a boolean mask the positions
-    it selects, a 2-D array a tuple, a 1-D array an entry; a scalar is kept.
-    _block turns the instance back into a one-row block.
+    A Block's row becomes a Problem, a boolean mask the positions it
+    selects, a 2-D array a tuple, a 1-D array an entry; a scalar is kept.
+    _one_row turns the instance back into a one-row batch.
     """
     instance = {}
-    for key, value in block.items():
-        if isinstance(value, tuple):
-            instance[key] = block_problem(*value, k)
+    for key, value in trials.items():
+        if isinstance(value, Block):
+            instance[key] = value.problem(k)
         elif np.ndim(value) == 0:
             instance[key] = value
         elif value.dtype == bool:
@@ -249,35 +249,35 @@ def _trial(block: dict, k: int) -> dict:
 _AGENT_KEYS = ("first", "second", "agent")
 
 
-def _block(instance: dict) -> dict:
-    """The one-row block whose trial is this instance: the inverse of _trial.
+def _one_row(instance: dict) -> dict:
+    """The one-row batch whose trial is this instance: the inverse of _trial.
 
     Agent ids become 1-based columns of the instance's problem, which
     shrinking may have left with gaps in its ids; member positions become a
-    mask. The screen's rule sees agents 1..n, as in the block it was drawn in.
+    mask. The screen's rule sees agents 1..n, as in the batch it was drawn in.
     """
     agents = instance["problem"].agents
-    block = {}
+    trials = {}
     for key, value in instance.items():
         if isinstance(value, Problem):
-            block[key] = (np.array([value.incomes]), np.array([value.needs]))
+            trials[key] = Block(np.array([value.incomes]), np.array([value.needs]))
         elif key == "members":
-            block[key] = np.isin(np.arange(len(agents)), value)[None]
+            trials[key] = np.isin(np.arange(len(agents)), value)[None]
         elif key in _AGENT_KEYS:
-            block[key] = np.array([agents.index(value) + 1])
+            trials[key] = np.array([agents.index(value) + 1])
         else:
-            block[key] = np.array([value], dtype=float)
-    return block
+            trials[key] = np.array([value], dtype=float)
+    return trials
 
 
 def _measure(checker: _Checker, rule: RuleSpec, instance: dict) -> tuple:
-    """Screen an instance as a one-row block.
+    """Screen an instance as a one-row batch.
 
     Returns its deviation and scale as floats, and its expected and observed
     values as tuples of floats (or None).
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        deviation, scale, *values = checker.screen(rule, _block(instance))
+        deviation, scale, *values = checker.screen(rule, _one_row(instance))
     expected, observed = (None if v is None else tuple(v[0].tolist()) for v in values)
     return deviation[0].item(), scale[0].item(), expected, observed
 
@@ -301,20 +301,18 @@ def _drop_agent(instance: dict, agent) -> dict:
 
 def _draw_homogeneity(rng, n, m):
     return {
-        "problem": draw_profiles(rng, n, m),
+        "problem": Block(*draw_profiles(rng, n, m)),
         "factor": rng.uniform(0.1, 10.0, m),
     }
 
 
-def _screen_homogeneity(rule, block):
-    (incomes, needs), factor = block["problem"], block["factor"][:, None]
-    scaled = (factor * incomes, factor * needs)
-    expected = factor * rule.payoffs_batch(incomes, needs)
-    observed = rule.payoffs_batch(*scaled)
+def _screen_homogeneity(rule, trials):
+    problem, factor = trials["problem"], trials["factor"][:, None]
+    expected = factor * rule.payoffs_batch(problem)
+    scaled = Block(factor * problem.incomes, factor * problem.needs)
+    observed = rule.payoffs_batch(scaled)
     # Rounding grows with the payoffs, which can dwarf the problem's totals.
-    scale = _payoff_scale(
-        [block_scales(incomes, needs), block_scales(*scaled)], observed
-    )
+    scale = _payoff_scale([problem.scales, scaled.scales], observed)
     return _row_max_abs(observed - expected), scale, expected, observed
 
 
@@ -335,18 +333,19 @@ def _draw_equal_treatment(rng, n, m):
     second = (first + rng.integers(1, n, m)) % n
     incomes[rows, second] = incomes[rows, first]
     needs[rows, second] = needs[rows, first]
+    problem = Block(incomes, needs)
     # Agents are numbered from 1.
-    return {"problem": (incomes, needs), "first": first + 1, "second": second + 1}
+    return {"problem": problem, "first": first + 1, "second": second + 1}
 
 
-def _screen_equal_treatment(rule, block):
-    incomes, needs = block["problem"]
-    x = rule.payoffs_batch(incomes, needs)
+def _screen_equal_treatment(rule, trials):
+    problem = trials["problem"]
+    x = rule.payoffs_batch(problem)
     rows = np.arange(len(x))
-    first, second = x[rows, block["first"] - 1], x[rows, block["second"] - 1]
+    first, second = x[rows, trials["first"] - 1], x[rows, trials["second"] - 1]
     return (
         np.abs(first - second),
-        block_scales(incomes, needs),
+        problem.scales,
         np.stack([first, first], axis=1),
         np.stack([first, second], axis=1),
     )
@@ -368,7 +367,7 @@ def _draw_continuity(rng, n, m):
     # their original value, hence valid.
     need_dir = rng.uniform(-1.0, 1.0, (m, n)) * np.minimum(1.0, needs / (2.0 * delta))
     return {
-        "problem": (incomes, needs),
+        "problem": Block(incomes, needs),
         "income_dir": income_dir,
         "need_dir": need_dir,
         "base_delta": delta,
@@ -378,23 +377,24 @@ def _draw_continuity(rng, n, m):
 _HALVINGS = 0.5 ** np.arange(CONTINUITY_STEPS + 1)
 
 
-def _screen_continuity(rule, block):
-    incomes, needs = block["problem"]
-    m, n = incomes.shape
-    base = rule.payoffs_batch(incomes, needs)
-    # Every step of every trial in one block: shape (steps, m, n).
-    deltas = (block["base_delta"] * _HALVINGS)[:, None, None]
-    moved = rule.payoffs_batch(
-        (incomes + deltas * block["income_dir"]).reshape(-1, n),
-        (needs + deltas * block["need_dir"]).reshape(-1, n),
-    ).reshape(-1, m, n)
+def _screen_continuity(rule, trials):
+    problem = trials["problem"]
+    m, n = problem.incomes.shape
+    base = rule.payoffs_batch(problem)
+    # Every step of every trial in one Block: shape (steps, m, n).
+    deltas = (trials["base_delta"] * _HALVINGS)[:, None, None]
+    steps = Block(
+        (problem.incomes + deltas * trials["income_dir"]).reshape(-1, n),
+        (problem.needs + deltas * trials["need_dir"]).reshape(-1, n),
+    )
+    moved = rule.payoffs_batch(steps).reshape(-1, m, n)
     gaps = np.abs(moved - base).max(axis=2)
     # Violation when the gap fails to vanish, or grows along the tail. A
     # continuous rule's gap may grow at the first, large steps, before the
     # perturbation is small enough for the rule to look linear.
     tail = gaps[-(CONTINUITY_TAIL + 1):]
     worst = np.maximum(gaps[-1], (tail[1:] - tail[:-1]).max(axis=0))
-    scale = _payoff_scale([block_scales(incomes, needs)], base, moved.swapaxes(0, 1))
+    scale = _payoff_scale([problem.scales], base, moved.swapaxes(0, 1))
     return worst, scale, None, gaps.T
 
 
@@ -414,18 +414,19 @@ def _draw_nat(rng, n, m):
     # Normalized exponentials: flat Dirichlet weights over the group.
     weights = rng.standard_exponential((m, n)) * members
     weights /= weights.sum(axis=1, keepdims=True)
-    modified = (
+    modified = Block(
         np.where(members, income_total / size + amp * spread, incomes),
         np.where(members, need_total * weights, needs),
     )
-    return {"problem": (incomes, needs), "modified": modified, "members": members}
+    return {"problem": Block(incomes, needs), "modified": modified, "members": members}
 
 
-def _screen_nat(rule, block):
-    problem, modified, members = block["problem"], block["modified"], block["members"]
-    before = row_sums(np.where(members, rule.payoffs_batch(*problem), 0.0))
-    after = row_sums(np.where(members, rule.payoffs_batch(*modified), 0.0))
-    scale = np.maximum(block_scales(*problem), block_scales(*modified))
+def _screen_nat(rule, trials):
+    problem, modified = trials["problem"], trials["modified"]
+    members = trials["members"]
+    before = row_sums(np.where(members, rule.payoffs_batch(problem), 0.0))
+    after = row_sums(np.where(members, rule.payoffs_batch(modified), 0.0))
+    scale = np.maximum(problem.scales, modified.scales)
     return np.abs(after - before), scale, before[:, None], after[:, None]
 
 
@@ -447,14 +448,14 @@ def _shrink_nat(instance, s):
 
 
 def _draw_stability(rng, n, m):
-    return {"problem": draw_profiles(rng, n, m)}
+    return {"problem": Block(*draw_profiles(rng, n, m))}
 
 
-def _screen_stability(rule, block):
-    incomes, needs = block["problem"]
-    once = rule.payoffs_batch(incomes, needs)
-    again = rule.payoffs_batch(once, needs)
-    return _row_max_abs(once - again), block_scales(incomes, needs), once, again
+def _screen_stability(rule, trials):
+    problem = trials["problem"]
+    once = rule.payoffs_batch(problem)
+    again = rule.payoffs_batch(Block(once, problem.needs))
+    return _row_max_abs(once - again), problem.scales, once, again
 
 
 def _droppable_stability(instance):
@@ -472,15 +473,15 @@ def _draw_dummy(rng, n, m):
     incomes[rows, agent] = 0.0
     needs[rows, agent] = 0.0
     # Agents are numbered from 1.
-    return {"problem": (incomes, needs), "agent": agent + 1}
+    return {"problem": Block(incomes, needs), "agent": agent + 1}
 
 
-def _screen_dummy(rule, block):
-    incomes, needs = block["problem"]
-    x = rule.payoffs_batch(incomes, needs)
-    paid = x[np.arange(len(x)), block["agent"] - 1]
+def _screen_dummy(rule, trials):
+    problem = trials["problem"]
+    x = rule.payoffs_batch(problem)
+    paid = x[np.arange(len(x)), trials["agent"] - 1]
     expected = np.zeros((len(x), 1))
-    return np.abs(paid), block_scales(incomes, needs), expected, paid[:, None]
+    return np.abs(paid), problem.scales, expected, paid[:, None]
 
 
 def _droppable_dummy(instance):
@@ -492,24 +493,19 @@ def _droppable_dummy(instance):
 
 def _draw_income_additivity(rng, n, m):
     return {
-        "problem": draw_profiles(rng, n, m),
+        "problem": Block(*draw_profiles(rng, n, m)),
         "extra_incomes": rng.uniform(*INCOME_RANGE, (m, n)),
     }
 
 
-def _additivity_scale(incomes, needs, *others):
-    """Largest problem scale among the profiles that share these needs."""
-    return np.maximum.reduce(
-        [block_scales(y, needs) for y in (incomes,) + others]
-    )
-
-
-def _screen_income_additivity(rule, block):
-    (incomes, needs), extra = block["problem"], block["extra_incomes"]
-    combined = incomes + extra
-    expected = rule.payoffs_batch(incomes, needs) + rule.payoffs_batch(extra, needs)
-    observed = rule.payoffs_batch(combined, needs)
-    scale = _additivity_scale(incomes, needs, extra, combined)
+def _screen_income_additivity(rule, trials):
+    problem, extra_incomes = trials["problem"], trials["extra_incomes"]
+    incomes, needs = problem.incomes, problem.needs
+    extra = Block(extra_incomes, needs)
+    combined = Block(incomes + extra_incomes, needs)
+    expected = rule.payoffs_batch(problem) + rule.payoffs_batch(extra)
+    observed = rule.payoffs_batch(combined)
+    scale = np.maximum.reduce([problem.scales, extra.scales, combined.scales])
     return _row_max_abs(observed - expected), scale, expected, observed
 
 
@@ -522,12 +518,14 @@ def _shrink_extra_incomes(instance, s):
 # --- dual income additivity: the reflected form of income additivity ---
 
 
-def _screen_dual_income_additivity(rule, block):
-    (incomes, needs), extra = block["problem"], block["extra_incomes"]
-    combined, shifted = incomes + extra, needs + extra
-    observed = needs + rule.payoffs_batch(combined, needs)
-    expected = rule.payoffs_batch(incomes, needs) + rule.payoffs_batch(shifted, needs)
-    scale = _additivity_scale(incomes, needs, combined, shifted)
+def _screen_dual_income_additivity(rule, trials):
+    problem, extra_incomes = trials["problem"], trials["extra_incomes"]
+    incomes, needs = problem.incomes, problem.needs
+    combined = Block(incomes + extra_incomes, needs)
+    shifted = Block(needs + extra_incomes, needs)
+    observed = needs + rule.payoffs_batch(combined)
+    expected = rule.payoffs_batch(problem) + rule.payoffs_batch(shifted)
+    scale = np.maximum.reduce([problem.scales, combined.scales, shifted.scales])
     return _row_max_abs(observed - expected), scale, expected, observed
 
 
@@ -598,11 +596,12 @@ def check_axiom(
     Stops at the first violation, shrinks it, and reports a counterexample
     whose re-measured deviation exceeds tol scaled by instance magnitude;
     a NaN deviation, as a NaN payoff gives, counts as a violation.
-    Trials are screened a block at a time. The first trial the screen flags
-    is re-screened as a one-row block rebuilt from its instance, which then
-    shrinks and is reported. When a block holds a problem that Problem
-    rejects, every trial of the block is re-screened that way in order, so
-    the first violation is reported or the error raised, as trial by trial.
+    Trials are screened a block at a time, one batch per agent count. The
+    first trial the screen flags is re-screened as a one-row batch rebuilt
+    from its instance, which then shrinks and is reported. When a batch's
+    screen builds a problem that Problem rejects, every trial of the batch
+    is re-screened that way in order, so the first violation is reported or
+    the error raised, as trial by trial.
     """
     if axiom not in _CHECKERS:
         raise UnknownAxiom(f"unknown axiom {axiom!r}")
@@ -612,16 +611,16 @@ def check_axiom(
     for start, groups in trial_blocks(rng, cfg):
         flagged = []
         for n, rows in groups:
-            block = checker.draw(rng, n, len(rows))
+            trials = checker.draw(rng, n, len(rows))
             try:
                 with np.errstate(over="ignore", invalid="ignore"):
-                    deviation, scale, _, _ = checker.screen(rule, block)
+                    deviation, scale, _, _ = checker.screen(rule, trials)
                 hits = np.flatnonzero(~(deviation <= tol * scale))
             except ValidationError:
                 hits = range(len(rows))
-            flagged += [(int(rows[k]), block, k) for k in hits]
-        for trial, block, k in sorted(flagged, key=lambda hit: hit[0]):
-            instance = _trial(block, k)
+            flagged += [(int(rows[k]), trials, k) for k in hits]
+        for trial, trials, k in sorted(flagged, key=lambda hit: hit[0]):
+            instance = _trial(trials, k)
             deviation, scale, _, _ = _measure(checker, rule, instance)
             if _violates(deviation, tol, scale):
                 instance = _shrunk(checker, rule, instance, tol)

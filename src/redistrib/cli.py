@@ -2,9 +2,9 @@
 
 Subcommands: apply, check, dual, extract, classify, compare. Reports are
 JSON on stdout (or a file via --output); human messages go to stderr.
-Exit codes: 0 success, 1 axiom check failures, 2 parse errors and rules
-whose payoffs do not allocate a valid dataset (RuleError), 3 dataset
-validation errors.
+Exit codes: 0 success, 1 axiom check failures, 2 parse errors, rules
+whose payoffs do not allocate a valid dataset (RuleError) and an --output
+path that cannot be written, 3 dataset validation errors.
 """
 
 from __future__ import annotations
@@ -42,6 +42,10 @@ _CATALOG_LABELS = {
 
 class DatasetError(ValueError):
     """The input dataset is malformed or violates a domain rule."""
+
+
+class OutputError(ValueError):
+    """The report cannot be written to its --output path."""
 
 
 # A dataset as read: its id, income and need columns.
@@ -106,6 +110,8 @@ def _read_json(handle: TextIO, path: str) -> _Columns:
         payload = json.load(handle)
     except ValueError as exc:
         raise DatasetError(f"{path}: invalid JSON ({exc})") from None
+    except RecursionError:
+        raise DatasetError(f"{path}: JSON nested too deeply") from None
     agents = payload.get("agents") if isinstance(payload, dict) else None
     if not isinstance(agents, list):
         raise DatasetError(f"{path}: expected an object with an 'agents' list")
@@ -136,7 +142,8 @@ def load_dataset(path: str, fmt: str | None = None) -> Problem:
     if fmt is None:
         fmt = "json" if path.lower().endswith(".json") else "csv"
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
+        # utf-8-sig drops the byte order mark some editors write first.
+        with open(path, newline="", encoding="utf-8-sig") as handle:
             if fmt == "csv":
                 ids, incomes, needs = _read_csv(handle, path)
             elif fmt == "json":
@@ -193,6 +200,7 @@ def _counterexample_json(counterexample: Counterexample) -> dict:
 
 
 def _base_report(command: str, args: argparse.Namespace) -> dict:
+    """The opening keys of a report, with a sampling command's seed and samples."""
     report: dict = {"schema_version": SCHEMA_VERSION, "command": command}
     if getattr(args, "rule", None) is not None:
         report["rule"] = args.rule.strip()
@@ -200,6 +208,9 @@ def _base_report(command: str, args: argparse.Namespace) -> dict:
         report["generated_at"] = datetime.now(timezone.utc).isoformat(
             timespec="seconds"
         )
+    if "samples" in args:
+        report["seed"] = args.seed
+        report["samples"] = args.samples
     return report
 
 
@@ -288,8 +299,12 @@ def _emit(report: dict, args: argparse.Namespace) -> None:
     if args.output == "-":
         sys.stdout.writelines(chunks)
     else:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.writelines(chunks)
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.writelines(chunks)
+        except OSError as exc:
+            message = exc.strerror or exc
+            raise OutputError(f"cannot write {args.output}: {message}") from None
         print(f"wrote report to {args.output}", file=sys.stderr)
 
 
@@ -377,8 +392,6 @@ def _cmd_check(args: argparse.Namespace) -> tuple[dict, int]:
         status = "pass" if item.passed else "FAIL"
         print(f"{item.axiom}: {status}", file=sys.stderr)
     report = _base_report("check", args)
-    report["seed"] = args.seed
-    report["samples"] = args.samples
     report["tolerance"] = args.tol
     report["axioms"] = [
         {
@@ -403,8 +416,6 @@ def _cmd_dual(args: argparse.Namespace) -> tuple[dict, int]:
     closed = dual_closed_form(rule)
     self_report = check_self_dual(rule, _sample_config(args), args.tol)
     report = _base_report("dual", args)
-    report["seed"] = args.seed
-    report["samples"] = args.samples
     report["dual_rule"] = format_rule(closed) if closed is not None else None
     report["dual_label"] = (
         _CATALOG_LABELS.get(format_rule(closed)) if closed is not None else None
@@ -433,8 +444,6 @@ def _cmd_classify(args: argparse.Namespace) -> tuple[dict, int]:
     grid = parse_grid(args.grid)
     result = classify(rule, grid, _sample_config(args), args.tol)
     report = _base_report("classify", args)
-    report["seed"] = args.seed
-    report["samples"] = args.samples
     report["label"] = result.label
     report["a_shape"] = result.a_shape
     report["a_value"] = result.a_value

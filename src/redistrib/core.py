@@ -115,12 +115,6 @@ def make_problem(
     )
 
 
-def block_problem(incomes: np.ndarray, needs: np.ndarray, k: int) -> Problem:
-    """Row k of a block of problems as a Problem of agents 1..n."""
-    agents = tuple(range(1, incomes.shape[1] + 1))
-    return make_problem(agents, incomes[k].tolist(), needs[k].tolist())
-
-
 def left_sum(values: Iterable[float]) -> float:
     """Sum left to right, rounding once per addition, as row_sums adds a row.
 
@@ -141,38 +135,53 @@ def row_sums(values: np.ndarray) -> np.ndarray:
     return total
 
 
-def block_totals(
-    incomes: np.ndarray, needs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Validate a block of problems, one per row, and return their totals.
+@dataclass(frozen=True, eq=False)
+class Block:
+    """Problems of agents 1..n, one per row of an income and a need (m, n) array.
 
-    A row is accepted exactly when Problem accepts it; for an invalid block,
-    the first invalid row is built as a Problem to raise its error.
+    Validated once, when built: a row is accepted exactly when Problem
+    accepts it, and for an invalid block the first invalid row is built as
+    a Problem to raise its error. Each row's totals are summed left to
+    right, as Problem sums its tuples. The arrays are held, not copied.
     """
-    if incomes.ndim != 2 or incomes.shape != needs.shape:
-        raise LengthMismatch(
-            f"got income and need blocks of shapes {incomes.shape} and {needs.shape}"
-        )
-    if incomes.shape[1] == 0:
-        raise EmptyAgentSet("a problem needs at least one agent")
-    with np.errstate(over="ignore", invalid="ignore"):
-        total_income, total_need = row_sums(incomes), row_sums(needs)
-        # A NaN or infinite entry makes its row's total NaN or infinite, so
-        # finite totals also vouch for every entry.
-        valid = (
-            np.isfinite(total_income)
-            & np.isfinite(total_need)
-            & (needs >= 0.0).all(axis=1)
-            & (total_need > BALANCE_REL_TOL * np.maximum(1.0, np.abs(total_need)))
-        )
-    if not valid.all():
-        block_problem(incomes, needs, int(np.argmin(valid)))
-    return total_income, total_need
 
+    incomes: np.ndarray
+    needs: np.ndarray
+    total_income: np.ndarray = field(init=False, repr=False)
+    total_need: np.ndarray = field(init=False, repr=False)
 
-def block_scales(incomes: np.ndarray, needs: np.ndarray) -> np.ndarray:
-    """problem_scale of each row of a block of valid problems."""
-    return np.maximum(np.maximum(1.0, np.abs(row_sums(incomes))), row_sums(needs))
+    def __post_init__(self) -> None:
+        incomes, needs = self.incomes, self.needs
+        if incomes.ndim != 2 or incomes.shape != needs.shape:
+            raise LengthMismatch(
+                f"got income and need blocks of shapes {incomes.shape} and {needs.shape}"
+            )
+        if incomes.shape[1] == 0:
+            raise EmptyAgentSet("a problem needs at least one agent")
+        with np.errstate(over="ignore", invalid="ignore"):
+            total_income, total_need = row_sums(incomes), row_sums(needs)
+            # A NaN or infinite entry makes its row's total NaN or infinite, so
+            # finite totals also vouch for every entry.
+            valid = (
+                np.isfinite(total_income)
+                & np.isfinite(total_need)
+                & (needs >= 0.0).all(axis=1)
+                & (total_need > BALANCE_REL_TOL * np.maximum(1.0, np.abs(total_need)))
+            )
+        if not valid.all():
+            self.problem(int(np.argmin(valid)))
+        object.__setattr__(self, "total_income", total_income)
+        object.__setattr__(self, "total_need", total_need)
+
+    @property
+    def scales(self) -> np.ndarray:
+        """problem_scale of each row."""
+        return np.maximum(np.maximum(1.0, np.abs(self.total_income)), self.total_need)
+
+    def problem(self, k: int) -> Problem:
+        """Row k as a Problem of agents 1..n."""
+        agents = tuple(range(1, self.incomes.shape[1] + 1))
+        return make_problem(agents, self.incomes[k].tolist(), self.needs[k].tolist())
 
 
 def aggregates(problem: Problem) -> tuple[float, float, int]:

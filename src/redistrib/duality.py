@@ -14,7 +14,7 @@ from math import comb
 import numpy as np
 
 from .axioms import SampleConfig, rng_for, worst_trial
-from .core import Allocation, Problem, block_scales, check_tol, make_problem
+from .core import Allocation, Block, Problem, check_tol, make_problem
 from .rules import (
     ABRule,
     AFamilyRule,
@@ -151,10 +151,11 @@ def check_self_dual(
     """
     check_tol(tol)
 
-    def deviation(incomes: np.ndarray, needs: np.ndarray) -> np.ndarray:
-        direct = rule.payoffs_batch(incomes, needs)
-        mirrored = needs - rule.payoffs_batch(needs - incomes, needs)
-        return np.abs(direct - mirrored).max(axis=1) / block_scales(incomes, needs)
+    def deviation(block: Block) -> np.ndarray:
+        needs = block.needs
+        direct = rule.payoffs_batch(block)
+        mirrored = needs - rule.payoffs_batch(Block(needs - block.incomes, needs))
+        return np.abs(direct - mirrored).max(axis=1) / block.scales
 
     worst, witness = worst_trial(rng_for(cfg.seed, "self_dual"), cfg, deviation)
     passed = worst <= tol

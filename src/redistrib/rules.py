@@ -18,10 +18,9 @@ import numpy as np
 
 from .core import (
     Allocation,
+    Block,
     Problem,
     ValidationError,
-    block_problem,
-    block_totals,
     check_tol,
 )
 
@@ -154,21 +153,21 @@ class RuleSpec:
         """
         return None
 
-    def payoffs_batch(self, incomes: np.ndarray, needs: np.ndarray) -> np.ndarray:
-        """Payoffs of a block of problems, one per row of the (m, n) arrays.
+    def payoffs_batch(self, block: Block) -> np.ndarray:
+        """Payoffs of a block of problems, one row per problem.
 
         A rule with weights takes them in one weights_at call on the array of
         row ratios and pays through ab_payoffs_batch. Any other rule is
         evaluated row by row, each row built as a Problem of agents 1..n.
         """
-        totals = block_totals(incomes, needs)
+        totals = (block.total_income, block.total_need)
         weights = self.weights_at(totals[0] / totals[1])
         if weights is not None:
-            return ab_payoffs_batch(incomes, needs, totals, *weights)
+            return ab_payoffs_batch(block.incomes, block.needs, totals, *weights)
         return np.array(
-            [self.payoffs(block_problem(incomes, needs, k)) for k in range(len(incomes))],
+            [self.payoffs(block.problem(k)) for k in range(len(block.incomes))],
             dtype=float,
-        ).reshape(incomes.shape)
+        ).reshape(block.incomes.shape)
 
 
 def ab_payoffs(problem: Problem, a: float, b: float) -> tuple[float, ...]:
@@ -194,7 +193,7 @@ def ab_payoffs_batch(
     """Payoffs ȳ + a(y−ȳ) + b(z−z̄) of each row of a block of problems.
 
     Each row has its own a and b; a float weight holds for every row. totals
-    are the rows' (total income, total need), as block_totals gives them.
+    are the rows' (total income, total need), as a Block holds them.
     """
     total_income, total_need = totals
     n = incomes.shape[1]

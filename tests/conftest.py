@@ -18,7 +18,7 @@ from redistrib import (
     rng_for,
 )
 from redistrib.axioms import draw_profiles
-from redistrib.core import block_problem
+from redistrib.core import Block
 
 
 def needs_squared_rule() -> CustomRule:
@@ -56,7 +56,7 @@ def random_problems(seed: int, count: int) -> list[Problem]:
     problems = []
     for _ in range(count):
         n = int(rng.integers(1, 7))
-        problems.append(block_problem(*draw_profiles(rng, n, 1), 0))
+        problems.append(Block(*draw_profiles(rng, n, 1)).problem(0))
     return problems
 
 

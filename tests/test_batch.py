@@ -7,6 +7,7 @@ scalar_measures.py, extract_ab and the reflection definitions stay the
 reference. Every comparison here runs both on the same materialized trials.
 """
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -29,6 +30,7 @@ from redistrib import (
     NonFinite,
     PROP,
     AFamilyRule,
+    Block,
     SampleConfig,
     ScalarFn,
     ValidationError,
@@ -45,8 +47,7 @@ from redistrib import (
     problem_scale,
     rng_for,
 )
-from redistrib import axioms
-from redistrib.core import block_problem, block_totals
+from redistrib import analysis, axioms, cli, core, duality, rules
 from conftest import needs_squared_rule, nested_rules
 from scalar_measures import MEASURES, ab_payoffs_reference
 from test_axioms import NEGATIVE_CONTROLS
@@ -65,14 +66,14 @@ def _bits(values):
 
 
 def _assert_screen_matches_measure(axiom, rule, seed, n, m=12):
-    # The block row, the same trial screened as a one-row block, and the
+    # The batch row, the same trial screened as a one-row batch, and the
     # scalar measure agree bit for bit: deviation, scale, expected, observed.
     checker = axioms._CHECKERS[axiom]
-    block = checker.draw(rng_for(seed, "differential"), n, m)
-    deviation, scale, expected, observed = checker.screen(rule, block)
+    trials = checker.draw(rng_for(seed, "differential"), n, m)
+    deviation, scale, expected, observed = checker.screen(rule, trials)
     assert deviation.shape == scale.shape == (m,)
     for k in range(m):
-        instance = axioms._trial(block, k)
+        instance = axioms._trial(trials, k)
         row_expected = None if expected is None else expected[k]
         row = (deviation[k], scale[k], row_expected, observed[k])
         one_row = axioms._measure(checker, rule, instance)
@@ -166,8 +167,7 @@ def test_payoffs_batch_takes_weights_once_per_block(monkeypatch):
 
     monkeypatch.setattr(ABRule, "weights_at", counting)
     rule = parse_rule("dual(convex(ab:A=id,B=const:0.5;dual(ab:A=const:0.2,B=id);0.3))")
-    incomes, needs = axioms.draw_profiles(rng_for(3, "count"), 4, 50)
-    rule.payoffs_batch(incomes, needs)
+    rule.payoffs_batch(Block(*axioms.draw_profiles(rng_for(3, "count"), 4, 50)))
     # One call per ab rule inside, each on the block's 50 ratios.
     assert calls == [(50,), (50,)]
 
@@ -197,13 +197,13 @@ _LARGE_INCOME_WEIGHTS = st.sampled_from(
 def test_kernel_block_equals_scalar_payoffs_bit_for_bit(rule, seed, n):
     # Block rows, one-row ab_payoffs and rule.payoffs against the kernel
     # computed on Python floats.
-    incomes, needs = axioms.draw_profiles(rng_for(seed, "bits"), n, 20)
-    block = rule.payoffs_batch(incomes, needs)
-    for k in range(len(block)):
-        problem = block_problem(incomes, needs, k)
+    block = Block(*axioms.draw_profiles(rng_for(seed, "bits"), n, 20))
+    payoffs = rule.payoffs_batch(block)
+    for k in range(len(payoffs)):
+        problem = block.problem(k)
         a, b = rule.weights_at(problem.total_income / problem.total_need)
         reference = _bits(ab_payoffs_reference(problem, a, b))
-        assert _bits(block[k]) == reference
+        assert _bits(payoffs[k]) == reference
         assert _bits(ab_payoffs(problem, a, b)) == reference
         assert _bits(rule.payoffs(problem)) == reference
 
@@ -214,9 +214,9 @@ def _trials_in_order(label, cfg):
     problems = {}
     for start, groups in axioms.trial_blocks(rng, cfg):
         for n, rows in groups:
-            incomes, needs = axioms.draw_profiles(rng, n, len(rows))
+            block = Block(*axioms.draw_profiles(rng, n, len(rows)))
             for k, row in enumerate(rows):
-                problems[start + int(row)] = block_problem(incomes, needs, k)
+                problems[start + int(row)] = block.problem(k)
     return [problems[k] for k in sorted(problems)]
 
 
@@ -231,8 +231,8 @@ def _worst(values_and_problems):
 def test_worst_trial_ranks_nan_above_every_number():
     cfg = SampleConfig(seed=8, trials=4 * BLOCK)
 
-    def measure(incomes, needs):
-        first = incomes[:, 0]
+    def measure(block):
+        first = block.incomes[:, 0]
         return np.where(first > 9.9, np.nan, first)
 
     worst, witness = axioms.worst_trial(rng_for(cfg.seed, "nan"), cfg, measure)
@@ -291,8 +291,8 @@ def _scalar_outcome(axiom, rule, cfg):
         for start, groups in axioms.trial_blocks(rng, cfg):
             trials = {}
             for n, rows in groups:
-                block = checker.draw(rng, n, len(rows))
-                trials.update((start + int(row), (block, k)) for k, row in enumerate(rows))
+                batch = checker.draw(rng, n, len(rows))
+                trials.update((start + int(row), (batch, k)) for k, row in enumerate(rows))
             for index in sorted(trials):
                 instance = axioms._trial(*trials[index])
                 deviation, scale, _, _ = MEASURES[axiom](rule, instance)
@@ -389,10 +389,7 @@ NAN, INF = math.nan, math.inf
 def test_invalid_blocks_raise_the_problem_error(incomes, needs, error):
     incomes, needs = np.asarray(incomes, dtype=float), np.asarray(needs, dtype=float)
     with pytest.raises(error):
-        block_totals(incomes, needs)
-    for rule in (PROP, needs_squared_rule()):
-        with pytest.raises(error):
-            rule.payoffs_batch(incomes, needs)
+        Block(incomes, needs)
 
 
 SPECIAL = st.sampled_from(
@@ -426,11 +423,75 @@ def test_block_validation_agrees_with_problem(rows):
             break
     if expected is not None:
         with pytest.raises(expected):
-            block_totals(incomes, needs)
+            Block(incomes, needs)
         return
-    total_income, total_need = block_totals(incomes, needs)
-    assert total_income.tolist() == [p.total_income for p in problems]
-    assert total_need.tolist() == [p.total_need for p in problems]
+    block = Block(incomes, needs)
+    assert block.total_income.tolist() == [p.total_income for p in problems]
+    assert block.total_need.tolist() == [p.total_need for p in problems]
+    assert block.scales.tolist() == [problem_scale(p) for p in problems]
+    assert [block.problem(k) for k in range(len(rows))] == [
+        make_problem(range(1, len(y) + 1), y, z) for y, z in rows
+    ]
+
+
+def _count_row_sums(monkeypatch):
+    """Count Blocks built, row_sums calls from any module and nat screens."""
+    counts = {"blocks": 0, "row_sums": 0, "nat_screens": 0}
+    post_init, row_sums = Block.__post_init__, core.row_sums
+    nat = axioms._CHECKERS["nat"]
+
+    def counting_post_init(self):
+        counts["blocks"] += 1
+        post_init(self)
+
+    def counting_row_sums(values):
+        counts["row_sums"] += 1
+        return row_sums(values)
+
+    def counting_nat_screen(rule, trials):
+        counts["nat_screens"] += 1
+        return nat.screen(rule, trials)
+
+    monkeypatch.setattr(Block, "__post_init__", counting_post_init)
+    for module in (core, rules, axioms, duality, analysis, cli):
+        if hasattr(module, "row_sums"):
+            monkeypatch.setattr(module, "row_sums", counting_row_sums)
+    monkeypatch.setitem(
+        axioms._CHECKERS, "nat", dataclasses.replace(nat, screen=counting_nat_screen)
+    )
+    return counts
+
+
+def _assert_each_block_is_summed_once(counts):
+    # Two row_sums per Block, its incomes and its needs, and two per nat
+    # screen, the group's payoffs before and after.
+    assert counts["blocks"] > 0
+    assert counts["row_sums"] == 2 * counts["blocks"] + 2 * counts["nat_screens"]
+
+
+@pytest.mark.parametrize("axiom", ALL_AXIOMS)
+def test_check_axiom_sums_each_block_once(monkeypatch, axiom):
+    # A passing rule, and a failing one whose counterexample is confirmed,
+    # shrunk and re-checked through one-row Blocks.
+    failing = [rule for name, rule in NEGATIVE_CONTROLS if name == axiom]
+    counts = _count_row_sums(monkeypatch)
+    cfg = SampleConfig(seed=3, trials=BLOCK + 5)
+    reports = [check_axiom(axiom, rule, cfg, TOL) for rule in [PROP] + failing]
+    assert [report.passed for report in reports] == [True] + [False] * len(failing)
+    _assert_each_block_is_summed_once(counts)
+    assert (counts["nat_screens"] > 0) == (axiom == "nat")
+
+
+@pytest.mark.parametrize(
+    "rule", [PROP, parse_rule("lin:0.3,0.2"), needs_squared_rule()], ids=format_rule
+)
+def test_self_dual_and_classify_sum_each_block_once(monkeypatch, rule):
+    counts = _count_row_sums(monkeypatch)
+    cfg = SampleConfig(seed=4, trials=BLOCK + 5)
+    check_self_dual(rule, cfg, TOL)
+    classify(rule, (-2.0, -1.0, 0.0, 1.0, 2.0), cfg, TOL)
+    _assert_each_block_is_summed_once(counts)
+    assert counts["nat_screens"] == 0
 
 
 def _continuity_peak(trials):

@@ -494,6 +494,8 @@ def test_csv_loader_accepts(tmp_path, text, ids, incomes):
     assert problem.incomes == incomes
 
 
+# Nested far deeper than json.load can recurse.
+DEEP_JSON = '{"agents": ' + "[" * 200_000 + "]" * 200_000 + "}"
 HUGE_INCOME = b'{"agents": [{"id": "a", "income": 1' + b"0" * 400 + b', "need": 1}]}'
 
 
@@ -646,6 +648,8 @@ def test_edge_dataset_reports_are_exact(capsys, tmp_path, name, command, specs):
         ("first.csv", "id,income,need\na,5,1\na,1,3\nc,1,y\nd,z,1\n", " line 4: need 'y' is not a number"),
         # a duplicate id is named before the Problem's own checks
         ("duplicate.csv", "id,income,need\na,5,0\nb,1,0\na,1,0\n", ": duplicate agent id 'a'"),
+        # a byte order mark moves no line number
+        ("bom.csv", "\ufeffid,income,need\na,5,1\nb,x,3\n", " line 3: income 'x' is not a number"),
         (
             "income.json",
             '{"agents": [{"id": "a", "income": 5, "need": 1}, {"id": "b", "income": "x", "need": 1}]}',
@@ -661,6 +665,7 @@ def test_edge_dataset_reports_are_exact(capsys, tmp_path, name, command, specs):
             '{"agents": [{"id": 1, "income": 5, "need": 1}, {"id": "1", "income": 1, "need": 1}]}',
             ": duplicate agent id '1'",
         ),
+        ("deep.json", DEEP_JSON, ": JSON nested too deeply"),
     ],
 )
 def test_loader_errors_are_named_exactly(capsys, tmp_path, name, text, message):
@@ -670,6 +675,21 @@ def test_loader_errors_are_named_exactly(capsys, tmp_path, name, text, message):
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
     assert captured.err == f"DatasetError: {path}{message}\n"
+
+
+@pytest.mark.parametrize("name,text", [("two.csv", CSV_TEXT), ("two.json", JSON_TEXT)])
+def test_a_byte_order_mark_is_skipped(capsys, tmp_path, name, text):
+    # Excel's "CSV UTF-8" export and Notepad write one before the first byte.
+    reports = []
+    for prefix in ("", "\ufeff"):
+        path = tmp_path / (f"bom-{name}" if prefix else name)
+        path.write_text(prefix + text, encoding="utf-8")
+        code, report, err = run_cli(
+            capsys, "apply", "--rule", "prop", "--input", str(path), "--no-timestamp"
+        )
+        assert code == 0 and err == ""
+        reports.append((report["agents"], report["summary"]))
+    assert reports[0] == reports[1]
 
 
 # Ids with quotes, backslashes, control and non-ASCII characters.
@@ -1117,6 +1137,30 @@ def test_compare_report_holds_little_per_row():
         lambda: _compare_rows(problem.agents, problem.incomes, problem.needs, allocations)
     )
     assert per_row < 150
+
+
+@pytest.mark.parametrize("target", ["dir", "missing/report.json"])
+def test_an_unwritable_output_exits_2_with_one_line(capsys, tmp_path, target):
+    output = tmp_path if target == "dir" else tmp_path / target
+    code = main(["dual", "--rule", "full", "--output", str(output)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"OutputError: cannot write {output}: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["check", "--axioms", "core"], ["dual"], ["classify"]],
+    ids=lambda argv: argv[0],
+)
+def test_sampling_reports_open_with_their_seed_and_samples(capsys, argv):
+    code, report, _ = run_cli(
+        capsys, *argv, "--rule", "prop", "--seed", "4", "--samples", "5", "--no-timestamp"
+    )
+    assert code == 0
+    assert list(report)[:5] == ["schema_version", "command", "rule", "seed", "samples"]
+    assert (report["seed"], report["samples"]) == (4, 5)
 
 
 def test_missing_required_flag_exits_2(capsys):
