@@ -77,31 +77,37 @@ def extract_ab(
 
 
 def _extract_ab_batch(
-    rule: RuleSpec, total_income: np.ndarray, total_need: np.ndarray, agents: int
+    rule: RuleSpec,
+    total_income: np.ndarray,
+    total_need: np.ndarray,
+    agents: int | np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The extract_ab probe at each row's totals, all rows probed as two blocks.
 
+    agents is one agent count for every row, or each row's own count, as a
+    padded Block holds them; each row is probed with its own agents.
     Bumps are half a mean need, which leaves every probe need nonnegative.
     """
-    n = agents
+    counts = np.broadcast_to(agents, total_income.shape)
+    agent = np.arange(int(counts.max())) < counts[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        mean_income = total_income / n
-        mean_need = total_need / n
-        flat_incomes = np.repeat(mean_income[:, None], n, axis=1)
-        flat_needs = np.repeat(mean_need[:, None], n, axis=1)
+        mean_income = total_income / counts
+        mean_need = total_need / counts
+        flat_incomes = np.where(agent, mean_income[:, None], 0.0)
+        flat_needs = np.where(agent, mean_need[:, None], 0.0)
 
-        need_bump = total_need / (2 * n)
+        need_bump = total_need / (2 * counts)
         needs = flat_needs.copy()
         needs[:, 0] += need_bump
         needs[:, 1] -= need_bump
-        payoffs = rule.payoffs_batch(Block(flat_incomes, needs))
+        payoffs = rule.payoffs_batch(Block(flat_incomes, needs, counts))
         need_weight = (payoffs[:, 0] - mean_income) / need_bump
 
-        income_bump = np.abs(total_income) / (2 * n) + 1.0
+        income_bump = np.abs(total_income) / (2 * counts) + 1.0
         incomes = flat_incomes.copy()
         incomes[:, 0] += income_bump
         incomes[:, 1] -= income_bump
-        payoffs = rule.payoffs_batch(Block(incomes, flat_needs))
+        payoffs = rule.payoffs_batch(Block(incomes, flat_needs, counts))
         income_weight = (payoffs[:, 0] - mean_income) / income_bump
 
     return income_weight, need_weight
@@ -175,6 +181,20 @@ def _fit_b_shape(
     return "other", None
 
 
+def _residual(rule: RuleSpec, block: Block) -> np.ndarray:
+    """Each row's largest gap from the deviation form, over its scale.
+
+    The form takes the weights extract_ab finds at the row's totals.
+    """
+    totals = (block.total_income, block.total_need)
+    a, b = _extract_ab_batch(rule, *totals, agents=block.counts)
+    predicted = ab_payoffs_batch(
+        block.incomes, block.needs, totals, a, b, counts=block.counts
+    )
+    actual = rule.payoffs_batch(block)
+    return np.abs(predicted - actual).max(axis=1) / block.scales
+
+
 def classify(
     rule: RuleSpec,
     grid: Sequence[float],
@@ -201,14 +221,9 @@ def classify(
     a_shape, a_value = _fit_a_shape(profile.a_values, tol)
     b_shape, b_value = _fit_b_shape(profile.b_values, values, tol)
 
-    def residual(block: Block) -> np.ndarray:
-        totals = (block.total_income, block.total_need)
-        a, b = _extract_ab_batch(rule, *totals, agents=block.incomes.shape[1])
-        predicted = ab_payoffs_batch(block.incomes, block.needs, totals, a, b)
-        actual = rule.payoffs_batch(block)
-        return np.abs(predicted - actual).max(axis=1) / block.scales
-
-    max_residual, witness = worst_trial(rng_for(cfg.seed, "classify"), cfg, residual)
+    max_residual, witness = worst_trial(
+        rng_for(cfg.seed, "classify"), cfg, lambda block: _residual(rule, block)
+    )
 
     # A NaN residual (a rule error) shows no membership either.
     if not max_residual <= tol:

@@ -5,10 +5,14 @@ measure how far the rule deviates from the property, and fail when the
 deviation exceeds a tolerance scaled by the instance's magnitude. A pass is
 evidence, not proof; a fail comes with a concrete re-runnable counterexample.
 
-Trials are drawn and screened in batches of numpy arrays, one row per
-trial, each problem of a batch held in a core.Block; the screen is each
-axiom's only measure. The first flagged trial is rebuilt as an instance of
-Problems, re-screened as a one-row batch, then shrunk and reported.
+Trials are drawn in blocks of up to BLOCK_TRIALS and screened as one batch
+of numpy arrays, row k for trial k, each problem of a batch held in a
+core.Block. A trial has 2 to 6 agents, so the batch is as wide as its
+largest trial and the columns past a trial's own agents are padding: zero
+incomes and needs, paid zero, which leave every row's totals and payoffs
+as they are unpadded, bit for bit. The screen is each axiom's only
+measure. The first flagged trial is rebuilt as an instance of Problems,
+re-screened as an unpadded one-row batch, then shrunk and reported.
 """
 
 from __future__ import annotations
@@ -42,6 +46,9 @@ CONTINUITY_STEPS = 40
 # Halvings at the end of the continuity probe whose gap must not grow.
 CONTINUITY_TAIL = CONTINUITY_STEPS // 2
 MAX_SHRINK_STEPS = 40
+# Continuity steps screened together. A block of trials at all 41 steps
+# takes about 1.2 MB more memory at its peak than at 8.
+CONTINUITY_SLICE = 8
 
 # The sampled domain. Every problem has 2 to 6 agents, so each axiom's
 # construction (a second identical agent, a group, a dummy) fits. Needs
@@ -80,19 +87,54 @@ def rng_for(seed: int, label: str) -> np.random.Generator:
 
 
 def trial_blocks(
-    rng: np.random.Generator, cfg: SampleConfig
-) -> Iterator[tuple[int, list[tuple[int, np.ndarray]]]]:
+    rng: np.random.Generator, cfg: SampleConfig, draw: Callable
+) -> Iterator[tuple[int, dict]]:
     """Split cfg.trials into blocks of BLOCK_TRIALS trials or fewer.
 
-    Yields each block's first trial index and its trials grouped by agent
-    count: (n, positions of the block's trials with n agents), n ascending.
+    Yields each block's first trial index and its trials as one padded
+    batch (see draw_trials); row k of the batch is trial start + k.
     """
     for start in range(0, cfg.trials, BLOCK_TRIALS):
         size = min(BLOCK_TRIALS, cfg.trials - start)
         counts = rng.integers(N_RANGE[0], N_RANGE[1] + 1, size)
-        yield start, [
-            (n, np.flatnonzero(counts == n)) for n in sorted(set(counts.tolist()))
-        ]
+        yield start, draw_trials(rng, counts, draw)
+
+
+def draw_trials(rng: np.random.Generator, counts: np.ndarray, draw: Callable) -> dict:
+    """Trials of the given agent counts as one batch, row k of agents 1..counts[k].
+
+    draw(rng, n, m) gives m trials of n agents: a dict of problems, as
+    (incomes, needs) pairs, and of arrays, one row per trial, or scalars.
+    Each agent count is drawn in turn, ascending, and its rows are scattered
+    to its trials' positions. 2-D arrays are padded with zeros (False, for a
+    mask) to the largest count, and each problem becomes one Block that
+    records the counts.
+    """
+    size, width = len(counts), int(counts.max())
+    groups = []
+    for n in sorted(set(counts.tolist())):
+        rows = np.flatnonzero(counts == n)
+        groups.append((rows, draw(rng, n, len(rows))))
+
+    def scatter(parts: Sequence[np.ndarray]) -> np.ndarray:
+        out = np.zeros((size, width)[: parts[0].ndim], parts[0].dtype)
+        for (rows, _), part in zip(groups, parts):
+            if part.ndim == 2:
+                out[rows, : part.shape[1]] = part
+            else:
+                out[rows] = part
+        return out
+
+    batch = {}
+    for key, value in groups[0][1].items():
+        parts = [trials[key] for _, trials in groups]
+        if np.ndim(value) == 0:
+            batch[key] = value
+        elif isinstance(value, tuple):
+            batch[key] = Block(*map(scatter, zip(*parts)), counts)
+        else:
+            batch[key] = scatter(parts)
+    return batch
 
 
 def draw_profiles(
@@ -102,6 +144,10 @@ def draw_profiles(
     return rng.uniform(*INCOME_RANGE, (m, n)), rng.uniform(*NEED_RANGE, (m, n))
 
 
+def _draw_problems(rng, n, m):
+    return {"problem": draw_profiles(rng, n, m)}
+
+
 def worst_trial(
     rng: np.random.Generator,
     cfg: SampleConfig,
@@ -109,27 +155,19 @@ def worst_trial(
 ) -> tuple[float, Problem | None]:
     """Largest measure over cfg.trials random problems, and its first problem.
 
-    measure maps a Block to one value per row; values that are not positive
-    never count. A NaN value, which only a rule error gives, is worse than
-    any number: the first one is returned with its problem.
+    measure maps a padded Block to one value per row; values that are not
+    positive never count. A NaN value, which only a rule error gives, is
+    worse than any number: the first one is returned with its problem.
     """
     worst, witness = 0.0, None
-    for _, groups in trial_blocks(rng, cfg):
-        values = np.zeros(sum(len(rows) for _, rows in groups))
-        drawn = []
-        for n, rows in groups:
-            block = Block(*draw_profiles(rng, n, len(rows)))
-            with np.errstate(over="ignore", invalid="ignore"):
-                values[rows] = measure(block)
-            drawn.append((rows, block))
+    for _, trials in trial_blocks(rng, cfg, _draw_problems):
+        block = trials["problem"]
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = measure(block)
         nan_rows = np.flatnonzero(np.isnan(values))
         k = int(nan_rows[0]) if nan_rows.size else int(np.argmax(values))
         if not values[k] <= worst:
-            worst = float(values[k])
-            for rows, block in drawn:
-                hit = np.flatnonzero(rows == k)
-                if hit.size:
-                    witness = block.problem(int(hit[0]))
+            worst, witness = float(values[k]), block.problem(k)
             if nan_rows.size:
                 break
     return worst, witness
@@ -191,11 +229,11 @@ class AxiomReport:
 class _Checker:
     """An axiom's draw and screen, and how its counterexamples shrink.
 
-    draw(rng, n, m) gives m trials of n agents as a batch: a dict of Blocks
-    and arrays, one row per trial. screen gives each trial's deviation,
-    scale, expected and observed values (expected may be None); on a one-row
-    batch rebuilt from an instance it confirms, shrinks and re-checks
-    counterexamples.
+    draw(rng, n, m) gives m trials of n agents, which draw_trials gathers
+    into a padded batch: a dict of Blocks and arrays, one row per trial.
+    screen gives each trial's deviation, scale, expected and observed values
+    (expected may be None); on a one-row batch rebuilt from an instance it
+    confirms, shrinks and re-checks counterexamples.
     """
 
     draw: Callable[[np.random.Generator, int, int], dict]
@@ -227,9 +265,11 @@ def _trial(trials: dict, k: int) -> dict:
     """Trial k of a batch as an instance dict, the form counterexamples take.
 
     A Block's row becomes a Problem, a boolean mask the positions it
-    selects, a 2-D array a tuple, a 1-D array an entry; a scalar is kept.
-    _one_row turns the instance back into a one-row batch.
+    selects, a 2-D array a tuple cut to the trial's agents, a 1-D array an
+    entry; a scalar is kept. _one_row turns the instance back into a one-row
+    batch.
     """
+    n = int(trials["problem"].counts[k])
     instance = {}
     for key, value in trials.items():
         if isinstance(value, Block):
@@ -237,9 +277,9 @@ def _trial(trials: dict, k: int) -> dict:
         elif np.ndim(value) == 0:
             instance[key] = value
         elif value.dtype == bool:
-            instance[key] = tuple(np.flatnonzero(value[k]).tolist())
+            instance[key] = tuple(np.flatnonzero(value[k, :n]).tolist())
         elif value.ndim == 2:
-            instance[key] = tuple(value[k].tolist())
+            instance[key] = tuple(value[k, :n].tolist())
         else:
             instance[key] = value[k].item()
     return instance
@@ -300,16 +340,13 @@ def _drop_agent(instance: dict, agent) -> dict:
 
 
 def _draw_homogeneity(rng, n, m):
-    return {
-        "problem": Block(*draw_profiles(rng, n, m)),
-        "factor": rng.uniform(0.1, 10.0, m),
-    }
+    return {"problem": draw_profiles(rng, n, m), "factor": rng.uniform(0.1, 10.0, m)}
 
 
 def _screen_homogeneity(rule, trials):
     problem, factor = trials["problem"], trials["factor"][:, None]
     expected = factor * rule.payoffs_batch(problem)
-    scaled = Block(factor * problem.incomes, factor * problem.needs)
+    scaled = Block(factor * problem.incomes, factor * problem.needs, problem.counts)
     observed = rule.payoffs_batch(scaled)
     # Rounding grows with the payoffs, which can dwarf the problem's totals.
     scale = _payoff_scale([problem.scales, scaled.scales], observed)
@@ -333,9 +370,8 @@ def _draw_equal_treatment(rng, n, m):
     second = (first + rng.integers(1, n, m)) % n
     incomes[rows, second] = incomes[rows, first]
     needs[rows, second] = needs[rows, first]
-    problem = Block(incomes, needs)
     # Agents are numbered from 1.
-    return {"problem": problem, "first": first + 1, "second": second + 1}
+    return {"problem": (incomes, needs), "first": first + 1, "second": second + 1}
 
 
 def _screen_equal_treatment(rule, trials):
@@ -367,7 +403,7 @@ def _draw_continuity(rng, n, m):
     # their original value, hence valid.
     need_dir = rng.uniform(-1.0, 1.0, (m, n)) * np.minimum(1.0, needs / (2.0 * delta))
     return {
-        "problem": Block(incomes, needs),
+        "problem": (incomes, needs),
         "income_dir": income_dir,
         "need_dir": need_dir,
         "base_delta": delta,
@@ -381,20 +417,29 @@ def _screen_continuity(rule, trials):
     problem = trials["problem"]
     m, n = problem.incomes.shape
     base = rule.payoffs_batch(problem)
-    # Every step of every trial in one Block: shape (steps, m, n).
+    scale = _payoff_scale([problem.scales], base)
     deltas = (trials["base_delta"] * _HALVINGS)[:, None, None]
-    steps = Block(
-        (problem.incomes + deltas * trials["income_dir"]).reshape(-1, n),
-        (problem.needs + deltas * trials["need_dir"]).reshape(-1, n),
-    )
-    moved = rule.payoffs_batch(steps).reshape(-1, m, n)
-    gaps = np.abs(moved - base).max(axis=2)
+    counts = np.tile(problem.counts, CONTINUITY_SLICE)
+    gaps = []
+    # Every trial's steps in one Block of shape (steps, m, n), a slice of
+    # CONTINUITY_SLICE steps at a time. Slices give the bits the whole probe
+    # would: each payoff is its own row's, and a max does not depend on order.
+    for first in range(0, len(deltas), CONTINUITY_SLICE):
+        delta = deltas[first : first + CONTINUITY_SLICE]
+        steps = Block(
+            (problem.incomes + delta * trials["income_dir"]).reshape(-1, n),
+            (problem.needs + delta * trials["need_dir"]).reshape(-1, n),
+            counts[: len(delta) * m],
+        )
+        moved = rule.payoffs_batch(steps).reshape(-1, m, n)
+        gaps.append(np.abs(moved - base).max(axis=2))
+        scale = _payoff_scale([scale], moved.swapaxes(0, 1))
+    gaps = np.concatenate(gaps)
     # Violation when the gap fails to vanish, or grows along the tail. A
     # continuous rule's gap may grow at the first, large steps, before the
     # perturbation is small enough for the rule to look linear.
     tail = gaps[-(CONTINUITY_TAIL + 1):]
     worst = np.maximum(gaps[-1], (tail[1:] - tail[:-1]).max(axis=0))
-    scale = _payoff_scale([problem.scales], base, moved.swapaxes(0, 1))
     return worst, scale, None, gaps.T
 
 
@@ -414,11 +459,11 @@ def _draw_nat(rng, n, m):
     # Normalized exponentials: flat Dirichlet weights over the group.
     weights = rng.standard_exponential((m, n)) * members
     weights /= weights.sum(axis=1, keepdims=True)
-    modified = Block(
+    modified = (
         np.where(members, income_total / size + amp * spread, incomes),
         np.where(members, need_total * weights, needs),
     )
-    return {"problem": Block(incomes, needs), "modified": modified, "members": members}
+    return {"problem": (incomes, needs), "modified": modified, "members": members}
 
 
 def _screen_nat(rule, trials):
@@ -448,13 +493,13 @@ def _shrink_nat(instance, s):
 
 
 def _draw_stability(rng, n, m):
-    return {"problem": Block(*draw_profiles(rng, n, m))}
+    return {"problem": draw_profiles(rng, n, m)}
 
 
 def _screen_stability(rule, trials):
     problem = trials["problem"]
     once = rule.payoffs_batch(problem)
-    again = rule.payoffs_batch(Block(once, problem.needs))
+    again = rule.payoffs_batch(Block(once, problem.needs, problem.counts))
     return _row_max_abs(once - again), problem.scales, once, again
 
 
@@ -473,7 +518,7 @@ def _draw_dummy(rng, n, m):
     incomes[rows, agent] = 0.0
     needs[rows, agent] = 0.0
     # Agents are numbered from 1.
-    return {"problem": Block(incomes, needs), "agent": agent + 1}
+    return {"problem": (incomes, needs), "agent": agent + 1}
 
 
 def _screen_dummy(rule, trials):
@@ -493,16 +538,16 @@ def _droppable_dummy(instance):
 
 def _draw_income_additivity(rng, n, m):
     return {
-        "problem": Block(*draw_profiles(rng, n, m)),
+        "problem": draw_profiles(rng, n, m),
         "extra_incomes": rng.uniform(*INCOME_RANGE, (m, n)),
     }
 
 
 def _screen_income_additivity(rule, trials):
     problem, extra_incomes = trials["problem"], trials["extra_incomes"]
-    incomes, needs = problem.incomes, problem.needs
-    extra = Block(extra_incomes, needs)
-    combined = Block(incomes + extra_incomes, needs)
+    incomes, needs, counts = problem.incomes, problem.needs, problem.counts
+    extra = Block(extra_incomes, needs, counts)
+    combined = Block(incomes + extra_incomes, needs, counts)
     expected = rule.payoffs_batch(problem) + rule.payoffs_batch(extra)
     observed = rule.payoffs_batch(combined)
     scale = np.maximum.reduce([problem.scales, extra.scales, combined.scales])
@@ -520,9 +565,9 @@ def _shrink_extra_incomes(instance, s):
 
 def _screen_dual_income_additivity(rule, trials):
     problem, extra_incomes = trials["problem"], trials["extra_incomes"]
-    incomes, needs = problem.incomes, problem.needs
-    combined = Block(incomes + extra_incomes, needs)
-    shifted = Block(needs + extra_incomes, needs)
+    incomes, needs, counts = problem.incomes, problem.needs, problem.counts
+    combined = Block(incomes + extra_incomes, needs, counts)
+    shifted = Block(needs + extra_incomes, needs, counts)
     observed = needs + rule.payoffs_batch(combined)
     expected = rule.payoffs_batch(problem) + rule.payoffs_batch(shifted)
     scale = np.maximum.reduce([problem.scales, combined.scales, shifted.scales])
@@ -596,30 +641,26 @@ def check_axiom(
     Stops at the first violation, shrinks it, and reports a counterexample
     whose re-measured deviation exceeds tol scaled by instance magnitude;
     a NaN deviation, as a NaN payoff gives, counts as a violation.
-    Trials are screened a block at a time, one batch per agent count. The
-    first trial the screen flags is re-screened as a one-row batch rebuilt
-    from its instance, which then shrinks and is reported. When a batch's
-    screen builds a problem that Problem rejects, every trial of the batch
-    is re-screened that way in order, so the first violation is reported or
-    the error raised, as trial by trial.
+    Trials are screened a block at a time, as one padded batch. The first
+    trial the screen flags is re-screened as a one-row batch rebuilt from
+    its instance, which then shrinks and is reported. When a batch's screen
+    builds a problem that Problem rejects, every trial of the batch is
+    re-screened that way in order, so the first violation is reported or the
+    error raised, as trial by trial.
     """
     if axiom not in _CHECKERS:
         raise UnknownAxiom(f"unknown axiom {axiom!r}")
     check_tol(tol)
     checker = _CHECKERS[axiom]
     rng = rng_for(cfg.seed, axiom)
-    for start, groups in trial_blocks(rng, cfg):
-        flagged = []
-        for n, rows in groups:
-            trials = checker.draw(rng, n, len(rows))
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    deviation, scale, _, _ = checker.screen(rule, trials)
-                hits = np.flatnonzero(~(deviation <= tol * scale))
-            except ValidationError:
-                hits = range(len(rows))
-            flagged += [(int(rows[k]), trials, k) for k in hits]
-        for trial, trials, k in sorted(flagged, key=lambda hit: hit[0]):
+    for start, trials in trial_blocks(rng, cfg, checker.draw):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                deviation, scale, _, _ = checker.screen(rule, trials)
+            flagged = np.flatnonzero(~(deviation <= tol * scale)).tolist()
+        except ValidationError:
+            flagged = range(len(trials["problem"].incomes))
+        for k in flagged:
             instance = _trial(trials, k)
             deviation, scale, _, _ = _measure(checker, rule, instance)
             if _violates(deviation, tol, scale):
@@ -633,7 +674,7 @@ def check_axiom(
                     threshold=tol * scale,
                 )
                 return AxiomReport(
-                    axiom, rule, False, start + trial + 1, tol, counterexample
+                    axiom, rule, False, start + k + 1, tol, counterexample
                 )
     return AxiomReport(axiom, rule, True, cfg.trials, tol, None)
 

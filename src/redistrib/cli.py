@@ -23,7 +23,7 @@ from .analysis import classify, parse_grid, profile_rule
 from .axioms import Counterexample, SampleConfig, axiom_suite, expand_axiom_names
 from .core import Problem, ValidationError, left_sum, make_problem
 from .duality import check_self_dual, dual_closed_form
-from .rules import RuleSpec, evaluate, format_rule, parse_rule, split_rule_list
+from .rules import RuleSpec, _excerpt, evaluate, format_rule, parse_rule, split_rule_list
 
 SCHEMA_VERSION = "1"
 
@@ -52,13 +52,18 @@ class OutputError(ValueError):
 _Columns = tuple[list[str], list[float], list[float]]
 
 
+def _quote(value: object) -> str:
+    """A dataset value for a message: its repr, cut short if long."""
+    return _excerpt(repr(value))
+
+
 def _record_error(income: object, need: object, where: str) -> DatasetError:
     """The error naming income if float() refuses it, else need."""
     try:
         float(income)  # type: ignore[arg-type]
     except (TypeError, ValueError, OverflowError):
-        return DatasetError(f"{where}: income {income!r} is not a number")
-    return DatasetError(f"{where}: need {need!r} is not a number")
+        return DatasetError(f"{where}: income {_quote(income)} is not a number")
+    return DatasetError(f"{where}: need {_quote(need)} is not a number")
 
 
 def _csv_row_error(row: list[str], where: str) -> DatasetError | None:
@@ -78,7 +83,7 @@ def _read_csv(handle: TextIO, path: str) -> _Columns:
     header = [cell.strip().lower() for cell in header]
     if header != ["id", "income", "need"]:
         raise DatasetError(
-            f"{path}: header must be id,income,need, got {','.join(header)!r}"
+            f"{path}: header must be id,income,need, got {_quote(','.join(header))}"
         )
     ids: list[str] = []
     incomes: list[float] = []
@@ -158,7 +163,7 @@ def load_dataset(path: str, fmt: str | None = None) -> Problem:
         seen: set[str] = set()
         for agent_id in ids:
             if agent_id in seen:
-                raise DatasetError(f"{path}: duplicate agent id {agent_id!r}")
+                raise DatasetError(f"{path}: duplicate agent id {_quote(agent_id)}")
             seen.add(agent_id)
     return make_problem(ids, incomes, needs)
 

@@ -98,6 +98,30 @@ class Problem:
         object.__setattr__(self, "total_income", total_income)
         object.__setattr__(self, "total_need", total_need)
 
+    @classmethod
+    def _checked(
+        cls,
+        agents: tuple[Hashable, ...],
+        incomes: tuple[float, ...],
+        needs: tuple[float, ...],
+        total_income: float,
+        total_need: float,
+    ) -> Problem:
+        """A Problem of entries already checked as __post_init__ checks them.
+
+        total_income and total_need are the entries' left_sum totals. Nothing
+        is checked or summed again.
+        """
+        problem = object.__new__(cls)
+        vars(problem).update(
+            agents=agents,
+            incomes=incomes,
+            needs=needs,
+            total_income=total_income,
+            total_need=total_need,
+        )
+        return problem
+
     def __len__(self) -> int:
         return len(self.agents)
 
@@ -128,7 +152,7 @@ def left_sum(values: Iterable[float]) -> float:
 
 
 def row_sums(values: np.ndarray) -> np.ndarray:
-    """Sum each row left to right, adding exactly as Problem totals its tuples."""
+    """Sum each row left to right from +0.0, exactly as Problem totals its tuples."""
     total = np.zeros(len(values))
     for column in values.T:
         total += column
@@ -137,7 +161,13 @@ def row_sums(values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Block:
-    """Problems of agents 1..n, one per row of an income and a need (m, n) array.
+    """Problems of up to n agents, one per row of an income and a need (m, n) array.
+
+    Row k is the problem of agents 1..counts[k]; counts default to n for
+    every row. The columns past a row's count are padding and hold income
+    0.0 and need 0.0, and rules pay them 0.0. Totals start from +0.0, so a
+    row total is never -0.0 and adding a padded 0.0 leaves it as it is: a
+    padded row's totals equal those of the same row unpadded, bit for bit.
 
     Validated once, when built: a row is accepted exactly when Problem
     accepts it, and for an invalid block the first invalid row is built as
@@ -147,6 +177,7 @@ class Block:
 
     incomes: np.ndarray
     needs: np.ndarray
+    counts: np.ndarray | None = None
     total_income: np.ndarray = field(init=False, repr=False)
     total_need: np.ndarray = field(init=False, repr=False)
 
@@ -158,6 +189,8 @@ class Block:
             )
         if incomes.shape[1] == 0:
             raise EmptyAgentSet("a problem needs at least one agent")
+        if self.counts is None:
+            object.__setattr__(self, "counts", np.full(len(incomes), incomes.shape[1]))
         with np.errstate(over="ignore", invalid="ignore"):
             total_income, total_need = row_sums(incomes), row_sums(needs)
             # A NaN or infinite entry makes its row's total NaN or infinite, so
@@ -168,10 +201,12 @@ class Block:
                 & (needs >= 0.0).all(axis=1)
                 & (total_need > BALANCE_REL_TOL * np.maximum(1.0, np.abs(total_need)))
             )
-        if not valid.all():
-            self.problem(int(np.argmin(valid)))
         object.__setattr__(self, "total_income", total_income)
         object.__setattr__(self, "total_need", total_need)
+        if not valid.all():
+            # Built again through Problem's checks, the row raises its error.
+            row = self.problem(int(np.argmin(valid)))
+            Problem(row.agents, row.incomes, row.needs)
 
     @property
     def scales(self) -> np.ndarray:
@@ -179,9 +214,19 @@ class Block:
         return np.maximum(np.maximum(1.0, np.abs(self.total_income)), self.total_need)
 
     def problem(self, k: int) -> Problem:
-        """Row k as a Problem of agents 1..n."""
-        agents = tuple(range(1, self.incomes.shape[1] + 1))
-        return make_problem(agents, self.incomes[k].tolist(), self.needs[k].tolist())
+        """Row k as a Problem of agents 1..counts[k].
+
+        The row was checked when the block was built, so its entries are not
+        checked again and the Problem takes the row's totals.
+        """
+        n = int(self.counts[k])
+        return Problem._checked(
+            tuple(range(1, n + 1)),
+            tuple(self.incomes[k, :n].tolist()),
+            tuple(self.needs[k, :n].tolist()),
+            float(self.total_income[k]),
+            float(self.total_need[k]),
+        )
 
 
 def aggregates(problem: Problem) -> tuple[float, float, int]:

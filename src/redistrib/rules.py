@@ -19,6 +19,7 @@ import numpy as np
 from .core import (
     Allocation,
     Block,
+    LengthMismatch,
     Problem,
     ValidationError,
     check_tol,
@@ -158,16 +159,24 @@ class RuleSpec:
 
         A rule with weights takes them in one weights_at call on the array of
         row ratios and pays through ab_payoffs_batch. Any other rule is
-        evaluated row by row, each row built as a Problem of agents 1..n.
+        evaluated row by row, each row built as a Problem of its own agents.
+        Padded columns are paid 0.0.
         """
         totals = (block.total_income, block.total_need)
         weights = self.weights_at(totals[0] / totals[1])
         if weights is not None:
-            return ab_payoffs_batch(block.incomes, block.needs, totals, *weights)
-        return np.array(
-            [self.payoffs(block.problem(k)) for k in range(len(block.incomes))],
-            dtype=float,
-        ).reshape(block.incomes.shape)
+            return ab_payoffs_batch(
+                block.incomes, block.needs, totals, *weights, counts=block.counts
+            )
+        payoffs = np.zeros(block.incomes.shape)
+        for k in range(len(payoffs)):
+            problem = block.problem(k)
+            row = self.payoffs(problem)
+            # Assigned to a slice, one value would silently fill the row.
+            if len(row) != len(problem):
+                raise LengthMismatch(f"{len(row)} values for {len(problem)} agents")
+            payoffs[k, : len(row)] = row
+        return payoffs
 
 
 def ab_payoffs(problem: Problem, a: float, b: float) -> tuple[float, ...]:
@@ -189,14 +198,18 @@ def ab_payoffs_batch(
     totals: tuple[np.ndarray, np.ndarray],
     a: np.ndarray | float,
     b: np.ndarray | float,
+    counts: np.ndarray | None = None,
 ) -> np.ndarray:
     """Payoffs ȳ + a(y−ȳ) + b(z−z̄) of each row of a block of problems.
 
     Each row has its own a and b; a float weight holds for every row. totals
-    are the rows' (total income, total need), as a Block holds them.
+    are the rows' (total income, total need), and counts their agent counts,
+    as a Block holds them: the means divide by them and the columns past a
+    row's count are paid 0.0. Without counts every row has all its columns,
+    as for one problem's payoffs.
     """
     total_income, total_need = totals
-    n = incomes.shape[1]
+    n = incomes.shape[1] if counts is None else counts
     a, b = np.reshape(a, (-1, 1)), np.reshape(b, (-1, 1))
     mean_income = (total_income / n)[:, None]
     need_terms = (needs - (total_need / n)[:, None]) * b
@@ -209,6 +222,8 @@ def ab_payoffs_batch(
     if large.any():
         deviation = mean_income + (incomes - mean_income) * a + need_terms
         payoffs = np.where(large, deviation, payoffs)
+    if counts is not None:
+        payoffs[np.arange(incomes.shape[1]) >= counts[:, None]] = 0.0
     return payoffs
 
 

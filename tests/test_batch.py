@@ -48,7 +48,7 @@ from redistrib import (
     rng_for,
 )
 from redistrib import analysis, axioms, cli, core, duality, rules
-from conftest import needs_squared_rule, nested_rules
+from conftest import NAN_RULES, needs_squared_rule, nested_rules
 from scalar_measures import MEASURES, ab_payoffs_reference
 from test_axioms import NEGATIVE_CONTROLS
 from test_duality import KERNEL_CASES
@@ -65,28 +65,57 @@ def _bits(values):
     return None if values is None else [float.hex(float(v)) for v in np.ravel(values)]
 
 
-def _assert_screen_matches_measure(axiom, rule, seed, n, m=12):
-    # The batch row, the same trial screened as a one-row batch, and the
-    # scalar measure agree bit for bit: deviation, scale, expected, observed.
+# The bits of 0.0, which a padded column holds and is paid.
+ZERO = float.hex(0.0)
+
+
+def _assert_padded_row(padded, unpadded, where):
+    """A padded row holds the unpadded row's bits, then exact 0.0s."""
+    padded, unpadded = _bits(padded), _bits(unpadded)
+    if unpadded is None:
+        assert padded is None, where
+        return
+    assert padded[: len(unpadded)] == unpadded, where
+    assert padded[len(unpadded) :] == [ZERO] * (len(padded) - len(unpadded)), where
+
+
+def _assert_screen_matches_measure(axiom, rule, seed, counts):
+    # Each row of a batch padded to its largest agent count, the same trial
+    # screened as its own unpadded one-row batch, and the scalar measure
+    # agree bit for bit: deviation, scale, expected, observed.
     checker = axioms._CHECKERS[axiom]
-    trials = checker.draw(rng_for(seed, "differential"), n, m)
+    rng = rng_for(seed, "differential")
+    trials = axioms.draw_trials(rng, np.asarray(counts), checker.draw)
     deviation, scale, expected, observed = checker.screen(rule, trials)
-    assert deviation.shape == scale.shape == (m,)
-    for k in range(m):
+    assert deviation.shape == scale.shape == (len(counts),)
+    for k in range(len(counts)):
         instance = axioms._trial(trials, k)
+        assert len(instance["problem"]) == counts[k]
         row_expected = None if expected is None else expected[k]
         row = (deviation[k], scale[k], row_expected, observed[k])
         one_row = axioms._measure(checker, rule, instance)
         scalar = MEASURES[axiom](rule, instance)
-        assert list(map(_bits, row)) == list(map(_bits, one_row)), (axiom, k)
+        for padded, unpadded in zip(row, one_row):
+            _assert_padded_row(padded, unpadded, (axiom, k))
         assert list(map(_bits, one_row)) == list(map(_bits, scalar)), (axiom, k)
 
 
+# Agent counts of a batch of 12 trials, mixed as a block of trials mixes them.
+COUNTS = st.lists(st.integers(*axioms.N_RANGE), min_size=12, max_size=12)
+
+
 @settings(max_examples=40, deadline=None)
-@given(rule=nested_rules(2), seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6))
-def test_screen_matches_scalar_measure_for_random_polynomial_rules(rule, seed, n):
+@given(
+    rule=nested_rules(2),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(*axioms.N_RANGE),
+    counts=COUNTS,
+)
+def test_screen_matches_scalar_measure_for_random_polynomial_rules(rule, seed, n, counts):
+    # 12 trials of n agents, then 12 of mixed counts.
     for axiom in ALL_AXIOMS:
-        _assert_screen_matches_measure(axiom, rule, seed, n)
+        _assert_screen_matches_measure(axiom, rule, seed, [n] * 12)
+        _assert_screen_matches_measure(axiom, rule, seed, counts)
 
 
 def _through_fallback(rule):
@@ -98,9 +127,25 @@ def _through_fallback(rule):
     "rule", [rule for _, rule in NEGATIVE_CONTROLS], ids=[a for a, _ in NEGATIVE_CONTROLS]
 )
 def test_screen_matches_scalar_measure_through_the_custom_fallback(rule):
-    for n in (2, 3, 6):
+    mixed = [2, 6, 3, 5, 4, 6, 2, 2, 5, 3, 4, 6]
+    for seed, counts in [(40 + n, [n] * 12) for n in (2, 3, 6)] + [(47, mixed)]:
         for axiom in ALL_AXIOMS:
-            _assert_screen_matches_measure(axiom, _through_fallback(rule), 40 + n, n)
+            _assert_screen_matches_measure(axiom, _through_fallback(rule), seed, counts)
+
+
+def test_a_custom_rule_paying_the_wrong_number_of_values_is_rejected():
+    # One value for n agents would fill the whole row of a block; it is a
+    # LengthMismatch, in a padded block, an unpadded one and a sampled check.
+    rule = CustomRule("one value", lambda problem: (problem.total_income,))
+    padded = axioms.draw_trials(
+        rng_for(5, "wrong length"), np.array([2, 4, 3]), axioms._draw_problems
+    )["problem"]
+    unpadded = Block(np.array([[1.0, 2.0, 3.0]]), np.array([[1.0, 1.0, 1.0]]))
+    for block in (padded, unpadded):
+        with pytest.raises(LengthMismatch, match="1 values for [234] agents"):
+            rule.payoffs_batch(block)
+    with pytest.raises(LengthMismatch):
+        check_axiom("homogeneity", rule, SampleConfig(seed=1, trials=20), TOL)
 
 
 def _step(t):
@@ -208,16 +253,80 @@ def test_kernel_block_equals_scalar_payoffs_bit_for_bit(rule, seed, n):
         assert _bits(rule.payoffs(problem)) == reference
 
 
+# Rules of every kind a padded block meets: grammar rules nested in convex
+# and dual, plain-callable weights, custom rules, and the grammar's payoffs
+# through the custom fallback, which evaluates a block row by row.
+_PADDED_RULES = st.one_of(
+    nested_rules(2),
+    _WITH_CALLABLES,
+    st.sampled_from([needs_squared_rule(), *NAN_RULES.values()]),
+    nested_rules(1).map(_through_fallback),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rule=_PADDED_RULES, seed=st.integers(0, 2**32 - 1), counts=COUNTS)
+def test_padded_rows_equal_their_own_unpadded_blocks(rule, seed, counts):
+    # payoffs_batch, classify's residual and the self-dual gap give each row
+    # of a padded block the bits of that row's own one-row block, and pay
+    # the padded columns exactly 0.0.
+    rng = rng_for(seed, "padded")
+    block = axioms.draw_trials(rng, np.asarray(counts), axioms._draw_problems)["problem"]
+    measures = (rules.RuleSpec.payoffs_batch, analysis._residual, duality._self_dual_gap)
+    with np.errstate(over="ignore", invalid="ignore"):
+        padded = [measure(rule, block) for measure in measures]
+        for k in range(len(counts)):
+            problem = block.problem(k)
+            alone = Block(np.array([problem.incomes]), np.array([problem.needs]))
+            for values, measure in zip(padded, measures):
+                _assert_padded_row(values[k], measure(rule, alone)[0], (measure, k))
+
+
+def _draws_by_count(rng, cfg, draw):
+    """Each trial's number and its draw, drawn as trial_blocks draws them.
+
+    The reference for the padded batches: per block, the agent counts, then
+    each count's trials as one unpadded batch, counts ascending. Yields
+    (trial number, batch, row of the trial in the batch), in draw order.
+    """
+    for start in range(0, cfg.trials, BLOCK):
+        size = min(BLOCK, cfg.trials - start)
+        counts = rng.integers(axioms.N_RANGE[0], axioms.N_RANGE[1] + 1, size)
+        for n in sorted(set(counts.tolist())):
+            rows = np.flatnonzero(counts == n)
+            batch = axioms.draw_trials(rng, np.full(len(rows), n), draw)
+            for k, row in enumerate(rows.tolist()):
+                yield start + row, batch, k
+
+
 def _trials_in_order(label, cfg):
     """The problems worst_trial draws for one label, in trial order."""
-    rng = rng_for(cfg.seed, label)
     problems = {}
-    for start, groups in axioms.trial_blocks(rng, cfg):
-        for n, rows in groups:
-            block = Block(*axioms.draw_profiles(rng, n, len(rows)))
-            for k, row in enumerate(rows):
-                problems[start + int(row)] = block.problem(k)
+    for trial, batch, k in _draws_by_count(rng_for(cfg.seed, label), cfg, axioms._draw_problems):
+        incomes, needs = batch["problem"].incomes[k], batch["problem"].needs[k]
+        problems[trial] = make_problem(range(1, len(incomes) + 1), incomes, needs)
     return [problems[k] for k in sorted(problems)]
+
+
+@pytest.mark.parametrize("axiom", ALL_AXIOMS)
+def test_padded_blocks_hold_the_draws_of_each_agent_count(axiom):
+    # The same rng calls as one draw per agent count, scattered so that row
+    # k of a block is its trial k: every trial's instance is unchanged.
+    cfg = SampleConfig(seed=9, trials=BLOCK + 40)
+    draw = axioms._CHECKERS[axiom].draw
+    expected = {
+        trial: axioms._trial(batch, k)
+        for trial, batch, k in _draws_by_count(rng_for(cfg.seed, axiom), cfg, draw)
+    }
+    got = {}
+    for start, trials in axioms.trial_blocks(rng_for(cfg.seed, axiom), cfg, draw):
+        counts = trials["problem"].counts
+        assert len(counts) == min(BLOCK, cfg.trials - start)
+        assert trials["problem"].incomes.shape == (len(counts), counts.max())
+        for k in range(len(counts)):
+            got[start + k] = axioms._trial(trials, k)
+    assert list(got) == list(range(cfg.trials))
+    assert got == expected
 
 
 def _worst(values_and_problems):
@@ -286,18 +395,12 @@ def test_classify_residual_matches_scalar_loop(rule):
 def _scalar_outcome(axiom, rule, cfg):
     """check_axiom's verdict from the scalar measure over the same trials."""
     checker = axioms._CHECKERS[axiom]
-    rng = rng_for(cfg.seed, axiom)
+    draws = _draws_by_count(rng_for(cfg.seed, axiom), cfg, checker.draw)
     try:
-        for start, groups in axioms.trial_blocks(rng, cfg):
-            trials = {}
-            for n, rows in groups:
-                batch = checker.draw(rng, n, len(rows))
-                trials.update((start + int(row), (batch, k)) for k, row in enumerate(rows))
-            for index in sorted(trials):
-                instance = axioms._trial(*trials[index])
-                deviation, scale, _, _ = MEASURES[axiom](rule, instance)
-                if not deviation <= TOL * scale:
-                    return False, index + 1
+        for trial, batch, k in sorted(draws, key=lambda draw: draw[0]):
+            deviation, scale, _, _ = MEASURES[axiom](rule, axioms._trial(batch, k))
+            if not deviation <= TOL * scale:
+                return False, trial + 1
     except ValidationError as exc:
         return type(exc)
     return True, cfg.trials
@@ -397,41 +500,60 @@ SPECIAL = st.sampled_from(
 )
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    st.integers(1, 3).flatmap(
-        lambda n: st.lists(
-            st.tuples(
-                st.lists(SPECIAL | st.floats(-10.0, 10.0), min_size=n, max_size=n),
-                st.lists(SPECIAL | st.floats(0.0, 10.0), min_size=n, max_size=n),
-            ),
-            min_size=1,
-            max_size=4,
-        )
-    )
-)
-def test_block_validation_agrees_with_problem(rows):
-    incomes = np.array([y for y, _ in rows], dtype=float)
-    needs = np.array([z for _, z in rows], dtype=float)
-    expected = None
+def _fields(problem):
+    """Every field of a Problem, totals included, with numbers as their bits."""
+    return {f.name: _bits(getattr(problem, f.name)) for f in dataclasses.fields(problem)}
+
+
+def _assert_block_agrees_with_problems(rows, counts=None):
+    # The rows as one Block, padded with zeros to the longest, raise the
+    # first invalid row's Problem error or hold each row's totals, scale and
+    # every field of its Problem, bit for bit.
+    width = max(len(y) for y, _ in rows)
+    incomes, needs = np.zeros((2, len(rows), width))
+    for k, (y, z) in enumerate(rows):
+        incomes[k, : len(y)], needs[k, : len(z)] = y, z
     problems = []
     for y, z in rows:
         try:
-            problems.append(make_problem(range(len(y)), y, z))
+            problems.append(make_problem(range(1, len(y) + 1), y, z))
         except ValidationError as exc:
-            expected = type(exc)
-            break
-    if expected is not None:
-        with pytest.raises(expected):
-            Block(incomes, needs)
-        return
-    block = Block(incomes, needs)
-    assert block.total_income.tolist() == [p.total_income for p in problems]
-    assert block.total_need.tolist() == [p.total_need for p in problems]
+            with pytest.raises(type(exc)):
+                Block(incomes, needs, counts)
+            return
+    block = Block(incomes, needs, counts)
+    assert block.counts.tolist() == [len(y) for y, _ in rows]
+    assert _bits(block.total_income) == [_bits(p.total_income)[0] for p in problems]
+    assert _bits(block.total_need) == [_bits(p.total_need)[0] for p in problems]
     assert block.scales.tolist() == [problem_scale(p) for p in problems]
-    assert [block.problem(k) for k in range(len(rows))] == [
-        make_problem(range(1, len(y) + 1), y, z) for y, z in rows
+    assert [block.problem(k) for k in range(len(rows))] == problems
+    assert [_fields(block.problem(k)) for k in range(len(rows))] == [
+        _fields(p) for p in problems
     ]
+
+
+def _rows(n):
+    return st.tuples(
+        st.lists(SPECIAL | st.floats(-10.0, 10.0), min_size=n, max_size=n),
+        st.lists(SPECIAL | st.floats(0.0, 10.0), min_size=n, max_size=n),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.lists(_rows(n), min_size=1, max_size=4)))
+def test_block_validation_agrees_with_problem(rows):
+    # Rows of one length as an unpadded Block, whose counts default to n.
+    _assert_block_agrees_with_problems(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(1, 3).flatmap(_rows), min_size=1, max_size=4))
+def test_padded_block_validation_agrees_with_problem(rows):
+    # Rows of mixed lengths as one padded Block, and the rows of each length
+    # as their own unpadded Block.
+    _assert_block_agrees_with_problems(rows, np.array([len(y) for y, _ in rows]))
+    for n in sorted({len(y) for y, _ in rows}):
+        _assert_block_agrees_with_problems([row for row in rows if len(row[0]) == n])
 
 
 def _count_row_sums(monkeypatch):
@@ -469,6 +591,20 @@ def _assert_each_block_is_summed_once(counts):
     assert counts["row_sums"] == 2 * counts["blocks"] + 2 * counts["nat_screens"]
 
 
+# Blocks built per batch of trials: the draw's problems, then the screen's.
+BLOCKS_PER_BATCH = {
+    "homogeneity": 1 + 1,
+    "equal_treatment": 1,
+    # One Block per slice of the probe's steps.
+    "continuity": 1 + math.ceil((axioms.CONTINUITY_STEPS + 1) / axioms.CONTINUITY_SLICE),
+    "nat": 2,
+    "stability": 1 + 1,
+    "dummy": 1,
+    "income_additivity": 1 + 2,
+    "dual_income_additivity": 1 + 2,
+}
+
+
 @pytest.mark.parametrize("axiom", ALL_AXIOMS)
 def test_check_axiom_sums_each_block_once(monkeypatch, axiom):
     # A passing rule, and a failing one whose counterexample is confirmed,
@@ -476,8 +612,11 @@ def test_check_axiom_sums_each_block_once(monkeypatch, axiom):
     failing = [rule for name, rule in NEGATIVE_CONTROLS if name == axiom]
     counts = _count_row_sums(monkeypatch)
     cfg = SampleConfig(seed=3, trials=BLOCK + 5)
-    reports = [check_axiom(axiom, rule, cfg, TOL) for rule in [PROP] + failing]
-    assert [report.passed for report in reports] == [True] + [False] * len(failing)
+    assert check_axiom(axiom, PROP, cfg, TOL).passed
+    # Two batches, each of its trials' agent counts at once.
+    assert counts["blocks"] == 2 * BLOCKS_PER_BATCH[axiom]
+    reports = [check_axiom(axiom, rule, cfg, TOL) for rule in failing]
+    assert [report.passed for report in reports] == [False] * len(failing)
     _assert_each_block_is_summed_once(counts)
     assert (counts["nat_screens"] > 0) == (axiom == "nat")
 
@@ -489,7 +628,11 @@ def test_self_dual_and_classify_sum_each_block_once(monkeypatch, rule):
     counts = _count_row_sums(monkeypatch)
     cfg = SampleConfig(seed=4, trials=BLOCK + 5)
     check_self_dual(rule, cfg, TOL)
+    # Two batches, each a drawn block and its reflection.
+    assert counts["blocks"] == 2 * 2
     classify(rule, (-2.0, -1.0, 0.0, 1.0, 2.0), cfg, TOL)
+    # The grid's two probe blocks, then per batch a drawn block and its two.
+    assert counts["blocks"] == 2 * 2 + 2 + 2 * 3
     _assert_each_block_is_summed_once(counts)
     assert counts["nat_screens"] == 0
 

@@ -1163,6 +1163,32 @@ def test_sampling_reports_open_with_their_seed_and_samples(capsys, argv):
     assert (report["seed"], report["samples"]) == (4, 5)
 
 
+_HUGE = "x" * 1_000_000
+
+
+@pytest.mark.parametrize(
+    "name,text",
+    [
+        ("income.json", json.dumps({"agents": [{"id": "a", "income": _HUGE, "need": 1}]})),
+        ("need.json", json.dumps({"agents": [{"id": "a", "income": 1, "need": [_HUGE]}]})),
+        (
+            "id.json",
+            json.dumps(
+                {"agents": [{"id": _HUGE, "income": 1, "need": 1}] * 2}
+            ),
+        ),
+        ("header.csv", "id,income," + "n" * 100_000 + "\na,1,1\n"),
+    ],
+)
+def test_a_huge_dataset_value_is_quoted_in_short(capsys, tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    code, report, err = run_cli(capsys, "apply", "--rule", "prop", "--input", str(path))
+    assert code == 3 and report is None
+    assert err.count("\n") == 1
+    assert len(err) <= len(str(path)) + 150, err[:300]
+
+
 def test_missing_required_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["apply"])
