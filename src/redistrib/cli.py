@@ -12,16 +12,17 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import chain, islice, repeat
 from typing import Iterable, Iterator, Sequence, TextIO
 
+import numpy as np
+
 from .analysis import classify, parse_grid, profile_rule
 from .axioms import Counterexample, SampleConfig, axiom_suite, expand_axiom_names
-from .core import Problem, ValidationError, left_sum, make_problem
+from .core import Problem, ValidationError, array_left_sum, make_problem
 from .duality import check_self_dual, dual_closed_form
 from .rules import RuleSpec, _excerpt, evaluate, format_rule, parse_rule, split_rule_list
 
@@ -57,13 +58,21 @@ def _quote(value: object) -> str:
     return _excerpt(repr(value))
 
 
-def _record_error(income: object, need: object, where: str) -> DatasetError:
-    """The error naming income if float() refuses it, else need."""
+def _is_number(value: object) -> bool:
+    """Whether float() takes value and it is no boolean, which float() also takes."""
+    if isinstance(value, bool):
+        return False
     try:
-        float(income)  # type: ignore[arg-type]
+        float(value)  # type: ignore[arg-type]
     except (TypeError, ValueError, OverflowError):
-        return DatasetError(f"{where}: income {_quote(income)} is not a number")
-    return DatasetError(f"{where}: need {_quote(need)} is not a number")
+        return False
+    return True
+
+
+def _record_error(income: object, need: object, where: str) -> DatasetError:
+    """The error naming income if it is not a number, else need."""
+    name, value = ("need", need) if _is_number(income) else ("income", income)
+    return DatasetError(f"{where}: {name} {_quote(value)} is not a number")
 
 
 def _csv_row_error(row: list[str], where: str) -> DatasetError | None:
@@ -103,10 +112,17 @@ def _read_csv(handle: TextIO, path: str) -> _Columns:
     return ids, incomes, needs
 
 
+# JSON types an id may have: a string, or a number read as its text. null,
+# true, false, arrays and objects are refused, though str() takes them.
+_JSON_ID_TYPES = frozenset((str, int, float))
+
+
 def _json_entry_error(entry: object, where: str) -> DatasetError:
     """The error naming an entry the fast path refused."""
     if not isinstance(entry, dict) or not {"id", "income", "need"} <= set(entry):
         return DatasetError(f"{where}: expected keys id, income, need")
+    if type(entry["id"]) not in _JSON_ID_TYPES:
+        return DatasetError(f"{where}: id {_quote(entry['id'])} is not a string or a number")
     return _record_error(entry["income"], entry["need"], where)
 
 
@@ -125,9 +141,15 @@ def _read_json(handle: TextIO, path: str) -> _Columns:
     needs: list[float] = []
     for k, entry in enumerate(agents):
         try:
-            agent_id, income, need = (
-                str(entry["id"]), float(entry["income"]), float(entry["need"])
-            )
+            agent_id, income, need = entry["id"], entry["income"], entry["need"]
+            # float() takes true and false, and str() takes any value.
+            if (
+                type(income) is bool
+                or type(need) is bool
+                or type(agent_id) not in _JSON_ID_TYPES
+            ):
+                raise TypeError
+            agent_id, income, need = str(agent_id), float(income), float(need)
         except (KeyError, TypeError, ValueError, OverflowError):
             raise _json_entry_error(entry, f"{path} agents[{k}]") from None
         ids.append(agent_id)
@@ -169,12 +191,19 @@ def load_dataset(path: str, fmt: str | None = None) -> Problem:
 
 
 def _summary(values: Sequence[float]) -> dict:
-    total = left_sum(values)
+    """Total, mean, min and max of an allocation's values, on one array of them.
+
+    min and max are the entries at np.argmin and np.argmax, which pick the
+    first of a tie as Python's min and max do, so of +0.0 and -0.0 the
+    first one is reported.
+    """
+    array = np.fromiter(values, float, count=len(values))
+    total = array_left_sum(array)
     return {
         "total": total,
         "mean": total / len(values),
-        "min": min(values),
-        "max": max(values),
+        "min": values[int(np.argmin(array))],
+        "max": values[int(np.argmax(array))],
     }
 
 
@@ -332,13 +361,19 @@ def _coverage(values: Sequence[float], needs: Sequence[float]) -> Iterator[str]:
 
     Coverage alone can overflow, so one pass checks it before the texts are
     made lazily: a report holding a non-finite value is then refused with
-    json's own error before any byte of it is written.
+    json's own error before any byte of it is written. The pass divides
+    arrays of a block of rows at a time; numpy divides as Python does, to
+    the same bits.
     """
-    bad = {
-        float.__repr__(value / need)
-        for value, need in zip(values, needs)
-        if need > 0 and not math.isfinite(value / need)
-    }
+    bad: set[str] = set()
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for start in range(0, len(values), _BLOCK_ROWS):
+            value_block = np.fromiter(values[start : start + _BLOCK_ROWS], float)
+            need_block = np.fromiter(needs[start : start + _BLOCK_ROWS], float)
+            coverage = value_block / need_block
+            bad.update(
+                map(float.__repr__, coverage[(need_block > 0) & ~np.isfinite(coverage)].tolist())
+            )
     for text in ("nan", "inf", "-inf"):
         if text in bad:
             raise ValueError(f"Out of range float values are not JSON compliant: {text}")

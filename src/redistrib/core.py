@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Hashable, Iterable, Sequence
 
 import numpy as np
@@ -125,6 +126,20 @@ class Problem:
     def __len__(self) -> int:
         return len(self.agents)
 
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only float64 copies of incomes and needs, made on first use.
+
+        Not a field, so equality, hashing and repr see only the tuples.
+        """
+        arrays = tuple(
+            np.fromiter(column, float, count=len(column))
+            for column in (self.incomes, self.needs)
+        )
+        for array in arrays:
+            array.flags.writeable = False
+        return arrays
+
 
 def make_problem(
     ids: Iterable[Hashable],
@@ -148,6 +163,28 @@ def left_sum(values: Iterable[float]) -> float:
     total = 0.0
     for value in values:
         total += value
+    return total
+
+
+# Entries array_left_sum adds per np.cumsum call, which bounds its scratch.
+_SUM_BLOCK = 1 << 16
+
+
+def array_left_sum(values: np.ndarray) -> float:
+    """left_sum of a 1-D array, bit for bit.
+
+    np.cumsum adds strictly in order, unlike np.sum's pairwise sum. Each
+    block of entries is added after the running total, which starts from
+    +0.0 as left_sum's does (so an all-(-0.0) sum is +0.0), and the scratch
+    array np.cumsum writes stays one block long.
+    """
+    total = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(values), _SUM_BLOCK):
+            block = values[start : start + _SUM_BLOCK]
+            scratch = np.empty(len(block) + 1)
+            scratch[0], scratch[1:] = total, block
+            total = float(np.cumsum(scratch, out=scratch)[-1])
     return total
 
 
@@ -272,19 +309,26 @@ class BalanceVerdict:
 def check_allocation(problem: Problem, values: Sequence[float]) -> BalanceVerdict:
     """Check that values sum to the problem's total income, within tolerance.
 
-    Raises LengthMismatch or NonFinite for malformed input; balance itself
-    is reported in the verdict rather than raised.
+    Raises LengthMismatch or NonFinite for malformed input, and whatever
+    float() raises on an entry; balance itself is reported in the verdict
+    rather than raised. Values go through float() into one array, and each
+    total is its left_sum. A sum that overflows balances nothing, so a
+    residual that is not finite fails.
     """
     if len(values) != len(problem):
         raise LengthMismatch(f"{len(values)} values for {len(problem)} agents")
-    coerced = tuple(float(v) for v in values)
-    for value in coerced:
-        if not math.isfinite(value):
-            raise NonFinite(f"allocation entry {value!r} is not finite")
-    # Both sums round in proportion to the size of their terms, which can
-    # dwarf the totals when positive and negative entries cancel.
-    tolerance = balance_tolerance(
-        max(left_sum(map(abs, problem.incomes)), left_sum(map(abs, coerced)))
-    )
-    residual = left_sum(coerced) - problem.total_income
-    return BalanceVerdict(abs(residual) <= tolerance, residual, tolerance)
+    # Both sums of absolute values bound the rounding of the totals, which
+    # they can dwarf when positive and negative entries cancel. Incomes' is
+    # taken first, before values are copied, and values' in place, so one
+    # column-sized scratch array is held at a time.
+    income_scale = array_left_sum(np.abs(problem._arrays[0]))
+    coerced = np.fromiter(map(float, values), float, count=len(values))
+    finite = np.isfinite(coerced)
+    if not finite.all():
+        value = float(coerced[np.argmin(finite)])
+        raise NonFinite(f"allocation entry {value!r} is not finite")
+    residual = array_left_sum(coerced) - problem.total_income
+    value_scale = array_left_sum(np.abs(coerced, out=coerced))
+    tolerance = balance_tolerance(max(income_scale, value_scale))
+    passed = math.isfinite(residual) and abs(residual) <= tolerance
+    return BalanceVerdict(passed, residual, tolerance)

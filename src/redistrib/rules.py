@@ -182,13 +182,13 @@ class RuleSpec:
 def ab_payoffs(problem: Problem, a: float, b: float) -> tuple[float, ...]:
     """Equal split plus a times each income deviation and b times each need deviation.
 
-    The one-row case of ab_payoffs_batch, at the totals the problem holds.
+    The one-row case of ab_payoffs_batch, on the problem's float64 copy of
+    its columns and at the totals it holds.
     """
+    incomes, needs = problem._arrays
     totals = (np.array([problem.total_income]), np.array([problem.total_need]))
     with np.errstate(over="ignore", invalid="ignore"):
-        row = ab_payoffs_batch(
-            np.array([problem.incomes]), np.array([problem.needs]), totals, a, b
-        )
+        row = ab_payoffs_batch(incomes[None], needs[None], totals, a, b)
     return tuple(memoryview(row[0]))
 
 

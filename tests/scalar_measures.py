@@ -1,7 +1,11 @@
-"""Scalar references for the block code: the payoff kernel and the axiom measures.
+"""Scalar references for the array code: the payoff kernel, the balance check
+and the axiom measures.
 
 ab_payoffs_reference is the payoff kernel on Python floats, one agent at a
 time; redistrib.rules computes it only on numpy blocks.
+
+check_allocation_reference is the balance check on Python floats, one
+entry at a time; redistrib.core checks and totals values only as an array.
 
 Each measure re-derives its axiom on one trial's instance, built from
 Problem tuples and scalar rule payoffs, and returns (deviation, scale,
@@ -17,7 +21,33 @@ import math
 from typing import Iterable, Sequence
 
 from redistrib.axioms import CONTINUITY_STEPS, CONTINUITY_TAIL
-from redistrib.core import left_sum, make_problem, problem_scale
+from redistrib.core import (
+    BalanceVerdict,
+    LengthMismatch,
+    NonFinite,
+    balance_tolerance,
+    left_sum,
+    make_problem,
+    problem_scale,
+)
+
+
+def check_allocation_reference(problem, values):
+    """check_allocation on Python floats: the same errors, in the same order,
+    and a verdict of the same bits.
+    """
+    if len(values) != len(problem):
+        raise LengthMismatch(f"{len(values)} values for {len(problem)} agents")
+    coerced = tuple(float(v) for v in values)
+    for value in coerced:
+        if not math.isfinite(value):
+            raise NonFinite(f"allocation entry {value!r} is not finite")
+    tolerance = balance_tolerance(
+        max(left_sum(map(abs, problem.incomes)), left_sum(map(abs, coerced)))
+    )
+    residual = left_sum(coerced) - problem.total_income
+    passed = math.isfinite(residual) and abs(residual) <= tolerance
+    return BalanceVerdict(passed, residual, tolerance)
 
 
 def ab_payoffs_reference(problem, a, b):

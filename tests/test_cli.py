@@ -2,11 +2,14 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,10 +32,13 @@ from redistrib.cli import (
     _BLOCK_ROWS,
     _apply_rows,
     _compare_rows,
+    _coverage,
     _emit,
+    _summary,
     load_dataset,
     main,
 )
+from redistrib import cli
 from redistrib.rules import MAX_RULE_DEPTH
 from conftest import nested_spec
 
@@ -665,6 +671,38 @@ def test_edge_dataset_reports_are_exact(capsys, tmp_path, name, command, specs):
             '{"agents": [{"id": 1, "income": 5, "need": 1}, {"id": "1", "income": 1, "need": 1}]}',
             ": duplicate agent id '1'",
         ),
+        # JSON booleans are not numbers, though float() takes them
+        (
+            "true.json",
+            '{"agents": [{"id": "a", "income": true, "need": 1}]}',
+            " agents[0]: income True is not a number",
+        ),
+        (
+            "false.json",
+            '{"agents": [{"id": "a", "income": 5, "need": 1}, {"id": "b", "income": 1, "need": false}]}',
+            " agents[1]: need False is not a number",
+        ),
+        # an id is a string or a number, though str() takes any value
+        (
+            "null-id.json",
+            '{"agents": [{"id": "a", "income": 5, "need": 1}, {"id": null, "income": 1, "need": 1}]}',
+            " agents[1]: id None is not a string or a number",
+        ),
+        (
+            "bool-id.json",
+            '{"agents": [{"id": true, "income": 5, "need": 1}]}',
+            " agents[0]: id True is not a string or a number",
+        ),
+        (
+            "array-id.json",
+            '{"agents": [{"id": [1], "income": 5, "need": 1}]}',
+            " agents[0]: id [1] is not a string or a number",
+        ),
+        (
+            "object-id.json",
+            '{"agents": [{"id": {"k": 1}, "income": "x", "need": 1}]}',
+            " agents[0]: id {'k': 1} is not a string or a number",
+        ),
         ("deep.json", DEEP_JSON, ": JSON nested too deeply"),
     ],
 )
@@ -699,6 +737,89 @@ FLOATS = st.one_of(
     st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e16, -1e16, 1e308, -1e308, 0.1]),
     st.floats(allow_nan=False, allow_infinity=False),
 )
+
+
+@given(st.lists(st.one_of(st.sampled_from([0.0, -0.0]), FLOATS), min_size=1, max_size=8))
+def test_summary_matches_python_min_max_and_left_sum(values):
+    expected = _summary_of(values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        summary = _summary(tuple(values))
+    assert all(type(v) is float for v in summary.values())
+    # float.hex tells -0.0 from 0.0.
+    assert {k: v.hex() for k, v in summary.items()} == {k: v.hex() for k, v in expected.items()}
+
+
+def test_summary_reports_the_first_of_a_signed_zero_tie():
+    assert repr(_summary((0.0, -0.0, 1.0))["min"]) == "0.0"
+    assert repr(_summary((-0.0, 0.0, 1.0))["min"]) == "-0.0"
+    assert repr(_summary((-1.0, -0.0, 0.0))["max"]) == "-0.0"
+    assert repr(_summary((-0.0, -0.0))["total"]) == "0.0"
+    assert repr(_summary((1.7e308, 1.7e308))["total"]) == "inf"
+
+
+def _coverage_reference(values, needs):
+    """_coverage one agent at a time: the same texts, or the same error."""
+    bad = {
+        float.__repr__(value / need)
+        for value, need in zip(values, needs)
+        if need > 0 and not math.isfinite(value / need)
+    }
+    for text in ("nan", "inf", "-inf"):
+        if text in bad:
+            raise ValueError(f"Out of range float values are not JSON compliant: {text}")
+    return [float.__repr__(value / need) if need > 0 else "null" for value, need in zip(values, needs)]
+
+
+def _coverage_outcome(coverage, values, needs):
+    try:
+        return list(coverage(values, needs))
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(
+    st.integers(min_value=0, max_value=6).flatmap(
+        lambda n: st.tuples(
+            st.lists(
+                st.one_of(FLOATS, st.sampled_from([math.nan, math.inf, -math.inf])),
+                min_size=n,
+                max_size=n,
+            ),
+            st.lists(
+                st.one_of(
+                    st.sampled_from([0.0, -0.0, 5e-324, 1e-300, -1.0]),
+                    st.floats(min_value=0.0, allow_infinity=False),
+                ),
+                min_size=n,
+                max_size=n,
+            ),
+        )
+    )
+)
+def test_coverage_matches_the_scalar_reference(columns):
+    values, needs = columns
+    expected = _coverage_outcome(_coverage_reference, values, needs)
+    # Blocks of 2 rows check a column in several blocks.
+    for rows in (_BLOCK_ROWS, 2):
+        with mock.patch.object(cli, "_BLOCK_ROWS", rows), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert _coverage_outcome(_coverage, tuple(values), tuple(needs)) == expected
+
+
+def test_coverage_names_nan_then_inf_then_minus_inf():
+    # The third need is 0, so that agent's value is never divided.
+    needs = (1.0, 5e-324, 0.0, 1.0)
+    for values, bad in [
+        ((-math.inf, 1e300, math.inf, math.nan), "nan"),
+        ((-math.inf, 1e300, math.nan, 1.0), "inf"),
+        ((-math.inf, -1e300, math.nan, 1.0), "-inf"),
+    ]:
+        expected = f"Out of range float values are not JSON compliant: {bad}"
+        assert _coverage_outcome(_coverage, values, needs) == expected
+    assert list(_coverage((1.0, 5e-324, math.nan, -2.0), needs)) == [
+        "1.0", "1.0", "null", "-2.0"
+    ]
 
 
 def _emitted(report):

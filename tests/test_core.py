@@ -2,6 +2,9 @@ import dataclasses
 import functools
 import math
 import operator
+import struct
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,8 +27,11 @@ from redistrib import (
     parse_rule,
     problem_scale,
 )
-from redistrib.core import left_sum, row_sums
+from redistrib import core
+from redistrib.core import array_left_sum, left_sum, row_sums
+from redistrib.rules import CustomRule, RuleError
 from conftest import reference_problem
+from scalar_measures import check_allocation_reference
 
 
 def test_aggregates_of_reference_problem():
@@ -235,3 +241,144 @@ def test_incomes_balance_themselves(p):
     verdict = check_allocation(p, p.incomes)
     assert verdict.passed
     assert verdict.residual == 0.0
+
+
+def _bits(value):
+    return struct.pack("<d", value)
+
+
+# Finite floats with signed zeros, ties and magnitudes whose sums overflow.
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e16, -1e16, 1.7e308, -1.7e308, 5e-324]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@given(
+    st.lists(
+        st.one_of(EDGE_FLOATS, st.sampled_from([math.inf, -math.inf, math.nan])),
+        max_size=8,
+    )
+)
+def test_array_left_sum_is_left_sum_bit_for_bit(values):
+    expected = left_sum(values)
+    # Blocks of 2 and 3 entries carry the running total across blocks.
+    for block in (core._SUM_BLOCK, 2, 3):
+        with mock.patch.object(core, "_SUM_BLOCK", block), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            total = array_left_sum(np.array(values, dtype=float))
+        assert type(total) is float
+        # NaN bits are not compared: which NaN an addition returns is the CPU's.
+        assert _bits(total) == _bits(expected) or math.isnan(total) and math.isnan(expected)
+
+
+def test_array_left_sum_over_many_blocks():
+    rng = np.random.default_rng(0)
+    n = 2 * core._SUM_BLOCK + 3
+    values = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 17, n)
+    assert _bits(array_left_sum(values)) == _bits(left_sum(values.tolist()))
+    assert _bits(array_left_sum(np.abs(values))) == _bits(left_sum(map(abs, values.tolist())))
+
+
+def test_array_left_sum_of_signed_zeros_and_overflow():
+    for values, expected in [
+        ([-0.0], "0.0"),
+        ([-0.0, -0.0], "0.0"),
+        ([0.0, -0.0], "0.0"),
+        ([], "0.0"),
+        ([1.7e308, 1.7e308], "inf"),
+        ([-1.7e308, -1.7e308, 1.0], "-inf"),
+        ([1e16, 1.0, -1e16], "0.0"),
+    ]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert repr(array_left_sum(np.array(values, dtype=float))) == expected
+
+
+# Entries float() takes, float() refuses, and non-finite ones.
+ENTRIES = st.one_of(
+    EDGE_FLOATS,
+    EDGE_FLOATS,
+    st.integers(min_value=-(10**6), max_value=10**6),
+    st.sampled_from([math.inf, -math.inf, math.nan, "1.5", " -2 ", "x", "", None, 1j, 10**400]),
+)
+
+
+@st.composite
+def balance_cases(draw):
+    n = draw(st.integers(min_value=1, max_value=5))
+    incomes = draw(st.lists(EDGE_FLOATS, min_size=n, max_size=n))
+    needs = draw(
+        st.lists(st.floats(min_value=0.5, max_value=1e6), min_size=n, max_size=n)
+    )
+    try:
+        problem = make_problem(range(n), incomes, needs)
+    except NonFinite:
+        problem = make_problem(range(n), [y / 4 for y in incomes], needs)
+    values = draw(
+        st.one_of(
+            st.just(list(problem.incomes)),
+            st.lists(EDGE_FLOATS, min_size=n, max_size=n),
+            st.lists(ENTRIES, min_size=n - 1, max_size=n + 1),
+        )
+    )
+    return problem, values
+
+
+def _outcome(check, problem, values):
+    try:
+        verdict = check(problem, values)
+    except Exception as exc:  # noqa: BLE001 - the exception is what is compared
+        return type(exc), str(exc)
+    assert type(verdict.passed) is bool
+    return verdict.passed, _bits(verdict.residual), _bits(verdict.tolerance)
+
+
+@given(balance_cases())
+def test_check_allocation_matches_the_scalar_reference(case):
+    problem, values = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        outcome = _outcome(check_allocation, problem, values)
+    assert outcome == _outcome(check_allocation_reference, problem, values)
+
+
+def test_check_allocation_names_the_first_bad_entry():
+    p = make_problem(range(4), (1.0, 2.0, 3.0, 4.0), (1.0, 1.0, 1.0, 1.0))
+    with pytest.raises(NonFinite, match=r"^allocation entry -inf is not finite$"):
+        check_allocation(p, (1.0, -math.inf, math.nan, 4.0))
+    # float() refuses an entry before any entry is checked for finiteness.
+    with pytest.raises(ValueError, match="could not convert string to float: 'x'"):
+        check_allocation(p, (math.nan, 2.0, "x", 4.0))
+    with pytest.raises(TypeError):
+        check_allocation(p, (1.0, None, 3.0, 4.0))
+
+
+def test_a_sum_that_overflows_does_not_balance():
+    # Sum |income| overflows, so the tolerance is inf; so does the sum of the
+    # values, which total 2e308, not 0.
+    p = make_problem(["a", "b"], [1.7e308, -1.7e308], [1, 1])
+    verdict = check_allocation(p, [1e308, 1e308])
+    assert verdict.tolerance == math.inf and verdict.residual == math.inf
+    assert not verdict.passed
+    rule = CustomRule("overflowing", lambda problem: [1e308, 1e308])
+    with pytest.raises(RuleError, match="BalanceViolation: allocation sums to inf"):
+        evaluate(rule, p)
+    # Incomes that cancel still balance themselves.
+    assert check_allocation(p, p.incomes).passed
+
+
+def test_problem_arrays_are_a_read_only_copy_outside_equality():
+    p = make_problem(("a", "b"), (1.0, -0.0), (2.0, 0.0))
+    q = make_problem(("a", "b"), (1.0, -0.0), (2.0, 0.0))
+    incomes, needs = p._arrays
+    assert p._arrays is p._arrays
+    assert incomes.dtype == needs.dtype == np.float64
+    assert [_bits(y) for y in incomes.tolist()] == [_bits(y) for y in p.incomes]
+    assert needs.tolist() == list(p.needs)
+    with pytest.raises(ValueError):
+        incomes[0] = 5.0
+    assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
+    assert [f.name for f in dataclasses.fields(p)] == [
+        "agents", "incomes", "needs", "total_income", "total_need",
+    ]

@@ -1,10 +1,14 @@
-"""Sampled reports, byte for byte, against reports recorded before a change.
+"""Reports, byte for byte, against reports recorded before a change.
 
-The files under data/golden are the --no-timestamp reports of check
---axioms all, classify and dual at --seed 7 --samples 300. They pin every
+The files under data/golden are --no-timestamp reports. Those of check
+--axioms all, classify and dual at --seed 7 --samples 300 pin every
 verdict, trial count, counterexample and float that sampling gives, so a
 change to how trials are drawn, batched or screened that moves any of them
-shows here. To record them again, run each command below with --output -.
+shows here. Those of apply and compare on the small dataset under
+data/datasets, as CSV and as JSON, pin every allocation, coverage and
+summary float, so a change to how a dataset is loaded, checked, totalled
+or summarised that moves any of them shows here. To record them again, run
+each command below with --output - (the dataset ones from data/).
 """
 
 from pathlib import Path
@@ -13,7 +17,8 @@ import pytest
 
 from redistrib.cli import main
 
-GOLDEN = Path(__file__).parent / "data" / "golden"
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "golden"
 
 RULES = {
     "lf": "lf",
@@ -32,3 +37,28 @@ def test_report_matches_the_recorded_bytes(capsys, command, name):
     main(argv + ["--seed", "7", "--samples", "300", "--no-timestamp"])
     report = capsys.readouterr().out
     assert report == (GOLDEN / f"{command}-{name}.json").read_text(encoding="utf-8")
+
+
+# Negative incomes, a zero need (coverage null), a +0.0/-0.0 income tie and
+# incomes of +1e16 and -1e16 that cancel in the total.
+DATASET_COMMANDS = {
+    "apply-prop-csv": ["apply", "--rule", "prop", "--input", "datasets/households.csv"],
+    "apply-prop-json": ["apply", "--rule", "prop", "--input", "datasets/households.json"],
+    # The rules of the compare-json benchmark workload, a dual among them.
+    "compare-json": [
+        "compare",
+        "--rules", "lf,prop,nafr,lin:0.3,0.2",
+        "--rules", "convex(lf;prop;0.3)",
+        "--rules", "dual(ab:A=poly:0.2,0.1,-0.05,B=poly:0.1,0.3,0.02)",
+        "--input", "datasets/households.json",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", DATASET_COMMANDS)
+def test_dataset_report_matches_the_recorded_bytes(capsys, monkeypatch, name):
+    # The report names its input path, so it is given relative to data/.
+    monkeypatch.chdir(DATA)
+    assert main(DATASET_COMMANDS[name] + ["--no-timestamp"]) == 0
+    report = capsys.readouterr().out
+    assert report == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
