@@ -12,11 +12,14 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
+import signal
 import sys
+import tempfile
+import warnings
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from itertools import chain, islice, repeat
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Any, BinaryIO, Callable, Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -58,6 +61,11 @@ def _quote(value: object) -> str:
     return _excerpt(repr(value))
 
 
+def _json_quote(value: object) -> str:
+    """A JSON dataset value for a message, spelled as JSON spells it, cut short if long."""
+    return _excerpt(json.dumps(value))
+
+
 def _is_number(value: object) -> bool:
     """Whether float() takes value and it is no boolean, which float() also takes."""
     if isinstance(value, bool):
@@ -69,10 +77,12 @@ def _is_number(value: object) -> bool:
     return True
 
 
-def _record_error(income: object, need: object, where: str) -> DatasetError:
+def _record_error(
+    income: object, need: object, where: str, quote: Callable[[object], str] = _quote
+) -> DatasetError:
     """The error naming income if it is not a number, else need."""
     name, value = ("need", need) if _is_number(income) else ("income", income)
-    return DatasetError(f"{where}: {name} {_quote(value)} is not a number")
+    return DatasetError(f"{where}: {name} {quote(value)} is not a number")
 
 
 def _csv_row_error(row: list[str], where: str) -> DatasetError | None:
@@ -122,8 +132,8 @@ def _json_entry_error(entry: object, where: str) -> DatasetError:
     if not isinstance(entry, dict) or not {"id", "income", "need"} <= set(entry):
         return DatasetError(f"{where}: expected keys id, income, need")
     if type(entry["id"]) not in _JSON_ID_TYPES:
-        return DatasetError(f"{where}: id {_quote(entry['id'])} is not a string or a number")
-    return _record_error(entry["income"], entry["need"], where)
+        return DatasetError(f"{where}: id {_json_quote(entry['id'])} is not a string or a number")
+    return _record_error(entry["income"], entry["need"], where, _json_quote)
 
 
 def _read_json(handle: TextIO, path: str) -> _Columns:
@@ -249,27 +259,40 @@ def _base_report(command: str, args: argparse.Namespace) -> dict:
 
 
 _encode_str = json.encoder.encode_basestring_ascii
-# Rows of a table joined into one string before it is written.
+# Rows of a table formatted and joined into one string at a time.
 _BLOCK_ROWS = 4096
+# Bytes of the helper's rows read back at a time.
+_COPY_BYTES = 1 << 18
+# What os.fork() warns on Python 3.12+ when the process has other threads.
+_FORK_WARNING = r"This process \(pid=\d+\) is multi-threaded, use of fork\(\) may lead to deadlocks"
+
+# A table column: the JSON texts of its rows [start, stop).
+_Column = Callable[[int, int], Iterable[str]]
+# A table's text: the text of its rows [start, stop).
+_Rows = Callable[[int, int], str]
+
+
+def _format(fmt: Callable[[Any], str], values: Sequence) -> _Column:
+    """A column of values, each written as fmt writes it."""
+    return lambda start, stop: map(fmt, values[start:stop])
 
 
 @dataclass(frozen=True)
 class _Table:
     """A list of `rows` objects with the same keys, held as one column per key.
 
-    A column is an iterable of JSON texts, one per row, read once as the
-    report is written, or a nested _Table whose rows are the objects under
-    that key.
+    A column gives the JSON texts of any run of rows, or is a nested _Table
+    whose rows are the objects under that key.
     """
 
     rows: int
-    columns: dict[str, Iterable[str] | _Table]
+    columns: dict[str, _Column | _Table]
 
 
-def _row_parts(table: _Table, depth: int) -> list[str | Iterable[str]]:
+def _row_parts(table: _Table, depth: int) -> list[str | _Column]:
     """One row at indent level depth: its literal texts and columns, in order."""
     pad = "  " * (depth + 1)
-    parts: list[str | Iterable[str]] = ["{"]
+    parts: list[str | _Column] = ["{"]
     for k, (key, column) in enumerate(table.columns.items()):
         parts.append(f"{',' if k else ''}\n{pad}{_encode_str(key)}: ")
         if isinstance(column, _Table):
@@ -280,62 +303,184 @@ def _row_parts(table: _Table, depth: int) -> list[str | Iterable[str]]:
     return parts
 
 
-def _table_chunks(table: _Table) -> Iterator[str]:
-    """The table as the value of a top-level key in json.dumps(indent=2) layout.
+def _row_blocks(table: _Table) -> _Rows:
+    """The text of the table's rows [start, stop), in json.dumps(indent=2) layout.
 
-    The literal texts of one row and its columns are zipped and joined a
-    block of rows at a time, so neither a per-row string nor the whole
-    table's text is ever built.
+    A row is a run of k slots, literal texts and column texts in turn. A
+    block's slots are filled with one slice assignment per literal and per
+    column and joined once, so no per-row string is built.
     """
-    streams: list[Iterable[str]] = []
+    slots: list[str | _Column] = []
     literal = "    "
     for part in _row_parts(table, 2):
         if isinstance(part, str):
             literal += part
         else:
-            streams += [repeat(literal), part]
+            slots += [literal, part]
             literal = ""
+    slots.append(literal + ",\n")
+    last, k, n = literal + "\n", len(slots), table.rows
+
+    def block(start: int, stop: int) -> str:
+        rows = stop - start
+        texts: list[str] = [""] * (rows * k)
+        for j, slot in enumerate(slots):
+            texts[j::k] = [slot] * rows if isinstance(slot, str) else slot(start, stop)
+        if stop == n:
+            texts[-1] = last
+        return "".join(texts)
+
+    return block
+
+
+def _write_rows(write: Callable[[str], object], block: _Rows, start: int, stop: int) -> None:
+    for first in range(start, stop, _BLOCK_ROWS):
+        write(block(first, min(first + _BLOCK_ROWS, stop)))
+
+
+def _helper_start(rows: int) -> int | None:
+    """The first row a helper process formats, or None to format all rows here.
+
+    A helper needs fork, a second CPU this process may run on and at least
+    two blocks of rows; it takes the rows after the first block-aligned half.
+    """
+    if not hasattr(os, "fork") or rows < 2 * _BLOCK_ROWS:
+        return None
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    if cpus < 2:
+        return None
+    return rows // 2 // _BLOCK_ROWS * _BLOCK_ROWS
+
+
+def _fork_rows(block: _Rows, start: int, stop: int) -> tuple[int, BinaryIO] | None:
+    """A child process formatting rows [start, stop) into a temporary file.
+
+    Returns its pid and the file, or None if either cannot be made. The
+    child leaves only through os._exit: it runs no atexit handler and never
+    flushes a buffer it copied from this process, such as sys.stdout's.
+    """
+    try:
+        spool = tempfile.TemporaryFile()
+    except OSError:
+        return None
+    with warnings.catch_warnings():
+        # Python 3.12+ warns that fork may deadlock a child when the process
+        # has other threads, such as numpy's BLAS pool. The child only
+        # formats strings, with Python and numpy's elementwise loops (no
+        # BLAS), and writes one file: it takes no lock those threads hold.
+        warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
+        try:
+            pid = os.fork()
+        except OSError:
+            spool.close()
+            return None
+        if pid == 0:
+            code = 1
+            try:
+                _write_rows(lambda text: spool.write(text.encode("ascii")), block, start, stop)
+                spool.flush()
+                code = 0
+            finally:
+                os._exit(code)
+    return pid, spool
+
+
+def _write_table(table: _Table, write: Callable[[str], object]) -> None:
+    """Write the table as the value of a top-level key.
+
+    A long table's rows after its first half are formatted by a helper
+    process at the same time, then copied after this process's half; if
+    the helper fails, they are formatted here, to the same bytes.
+    """
     n = table.rows
     if n == 0:
-        yield "[]"
+        write("[]")
         return
-    streams.append(chain(repeat(literal + ",\n", n - 1), [literal + "\n"]))
-    rows = zip(*streams)
-    yield "[\n"
-    while block := list(islice(rows, _BLOCK_ROWS)):
-        yield "".join(chain.from_iterable(block))
-    yield "  ]"
+    block = _row_blocks(table)
+    write("[\n")
+    split = _helper_start(n)
+    helper = _fork_rows(block, split, n) if split is not None else None
+    if helper is None:
+        _write_rows(write, block, 0, n)
+    else:
+        pid, spool = helper
+        with spool:
+            try:
+                _write_rows(write, block, 0, split)
+            except BaseException:
+                os.kill(pid, signal.SIGKILL)
+                raise
+            finally:
+                status = os.waitpid(pid, 0)[1]
+            if status == 0:
+                spool.seek(0)
+                while chunk := spool.read(_COPY_BYTES):
+                    write(chunk.decode("ascii"))
+            else:
+                _write_rows(write, block, split, n)
+    write("  ]")
 
 
-def _report_chunks(report: dict) -> Iterator[str]:
+def _report_parts(report: dict) -> list[str | _Table]:
     """The report as json.dumps(report, indent=2) writes it, plus a newline.
 
     Top-level keys are spliced in that layout. Every value but a _Table is
     encoded here, by json.dumps with its lines shifted one level in (JSON
     strings never hold a raw newline), so a value JSON cannot hold raises
-    before the first chunk is returned. Tables, whose columns hold only
-    finite values, are joined as they are read.
+    before any byte is written. Tables, whose columns hold only finite
+    values, are formatted as they are written.
     """
-    pieces: list[Iterable[str]] = []
+    parts: list[str | _Table] = []
     for k, (key, value) in enumerate(report.items()):
         head = ("{\n" if k == 0 else ",\n") + f"  {_encode_str(key)}: "
         if isinstance(value, _Table):
-            pieces += [[head], _table_chunks(value)]
+            parts += [head, value]
         else:
             text = json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n  ")
-            pieces.append([head + text])
-    pieces.append(["\n}\n"])
-    return chain.from_iterable(pieces)
+            parts.append(head + text)
+    parts.append("\n}\n")
+    return parts
+
+
+def _write_report(parts: list[str | _Table], handle: TextIO) -> None:
+    for part in parts:
+        if isinstance(part, _Table):
+            _write_table(part, handle.write)
+        else:
+            handle.write(part)
+
+
+def _silence_stdout() -> None:
+    """Point stdout's file descriptor at the null device.
+
+    What stdout still buffers then goes nowhere at exit, instead of failing
+    a second time with an error of its own.
+    """
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def _emit(report: dict, args: argparse.Namespace) -> None:
-    chunks = _report_chunks(report)
+    parts = _report_parts(report)
     if args.output == "-":
-        sys.stdout.writelines(chunks)
+        try:
+            _write_report(parts, sys.stdout)
+            sys.stdout.flush()
+        except OSError as exc:
+            _silence_stdout()
+            raise OutputError(f"cannot write <stdout>: {exc.strerror or exc}") from None
     else:
         try:
             with open(args.output, "w", encoding="utf-8") as handle:
-                handle.writelines(chunks)
+                _write_report(parts, handle)
         except OSError as exc:
             message = exc.strerror or exc
             raise OutputError(f"cannot write {args.output}: {message}") from None
@@ -348,22 +493,22 @@ def _sample_config(args: argparse.Namespace) -> SampleConfig:
 
 def _agent_columns(
     ids: Sequence[str], incomes: Sequence[float], needs: Sequence[float]
-) -> dict[str, Iterable[str] | _Table]:
+) -> dict[str, _Column | _Table]:
     return {
-        "id": map(_encode_str, ids),
-        "income": map(float.__repr__, incomes),
-        "need": map(float.__repr__, needs),
+        "id": _format(_encode_str, ids),
+        "income": _format(float.__repr__, incomes),
+        "need": _format(float.__repr__, needs),
     }
 
 
-def _coverage(values: Sequence[float], needs: Sequence[float]) -> Iterator[str]:
+def _coverage(values: Sequence[float], needs: Sequence[float]) -> _Column:
     """Needs coverage texts, value / need per agent or null for a zero need.
 
-    Coverage alone can overflow, so one pass checks it before the texts are
-    made lazily: a report holding a non-finite value is then refused with
-    json's own error before any byte of it is written. The pass divides
-    arrays of a block of rows at a time; numpy divides as Python does, to
-    the same bits.
+    Coverage alone can overflow, so one pass checks it before the column
+    is returned: a report holding a non-finite value is then refused with
+    json's own error before any byte of it is written. The pass and the
+    column divide arrays of a block of rows at a time; numpy divides as
+    Python does, to the same bits.
     """
     bad: set[str] = set()
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -377,10 +522,17 @@ def _coverage(values: Sequence[float], needs: Sequence[float]) -> Iterator[str]:
     for text in ("nan", "inf", "-inf"):
         if text in bad:
             raise ValueError(f"Out of range float values are not JSON compliant: {text}")
-    return (
-        float.__repr__(value / need) if need > 0 else "null"
-        for value, need in zip(values, needs)
-    )
+
+    def texts(start: int, stop: int) -> list[str]:
+        need_block = np.fromiter(needs[start:stop], float, count=stop - start)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            quotient = np.fromiter(values[start:stop], float, count=stop - start) / need_block
+        out = list(map(float.__repr__, quotient.tolist()))
+        for k in np.flatnonzero(~(need_block > 0)).tolist():
+            out[k] = "null"
+        return out
+
+    return texts
 
 
 def _apply_rows(
@@ -391,7 +543,7 @@ def _apply_rows(
 ) -> _Table:
     """Rows of id, income, need, allocation and needs coverage per agent."""
     columns = _agent_columns(ids, incomes, needs)
-    columns["allocation"] = map(float.__repr__, values)
+    columns["allocation"] = _format(float.__repr__, values)
     columns["needs_coverage"] = _coverage(values, needs)
     return _Table(len(ids), columns)
 
@@ -404,7 +556,7 @@ def _compare_rows(
 ) -> _Table:
     """Rows of id, income, need and each rule's allocation per agent."""
     columns = _agent_columns(ids, incomes, needs)
-    texts = {spec: map(float.__repr__, values) for spec, values in allocations.items()}
+    texts = {spec: _format(float.__repr__, values) for spec, values in allocations.items()}
     columns["allocations"] = _Table(len(ids), texts)
     return _Table(len(ids), columns)
 

@@ -659,7 +659,7 @@ def test_edge_dataset_reports_are_exact(capsys, tmp_path, name, command, specs):
         (
             "income.json",
             '{"agents": [{"id": "a", "income": 5, "need": 1}, {"id": "b", "income": "x", "need": 1}]}',
-            " agents[1]: income 'x' is not a number",
+            ' agents[1]: income "x" is not a number',
         ),
         (
             "keys.json",
@@ -675,23 +675,23 @@ def test_edge_dataset_reports_are_exact(capsys, tmp_path, name, command, specs):
         (
             "true.json",
             '{"agents": [{"id": "a", "income": true, "need": 1}]}',
-            " agents[0]: income True is not a number",
+            " agents[0]: income true is not a number",
         ),
         (
             "false.json",
             '{"agents": [{"id": "a", "income": 5, "need": 1}, {"id": "b", "income": 1, "need": false}]}',
-            " agents[1]: need False is not a number",
+            " agents[1]: need false is not a number",
         ),
         # an id is a string or a number, though str() takes any value
         (
             "null-id.json",
             '{"agents": [{"id": "a", "income": 5, "need": 1}, {"id": null, "income": 1, "need": 1}]}',
-            " agents[1]: id None is not a string or a number",
+            " agents[1]: id null is not a string or a number",
         ),
         (
             "bool-id.json",
             '{"agents": [{"id": true, "income": 5, "need": 1}]}',
-            " agents[0]: id True is not a string or a number",
+            " agents[0]: id true is not a string or a number",
         ),
         (
             "array-id.json",
@@ -701,7 +701,7 @@ def test_edge_dataset_reports_are_exact(capsys, tmp_path, name, command, specs):
         (
             "object-id.json",
             '{"agents": [{"id": {"k": 1}, "income": "x", "need": 1}]}',
-            " agents[0]: id {'k': 1} is not a string or a number",
+            ' agents[0]: id {"k": 1} is not a string or a number',
         ),
         ("deep.json", DEEP_JSON, ": JSON nested too deeply"),
     ],
@@ -768,14 +768,18 @@ def _coverage_reference(values, needs):
     for text in ("nan", "inf", "-inf"):
         if text in bad:
             raise ValueError(f"Out of range float values are not JSON compliant: {text}")
-    return [float.__repr__(value / need) if need > 0 else "null" for value, need in zip(values, needs)]
+    texts = [float.__repr__(value / need) if need > 0 else "null" for value, need in zip(values, needs)]
+    return lambda start, stop: texts[start:stop]
 
 
 def _coverage_outcome(coverage, values, needs):
+    """The column's texts, read a block of rows at a time, or its error."""
     try:
-        return list(coverage(values, needs))
+        column = coverage(values, needs)
     except ValueError as exc:
         return str(exc)
+    n, rows = len(values), cli._BLOCK_ROWS
+    return [text for start in range(0, n, rows) for text in column(start, min(start + rows, n))]
 
 
 @given(
@@ -800,7 +804,7 @@ def _coverage_outcome(coverage, values, needs):
 def test_coverage_matches_the_scalar_reference(columns):
     values, needs = columns
     expected = _coverage_outcome(_coverage_reference, values, needs)
-    # Blocks of 2 rows check a column in several blocks.
+    # Blocks of 2 rows check and read a column in several blocks.
     for rows in (_BLOCK_ROWS, 2):
         with mock.patch.object(cli, "_BLOCK_ROWS", rows), warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -817,7 +821,7 @@ def test_coverage_names_nan_then_inf_then_minus_inf():
     ]:
         expected = f"Out of range float values are not JSON compliant: {bad}"
         assert _coverage_outcome(_coverage, values, needs) == expected
-    assert list(_coverage((1.0, 5e-324, math.nan, -2.0), needs)) == [
+    assert list(_coverage((1.0, 5e-324, math.nan, -2.0), needs)(0, 4)) == [
         "1.0", "1.0", "null", "-2.0"
     ]
 
@@ -829,16 +833,43 @@ def _emitted(report):
     return out.getvalue()
 
 
+@contextlib.contextmanager
+def _writer(block_rows, cpus):
+    """Tables written in blocks of block_rows rows, as on a host of cpus CPUs.
+
+    Yields the mock of os.fork, which counts the helper processes started.
+    """
+    with mock.patch.object(cli, "_BLOCK_ROWS", block_rows), mock.patch.object(
+        os, "sched_getaffinity", return_value=set(range(cpus)), create=True
+    ), mock.patch.object(os, "fork", wraps=os.fork) as fork:
+        yield fork
+
+
+def _no_child_is_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def _check_emit(head, rows, build, tail):
-    """_emit of the column form must write what json.dumps writes of the rows."""
+    """_emit of the column form must write what json.dumps writes of the rows.
+
+    It is written in one process, and in blocks of 2 rows on one CPU and on
+    two, where a table of 4 or more rows has its second half formatted by a
+    helper process.
+    """
+    report = {**head, "agents": rows, **tail}
     try:
-        reference = {**head, "agents": rows, **tail}
-        expected = json.dumps(reference, indent=2, allow_nan=False) + "\n"
+        expected = json.dumps(report, indent=2, allow_nan=False) + "\n"
     except ValueError:
         with pytest.raises(ValueError, match="not JSON compliant"):
             _emitted({**head, "agents": build(), **tail})
         return
     assert _emitted({**head, "agents": build(), **tail}) == expected
+    for cpus in (1, 2):
+        with _writer(2, cpus) as fork:
+            assert _emitted({**head, "agents": build(), **tail}) == expected
+        assert fork.call_count == (cpus == 2 and len(rows) >= 4)
+    _no_child_is_left()
 
 
 def _apply_case(ids, incomes, needs, values, rule="prop"):
@@ -856,7 +887,7 @@ def _apply_case(ids, incomes, needs, values, rule="prop"):
     return head, rows, lambda: _apply_rows(ids, incomes, needs, values)
 
 
-@given(st.data(), st.integers(min_value=0, max_value=4), TEXTS)
+@given(st.data(), st.integers(min_value=0, max_value=6), TEXTS)
 def test_emit_of_apply_report_matches_json_dumps(data, n, rule):
     columns = [data.draw(st.lists(TEXTS, min_size=n, max_size=n))]
     columns += [data.draw(st.lists(FLOATS, min_size=n, max_size=n)) for _ in range(3)]
@@ -874,7 +905,7 @@ def test_emit_of_a_table_longer_than_a_block_matches_json_dumps():
 
 @given(
     st.data(),
-    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=0, max_value=6),
     st.lists(TEXTS, max_size=3, unique=True),
 )
 def test_emit_of_compare_report_matches_json_dumps(data, n, specs):
@@ -899,6 +930,162 @@ def test_emit_of_compare_report_matches_json_dumps(data, n, specs):
         return _compare_rows(ids, incomes, needs, allocations)
 
     _check_emit(head, rows, build, tail)
+
+
+def _long_apply_case(n):
+    values = [k / 7 - 3 for k in range(n)]
+    needs = [float(k % 5) for k in range(n)]
+    return _apply_case([f"a{k}" for k in range(n)], values, needs, values)
+
+
+def _helper_status(statuses):
+    """os.waitpid that records each status it returns."""
+    real = os.waitpid
+
+    def waitpid(pid, options):
+        result = real(pid, options)
+        statuses.append(result[1])
+        return result
+
+    return waitpid
+
+
+def test_a_failing_helper_leaves_the_bytes_unchanged():
+    head, rows, build = _long_apply_case(9)
+    expected = json.dumps({**head, "agents": rows}, indent=2) + "\n"
+    parent, encode = os.getpid(), cli._encode_str
+
+    def encode_here_only(text):
+        if os.getpid() != parent:
+            raise RuntimeError("the helper fails")
+        return encode(text)
+
+    statuses = []
+    with _writer(2, 2) as fork, mock.patch.object(cli, "_encode_str", encode_here_only), \
+            mock.patch.object(os, "waitpid", _helper_status(statuses)):
+        assert _emitted({**head, "agents": build()}) == expected
+    assert fork.call_count == 1 and statuses and statuses[0] != 0
+    _no_child_is_left()
+
+
+def test_a_helper_without_a_temporary_file_is_not_started():
+    head, rows, build = _long_apply_case(9)
+    expected = json.dumps({**head, "agents": rows}, indent=2) + "\n"
+    with _writer(2, 2) as fork, mock.patch.object(
+        cli.tempfile, "TemporaryFile", side_effect=OSError(28, "No space left on device")
+    ):
+        assert _emitted({**head, "agents": build()}) == expected
+    assert fork.call_count == 0
+
+
+def _long_dataset(tmp_path, n):
+    path = tmp_path / "long.csv"
+    path.write_text(
+        "id,income,need\n" + "".join(f"h{k},{k * 1.5 - 40},{k % 7}\n" for k in range(n)),
+        encoding="utf-8",
+    )
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["apply", "compare"])
+def test_one_cpu_writes_the_bytes_of_two(capsys, tmp_path, command):
+    path = _long_dataset(tmp_path, 40)
+    rules = ["--rule", "prop"] if command == "apply" else ["--rules", "lf,prop,dual(lin:0.3,0.2)"]
+    outputs = []
+    for cpus in (1, 2):
+        with _writer(4, cpus) as fork:
+            code = main([command, *rules, "--input", path, "--no-timestamp"])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        assert fork.call_count == cpus - 1
+        outputs.append(captured.out)
+    assert outputs[0] == outputs[1]
+    _no_child_is_left()
+
+
+class _RowsRefused(io.StringIO):
+    """A stdout that takes the report's head, then breaks at the first rows."""
+
+    def write(self, text):
+        if text.startswith("    {"):
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+
+@pytest.mark.parametrize("to", ["stdout", "output"])
+def test_a_failed_write_leaves_no_helper_behind(capsys, tmp_path, to):
+    # Blocks of 8 rows: this process's half is more than a file buffer, so
+    # the write fails while the helper may still run.
+    path = _long_dataset(tmp_path, 4000)
+    argv = ["apply", "--rule", "prop", "--input", path, "--no-timestamp"]
+    if to == "stdout":
+        with _writer(8, 2) as fork, contextlib.redirect_stdout(_RowsRefused()):
+            code = main(argv)
+        message = "OutputError: cannot write <stdout>: Broken pipe\n"
+    else:
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        with _writer(8, 2) as fork:
+            code = main(argv + ["--output", "/dev/full"])
+        message = "OutputError: cannot write /dev/full: No space left on device\n"
+    assert code == 2 and fork.call_count == 1
+    assert capsys.readouterr().err == message
+    _no_child_is_left()
+
+
+def _buffered_cli(argv, **kwargs):
+    """The CLI in a new interpreter whose stdout buffers, as it does by default."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.run(
+        [sys.executable, "-m", "redistrib", *argv], env=env, text=True, **kwargs
+    )
+
+
+@pytest.mark.parametrize("rows", [2, 9000])
+@pytest.mark.parametrize("sink", ["closed pipe", "/dev/full"])
+def test_a_report_stdout_cannot_take_exits_2_with_one_line(tmp_path, sink, rows):
+    # 9000 rows are more than two blocks, so a host of two CPUs starts the
+    # helper; 2 rows fail only as stdout is flushed. The exit flush of what
+    # stdout still buffers must then fail no second time.
+    path = _long_dataset(tmp_path, rows)
+    if sink == "closed pipe":
+        read_end, stdout = os.pipe()
+        os.close(read_end)
+        message = "OutputError: cannot write <stdout>: Broken pipe\n"
+    else:
+        if not os.path.exists(sink):
+            pytest.skip(f"no {sink}")
+        stdout = os.open(sink, os.O_WRONLY)
+        message = "OutputError: cannot write <stdout>: No space left on device\n"
+    try:
+        proc = _buffered_cli(
+            ["apply", "--rule", "prop", "--input", path], stdout=stdout, stderr=subprocess.PIPE
+        )
+    finally:
+        os.close(stdout)
+    assert (proc.returncode, proc.stderr) == (2, message)
+
+
+def test_the_helper_writes_the_one_process_bytes_to_a_real_stdout(capsys, tmp_path):
+    # The helper must not flush its copy of this process's stdout buffer.
+    path = _long_dataset(tmp_path, 9000)
+    argv = ["apply", "--rule", "prop", "--input", path, "--no-timestamp"]
+    with _writer(cli._BLOCK_ROWS, 1):
+        assert main(argv) == 0
+    expected = capsys.readouterr().out
+    proc = _buffered_cli(argv, capture_output=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == expected
+
+
+def test_a_written_report_leaves_no_helper_behind(capsys, tmp_path):
+    path = _long_dataset(tmp_path, 100)
+    target = tmp_path / "report.json"
+    with _writer(8, 2) as fork:
+        code = main(["apply", "--rule", "prop", "--input", path, "--output", str(target)])
+    assert code == 0 and fork.call_count == 1
+    assert len(json.loads(target.read_text(encoding="utf-8"))["agents"]) == 100
+    _no_child_is_left()
 
 
 def test_dual_of_full(capsys):
