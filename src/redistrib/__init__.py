@@ -56,9 +56,7 @@ from .duality import (
     check_self_dual,
     dual_ab,
     dual_closed_form,
-    dual_evaluate,
     dual_payoffs,
-    reflected_problem,
 )
 from .rules import (
     ABRule,

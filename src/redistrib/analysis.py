@@ -289,7 +289,12 @@ def verify_characterization(
     """Cross-check sampled axiom verdicts against the recovered form.
 
     Each implication says: if the rule passed this axiom set, its
-    classification must land in the matching family. Implications are
+    classification must land in the matching family. With core for
+    homogeneity, equal treatment and continuity, core + nat gives the
+    deviation-weighted form; adding dummy, B = (1 − A)t; adding stability,
+    lf or A ≡ 0; adding both, lf or prop. So the axioms single out {lf,
+    prop}, not prop alone: the axiom that separates prop from lf is not
+    known offline, where only the paper's abstract is. Implications are
     checked on sampled verdicts only and are reported, not assumed.
     """
     reports = tuple(

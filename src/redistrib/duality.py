@@ -9,49 +9,29 @@ rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from math import comb
 
 import numpy as np
 
 from .axioms import SampleConfig, rng_for, worst_trial
-from .core import Allocation, Block, Problem, check_tol, make_problem
+from .core import Block, Problem, check_tol, make_problem
 from .rules import (
-    ABRule,
-    AFamilyRule,
-    BFamilyRule,
     ConvexCombination,
     DualRule,
-    FULL,
-    FullRedistribution,
-    LaissezFaire,
-    LinearDualRule,
-    LinearRule,
-    NAFR,
-    NeedAdjustedFull,
-    Proportional,
     RuleSpec,
     ScalarFn,
+    WeightedRule,
+    catalog_rule,
     from_coefficients,
 )
 
 
-def reflected_problem(problem: Problem) -> Problem:
-    """Same agents and needs, incomes replaced by need minus income."""
-    return make_problem(
-        problem.agents,
-        tuple(z - y for y, z in zip(problem.incomes, problem.needs)),
-        problem.needs,
-    )
-
-
 def dual_payoffs(rule: RuleSpec, problem: Problem) -> tuple[float, ...]:
-    inner = rule.payoffs(reflected_problem(problem))
-    return tuple(z - x for z, x in zip(problem.needs, inner))
-
-
-def dual_evaluate(rule: RuleSpec, problem: Problem) -> Allocation:
-    """Evaluate the dual of a rule directly from its definition."""
-    return Allocation(problem, dual_payoffs(rule, problem))
+    """Payoffs of the rule's dual, z − R(z − y, z), through the reflected problem."""
+    incomes = tuple(z - y for y, z in zip(problem.incomes, problem.needs))
+    reflected = make_problem(problem.agents, incomes, problem.needs)
+    return tuple(z - x for z, x in zip(problem.needs, rule.payoffs(reflected)))
 
 
 def _reflect_coeffs(coeffs: tuple[float, ...]) -> tuple[float, ...]:
@@ -66,13 +46,8 @@ def _reflect_coeffs(coeffs: tuple[float, ...]) -> tuple[float, ...]:
     return tuple(out)
 
 
-def _sub_coeffs(
-    left: tuple[float, ...], right: tuple[float, ...]
-) -> tuple[float, ...]:
-    width = max(len(left), len(right))
-    padded_left = left + (0.0,) * (width - len(left))
-    padded_right = right + (0.0,) * (width - len(right))
-    return tuple(u - v for u, v in zip(padded_left, padded_right))
+def _sub_coeffs(left: tuple[float, ...], right: tuple[float, ...]) -> tuple[float, ...]:
+    return tuple(u - v for u, v in zip_longest(left, right, fillvalue=0.0))
 
 
 _ZERO = ScalarFn.constant(0.0)
@@ -90,34 +65,31 @@ def dual_ab(income_weight: ScalarFn, need_weight: ScalarFn) -> tuple[ScalarFn, S
     return from_coefficients(income_reflected), from_coefficients(dual_need)
 
 
+# The catalog forms without weight functions map to each other, field for
+# field, under the reflection operator (Thomson & Yeh 2008).
+_NAMED_DUALS = {"lf": "lf", "prop": "prop", "full": "nafr", "lin": "lindual"}
+_NAMED_DUALS.update({dual: name for name, dual in _NAMED_DUALS.items()})
+
+
 def dual_closed_form(rule: RuleSpec) -> RuleSpec | None:
     """Rewrite a rule into the closed form of its dual, when one is known.
 
     Returns None for rules outside the rewrite catalog, such as custom rules;
-    a family rule with plain callable weights comes back as its DualRule.
+    a weighted rule with no closed form, say with a plain callable weight,
+    comes back as its DualRule.
     """
-    if isinstance(rule, (ABRule, AFamilyRule, BFamilyRule)):
-        if not all(isinstance(fn, ScalarFn) for fn in vars(rule).values()):
+    if isinstance(rule, WeightedRule):
+        name, *labels = rule.spelling
+        values = tuple(vars(rule).values())
+        if name in _NAMED_DUALS:
+            return catalog_rule(_NAMED_DUALS[name], values)
+        if not (labels and all(isinstance(fn, ScalarFn) for fn in values)):
             return DualRule(rule)
-    if isinstance(rule, (LaissezFaire, Proportional)):
-        return rule
-    if isinstance(rule, FullRedistribution):
-        return NAFR
-    if isinstance(rule, NeedAdjustedFull):
-        return FULL
-    if isinstance(rule, ABRule):
-        income, need = dual_ab(rule.income_weight, rule.need_weight)
-        return ABRule(income, need)
-    # bfam is ab with A = 0, which reflection keeps; afam's dual is afam
-    # with the reflected A.
-    if isinstance(rule, BFamilyRule):
-        return BFamilyRule(dual_ab(_ZERO, rule.need_weight)[1])
-    if isinstance(rule, AFamilyRule):
-        return AFamilyRule(dual_ab(rule.income_weight, _ZERO)[0])
-    if isinstance(rule, LinearRule):
-        return LinearDualRule(rule.income_coeff, rule.need_share_coeff)
-    if isinstance(rule, LinearDualRule):
-        return LinearRule(rule.income_coeff, rule.need_share_coeff)
+        # The dual holds the reflected A and B in the same fields: bfam is ab
+        # with A = 0, afam is ab with B = (1 − A)t, and reflection keeps both.
+        held = dict(zip(labels, values))
+        a, b = dual_ab(held.get("A=", _ZERO), held.get("B=", _ZERO))
+        return type(rule)(*(a if label == "A=" else b for label in labels))
     if isinstance(rule, ConvexCombination):
         first = dual_closed_form(rule.first)
         second = dual_closed_form(rule.second)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, ClassVar, Sequence, Union
 
 import numpy as np
 
@@ -41,7 +41,8 @@ class RuleError(ValueError):
     """
 
 
-_ARITY = {"const": 1, "id": 0, "scale": 1, "affine": 2}
+# Parameters each function kind takes; poly takes one or more.
+_ARITY = {"const": 1, "id": 0, "scale": 1, "affine": 2, "poly": None}
 
 
 @dataclass(frozen=True)
@@ -171,12 +172,17 @@ class RuleSpec:
         payoffs = np.zeros(block.incomes.shape)
         for k in range(len(payoffs)):
             problem = block.problem(k)
-            row = self.payoffs(problem)
             # Assigned to a slice, one value would silently fill the row.
-            if len(row) != len(problem):
-                raise LengthMismatch(f"{len(row)} values for {len(problem)} agents")
+            row = _checked_length(self.payoffs(problem), problem)
             payoffs[k, : len(row)] = row
         return payoffs
+
+
+def _checked_length(payoffs: Sequence[float], problem: Problem) -> Sequence[float]:
+    """The payoffs, if there is one for each agent of the problem."""
+    if len(payoffs) != len(problem):
+        raise LengthMismatch(f"{len(payoffs)} values for {len(problem)} agents")
+    return payoffs
 
 
 def ab_payoffs(problem: Problem, a: float, b: float) -> tuple[float, ...]:
@@ -231,8 +237,15 @@ class WeightedRule(RuleSpec):
     """A rule of the deviation-weighted form ȳ + A(t)(y−ȳ) + B(t)(z−z̄), t = Y/Z.
 
     Subclasses give only their weights (A(t), B(t)) at the problem's
-    income-to-need ratio, evaluated once per problem.
+    income-to-need ratio, evaluated once per problem, and their spelling:
+    their catalog form's name, then a label per field in field order, "A="
+    or "B=" before a weight function and "" before a real. Parse, format
+    and the closed-form dual read the form from it and from nothing else,
+    so a form whose fields are all functions must be its own dual, with A
+    and B reflected.
     """
+
+    spelling: ClassVar[tuple[str, ...]]
 
     def payoffs(self, problem: Problem) -> tuple[float, ...]:
         a, b = self.weights_at(problem.total_income / problem.total_need)
@@ -243,6 +256,8 @@ class WeightedRule(RuleSpec):
 class LaissezFaire(WeightedRule):
     """Leaves every agent's income untouched."""
 
+    spelling = ("lf",)
+
     def weights_at(self, t: Ratio) -> tuple[Ratio, Ratio]:
         return 1.0, 0.0
 
@@ -250,6 +265,8 @@ class LaissezFaire(WeightedRule):
 @dataclass(frozen=True)
 class FullRedistribution(WeightedRule):
     """Pays every agent an equal share of total income."""
+
+    spelling = ("full",)
 
     def weights_at(self, t: Ratio) -> tuple[Ratio, Ratio]:
         return 0.0, 0.0
@@ -259,6 +276,8 @@ class FullRedistribution(WeightedRule):
 class Proportional(WeightedRule):
     """Splits total income in proportion to needs."""
 
+    spelling = ("prop",)
+
     def weights_at(self, t: Ratio) -> tuple[Ratio, Ratio]:
         return 0.0, t
 
@@ -266,6 +285,8 @@ class Proportional(WeightedRule):
 @dataclass(frozen=True)
 class NeedAdjustedFull(WeightedRule):
     """Covers each need exactly, splitting the surplus or deficit equally."""
+
+    spelling = ("nafr",)
 
     def weights_at(self, t: Ratio) -> tuple[Ratio, Ratio]:
         return 0.0, 1.0
@@ -275,6 +296,7 @@ class NeedAdjustedFull(WeightedRule):
 class ABRule(WeightedRule):
     """Equal split adjusted by weighted income and need deviations."""
 
+    spelling = ("ab", "A=", "B=")
     income_weight: FnLike
     need_weight: FnLike
 
@@ -286,6 +308,7 @@ class ABRule(WeightedRule):
 class BFamilyRule(WeightedRule):
     """Equal split adjusted by weighted need deviations only."""
 
+    spelling = ("bfam", "B=")
     need_weight: FnLike
 
     def weights_at(self, t: Ratio) -> tuple[Ratio, Ratio]:
@@ -296,6 +319,7 @@ class BFamilyRule(WeightedRule):
 class AFamilyRule(WeightedRule):
     """Mixes untouched incomes with the proportional split via an income weight."""
 
+    spelling = ("afam", "A=")
     income_weight: FnLike
 
     def weights_at(self, t: Ratio) -> tuple[Ratio, Ratio]:
@@ -311,6 +335,7 @@ class LinearRule(WeightedRule):
     total income because their weights sum to one.
     """
 
+    spelling = ("lin", "", "")
     income_coeff: float
     need_share_coeff: float
 
@@ -322,6 +347,7 @@ class LinearRule(WeightedRule):
 class LinearDualRule(WeightedRule):
     """Like LinearRule but the remainder goes to the need-adjusted equal split."""
 
+    spelling = ("lindual", "", "")
     income_coeff: float
     need_share_coeff: float
 
@@ -403,6 +429,15 @@ FULL = FullRedistribution()
 PROP = Proportional()
 NAFR = NeedAdjustedFull()
 
+# The spelling table: each catalog form by the name that spells it.
+_CATALOG = {cls.spelling[0]: cls for cls in WeightedRule.__subclasses__()}
+_FIXED = {rule.spelling[0]: rule for rule in (LF, FULL, PROP, NAFR)}
+
+
+def catalog_rule(name: str, values: Sequence = ()) -> WeightedRule:
+    """The catalog form spelled name with these field values, or its one instance."""
+    return _CATALOG[name](*values) if values else _FIXED[name]
+
 
 def evaluate(rule: RuleSpec, problem: Problem) -> Allocation:
     """Apply a rule to a problem; the result is balance-checked on construction.
@@ -440,10 +475,13 @@ def equivalent_on(
     witness: Problem | None = None
     where: int | None = None
     for problem in problems:
-        x1 = first.payoffs(problem)
-        x2 = second.payoffs(problem)
+        x1 = _checked_length(first.payoffs(problem), problem)
+        x2 = _checked_length(second.payoffs(problem), problem)
         for i, (u, v) in enumerate(zip(x1, x2)):
             gap = abs(u - v)
+            # No gap exceeds NaN's, so the first NaN is the verdict.
+            if math.isnan(gap):
+                return EquivalenceVerdict(False, gap, problem, i)
             if gap > worst:
                 worst, witness, where = gap, problem, i
     return EquivalenceVerdict(worst <= tol, worst, witness, where)
@@ -471,17 +509,13 @@ def parse_scalar_fn(text: str) -> ScalarFn:
     if not sep:
         raise ParseError(f"unknown function {_excerpt(text)!r}")
     values = [_parse_real(tok) for tok in rest.split(",")] if rest else []
-    if head == "const" and len(values) == 1:
-        return ScalarFn.constant(values[0])
-    if head == "scale" and len(values) == 1:
-        return ScalarFn.scaled(values[0])
-    if head == "affine" and len(values) == 2:
-        return ScalarFn.affine(values[0], values[1])
-    if head == "poly" and values:
-        return ScalarFn.poly(*values)
-    if head in ("const", "scale", "affine", "poly"):
-        raise ParseError(f"wrong number of parameters in {_excerpt(text)!r}")
-    raise ParseError(f"unknown function kind {_excerpt(head)!r}")
+    # id is spelled without a colon.
+    if head == "id" or head not in _ARITY:
+        raise ParseError(f"unknown function kind {_excerpt(head)!r}")
+    try:
+        return ScalarFn(head, tuple(values))
+    except ValueError:
+        raise ParseError(f"wrong number of parameters in {_excerpt(text)!r}") from None
 
 
 def _parse_real(token: str) -> float:
@@ -534,14 +568,12 @@ def parse_rule(text: str, _depth: int = 0) -> RuleSpec:
         | lin:<r>,<r> | lindual:<r>,<r>
         | convex(<rule>;<rule>;<weight>) | dual(<rule>)
 
-    convex and dual nest at most MAX_RULE_DEPTH deep.
+    The catalog forms are read from each WeightedRule's spelling. convex
+    and dual nest at most MAX_RULE_DEPTH deep.
     """
     if _depth > MAX_RULE_DEPTH:
         raise ParseError(_TOO_DEEP)
     s = text.strip()
-    simple = {"lf": LF, "full": FULL, "prop": PROP, "nafr": NAFR}
-    if s in simple:
-        return simple[s]
     if s.startswith("convex(") and s.endswith(")"):
         parts = _split_top(s[len("convex(") : -1], ";")
         if len(parts) != 3:
@@ -556,62 +588,52 @@ def parse_rule(text: str, _depth: int = 0) -> RuleSpec:
         # Reject trailing junk like "dual(lf)x" by checking balance.
         _split_top(inner, "\x00")
         return DualRule(parse_rule(inner, _depth + 1))
-    if s.startswith("ab:"):
-        body = s[len("ab:") :]
-        marker = body.find(",B=")
-        if not body.startswith("A=") or marker < 0:
-            raise ParseError(f"ab takes A=<fn>,B=<fn>, got {_excerpt(text)!r}")
-        return ABRule(
-            parse_scalar_fn(body[2:marker]),
-            parse_scalar_fn(body[marker + len(",B=") :]),
-        )
-    if s.startswith("afam:"):
-        body = s[len("afam:") :]
-        if not body.startswith("A="):
-            raise ParseError(f"afam takes A=<fn>, got {_excerpt(text)!r}")
-        return AFamilyRule(parse_scalar_fn(body[2:]))
-    if s.startswith("bfam:"):
-        body = s[len("bfam:") :]
-        if not body.startswith("B="):
-            raise ParseError(f"bfam takes B=<fn>, got {_excerpt(text)!r}")
-        return BFamilyRule(parse_scalar_fn(body[2:]))
-    for head, cls in (("lin:", LinearRule), ("lindual:", LinearDualRule)):
-        if s.startswith(head):
-            tokens = s[len(head) :].split(",")
-            if len(tokens) != 2:
-                raise ParseError(
-                    f"{head[:-1]} takes two coefficients, got {_excerpt(text)!r}"
-                )
-            return cls(_parse_real(tokens[0]), _parse_real(tokens[1]))
-    raise ParseError(f"unknown rule {_excerpt(text)!r}")
+    name, colon, body = s.partition(":")
+    form = _CATALOG.get(name)
+    # A form without fields is spelled by its name alone, any other with a colon.
+    if form is None or bool(colon) != bool(form.spelling[1:]):
+        raise ParseError(f"unknown rule {_excerpt(text)!r}")
+    labels = form.spelling[1:]
+    texts = _split_fields(body, labels)
+    if texts is None:
+        raise ParseError(f"{name} takes {_usage(labels)}, got {_excerpt(text)!r}")
+    values = [parse_scalar_fn(t) if label else _parse_real(t) for label, t in zip(labels, texts)]
+    return catalog_rule(name, values)
+
+
+def _split_fields(body: str, labels: Sequence[str]) -> list[str] | None:
+    """The text of each labelled field of body, or None if they are not all there.
+
+    A field starts at the comma before its label. A real is one number; a
+    function runs on, commas and all, to the next field.
+    """
+    texts: list[str] = []
+    for token in body.split(",") if labels else ():
+        if len(texts) < len(labels) and token.startswith(labels[len(texts)]):
+            texts.append(token[len(labels[len(texts)]) :])
+        elif texts and labels[len(texts) - 1]:
+            texts[-1] += "," + token
+        else:
+            return None
+    return texts if len(texts) == len(labels) else None
+
+
+def _usage(labels: Sequence[str]) -> str:
+    """How a catalog form's fields are spelled, as its parse errors say it."""
+    if any(labels):
+        return ",".join(f"{label}<fn>" if label else "<r>" for label in labels)
+    return f"{('one', 'two', 'three', 'four')[len(labels) - 1]} coefficients"
 
 
 def format_rule(rule: RuleSpec) -> str:
     """Spec-string form of a rule; inverse of parse_rule for catalog rules."""
-    if isinstance(rule, LaissezFaire):
-        return "lf"
-    if isinstance(rule, FullRedistribution):
-        return "full"
-    if isinstance(rule, Proportional):
-        return "prop"
-    if isinstance(rule, NeedAdjustedFull):
-        return "nafr"
-    if isinstance(rule, ABRule):
-        return (
-            f"ab:A={format_scalar_fn(rule.income_weight)}"
-            f",B={format_scalar_fn(rule.need_weight)}"
+    if isinstance(rule, WeightedRule):
+        name, *labels = rule.spelling
+        texts = (
+            label + (format_scalar_fn(value) if label else _format_real(value))
+            for label, value in zip(labels, vars(rule).values())
         )
-    if isinstance(rule, AFamilyRule):
-        return f"afam:A={format_scalar_fn(rule.income_weight)}"
-    if isinstance(rule, BFamilyRule):
-        return f"bfam:B={format_scalar_fn(rule.need_weight)}"
-    if isinstance(rule, LinearRule):
-        return f"lin:{_format_real(rule.income_coeff)},{_format_real(rule.need_share_coeff)}"
-    if isinstance(rule, LinearDualRule):
-        return (
-            f"lindual:{_format_real(rule.income_coeff)}"
-            f",{_format_real(rule.need_share_coeff)}"
-        )
+        return f"{name}:{','.join(texts)}" if labels else name
     if isinstance(rule, ConvexCombination):
         return (
             f"convex({format_rule(rule.first)};{format_rule(rule.second)}"

@@ -388,14 +388,25 @@ def test_a_long_rule_is_quoted_in_short(capsys, spec, message):
     "spec,message",
     [
         ("bogus", "unknown rule 'bogus'"),
+        ("prop:", "unknown rule 'prop:'"),
+        ("lf:x", "unknown rule 'lf:x'"),
+        ("ab", "unknown rule 'ab'"),
+        ("afam:", "afam takes A=<fn>, got 'afam:'"),
+        ("ab:B=id,A=id", "ab takes A=<fn>,B=<fn>, got 'ab:B=id,A=id'"),
+        ("ab:A=id,B=", "unknown function ''"),
         ("convex(lf;prop)", "convex takes rule;rule;weight, got 'convex(lf;prop)'"),
         ("ab:A=id", "ab takes A=<fn>,B=<fn>, got 'ab:A=id'"),
         ("afam:B=id", "afam takes A=<fn>, got 'afam:B=id'"),
         ("bfam:A=id", "bfam takes B=<fn>, got 'bfam:A=id'"),
         ("lin:0.3", "lin takes two coefficients, got 'lin:0.3'"),
+        ("lindual:1,2,3", "lindual takes two coefficients, got 'lindual:1,2,3'"),
+        ("lin:", "lin takes two coefficients, got 'lin:'"),
         ("afam:A=sin", "unknown function 'sin'"),
         ("afam:A=const:1,2", "wrong number of parameters in 'const:1,2'"),
+        ("afam:A=poly:", "wrong number of parameters in 'poly:'"),
         ("afam:A=exp:1", "unknown function kind 'exp'"),
+        ("afam:A=id:", "unknown function kind 'id'"),
+        ("afam:A=wavelet:x", "expected a number, got 'x'"),
         ("lin:0.3,x", "expected a number, got 'x'"),
         ("lin:0.3,inf", "number 'inf' is not finite"),
     ],

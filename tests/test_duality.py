@@ -11,6 +11,7 @@ from redistrib import (
     AFamilyRule,
     BFamilyRule,
     ConvexCombination,
+    CustomRule,
     DEFAULT_GRID,
     DualReport,
     DualRule,
@@ -28,7 +29,6 @@ from redistrib import (
     check_self_dual,
     dual_ab,
     dual_closed_form,
-    dual_evaluate,
     dual_payoffs,
     equivalent_on,
     evaluate,
@@ -36,7 +36,6 @@ from redistrib import (
     format_rule,
     parse_rule,
     problem_scale,
-    reflected_problem,
 )
 from conftest import (
     NAN_RULES,
@@ -50,8 +49,15 @@ TOL = 1e-9
 
 
 def test_reflected_problem_swaps_income_for_shortfall():
+    seen = []
+
+    def recording(problem):
+        seen.append(problem)
+        return LF.payoffs(problem)
+
     p = reference_problem()
-    mirrored = reflected_problem(p)
+    assert dual_payoffs(CustomRule("recording", recording), p) == (5.0, 1.0)
+    (mirrored,) = seen
     assert mirrored.incomes == (-4.0, 2.0)
     assert mirrored.needs == p.needs
     assert mirrored.agents == p.agents
@@ -67,16 +73,13 @@ def test_dual_payoffs_on_reference_problem():
 
 def test_lazy_wrapper_matches_direct_dual():
     for p in random_problems(3, 50):
-        assert evaluate(DualRule(FULL), p).values == pytest.approx(
-            dual_evaluate(FULL, p).values
-        )
+        assert evaluate(DualRule(FULL), p).values == pytest.approx(dual_payoffs(FULL, p))
 
 
 def test_dual_of_custom_rule_still_balances():
     rule = needs_squared_rule()
     for p in random_problems(5, 50):
-        allocation = dual_evaluate(rule, p)
-        assert check_allocation(p, allocation.values).passed
+        assert check_allocation(p, dual_payoffs(rule, p)).passed
 
 
 def test_dual_ab_catalog_weights():
@@ -128,6 +131,50 @@ def test_closed_form_catalog():
     assert dual_closed_form(DualRule(inner)) is inner
     for rule in (AFamilyRule(lambda t: t), BFamilyRule(lambda t: t)):
         assert dual_closed_form(rule) == DualRule(rule)
+
+
+def _squared(t):
+    return t * t
+
+
+# The closed-form dual of one spec per catalog form, and of each way the
+# grammar nests them, spelled as format_rule spells it.
+DUAL_SPELLINGS = [
+    ("lf", "lf"),
+    ("full", "nafr"),
+    ("prop", "prop"),
+    ("nafr", "full"),
+    (
+        "ab:A=poly:0.2,0.1,-0.05,B=poly:0.1,0.3,0.02",
+        "ab:A=poly:0.25000000000000006,-0.0,-0.05"
+        ",B=poly:0.32999999999999996,0.33999999999999997,0.030000000000000002",
+    ),
+    ("ab:A=const:0.5,B=id", "ab:A=const:0.5,B=affine:1.0,-0.5"),
+    ("afam:A=id", "afam:A=affine:-1.0,1.0"),
+    ("afam:A=scale:2.0", "afam:A=affine:-2.0,2.0"),
+    ("bfam:B=poly:0.0,0.0,1.0", "bfam:B=poly:0.0,2.0,-1.0"),
+    ("bfam:B=affine:0.5,0.25", "bfam:B=affine:0.5,0.25"),
+    ("lin:0.3,0.2", "lindual:0.3,0.2"),
+    ("lindual:-0.5,1.0", "lin:-0.5,1.0"),
+    ("convex(full;lin:0.3,0.2;0.75)", "convex(nafr;lindual:0.3,0.2;0.75)"),
+    ("dual(afam:A=scale:2.0)", "afam:A=scale:2.0"),
+    ("dual(dual(nafr))", "dual(nafr)"),
+    (
+        "convex(dual(lin:0.3,0.2);afam:A=id;0.6)",
+        "convex(lin:0.3,0.2;afam:A=affine:-1.0,1.0;0.6)",
+    ),
+]
+
+
+@pytest.mark.parametrize("spec,dual", DUAL_SPELLINGS)
+def test_closed_form_duals_are_spelled_as_pinned(spec, dual):
+    assert format_rule(dual_closed_form(parse_rule(spec))) == dual
+
+
+def test_closed_form_duals_of_rules_the_grammar_cannot_spell():
+    plain = ABRule(_squared, ScalarFn.identity())
+    assert format_rule(dual_closed_form(plain)) == "dual(ab:A=<_squared>,B=id)"
+    assert dual_closed_form(ConvexCombination(PROP, needs_squared_rule(), 0.3)) is None
 
 
 def test_closed_form_unknown_rules_return_none():
@@ -220,11 +267,11 @@ def test_grammar_duals_and_mixtures_evaluate_through_the_kernel(monkeypatch):
         calls.append((a, b))
         return ab_payoffs(problem, a, b)
 
-    def refuse(problem):
+    def refuse(*columns):
         raise AssertionError("reflected problem built")
 
     monkeypatch.setattr(rules_module, "ab_payoffs", counting)
-    monkeypatch.setattr(duality_module, "reflected_problem", refuse)
+    monkeypatch.setattr(duality_module, "make_problem", refuse)
     p = reference_problem()
     for spec in (
         "dual(convex(lf;nafr;0.4))",

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from redistrib import (
     FULL,
     InvalidWeight,
     LF,
+    LengthMismatch,
     LinearDualRule,
     LinearRule,
     NAFR,
@@ -23,6 +25,7 @@ from redistrib import (
     RuleError,
     ScalarFn,
     ValidationError,
+    WeightedRule,
     ab_payoffs,
     check_allocation,
     equivalent_on,
@@ -164,6 +167,32 @@ def test_equivalent_on_reports_worst_gap():
     assert verdict.agent_index == 0
 
 
+def test_equivalent_on_fails_a_nan_payoff():
+    nan_rule = CustomRule("nan", lambda q: [math.nan] * len(q))
+    problems = [reference_problem(), make_problem(("c",), (1.0,), (2.0,))]
+    for first, second in ((nan_rule, LF), (LF, nan_rule)):
+        verdict = equivalent_on(first, second, problems, tol=1e-9)
+        assert not verdict.passed
+        assert math.isnan(verdict.max_deviation)
+        assert verdict.witness == reference_problem()
+        assert verdict.agent_index == 0
+
+
+def test_equivalent_on_fails_a_nan_after_a_finite_gap():
+    late_nan = CustomRule("late-nan", lambda q: [5.0, math.nan])
+    verdict = equivalent_on(late_nan, FULL, [reference_problem()], tol=1e-9)
+    assert not verdict.passed
+    assert math.isnan(verdict.max_deviation)
+    assert verdict.agent_index == 1
+
+
+def test_equivalent_on_rejects_a_payoff_vector_of_another_length():
+    first_only = CustomRule("first-only", lambda q: q.incomes[:1])
+    for first, second in ((first_only, LF), (LF, first_only)):
+        with pytest.raises(LengthMismatch, match="1 values for 2 agents"):
+            equivalent_on(first, second, [reference_problem()], tol=1e-9)
+
+
 def test_equivalent_on_rejects_bad_tol():
     for tol in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError):
@@ -254,6 +283,20 @@ def test_parse_format_round_trip(spec):
     rule = parse_rule(spec)
     assert format_rule(rule) == spec
     assert parse_rule(format_rule(rule)) == rule
+
+
+def test_every_weighted_class_spells_each_of_its_fields():
+    classes = WeightedRule.__subclasses__()
+    assert len({cls.spelling[0] for cls in classes}) == len(classes)
+    for cls in classes:
+        name, *labels = cls.spelling
+        assert len(labels) == len(dataclasses.fields(cls)), name
+        assert set(labels) <= {"", "A=", "B="}, name
+
+
+def test_parse_returns_the_catalog_instances():
+    for rule in (LF, FULL, PROP, NAFR):
+        assert parse_rule(format_rule(rule)) is rule
 
 
 def test_parse_accepts_surrounding_whitespace():
