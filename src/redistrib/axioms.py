@@ -12,7 +12,8 @@ largest trial and the columns past a trial's own agents are padding: zero
 incomes and needs, paid zero, which leave every row's totals and payoffs
 as they are unpadded, bit for bit. The screen is each axiom's only
 measure. The first flagged trial is rebuilt as an instance of Problems,
-re-screened as an unpadded one-row batch, then shrunk and reported.
+re-screened as an unpadded one-row batch, then shrunk, and reported with
+the screen of the last instance the shrink took.
 """
 
 from __future__ import annotations
@@ -233,13 +234,13 @@ class _Checker:
     into a padded batch: a dict of Blocks and arrays, one row per trial.
     screen gives each trial's deviation, scale, expected and observed values
     (expected may be None); on a one-row batch rebuilt from an instance it
-    confirms, shrinks and re-checks counterexamples.
+    confirms, shrinks and re-checks counterexamples. shrink(instance, step)
+    gives the smaller instances that shrinking step tries, in order.
     """
 
     draw: Callable[[np.random.Generator, int, int], dict]
     screen: Callable[[RuleSpec, dict], tuple]
-    shrink: Callable[[dict, float], dict] | None = None
-    droppable: Callable[[dict], tuple] | None = None
+    shrink: Callable[[dict, int], Iterable[dict]] = lambda instance, step: ()
 
 
 def _violates(deviation: float, tol: float, scale: float) -> bool:
@@ -322,6 +323,25 @@ def _measure(checker: _Checker, rule: RuleSpec, instance: dict) -> tuple:
     return deviation[0].item(), scale[0].item(), expected, observed
 
 
+def _halving(shrink: Callable[[dict, float], dict]) -> Callable[[dict, int], tuple]:
+    """One candidate a step: shrink(instance, s), s halving from 0.5 step by step."""
+    return lambda instance, step: (shrink(instance, 0.5 ** (step + 1)),)
+
+
+def _drops(instance: dict, step: int) -> Iterator[dict]:
+    """The instance without each agent it does not name, in agent order.
+
+    A drop that leaves no valid problem, say one of zero total need, is skipped.
+    """
+    named = {instance[key] for key in _AGENT_KEYS if key in instance}
+    for agent in instance["problem"].agents:
+        if agent not in named:
+            try:
+                yield _drop_agent(instance, agent)
+            except ValidationError:
+                pass
+
+
 def _drop_agent(instance: dict, agent) -> dict:
     """Remove one agent from every problem stored in the instance."""
     out = dict(instance)
@@ -385,11 +405,6 @@ def _screen_equal_treatment(rule, trials):
         np.stack([first, first], axis=1),
         np.stack([first, second], axis=1),
     )
-
-
-def _droppable_equal_treatment(instance):
-    keep = {instance["first"], instance["second"]}
-    return tuple(a for a in instance["problem"].agents if a not in keep)
 
 
 # --- continuity: payoffs converge as a perturbation shrinks ---
@@ -503,11 +518,6 @@ def _screen_stability(rule, trials):
     return _row_max_abs(once - again), problem.scales, once, again
 
 
-def _droppable_stability(instance):
-    agents = instance["problem"].agents
-    return agents if len(agents) > 1 else ()
-
-
 # --- dummy: an agent with zero income and zero need receives zero ---
 
 
@@ -527,10 +537,6 @@ def _screen_dummy(rule, trials):
     paid = x[np.arange(len(x)), trials["agent"] - 1]
     expected = np.zeros((len(x), 1))
     return np.abs(paid), problem.scales, expected, paid[:, None]
-
-
-def _droppable_dummy(instance):
-    return tuple(a for a in instance["problem"].agents if a != instance["agent"])
 
 
 # --- income additivity: payoffs add across income profiles at fixed needs ---
@@ -576,61 +582,46 @@ def _screen_dual_income_additivity(rule, trials):
 
 _CHECKERS: dict[str, _Checker] = {
     "homogeneity": _Checker(
-        _draw_homogeneity, _screen_homogeneity, shrink=_shrink_homogeneity
+        _draw_homogeneity, _screen_homogeneity, _halving(_shrink_homogeneity)
     ),
-    "equal_treatment": _Checker(
-        _draw_equal_treatment,
-        _screen_equal_treatment,
-        droppable=_droppable_equal_treatment,
-    ),
+    "equal_treatment": _Checker(_draw_equal_treatment, _screen_equal_treatment, _drops),
     "continuity": _Checker(_draw_continuity, _screen_continuity),
-    "nat": _Checker(_draw_nat, _screen_nat, shrink=_shrink_nat),
-    "stability": _Checker(
-        _draw_stability, _screen_stability, droppable=_droppable_stability
-    ),
-    "dummy": _Checker(_draw_dummy, _screen_dummy, droppable=_droppable_dummy),
+    "nat": _Checker(_draw_nat, _screen_nat, _halving(_shrink_nat)),
+    "stability": _Checker(_draw_stability, _screen_stability, _drops),
+    "dummy": _Checker(_draw_dummy, _screen_dummy, _drops),
     "income_additivity": _Checker(
         _draw_income_additivity,
         _screen_income_additivity,
-        shrink=_shrink_extra_incomes,
+        _halving(_shrink_extra_incomes),
     ),
     "dual_income_additivity": _Checker(
         _draw_income_additivity,
         _screen_dual_income_additivity,
-        shrink=_shrink_extra_incomes,
+        _halving(_shrink_extra_incomes),
     ),
 }
 
 
-def _shrunk(checker: _Checker, rule: RuleSpec, instance: dict, tol: float) -> dict:
-    """Shrink a violating instance while the violation persists."""
-    if checker.shrink is not None:
-        s = 1.0
-        for _ in range(MAX_SHRINK_STEPS):
-            s *= 0.5
-            candidate = checker.shrink(instance, s)
-            deviation, scale, _, _ = _measure(checker, rule, candidate)
-            if _violates(deviation, tol, scale):
-                instance = candidate
-            else:
+def _shrunk(
+    checker: _Checker, rule: RuleSpec, instance: dict, measured: tuple, tol: float
+) -> tuple[dict, tuple]:
+    """A violating instance and its measure, shrunk while the violation persists.
+
+    Each of up to MAX_SHRINK_STEPS steps takes the first of its candidates
+    that still violates; a candidate the screen rejects is skipped.
+    """
+    for step in range(MAX_SHRINK_STEPS):
+        for candidate in checker.shrink(instance, step):
+            try:
+                screened = _measure(checker, rule, candidate)
+            except ValidationError:
+                continue
+            if _violates(screened[0], tol, screened[1]):
+                instance, measured = candidate, screened
                 break
-    if checker.droppable is not None:
-        steps = 0
-        progressing = True
-        while progressing and steps < MAX_SHRINK_STEPS:
-            progressing = False
-            for agent in checker.droppable(instance):
-                try:
-                    candidate = _drop_agent(instance, agent)
-                    deviation, scale, _, _ = _measure(checker, rule, candidate)
-                except ValidationError:
-                    continue
-                if _violates(deviation, tol, scale):
-                    instance = candidate
-                    steps += 1
-                    progressing = True
-                    break
-    return instance
+        else:
+            break
+    return instance, measured
 
 
 def check_axiom(
@@ -639,12 +630,13 @@ def check_axiom(
     """Run one axiom's sampled predicate for cfg.trials trials.
 
     Stops at the first violation, shrinks it, and reports a counterexample
-    whose re-measured deviation exceeds tol scaled by instance magnitude;
+    whose measured deviation exceeds tol scaled by instance magnitude;
     a NaN deviation, as a NaN payoff gives, counts as a violation.
     Trials are screened a block at a time, as one padded batch. The first
     trial the screen flags is re-screened as a one-row batch rebuilt from
-    its instance, which then shrinks and is reported. When a batch's screen
-    builds a problem that Problem rejects, every trial of the batch is
+    its instance, which then shrinks; the report holds the screen of the
+    last instance taken. When a batch's screen builds a problem that
+    Problem rejects, every trial of the batch is
     re-screened that way in order, so the first violation is reported or the
     error raised, as trial by trial.
     """
@@ -662,10 +654,10 @@ def check_axiom(
             flagged = range(len(trials["problem"].incomes))
         for k in flagged:
             instance = _trial(trials, k)
-            deviation, scale, _, _ = _measure(checker, rule, instance)
-            if _violates(deviation, tol, scale):
-                instance = _shrunk(checker, rule, instance, tol)
-                deviation, scale, expected, observed = _measure(checker, rule, instance)
+            measured = _measure(checker, rule, instance)
+            if _violates(measured[0], tol, measured[1]):
+                instance, measured = _shrunk(checker, rule, instance, measured, tol)
+                deviation, scale, expected, observed = measured
                 counterexample = Counterexample(
                     instance=instance,
                     expected=expected,

@@ -22,6 +22,7 @@ from .rules import (
     RuleSpec,
     ScalarFn,
     WeightedRule,
+    _checked_length,
     catalog_rule,
     from_coefficients,
 )
@@ -31,7 +32,8 @@ def dual_payoffs(rule: RuleSpec, problem: Problem) -> tuple[float, ...]:
     """Payoffs of the rule's dual, z − R(z − y, z), through the reflected problem."""
     incomes = tuple(z - y for y, z in zip(problem.incomes, problem.needs))
     reflected = make_problem(problem.agents, incomes, problem.needs)
-    return tuple(z - x for z, x in zip(problem.needs, rule.payoffs(reflected)))
+    payoffs = _checked_length(rule.payoffs(reflected), reflected)
+    return tuple(z - x for z, x in zip(problem.needs, payoffs))
 
 
 def _reflect_coeffs(coeffs: tuple[float, ...]) -> tuple[float, ...]:

@@ -384,7 +384,9 @@ class ConvexCombination(RuleSpec):
         weights = self.weights_at(problem.total_income / problem.total_need)
         if weights is not None:
             return ab_payoffs(problem, *weights)
-        return self._mix(self.first.payoffs(problem), self.second.payoffs(problem))
+        x1 = _checked_length(self.first.payoffs(problem), problem)
+        x2 = _checked_length(self.second.payoffs(problem), problem)
+        return self._mix(x1, x2)
 
 
 @dataclass(frozen=True)
@@ -659,24 +661,36 @@ def _excerpt(text: str, limit: int = 60) -> str:
     return text if len(text) <= limit else text[:limit] + "..."
 
 
+def _head(spec: str) -> str:
+    """The name a rule spec starts with: its text before any ':' or '('."""
+    return spec.strip().partition(":")[0].partition("(")[0]
+
+
 def split_rule_list(text: str) -> list[RuleSpec]:
     """Parse a comma-separated list of rule specs.
 
-    Rule specs may themselves contain commas, so fragments are joined
-    greedily until they parse.
+    A catalog form's fields hold commas too, so a comma after a form with
+    fields continues it, unless the text after the comma names a rule: a
+    catalog form, convex or dual. Any other comma outside parentheses ends
+    a spec.
     """
-    rules: list[RuleSpec] = []
-    pending: str | None = None
+    specs: list[str] = []
     for part in _split_top(text, ","):
-        pending = part if pending is None else pending + "," + part
+        form = _CATALOG.get(_head(specs[-1])) if specs else None
+        head = _head(part)
+        names_rule = head in _CATALOG or head in ("convex", "dual")
+        if form is not None and form.spelling[1:] and not names_rule:
+            specs[-1] += "," + part
+        else:
+            specs.append(part)
+    rules: list[RuleSpec] = []
+    for k, spec in enumerate(specs):
         try:
-            rules.append(parse_rule(pending))
+            rules.append(parse_rule(spec))
         except ParseError as exc:
-            # A fragment nested too deep stays so whatever follows it.
+            # The nesting cap's message names the cap, not where it was hit.
             if exc.args == (_TOO_DEEP,):
                 raise
-            continue
-        pending = None
-    if pending is not None:
-        raise ParseError(f"could not parse rule list near {_excerpt(pending)!r}")
+            rest = ",".join(specs[k:])
+            raise ParseError(f"could not parse rule list near {_excerpt(rest)!r}") from None
     return rules

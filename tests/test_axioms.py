@@ -1,5 +1,7 @@
+import json
 import math
 import struct
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +25,7 @@ from redistrib import (
     axiom_suite,
     check_axiom,
     expand_axiom_names,
+    format_rule,
     make_problem,
     parse_rule,
     recheck_counterexample,
@@ -161,6 +164,53 @@ def test_negative_controls_fail_and_recheck(axiom, rule):
     )
     assert all(isinstance(p, Problem) for p in cex.problems)
     assert len(cex.problems) >= 1
+
+
+PINNED_SEEDS = (33, 1, 7)
+PINNED = Path(__file__).parent / "data" / "golden" / "negative-controls.json"
+
+
+def _bits(value):
+    """A report field in JSON, each float as its hex bits and a Problem by column."""
+    if isinstance(value, Problem):
+        return {name: _bits(getattr(value, name)) for name in ("agents", "incomes", "needs")}
+    if isinstance(value, dict):
+        return {key: _bits(v) for key, v in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [_bits(v) for v in value]
+    return value.hex() if isinstance(value, float) else value
+
+
+def _pinned_report(axiom, rule, seed):
+    report = check_axiom(axiom, rule, SampleConfig(seed=seed, trials=300))
+    cex = report.counterexample
+    fields = ("instance", "expected", "observed", "deviation", "threshold")
+    return {"trials_run": report.trials_run, **{f: _bits(getattr(cex, f)) for f in fields}}
+
+
+def pinned_reports():
+    """Every negative control's report at each pinned seed, as the golden holds it.
+
+    To record the golden again, run from tests/:
+    python -c "import json, test_axioms as t; print(json.dumps(t.pinned_reports(), indent=1))"
+    """
+    return {
+        f"{axiom} {format_rule(rule)} seed {seed}": _pinned_report(axiom, rule, seed)
+        for axiom, rule in NEGATIVE_CONTROLS
+        for seed in PINNED_SEEDS
+    }
+
+
+@pytest.mark.parametrize("seed", PINNED_SEEDS)
+@pytest.mark.parametrize(
+    "axiom,rule", NEGATIVE_CONTROLS, ids=[f"{a}" for a, _ in NEGATIVE_CONTROLS]
+)
+def test_negative_control_reports_match_the_pinned_bits(axiom, rule, seed):
+    # Covers both shrinks: halving a factor, a reallocation or extra incomes,
+    # and dropping agents the instance does not name.
+    pinned = json.loads(PINNED.read_text(encoding="utf-8"))
+    key = f"{axiom} {format_rule(rule)} seed {seed}"
+    assert _pinned_report(axiom, rule, seed) == pinned[key]
 
 
 @pytest.mark.parametrize("spec", ["lf", "afam:A=const:0.5", "dual(lin:0.3,0.2)"])

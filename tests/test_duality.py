@@ -12,6 +12,7 @@ from redistrib import (
     BFamilyRule,
     ConvexCombination,
     CustomRule,
+    LengthMismatch,
     DEFAULT_GRID,
     DualReport,
     DualRule,
@@ -61,6 +62,12 @@ def test_reflected_problem_swaps_income_for_shortfall():
     assert mirrored.incomes == (-4.0, 2.0)
     assert mirrored.needs == p.needs
     assert mirrored.agents == p.agents
+
+
+def test_dual_payoffs_reject_a_payoff_vector_of_another_length():
+    first_only = CustomRule("first-only", lambda q: q.incomes[:1])
+    with pytest.raises(LengthMismatch, match="1 values for 2 agents"):
+        dual_payoffs(first_only, reference_problem())
 
 
 def test_dual_payoffs_on_reference_problem():

@@ -39,7 +39,7 @@ from redistrib import (
     split_rule_list,
 )
 from redistrib.rules import MAX_RULE_DEPTH
-from conftest import nested_spec, random_problems, reference_problem
+from conftest import nested_rules, nested_spec, random_problems, reference_problem
 
 # Hand-computed payoffs on incomes (5, 1) with needs (1, 3).
 REFERENCE_PAYOFFS = {
@@ -191,6 +191,13 @@ def test_equivalent_on_rejects_a_payoff_vector_of_another_length():
     for first, second in ((first_only, LF), (LF, first_only)):
         with pytest.raises(LengthMismatch, match="1 values for 2 agents"):
             equivalent_on(first, second, [reference_problem()], tol=1e-9)
+
+
+def test_convex_payoffs_reject_a_payoff_vector_of_another_length():
+    first_only = CustomRule("first-only", lambda q: q.incomes[:1])
+    for first, second in ((first_only, LF), (LF, first_only)):
+        with pytest.raises(LengthMismatch, match="1 values for 2 agents"):
+            ConvexCombination(first, second, 0.5).payoffs(reference_problem())
 
 
 def test_equivalent_on_rejects_bad_tol():
@@ -364,6 +371,42 @@ def test_split_rule_list():
         split_rule_list("lf,,prop")
     with pytest.raises(ParseError):
         split_rule_list("lf,lin:1")
+
+
+@pytest.mark.parametrize(
+    "text,specs",
+    [
+        ("afam:A=poly:0.5,0.25", ["afam:A=poly:0.5,0.25"]),
+        (
+            "ab:A=poly:0.2,0.1,-0.05,B=poly:0.1,0.3,0.02",
+            ["ab:A=poly:0.2,0.1,-0.05,B=poly:0.1,0.3,0.02"],
+        ),
+        ("lf,bfam:B=poly:0.1,0.2,0.3,prop", ["lf", "bfam:B=poly:0.1,0.2,0.3", "prop"]),
+    ],
+    ids=["afam", "ab", "bfam"],
+)
+def test_split_rule_list_continues_a_form_until_a_rule_is_named(text, specs):
+    # A comma ends a spec only before a rule's name, so a poly weight of
+    # several coefficients stays whole.
+    assert split_rule_list(text) == [parse_rule(spec) for spec in specs]
+
+
+_POLY_FNS = st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=4).map(
+    lambda c: ScalarFn.poly(*c)
+)
+_LISTED_RULES = st.one_of(
+    st.sampled_from([LF, FULL, PROP, NAFR]),
+    st.builds(LinearRule, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    st.builds(LinearDualRule, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    st.builds(AFamilyRule, _POLY_FNS),
+    st.builds(BFamilyRule, _POLY_FNS),
+    nested_rules(2),
+)
+
+
+@given(st.lists(_LISTED_RULES, min_size=1, max_size=5))
+def test_a_formatted_rule_list_splits_back_into_its_rules(rules):
+    assert split_rule_list(",".join(map(format_rule, rules))) == rules
 
 
 RULE_POOL = [
