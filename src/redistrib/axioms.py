@@ -301,7 +301,7 @@ def _one_row(instance: dict) -> dict:
     trials = {}
     for key, value in instance.items():
         if isinstance(value, Problem):
-            trials[key] = Block(np.array([value.incomes]), np.array([value.needs]))
+            trials[key] = Block(value.incomes[None], value.needs[None])
         elif key == "members":
             trials[key] = np.isin(np.arange(len(agents)), value)[None]
         elif key in _AGENT_KEYS:
@@ -348,11 +348,8 @@ def _drop_agent(instance: dict, agent) -> dict:
     for key, value in instance.items():
         if isinstance(value, Problem):
             keep = [k for k, a in enumerate(value.agents) if a != agent]
-            out[key] = make_problem(
-                tuple(value.agents[k] for k in keep),
-                tuple(value.incomes[k] for k in keep),
-                tuple(value.needs[k] for k in keep),
-            )
+            agents = [value.agents[k] for k in keep]
+            out[key] = make_problem(agents, value.incomes[keep], value.needs[keep])
     return out
 
 
@@ -492,11 +489,10 @@ def _screen_nat(rule, trials):
 
 def _shrink_nat(instance, s):
     problem, modified = instance["problem"], instance["modified"]
-    incomes = list(problem.incomes)
-    needs = list(problem.needs)
-    for k in instance["members"]:
-        incomes[k] = (1.0 - s) * problem.incomes[k] + s * modified.incomes[k]
-        needs[k] = (1.0 - s) * problem.needs[k] + s * modified.needs[k]
+    members = list(instance["members"])
+    incomes, needs = problem.incomes.copy(), problem.needs.copy()
+    incomes[members] = (1.0 - s) * incomes[members] + s * modified.incomes[members]
+    needs[members] = (1.0 - s) * needs[members] + s * modified.needs[members]
     return {
         "problem": problem,
         "modified": make_problem(problem.agents, incomes, needs),

@@ -19,7 +19,7 @@ import tempfile
 import warnings
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Any, BinaryIO, Callable, Iterable, Sequence, TextIO
+from typing import BinaryIO, Callable, Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -200,20 +200,19 @@ def load_dataset(path: str, fmt: str | None = None) -> Problem:
     return make_problem(ids, incomes, needs)
 
 
-def _summary(values: Sequence[float]) -> dict:
-    """Total, mean, min and max of an allocation's values, on one array of them.
+def _summary(values: np.ndarray) -> dict:
+    """Total, mean, min and max of an allocation's values.
 
     min and max are the entries at np.argmin and np.argmax, which pick the
     first of a tie as Python's min and max do, so of +0.0 and -0.0 the
     first one is reported.
     """
-    array = np.fromiter(values, float, count=len(values))
-    total = array_left_sum(array)
+    total = array_left_sum(values)
     return {
         "total": total,
         "mean": total / len(values),
-        "min": values[int(np.argmin(array))],
-        "max": values[int(np.argmax(array))],
+        "min": float(values[np.argmin(values)]),
+        "max": float(values[np.argmax(values)]),
     }
 
 
@@ -221,8 +220,8 @@ def _json_safe(value):
     if isinstance(value, Problem):
         return {
             "ids": [str(a) for a in value.agents],
-            "incomes": list(value.incomes),
-            "needs": list(value.needs),
+            "incomes": value.incomes.tolist(),
+            "needs": value.needs.tolist(),
         }
     if isinstance(value, (tuple, list)):
         return [_json_safe(v) for v in value]
@@ -272,9 +271,9 @@ _Column = Callable[[int, int], Iterable[str]]
 _Rows = Callable[[int, int], str]
 
 
-def _format(fmt: Callable[[Any], str], values: Sequence) -> _Column:
-    """A column of values, each written as fmt writes it."""
-    return lambda start, stop: map(fmt, values[start:stop])
+def _floats(values: np.ndarray) -> _Column:
+    """A column of floats, each written as float.__repr__ writes it."""
+    return lambda start, stop: map(float.__repr__, values[start:stop].tolist())
 
 
 @dataclass(frozen=True)
@@ -492,30 +491,29 @@ def _sample_config(args: argparse.Namespace) -> SampleConfig:
 
 
 def _agent_columns(
-    ids: Sequence[str], incomes: Sequence[float], needs: Sequence[float]
+    ids: Sequence[str], incomes: np.ndarray, needs: np.ndarray
 ) -> dict[str, _Column | _Table]:
     return {
-        "id": _format(_encode_str, ids),
-        "income": _format(float.__repr__, incomes),
-        "need": _format(float.__repr__, needs),
+        "id": lambda start, stop: map(_encode_str, ids[start:stop]),
+        "income": _floats(incomes),
+        "need": _floats(needs),
     }
 
 
-def _coverage(values: Sequence[float], needs: Sequence[float]) -> _Column:
+def _coverage(values: np.ndarray, needs: np.ndarray) -> _Column:
     """Needs coverage texts, value / need per agent or null for a zero need.
 
     Coverage alone can overflow, so one pass checks it before the column
     is returned: a report holding a non-finite value is then refused with
     json's own error before any byte of it is written. The pass and the
-    column divide arrays of a block of rows at a time; numpy divides as
-    Python does, to the same bits.
+    column divide a block of rows at a time; numpy divides as Python does,
+    to the same bits.
     """
     bad: set[str] = set()
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for start in range(0, len(values), _BLOCK_ROWS):
-            value_block = np.fromiter(values[start : start + _BLOCK_ROWS], float)
-            need_block = np.fromiter(needs[start : start + _BLOCK_ROWS], float)
-            coverage = value_block / need_block
+            need_block = needs[start : start + _BLOCK_ROWS]
+            coverage = values[start : start + _BLOCK_ROWS] / need_block
             bad.update(
                 map(float.__repr__, coverage[(need_block > 0) & ~np.isfinite(coverage)].tolist())
             )
@@ -524,9 +522,9 @@ def _coverage(values: Sequence[float], needs: Sequence[float]) -> _Column:
             raise ValueError(f"Out of range float values are not JSON compliant: {text}")
 
     def texts(start: int, stop: int) -> list[str]:
-        need_block = np.fromiter(needs[start:stop], float, count=stop - start)
+        need_block = needs[start:stop]
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            quotient = np.fromiter(values[start:stop], float, count=stop - start) / need_block
+            quotient = values[start:stop] / need_block
         out = list(map(float.__repr__, quotient.tolist()))
         for k in np.flatnonzero(~(need_block > 0)).tolist():
             out[k] = "null"
@@ -537,26 +535,26 @@ def _coverage(values: Sequence[float], needs: Sequence[float]) -> _Column:
 
 def _apply_rows(
     ids: Sequence[str],
-    incomes: Sequence[float],
-    needs: Sequence[float],
-    values: Sequence[float],
+    incomes: np.ndarray,
+    needs: np.ndarray,
+    values: np.ndarray,
 ) -> _Table:
     """Rows of id, income, need, allocation and needs coverage per agent."""
     columns = _agent_columns(ids, incomes, needs)
-    columns["allocation"] = _format(float.__repr__, values)
+    columns["allocation"] = _floats(values)
     columns["needs_coverage"] = _coverage(values, needs)
     return _Table(len(ids), columns)
 
 
 def _compare_rows(
     ids: Sequence[str],
-    incomes: Sequence[float],
-    needs: Sequence[float],
-    allocations: dict[str, Sequence[float]],
+    incomes: np.ndarray,
+    needs: np.ndarray,
+    allocations: dict[str, np.ndarray],
 ) -> _Table:
     """Rows of id, income, need and each rule's allocation per agent."""
     columns = _agent_columns(ids, incomes, needs)
-    texts = {spec: _format(float.__repr__, values) for spec, values in allocations.items()}
+    texts = {spec: _floats(values) for spec, values in allocations.items()}
     columns["allocations"] = _Table(len(ids), texts)
     return _Table(len(ids), columns)
 

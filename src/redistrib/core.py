@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, field, fields
 from typing import Hashable, Iterable, Sequence
 
 import numpy as np
@@ -55,43 +54,79 @@ def check_tol(tol: float) -> None:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
 
 
-@dataclass(frozen=True)
-class Problem:
+def float_column(values: Iterable[float]) -> np.ndarray:
+    """A new read-only float64 array of the values, each through float().
+
+    A float64 array, which float() would leave as it is, is copied whole.
+    """
+    if isinstance(values, np.ndarray) and values.dtype == np.float64 and values.ndim == 1:
+        column = values.copy()
+    else:
+        count = len(values) if hasattr(values, "__len__") else -1
+        column = np.fromiter(map(float, values), float, count=count)
+    column.setflags(write=False)
+    return column
+
+
+class _TupleEquality:
+    """Equality and hash of a dataclass that holds float_column arrays.
+
+    They compare its compared fields, each array as the tuple of its floats,
+    so -0.0 equals 0.0 and hashes alike, as in a tuple.
+    """
+
+    def _key(self) -> tuple:
+        values = (getattr(self, f.name) for f in fields(self) if f.compare)
+        return tuple(tuple(v.tolist()) if isinstance(v, np.ndarray) else v for v in values)
+
+    def __eq__(self, other) -> bool:
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+@dataclass(frozen=True, eq=False)
+class Problem(_TupleEquality):
     """An ordered set of agents, each with an income and a non-negative need.
 
     Incomes may be negative. Total need must be strictly positive because
     rules divide by it. Agent identity is the opaque id plus its position;
-    two problems are equal only if agents appear in the same order.
+    two problems are equal only if agents appear in the same order. Agents
+    are a tuple, incomes and needs float_column arrays.
     """
 
     agents: tuple[Hashable, ...]
-    incomes: tuple[float, ...]
-    needs: tuple[float, ...]
+    incomes: np.ndarray
+    needs: np.ndarray
     total_income: float = field(init=False, repr=False, compare=False)
     total_need: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        n = len(self.agents)
-        if len(self.incomes) != n or len(self.needs) != n:
-            raise LengthMismatch(
-                f"got {n} agents, {len(self.incomes)} incomes, {len(self.needs)} needs"
-            )
+        agents = tuple(self.agents)
+        incomes, needs = float_column(self.incomes), float_column(self.needs)
+        object.__setattr__(self, "agents", agents)
+        object.__setattr__(self, "incomes", incomes)
+        object.__setattr__(self, "needs", needs)
+        n = len(agents)
+        if len(incomes) != n or len(needs) != n:
+            raise LengthMismatch(f"got {n} agents, {len(incomes)} incomes, {len(needs)} needs")
         if n == 0:
             raise EmptyAgentSet("a problem needs at least one agent")
-        for value in self.incomes:
-            if not math.isfinite(value):
-                raise NonFinite(f"income {value!r} is not finite")
-        for value in self.needs:
+        finite = np.isfinite(incomes)
+        if not finite.all():
+            raise NonFinite(f"income {float(incomes[np.argmin(finite)])!r} is not finite")
+        # The first need that is not finite or is negative names the error.
+        bad = ~np.isfinite(needs) | (needs < 0)
+        if bad.any():
+            value = float(needs[np.argmax(bad)])
             if not math.isfinite(value):
                 raise NonFinite(f"need {value!r} is not finite")
-            if value < 0:
-                raise NegativeNeed(f"need {value!r} is negative")
-        total_income = left_sum(self.incomes)
-        total_need = left_sum(self.needs)
-        if not math.isfinite(total_income):
-            raise NonFinite(f"total income {total_income!r} is not finite")
-        if not math.isfinite(total_need):
-            raise NonFinite(f"total need {total_need!r} is not finite")
+            raise NegativeNeed(f"need {value!r} is negative")
+        total_income, total_need = array_left_sum(incomes), array_left_sum(needs)
+        for name, total in (("income", total_income), ("need", total_need)):
+            if not math.isfinite(total):
+                raise NonFinite(f"total {name} {total!r} is not finite")
         # Needs are non-negative, so their sum cannot cancel; only a total
         # within the slack of its own scale is too close to zero.
         if total_need <= balance_tolerance(total_need):
@@ -99,46 +134,8 @@ class Problem:
         object.__setattr__(self, "total_income", total_income)
         object.__setattr__(self, "total_need", total_need)
 
-    @classmethod
-    def _checked(
-        cls,
-        agents: tuple[Hashable, ...],
-        incomes: tuple[float, ...],
-        needs: tuple[float, ...],
-        total_income: float,
-        total_need: float,
-    ) -> Problem:
-        """A Problem of entries already checked as __post_init__ checks them.
-
-        total_income and total_need are the entries' left_sum totals. Nothing
-        is checked or summed again.
-        """
-        problem = object.__new__(cls)
-        vars(problem).update(
-            agents=agents,
-            incomes=incomes,
-            needs=needs,
-            total_income=total_income,
-            total_need=total_need,
-        )
-        return problem
-
     def __len__(self) -> int:
         return len(self.agents)
-
-    @cached_property
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only float64 copies of incomes and needs, made on first use.
-
-        Not a field, so equality, hashing and repr see only the tuples.
-        """
-        arrays = tuple(
-            np.fromiter(column, float, count=len(column))
-            for column in (self.incomes, self.needs)
-        )
-        for array in arrays:
-            array.flags.writeable = False
-        return arrays
 
 
 def make_problem(
@@ -147,11 +144,7 @@ def make_problem(
     needs: Iterable[float],
 ) -> Problem:
     """Build a validated problem, coercing entries to float."""
-    return Problem(
-        tuple(ids),
-        tuple(float(v) for v in incomes),
-        tuple(float(v) for v in needs),
-    )
+    return Problem(ids, incomes, needs)
 
 
 def left_sum(values: Iterable[float]) -> float:
@@ -189,7 +182,7 @@ def array_left_sum(values: np.ndarray) -> float:
 
 
 def row_sums(values: np.ndarray) -> np.ndarray:
-    """Sum each row left to right from +0.0, exactly as Problem totals its tuples."""
+    """Sum each row left to right from +0.0, exactly as Problem totals its columns."""
     total = np.zeros(len(values))
     for column in values.T:
         total += column
@@ -209,7 +202,8 @@ class Block:
     Validated once, when built: a row is accepted exactly when Problem
     accepts it, and for an invalid block the first invalid row is built as
     a Problem to raise its error. Each row's totals are summed left to
-    right, as Problem sums its tuples. The arrays are held, not copied.
+    right, as Problem sums its columns. The arrays are held, not copied,
+    and marked read-only, so each row's Problem is a view of them.
     """
 
     incomes: np.ndarray
@@ -220,6 +214,8 @@ class Block:
 
     def __post_init__(self) -> None:
         incomes, needs = self.incomes, self.needs
+        incomes.setflags(write=False)
+        needs.setflags(write=False)
         if incomes.ndim != 2 or incomes.shape != needs.shape:
             raise LengthMismatch(
                 f"got income and need blocks of shapes {incomes.shape} and {needs.shape}"
@@ -253,17 +249,20 @@ class Block:
     def problem(self, k: int) -> Problem:
         """Row k as a Problem of agents 1..counts[k].
 
-        The row was checked when the block was built, so its entries are not
-        checked again and the Problem takes the row's totals.
+        The row was checked when the block was built, so nothing is checked,
+        copied or summed again: its columns are read-only views of the
+        block's arrays and the Problem takes the row's totals.
         """
         n = int(self.counts[k])
-        return Problem._checked(
-            tuple(range(1, n + 1)),
-            tuple(self.incomes[k, :n].tolist()),
-            tuple(self.needs[k, :n].tolist()),
-            float(self.total_income[k]),
-            float(self.total_need[k]),
+        problem = object.__new__(Problem)
+        vars(problem).update(
+            agents=tuple(range(1, n + 1)),
+            incomes=self.incomes[k, :n],
+            needs=self.needs[k, :n],
+            total_income=float(self.total_income[k]),
+            total_need=float(self.total_need[k]),
         )
+        return problem
 
 
 def aggregates(problem: Problem) -> tuple[float, float, int]:
@@ -276,14 +275,15 @@ def problem_scale(problem: Problem) -> float:
     return max(1.0, abs(problem.total_income), problem.total_need)
 
 
-@dataclass(frozen=True)
-class Allocation:
-    """Payoff vector for a problem; entries sum to the problem's total income."""
+@dataclass(frozen=True, eq=False)
+class Allocation(_TupleEquality):
+    """Payoff vector for a problem, a float_column array; entries sum to its total income."""
 
     problem: Problem
-    values: tuple[float, ...]
+    values: np.ndarray
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "values", float_column(self.values))
         verdict = check_allocation(self.problem, self.values)
         if not verdict.passed:
             total_income = self.problem.total_income
@@ -294,7 +294,7 @@ class Allocation:
 
     @property
     def total(self) -> float:
-        return left_sum(self.values)
+        return array_left_sum(self.values)
 
 
 @dataclass(frozen=True)
@@ -311,24 +311,22 @@ def check_allocation(problem: Problem, values: Sequence[float]) -> BalanceVerdic
 
     Raises LengthMismatch or NonFinite for malformed input, and whatever
     float() raises on an entry; balance itself is reported in the verdict
-    rather than raised. Values go through float() into one array, and each
-    total is its left_sum. A sum that overflows balances nothing, so a
-    residual that is not finite fails.
+    rather than raised. Values go through float_column, and each total is
+    its left_sum. A sum that overflows balances nothing, so a residual that
+    is not finite fails.
     """
     if len(values) != len(problem):
         raise LengthMismatch(f"{len(values)} values for {len(problem)} agents")
-    # Both sums of absolute values bound the rounding of the totals, which
-    # they can dwarf when positive and negative entries cancel. Incomes' is
-    # taken first, before values are copied, and values' in place, so one
-    # column-sized scratch array is held at a time.
-    income_scale = array_left_sum(np.abs(problem._arrays[0]))
-    coerced = np.fromiter(map(float, values), float, count=len(values))
-    finite = np.isfinite(coerced)
+    values = float_column(values)
+    finite = np.isfinite(values)
     if not finite.all():
-        value = float(coerced[np.argmin(finite)])
+        value = float(values[np.argmin(finite)])
         raise NonFinite(f"allocation entry {value!r} is not finite")
-    residual = array_left_sum(coerced) - problem.total_income
-    value_scale = array_left_sum(np.abs(coerced, out=coerced))
+    residual = array_left_sum(values) - problem.total_income
+    # Both sums of absolute values bound the rounding of the totals, which
+    # they can dwarf when positive and negative entries cancel.
+    income_scale = array_left_sum(np.abs(problem.incomes))
+    value_scale = array_left_sum(np.abs(values))
     tolerance = balance_tolerance(max(income_scale, value_scale))
     passed = math.isfinite(residual) and abs(residual) <= tolerance
     return BalanceVerdict(passed, residual, tolerance)

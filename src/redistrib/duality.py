@@ -15,7 +15,7 @@ from math import comb
 import numpy as np
 
 from .axioms import SampleConfig, rng_for, worst_trial
-from .core import Block, Problem, check_tol, make_problem
+from .core import Block, Problem, check_tol, float_column, make_problem
 from .rules import (
     ConvexCombination,
     DualRule,
@@ -28,12 +28,15 @@ from .rules import (
 )
 
 
-def dual_payoffs(rule: RuleSpec, problem: Problem) -> tuple[float, ...]:
+def dual_payoffs(rule: RuleSpec, problem: Problem) -> np.ndarray:
     """Payoffs of the rule's dual, z − R(z − y, z), through the reflected problem."""
-    incomes = tuple(z - y for y, z in zip(problem.incomes, problem.needs))
-    reflected = make_problem(problem.agents, incomes, problem.needs)
+    needs = problem.needs
+    # An entry that overflows is refused as NonFinite, by make_problem or Allocation.
+    with np.errstate(over="ignore"):
+        reflected = make_problem(problem.agents, needs - problem.incomes, needs)
     payoffs = _checked_length(rule.payoffs(reflected), reflected)
-    return tuple(z - x for z, x in zip(problem.needs, payoffs))
+    with np.errstate(over="ignore"):
+        return float_column(needs - payoffs)
 
 
 def _reflect_coeffs(coeffs: tuple[float, ...]) -> tuple[float, ...]:

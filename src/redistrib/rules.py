@@ -23,6 +23,7 @@ from .core import (
     Problem,
     ValidationError,
     check_tol,
+    float_column,
 )
 
 
@@ -145,7 +146,8 @@ def _weight(fn: FnLike, t: Ratio) -> Ratio:
 class RuleSpec:
     """A rule maps each problem to the unique payoff vector its formula defines."""
 
-    def payoffs(self, problem: Problem) -> tuple[float, ...]:
+    def payoffs(self, problem: Problem) -> np.ndarray:
+        """Each agent's payoff, as a read-only float64 array."""
         raise NotImplementedError
 
     def weights_at(self, t: Ratio) -> tuple[Ratio, Ratio] | None:
@@ -185,17 +187,17 @@ def _checked_length(payoffs: Sequence[float], problem: Problem) -> Sequence[floa
     return payoffs
 
 
-def ab_payoffs(problem: Problem, a: float, b: float) -> tuple[float, ...]:
+def ab_payoffs(problem: Problem, a: float, b: float) -> np.ndarray:
     """Equal split plus a times each income deviation and b times each need deviation.
 
-    The one-row case of ab_payoffs_batch, on the problem's float64 copy of
-    its columns and at the totals it holds.
+    The one-row case of ab_payoffs_batch, on the problem's columns and at
+    the totals it holds, as a read-only array.
     """
-    incomes, needs = problem._arrays
     totals = (np.array([problem.total_income]), np.array([problem.total_need]))
     with np.errstate(over="ignore", invalid="ignore"):
-        row = ab_payoffs_batch(incomes[None], needs[None], totals, a, b)
-    return tuple(memoryview(row[0]))
+        row = ab_payoffs_batch(problem.incomes[None], problem.needs[None], totals, a, b)[0]
+    row.setflags(write=False)
+    return row
 
 
 def ab_payoffs_batch(
@@ -247,7 +249,7 @@ class WeightedRule(RuleSpec):
 
     spelling: ClassVar[tuple[str, ...]]
 
-    def payoffs(self, problem: Problem) -> tuple[float, ...]:
+    def payoffs(self, problem: Problem) -> np.ndarray:
         a, b = self.weights_at(problem.total_income / problem.total_need)
         return ab_payoffs(problem, a, b)
 
@@ -380,13 +382,14 @@ class ConvexCombination(RuleSpec):
         first, second = self.first.weights_at(t), self.second.weights_at(t)
         return None if first is None or second is None else self._mix(first, second)
 
-    def payoffs(self, problem: Problem) -> tuple[float, ...]:
+    def payoffs(self, problem: Problem) -> np.ndarray:
         weights = self.weights_at(problem.total_income / problem.total_need)
         if weights is not None:
             return ab_payoffs(problem, *weights)
         x1 = _checked_length(self.first.payoffs(problem), problem)
         x2 = _checked_length(self.second.payoffs(problem), problem)
-        return self._mix(x1, x2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float_column(self._mix(x1, x2))
 
 
 @dataclass(frozen=True)
@@ -402,7 +405,7 @@ class DualRule(RuleSpec):
         weights = self.inner.weights_at(1.0 - t)
         return None if weights is None else (weights[0], 1.0 - weights[0] - weights[1])
 
-    def payoffs(self, problem: Problem) -> tuple[float, ...]:
+    def payoffs(self, problem: Problem) -> np.ndarray:
         weights = self.weights_at(problem.total_income / problem.total_need)
         if weights is not None:
             return ab_payoffs(problem, *weights)
@@ -422,8 +425,8 @@ class CustomRule(RuleSpec):
     name: str
     allocate: Callable[[Problem], Sequence[float]]
 
-    def payoffs(self, problem: Problem) -> tuple[float, ...]:
-        return tuple(float(v) for v in self.allocate(problem))
+    def payoffs(self, problem: Problem) -> np.ndarray:
+        return float_column(self.allocate(problem))
 
 
 LF = LaissezFaire()
@@ -480,7 +483,7 @@ def equivalent_on(
         x1 = _checked_length(first.payoffs(problem), problem)
         x2 = _checked_length(second.payoffs(problem), problem)
         for i, (u, v) in enumerate(zip(x1, x2)):
-            gap = abs(u - v)
+            gap = abs(float(u) - float(v))
             # No gap exceeds NaN's, so the first NaN is the verdict.
             if math.isnan(gap):
                 return EquivalenceVerdict(False, gap, problem, i)

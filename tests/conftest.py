@@ -40,7 +40,7 @@ def _nan_payoffs(problem: Problem) -> list[float]:
 
 
 def _nan_for_last_agent(problem: Problem) -> tuple[float, ...]:
-    return PROP.payoffs(problem)[:-1] + (math.nan,)
+    return (*PROP.payoffs(problem)[:-1], math.nan)
 
 
 # Rules whose payoffs hold a NaN: for every agent, or for the last listed one.

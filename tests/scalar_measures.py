@@ -8,7 +8,7 @@ check_allocation_reference is the balance check on Python floats, one
 entry at a time; redistrib.core checks and totals values only as an array.
 
 Each measure re-derives its axiom on one trial's instance, built from
-Problem tuples and scalar rule payoffs, and returns (deviation, scale,
+Problem columns and rule payoffs read as Python floats, and returns (deviation, scale,
 expected, observed) as check_axiom reports them. The block screens in
 redistrib.axioms are the product's only measure; these stay here so the
 tests can compare the screen against a second derivation. They can go once
@@ -43,7 +43,7 @@ def check_allocation_reference(problem, values):
         if not math.isfinite(value):
             raise NonFinite(f"allocation entry {value!r} is not finite")
     tolerance = balance_tolerance(
-        max(left_sum(map(abs, problem.incomes)), left_sum(map(abs, coerced)))
+        max(left_sum(map(abs, problem.incomes.tolist())), left_sum(map(abs, coerced)))
     )
     residual = left_sum(coerced) - problem.total_income
     passed = math.isfinite(residual) and abs(residual) <= tolerance
@@ -59,16 +59,17 @@ def ab_payoffs_reference(problem, a, b):
     n = len(problem)
     mean_income = problem.total_income / n
     mean_need = problem.total_need / n
+    rows = list(zip(problem.incomes.tolist(), problem.needs.tolist()))
     if abs(a) > 1.0:
         return tuple(
-            mean_income + (y - mean_income) * a + (z - mean_need) * b
-            for y, z in zip(problem.incomes, problem.needs)
+            mean_income + (y - mean_income) * a + (z - mean_need) * b for y, z in rows
         )
     rest = mean_income * (1.0 - a)
-    return tuple(
-        y * a + rest + (z - mean_need) * b
-        for y, z in zip(problem.incomes, problem.needs)
-    )
+    return tuple(y * a + rest + (z - mean_need) * b for y, z in rows)
+
+
+def _payoffs(rule, problem) -> tuple[float, ...]:
+    return tuple(rule.payoffs(problem).tolist())
 
 
 def _peak(values: Iterable[float]) -> float:
@@ -85,11 +86,11 @@ def _measure_homogeneity(rule, instance):
     problem, factor = instance["problem"], instance["factor"]
     scaled = make_problem(
         problem.agents,
-        tuple(factor * y for y in problem.incomes),
-        tuple(factor * z for z in problem.needs),
+        tuple(factor * y for y in problem.incomes.tolist()),
+        tuple(factor * z for z in problem.needs.tolist()),
     )
-    expected = tuple(factor * x for x in rule.payoffs(problem))
-    observed = rule.payoffs(scaled)
+    expected = tuple(factor * x for x in _payoffs(rule, problem))
+    observed = _payoffs(rule, scaled)
     # Rounding grows with the payoffs, which can dwarf the problem's totals.
     scale = max(problem_scale(problem), problem_scale(scaled), *map(abs, observed))
     return _max_abs_diff(observed, expected), scale, expected, observed
@@ -97,7 +98,7 @@ def _measure_homogeneity(rule, instance):
 
 def _measure_equal_treatment(rule, instance):
     problem = instance["problem"]
-    x = rule.payoffs(problem)
+    x = _payoffs(rule, problem)
     i = problem.agents.index(instance["first"])
     j = problem.agents.index(instance["second"])
     return abs(x[i] - x[j]), problem_scale(problem), (x[i], x[i]), (x[i], x[j])
@@ -105,7 +106,7 @@ def _measure_equal_treatment(rule, instance):
 
 def _measure_continuity(rule, instance):
     problem = instance["problem"]
-    base = rule.payoffs(problem)
+    base = _payoffs(rule, problem)
     income_dir = instance["income_dir"]
     need_dir = instance["need_dir"]
     delta = instance["base_delta"]
@@ -114,10 +115,10 @@ def _measure_continuity(rule, instance):
     for _ in range(CONTINUITY_STEPS + 1):
         nearby = make_problem(
             problem.agents,
-            tuple(y + delta * u for y, u in zip(problem.incomes, income_dir)),
-            tuple(z + delta * v for z, v in zip(problem.needs, need_dir)),
+            tuple(y + delta * u for y, u in zip(problem.incomes.tolist(), income_dir)),
+            tuple(z + delta * v for z, v in zip(problem.needs.tolist(), need_dir)),
         )
-        moved = rule.payoffs(nearby)
+        moved = _payoffs(rule, nearby)
         gaps.append(_max_abs_diff(moved, base))
         scale = max(scale, *map(abs, moved))
         delta *= 0.5
@@ -133,8 +134,8 @@ def _measure_continuity(rule, instance):
 def _measure_nat(rule, instance):
     problem, modified = instance["problem"], instance["modified"]
     members = instance["members"]
-    before = rule.payoffs(problem)
-    after = rule.payoffs(modified)
+    before = _payoffs(rule, problem)
+    after = _payoffs(rule, modified)
     group_before = left_sum(before[k] for k in members)
     group_after = left_sum(after[k] for k in members)
     scale = max(problem_scale(problem), problem_scale(modified))
@@ -148,15 +149,15 @@ def _measure_nat(rule, instance):
 
 def _measure_stability(rule, instance):
     problem = instance["problem"]
-    once = rule.payoffs(problem)
-    again = rule.payoffs(make_problem(problem.agents, once, problem.needs))
+    once = _payoffs(rule, problem)
+    again = _payoffs(rule, make_problem(problem.agents, once, problem.needs))
     return _max_abs_diff(once, again), problem_scale(problem), once, again
 
 
 def _measure_dummy(rule, instance):
     problem = instance["problem"]
     k = problem.agents.index(instance["agent"])
-    x = rule.payoffs(problem)
+    x = _payoffs(rule, problem)
     return abs(x[k]), problem_scale(problem), (0.0,), (x[k],)
 
 
@@ -166,13 +167,13 @@ def _measure_income_additivity(rule, instance):
     second = make_problem(problem.agents, extra, problem.needs)
     combined = make_problem(
         problem.agents,
-        tuple(y + e for y, e in zip(problem.incomes, extra)),
+        tuple(y + e for y, e in zip(problem.incomes.tolist(), extra)),
         problem.needs,
     )
     expected = tuple(
-        u + v for u, v in zip(rule.payoffs(problem), rule.payoffs(second))
+        u + v for u, v in zip(_payoffs(rule, problem), _payoffs(rule, second))
     )
-    observed = rule.payoffs(combined)
+    observed = _payoffs(rule, combined)
     scale = max(
         problem_scale(problem), problem_scale(second), problem_scale(combined)
     )
@@ -184,19 +185,16 @@ def _measure_dual_income_additivity(rule, instance):
     extra = instance["extra_incomes"]
     combined = make_problem(
         problem.agents,
-        tuple(y + e for y, e in zip(problem.incomes, extra)),
+        tuple(y + e for y, e in zip(problem.incomes.tolist(), extra)),
         problem.needs,
     )
+    needs = problem.needs.tolist()
     shifted = make_problem(
-        problem.agents,
-        tuple(z + e for z, e in zip(problem.needs, extra)),
-        problem.needs,
+        problem.agents, tuple(z + e for z, e in zip(needs, extra)), problem.needs
     )
-    observed = tuple(
-        z + r for z, r in zip(problem.needs, rule.payoffs(combined))
-    )
+    observed = tuple(z + r for z, r in zip(needs, _payoffs(rule, combined)))
     expected = tuple(
-        u + v for u, v in zip(rule.payoffs(problem), rule.payoffs(shifted))
+        u + v for u, v in zip(_payoffs(rule, problem), _payoffs(rule, shifted))
     )
     scale = max(
         problem_scale(problem), problem_scale(combined), problem_scale(shifted)

@@ -3,6 +3,7 @@ import math
 import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from redistrib import (
@@ -172,6 +173,8 @@ PINNED = Path(__file__).parent / "data" / "golden" / "negative-controls.json"
 
 def _bits(value):
     """A report field in JSON, each float as its hex bits and a Problem by column."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
     if isinstance(value, Problem):
         return {name: _bits(getattr(value, name)) for name in ("agents", "incomes", "needs")}
     if isinstance(value, dict):

@@ -190,8 +190,8 @@ def test_apply_preserves_float_values_exactly(capsys, tmp_path):
     assert code == 0
     problem = make_problem(("a", "b"), (0.1, 0.2), (0.3, 0.7))
     expected = evaluate(parse_rule("prop"), problem).values
-    got = tuple(row["allocation"] for row in report["agents"])
-    assert got == expected  # bit for bit through the JSON layer
+    got = [row["allocation"] for row in report["agents"]]
+    assert got == expected.tolist()  # bit for bit through the JSON layer
 
 
 def test_apply_echoes_stripped_rule_text(capsys, csv_path):
@@ -508,7 +508,7 @@ def test_csv_loader_accepts(tmp_path, text, ids, incomes):
     path.write_bytes(text.encode("utf-8"))
     problem = load_dataset(str(path))
     assert problem.agents == ids
-    assert problem.incomes == incomes
+    assert problem.incomes.tolist() == list(incomes)
 
 
 # Nested far deeper than json.load can recurse.
@@ -609,7 +609,7 @@ EDGE_DATASETS = {
 def _reference_report(command, specs, path, ids, incomes, needs):
     """The report json.dumps writes, built from the expected columns."""
     problem = make_problem(ids, incomes, needs)
-    values = {spec: evaluate(parse_rule(spec), problem).values for spec in specs}
+    values = {spec: evaluate(parse_rule(spec), problem).values.tolist() for spec in specs}
     agents = [{"id": i, "income": y, "need": z} for i, y, z in zip(ids, incomes, needs)]
     report = {"schema_version": "1", "command": command}
     if command == "apply":
@@ -755,18 +755,18 @@ def test_summary_matches_python_min_max_and_left_sum(values):
     expected = _summary_of(values)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        summary = _summary(tuple(values))
+        summary = _summary(np.array(values))
     assert all(type(v) is float for v in summary.values())
     # float.hex tells -0.0 from 0.0.
     assert {k: v.hex() for k, v in summary.items()} == {k: v.hex() for k, v in expected.items()}
 
 
 def test_summary_reports_the_first_of_a_signed_zero_tie():
-    assert repr(_summary((0.0, -0.0, 1.0))["min"]) == "0.0"
-    assert repr(_summary((-0.0, 0.0, 1.0))["min"]) == "-0.0"
-    assert repr(_summary((-1.0, -0.0, 0.0))["max"]) == "-0.0"
-    assert repr(_summary((-0.0, -0.0))["total"]) == "0.0"
-    assert repr(_summary((1.7e308, 1.7e308))["total"]) == "inf"
+    assert repr(_summary(np.array((0.0, -0.0, 1.0)))["min"]) == "0.0"
+    assert repr(_summary(np.array((-0.0, 0.0, 1.0)))["min"]) == "-0.0"
+    assert repr(_summary(np.array((-1.0, -0.0, 0.0)))["max"]) == "-0.0"
+    assert repr(_summary(np.array((-0.0, -0.0)))["total"]) == "0.0"
+    assert repr(_summary(np.array((1.7e308, 1.7e308)))["total"]) == "inf"
 
 
 def _coverage_reference(values, needs):
@@ -819,20 +819,21 @@ def test_coverage_matches_the_scalar_reference(columns):
     for rows in (_BLOCK_ROWS, 2):
         with mock.patch.object(cli, "_BLOCK_ROWS", rows), warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            assert _coverage_outcome(_coverage, tuple(values), tuple(needs)) == expected
+            observed = _coverage_outcome(_coverage, np.array(values), np.array(needs))
+            assert observed == expected
 
 
 def test_coverage_names_nan_then_inf_then_minus_inf():
     # The third need is 0, so that agent's value is never divided.
-    needs = (1.0, 5e-324, 0.0, 1.0)
+    needs = np.array((1.0, 5e-324, 0.0, 1.0))
     for values, bad in [
         ((-math.inf, 1e300, math.inf, math.nan), "nan"),
         ((-math.inf, 1e300, math.nan, 1.0), "inf"),
         ((-math.inf, -1e300, math.nan, 1.0), "-inf"),
     ]:
         expected = f"Out of range float values are not JSON compliant: {bad}"
-        assert _coverage_outcome(_coverage, values, needs) == expected
-    assert list(_coverage((1.0, 5e-324, math.nan, -2.0), needs)(0, 4)) == [
+        assert _coverage_outcome(_coverage, np.array(values), needs) == expected
+    assert list(_coverage(np.array((1.0, 5e-324, math.nan, -2.0)), needs)(0, 4)) == [
         "1.0", "1.0", "null", "-2.0"
     ]
 
@@ -895,7 +896,8 @@ def _apply_case(ids, incomes, needs, values, rule="prop"):
         }
         for i, y, z, x in zip(ids, incomes, needs, values)
     ]
-    return head, rows, lambda: _apply_rows(ids, incomes, needs, values)
+    columns = (np.array(incomes), np.array(needs), np.array(values))
+    return head, rows, lambda: _apply_rows(ids, *columns)
 
 
 @given(st.data(), st.integers(min_value=0, max_value=6), TEXTS)
@@ -938,7 +940,8 @@ def test_emit_of_compare_report_matches_json_dumps(data, n, specs):
     tail = {"summary": {spec: {"total": sum(allocations[spec])} for spec in specs}}
 
     def build():
-        return _compare_rows(ids, incomes, needs, allocations)
+        arrays = {spec: np.array(values) for spec, values in allocations.items()}
+        return _compare_rows(ids, np.array(incomes), np.array(needs), arrays)
 
     _check_emit(head, rows, build, tail)
 
@@ -1387,10 +1390,10 @@ def test_dataset_reports_are_finite_and_exact_or_not_written(
         assert report["rules"] == list(dict.fromkeys(map(format_rule, parsed)))
         for rule in parsed:
             observed = [row["allocations"][format_rule(rule)] for row in report["agents"]]
-            assert observed == list(evaluate(rule, problem).values)
+            assert observed == evaluate(rule, problem).values.tolist()
     else:
         observed = [row["allocation"] for row in report["agents"]]
-        assert observed == list(evaluate(parse_rule(rules[0]), problem).values)
+        assert observed == evaluate(parse_rule(rules[0]), problem).values.tolist()
 
 
 MEMORY_ROWS = 50_000
@@ -1419,7 +1422,7 @@ def _memory_problem():
 def test_load_dataset_holds_little_beyond_the_problem(tmp_path):
     problem = _memory_problem()
     path = tmp_path / "memory.csv"
-    rows = zip(problem.agents, problem.incomes, problem.needs)
+    rows = zip(problem.agents, problem.incomes.tolist(), problem.needs.tolist())
     path.write_text(
         "id,income,need\n" + "".join(f"{i},{y!r},{z!r}\n" for i, y, z in rows),
         encoding="utf-8",
@@ -1432,8 +1435,9 @@ def test_load_dataset_holds_little_beyond_the_problem(tmp_path):
     finally:
         tracemalloc.stop()
     assert len(loaded) == MEMORY_ROWS
-    # about 184 B, of which the Problem keeps about 129 B: the rows are read
-    # straight into columns, with no per-row record to re-split
+    # about 184 B, of which the Problem keeps about 81 B (ids and two float64
+    # columns): the rows are read straight into columns, with no per-row
+    # record to re-split
     assert peak / MEMORY_ROWS < 220
 
 
@@ -1443,7 +1447,7 @@ def test_apply_report_holds_little_per_row():
     per_row = _emit_peak_per_row(
         lambda: _apply_rows(problem.agents, problem.incomes, problem.needs, values)
     )
-    # about 72 B: the columns are read once, and no coverage text is held
+    # about 46 B: the columns are read once, and no coverage text is held
     assert per_row < 100
 
 

@@ -27,8 +27,8 @@ from redistrib import (
     parse_rule,
     problem_scale,
 )
-from redistrib import core
-from redistrib.core import array_left_sum, left_sum, row_sums
+from redistrib import Problem, core
+from redistrib.core import Block, array_left_sum, left_sum, row_sums
 from redistrib.rules import CustomRule, RuleError
 from conftest import reference_problem
 from scalar_measures import check_allocation_reference
@@ -371,14 +371,71 @@ def test_a_sum_that_overflows_does_not_balance():
 def test_problem_arrays_are_a_read_only_copy_outside_equality():
     p = make_problem(("a", "b"), (1.0, -0.0), (2.0, 0.0))
     q = make_problem(("a", "b"), (1.0, -0.0), (2.0, 0.0))
-    incomes, needs = p._arrays
-    assert p._arrays is p._arrays
-    assert incomes.dtype == needs.dtype == np.float64
-    assert [_bits(y) for y in incomes.tolist()] == [_bits(y) for y in p.incomes]
-    assert needs.tolist() == list(p.needs)
+    for column in (p.incomes, p.needs):
+        assert type(column) is np.ndarray and column.dtype == np.float64
+        assert not column.flags.writeable
+    assert [_bits(y) for y in p.incomes.tolist()] == [_bits(1.0), _bits(-0.0)]
     with pytest.raises(ValueError):
-        incomes[0] = 5.0
+        p.incomes[0] = 5.0
+    with pytest.raises(ValueError):
+        p.needs[0] = 5.0
     assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
+    # -0.0 and 0.0 are equal problems with equal hashes, as in a tuple.
+    signed = make_problem(("a", "b"), (1.0, 0.0), (2.0, -0.0))
+    assert signed == p and hash(signed) == hash(p)
+    assert p != make_problem(("a", "b"), (1.0, 0.5), (2.0, 0.0))
+    assert p != make_problem(("b", "a"), (1.0, -0.0), (2.0, 0.0))
     assert [f.name for f in dataclasses.fields(p)] == [
         "agents", "incomes", "needs", "total_income", "total_need",
     ]
+
+
+def test_problem_copies_the_columns_it_is_given():
+    incomes, needs = [1.0, 2.0], np.array([1.0, 3.0])
+    for build in (make_problem, Problem):
+        p = build(("a", "b"), incomes, needs)
+        incomes[0] = needs[0] = 9.0
+        assert p.incomes.tolist() == [1.0, 2.0] and p.needs.tolist() == [1.0, 3.0]
+        incomes[0] = needs[0] = 1.0
+
+
+def test_make_problem_coerces_each_entry_through_float():
+    # float(None) raises TypeError; np.array would have made it a NaN.
+    with pytest.raises(TypeError):
+        make_problem(("a", "b"), (1.0, None), (1.0, 1.0))
+    with pytest.raises(TypeError):
+        make_problem(("a",), (1.0,), (None,))
+    p = make_problem(iter("ab"), ("1.5", True), (x for x in (False, "2")))
+    assert p.incomes.tolist() == [1.5, 1.0] and p.needs.tolist() == [0.0, 2.0]
+    assert p.agents == ("a", "b")
+
+
+def test_problem_stores_its_agents_as_a_tuple():
+    p = Problem(["a", "b"], [1.0, 2.0], [1.0, 1.0])
+    assert type(p.agents) is tuple and p.agents == ("a", "b")
+    assert hash(p) == hash(make_problem(("a", "b"), (1.0, 2.0), (1.0, 1.0)))
+
+
+def test_allocation_values_are_a_read_only_float64_array():
+    p = reference_problem()
+    allocation = Allocation(p, [2, "4"])
+    assert allocation.values.dtype == np.float64 and allocation.values.tolist() == [2.0, 4.0]
+    with pytest.raises(ValueError):
+        allocation.values[0] = 0.0
+    same = Allocation(p, (2.0, 4.0))
+    assert allocation == same and hash(allocation) == hash(same)
+    zero = make_problem(("a", "b"), (0.0, 1.0), (1.0, 1.0))
+    signed = Allocation(zero, (-0.0, 1.0))
+    assert signed == Allocation(zero, (0.0, 1.0))
+    assert hash(signed) == hash(Allocation(zero, (0.0, 1.0)))
+
+
+def test_block_arrays_are_read_only_and_rows_are_views_of_them():
+    block = Block(np.ones((2, 3)), np.ones((2, 3)), np.array([3, 2]))
+    for array in (block.incomes, block.needs):
+        with pytest.raises(ValueError):
+            array[0, 0] = 5.0
+    row = block.problem(1)
+    assert row.incomes.tolist() == [1.0, 1.0] and not row.incomes.flags.writeable
+    assert np.shares_memory(row.incomes, block.incomes)
+    assert np.shares_memory(row.needs, block.needs)

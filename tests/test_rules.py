@@ -93,6 +93,19 @@ def test_evaluate_blames_the_rule_when_a_valid_problem_is_not_allocated(payoffs,
         evaluate(DualRule(rule), reference_problem())
 
 
+@pytest.mark.parametrize(
+    "make", [list, tuple, iter, np.array], ids=["list", "tuple", "generator", "array"]
+)
+def test_custom_payoffs_of_any_sequence_give_the_same_allocation_bits(make):
+    p = reference_problem()
+    rule = CustomRule("fixed", lambda problem: make([1.5, 4.5]))
+    payoffs = rule.payoffs(p)
+    assert payoffs.dtype == np.float64 and not payoffs.flags.writeable
+    values = evaluate(rule, p).values
+    assert values.dtype == np.float64 and not values.flags.writeable
+    assert values.tobytes() == evaluate(PROP, p).values.tobytes()
+
+
 def test_ab_rule_evaluates_ratio_once_per_problem():
     calls = []
 
@@ -112,9 +125,11 @@ def test_corner_weights_pay_exactly():
         n = len(p)
         mean_income, mean_need = p.total_income / n, p.total_need / n
         t = p.total_income / p.total_need
-        assert LF.payoffs(p) == p.incomes
-        assert FULL.payoffs(p) == (mean_income,) * n
-        assert PROP.payoffs(p) == tuple(mean_income + (z - mean_need) * t for z in p.needs)
+        assert LF.payoffs(p).tolist() == p.incomes.tolist()
+        assert FULL.payoffs(p).tolist() == [mean_income] * n
+        assert PROP.payoffs(p).tolist() == [
+            mean_income + (z - mean_need) * t for z in p.needs.tolist()
+        ]
 
 
 def test_single_agent_gets_everything():
