@@ -16,19 +16,19 @@ from typing import Sequence
 import numpy as np
 
 from .axioms import AxiomReport, SampleConfig, axiom_suite, rng_for, worst_trial
-from .core import Block, Problem, check_tol, left_sum
+from .core import Block, Problem, balance_tolerance, check_tol, left_sum
 # make_problem is looked up here by perfbench's tracer, which wraps it per module.
 from .core import make_problem  # noqa: F401
 from .rules import ParseError, RuleSpec, ab_payoffs_batch
 
-LABELS = (
-    "laissez-faire",
-    "proportional",
-    "full",
-    "need-adjusted-full",
-    "generic-AB",
-    "non-AB",
-)
+# The label of each catalog form that is a family of its own.
+CATALOG_LABELS = {
+    "lf": "laissez-faire",
+    "prop": "proportional",
+    "full": "full",
+    "nafr": "need-adjusted-full",
+}
+LABELS = (*CATALOG_LABELS.values(), "generic-AB", "non-AB")
 
 DEFAULT_GRID = (-2.0, -1.0, 0.0, 0.5, 1.0, 2.0)
 
@@ -64,8 +64,8 @@ def extract_ab(
         total_income, total_need = float(scale[0]), float(scale[1])
     if total_need <= 0:
         raise AnalysisError(f"total need must be positive, got {total_need!r}")
-    if abs(total_income - t * total_need) > 1e-9 * max(
-        1.0, abs(total_income), total_need
+    if abs(total_income - t * total_need) > balance_tolerance(
+        max(abs(total_income), total_need)
     ):
         raise AnalysisError(
             f"scale {scale!r} is inconsistent with ratio {t!r}"
@@ -234,12 +234,7 @@ def classify(
         label = "proportional"
     elif a_shape == "zero" and b_shape == "zero":
         label = "full"
-    elif (
-        a_shape == "zero"
-        and b_shape == "constant"
-        and b_value is not None
-        and abs(b_value - 1.0) <= tol
-    ):
+    elif a_shape == "zero" and b_shape == "constant" and abs(b_value - 1.0) <= tol:
         label = "need-adjusted-full"
     else:
         label = "generic-AB"
@@ -344,27 +339,36 @@ def verify_characterization(
 
 
 def parse_grid(text: str) -> tuple[float, ...]:
-    """Parse ``lo:hi:step`` into an inclusive grid of ratios.
+    """Parse ``lo:hi:step`` into the inclusive decimal lattice lo + k·step.
 
-    Endpoints are inclusive within a billionth of a step, so "-2:2:1"
-    yields five points ending exactly at 2. Grids of more than
-    MAX_GRID_POINTS points are rejected before any is built.
+    Each point is the exact value of lo + k·step, for the decimals as typed,
+    rounded once, so "-0.3:0.3:0.1" holds 0.0 and ends at 0.3. The point
+    count is exact, and more than MAX_GRID_POINTS points are refused before
+    any is built.
     """
     pieces = text.strip().split(":")
     if len(pieces) != 3:
         raise ParseError(f"grid must look like lo:hi:step, got {text!r}")
     try:
-        lo, hi, step = (float(p) for p in pieces)
+        rounded = [float(p) for p in pieces]
     except ValueError:
         raise ParseError(f"grid has a non-numeric part in {text!r}") from None
-    for name, value in (("lower end", lo), ("upper end", hi), ("step", step)):
+    for name, value in zip(("lower end", "upper end", "step"), rounded):
         if not math.isfinite(value):
             raise ParseError(f"grid {name} {value!r} is not finite in {text!r}")
+    from fractions import Fraction
+
+    # A part that rounds to 0.0 is read as 0, so no huge power of ten is built;
+    # float() takes underscores between digits, which Python 3.10's Fraction refuses.
+    lo, hi, step = (Fraction(p.replace("_", "")) if v else 0 for p, v in zip(pieces, rounded))
     if step <= 0:
         raise ParseError(f"grid step must be positive, got {pieces[2]!r}")
     if hi < lo:
-        raise ParseError(f"grid upper end {hi!r} is below lower end {lo!r}")
-    steps = (hi - lo) / step + 1e-9
-    if not steps < MAX_GRID_POINTS:
+        raise ParseError(f"grid upper end {rounded[1]!r} is below lower end {rounded[0]!r}")
+    last = (hi - lo) // step
+    if not last < MAX_GRID_POINTS:
         raise ParseError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
-    return tuple(lo + k * step for k in range(int(steps) + 1))
+    # Over one denominator each point is a ratio of ints, which / rounds once.
+    denominator = math.lcm(lo.denominator, step.denominator)
+    start, stride = int(lo * denominator), int(step * denominator)
+    return tuple((start + k * stride) / denominator for k in range(last + 1))

@@ -503,10 +503,6 @@ def _shrink_nat(instance, s):
 # --- stability: reapplying a rule to its own output changes nothing ---
 
 
-def _draw_stability(rng, n, m):
-    return {"problem": draw_profiles(rng, n, m)}
-
-
 def _screen_stability(rule, trials):
     problem = trials["problem"]
     once = rule.payoffs_batch(problem)
@@ -583,7 +579,7 @@ _CHECKERS: dict[str, _Checker] = {
     "equal_treatment": _Checker(_draw_equal_treatment, _screen_equal_treatment, _drops),
     "continuity": _Checker(_draw_continuity, _screen_continuity),
     "nat": _Checker(_draw_nat, _screen_nat, _halving(_shrink_nat)),
-    "stability": _Checker(_draw_stability, _screen_stability, _drops),
+    "stability": _Checker(_draw_problems, _screen_stability, _drops),
     "dummy": _Checker(_draw_dummy, _screen_dummy, _drops),
     "income_additivity": _Checker(
         _draw_income_additivity,

@@ -23,7 +23,7 @@ from typing import BinaryIO, Callable, Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .analysis import classify, parse_grid, profile_rule
+from .analysis import CATALOG_LABELS, classify, parse_grid, profile_rule
 from .axioms import Counterexample, SampleConfig, axiom_suite, expand_axiom_names
 from .core import Problem, ValidationError, array_left_sum, make_problem
 from .duality import check_self_dual, dual_closed_form
@@ -35,13 +35,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_PARSE_ERROR = 2
 EXIT_DATA_ERROR = 3
-
-_CATALOG_LABELS = {
-    "lf": "laissez-faire",
-    "full": "full",
-    "prop": "proportional",
-    "nafr": "need-adjusted-full",
-}
 
 
 class DatasetError(ValueError):
@@ -232,7 +225,9 @@ def _json_safe(value):
     return str(value)
 
 
-def _counterexample_json(counterexample: Counterexample) -> dict:
+def _counterexample_json(counterexample: Counterexample | None) -> dict | None:
+    if counterexample is None:
+        return None
     return {
         "instance": _json_safe(counterexample.instance),
         "expected": _json_safe(counterexample.expected),
@@ -588,11 +583,7 @@ def _cmd_check(args: argparse.Namespace) -> tuple[dict, int]:
             "axiom": item.axiom,
             "passed": item.passed,
             "trials_run": item.trials_run,
-            "counterexample": (
-                _counterexample_json(item.counterexample)
-                if item.counterexample is not None
-                else None
-            ),
+            "counterexample": _counterexample_json(item.counterexample),
         }
         for item in reports
     ]
@@ -605,11 +596,10 @@ def _cmd_dual(args: argparse.Namespace) -> tuple[dict, int]:
     rule = parse_rule(args.rule)
     closed = dual_closed_form(rule)
     self_report = check_self_dual(rule, _sample_config(args), args.tol)
+    dual_rule = format_rule(closed) if closed is not None else None
     report = _base_report("dual", args)
-    report["dual_rule"] = format_rule(closed) if closed is not None else None
-    report["dual_label"] = (
-        _CATALOG_LABELS.get(format_rule(closed)) if closed is not None else None
-    )
+    report["dual_rule"] = dual_rule
+    report["dual_label"] = CATALOG_LABELS.get(dual_rule)
     report["self_dual"] = {
         "passed": self_report.is_self_dual,
         "max_deviation": self_report.max_deviation,
@@ -623,9 +613,7 @@ def _cmd_extract(args: argparse.Namespace) -> tuple[dict, int]:
     grid = parse_grid(args.grid)
     profile = profile_rule(rule, grid)
     report = _base_report("extract", args)
-    report["grid"] = list(profile.grid)
-    report["a_values"] = list(profile.a_values)
-    report["b_values"] = list(profile.b_values)
+    report.update(vars(profile))  # grid, a_values and b_values
     return report, EXIT_OK
 
 
@@ -640,11 +628,7 @@ def _cmd_classify(args: argparse.Namespace) -> tuple[dict, int]:
     report["b_shape"] = result.b_shape
     report["b_value"] = result.b_value
     report["max_residual"] = result.max_residual
-    report["profile"] = {
-        "grid": list(result.profile.grid),
-        "a_values": list(result.profile.a_values),
-        "b_values": list(result.profile.b_values),
-    }
+    report["profile"] = dict(vars(result.profile))
     return report, EXIT_OK
 
 

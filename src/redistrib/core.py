@@ -39,13 +39,15 @@ class BalanceViolation(ValidationError):
     """Allocation values do not sum to the problem's total income."""
 
 
-def balance_tolerance(magnitude: float) -> float:
+def balance_tolerance(magnitude: float | np.ndarray) -> float | np.ndarray:
     """Absolute slack allowed when checking a sum whose terms have this size.
 
     Pass the sum of the terms' absolute values, not the sum itself: when
-    terms cancel, the rounding error of a sum scales with its terms.
+    terms cancel, the rounding error of a sum scales with its terms. An
+    array of magnitudes gives an array of slacks, a float a float.
     """
-    return BALANCE_REL_TOL * max(1.0, abs(magnitude))
+    slack = BALANCE_REL_TOL * np.maximum(1.0, np.abs(magnitude))
+    return slack if isinstance(magnitude, np.ndarray) else float(slack)
 
 
 def check_tol(tol: float) -> None:
@@ -232,7 +234,7 @@ class Block:
                 np.isfinite(total_income)
                 & np.isfinite(total_need)
                 & (needs >= 0.0).all(axis=1)
-                & (total_need > BALANCE_REL_TOL * np.maximum(1.0, np.abs(total_need)))
+                & (total_need > balance_tolerance(total_need))
             )
         object.__setattr__(self, "total_income", total_income)
         object.__setattr__(self, "total_need", total_need)

@@ -8,9 +8,9 @@ rule.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import zip_longest
-from math import comb
 
 import numpy as np
 
@@ -39,20 +39,25 @@ def dual_payoffs(rule: RuleSpec, problem: Problem) -> np.ndarray:
         return float_column(needs - payoffs)
 
 
-def _reflect_coeffs(coeffs: tuple[float, ...]) -> tuple[float, ...]:
-    """Coefficients of p(1 - t) given ascending coefficients of p(t)."""
-    degree = len(coeffs) - 1
-    out = [0.0] * (degree + 1)
-    for j in range(degree + 1):
-        acc = 0.0
-        for k in range(j, degree + 1):
-            acc += coeffs[k] * comb(k, j)
-        out[j] = acc if j % 2 == 0 else -acc
-    return tuple(out)
+def _reflected(coeffs: list[int]) -> list[int]:
+    """Ascending coefficients of p(1 − t), given those of p(t), in integers.
+
+    Shifting p(u) to p(u + 1) by repeated synthetic division takes only
+    additions; p(1 − t) is that shift with its odd coefficients negated.
+    """
+    shifted = list(coeffs)
+    for i in range(len(shifted) - 1):
+        for j in range(len(shifted) - 2, i - 1, -1):
+            shifted[j] += shifted[j + 1]
+    return [-c if j % 2 else c for j, c in enumerate(shifted)]
 
 
-def _sub_coeffs(left: tuple[float, ...], right: tuple[float, ...]) -> tuple[float, ...]:
-    return tuple(u - v for u, v in zip_longest(left, right, fillvalue=0.0))
+def _rounded(numerator: int, denominator: int) -> float:
+    """numerator / denominator rounded once; ±inf past the float range, which ScalarFn refuses."""
+    try:
+        return numerator / denominator
+    except OverflowError:
+        return math.inf if numerator > 0 else -math.inf
 
 
 _ZERO = ScalarFn.constant(0.0)
@@ -62,12 +67,21 @@ def dual_ab(income_weight: ScalarFn, need_weight: ScalarFn) -> tuple[ScalarFn, S
     """Weights of the dual of a deviation-weighted rule with catalog weights.
 
     The dual's income weight is t -> A(1-t) and its need weight is
-    t -> 1 - A(1-t) - B(1-t), writing A and B for the inputs.
+    t -> 1 - A(1-t) - B(1-t), that is 1 - A - B at 1 - t, writing A and B
+    for the inputs. A float is an integer over a power of two, so over the
+    largest of the coefficients' denominators both weights are derived
+    exactly, in integers; each coefficient is then rounded once.
     """
-    income_reflected = _reflect_coeffs(income_weight.coefficients())
-    need_reflected = _reflect_coeffs(need_weight.coefficients())
-    dual_need = _sub_coeffs(_sub_coeffs((1.0,), income_reflected), need_reflected)
-    return from_coefficients(income_reflected), from_coefficients(dual_need)
+    income = income_weight.coefficients()
+    ratios = [c.as_integer_ratio() for c in income + need_weight.coefficients()]
+    denominator = max(d for _, d in ratios)
+    numerators = [n * (denominator // d) for n, d in ratios]
+    a, b = numerators[: len(income)], numerators[len(income) :]
+    rest = [-u - v for u, v in zip_longest(a, b, fillvalue=0)]
+    rest[0] += denominator
+    return tuple(
+        from_coefficients([_rounded(n, denominator) for n in _reflected(p)]) for p in (a, rest)
+    )
 
 
 # The catalog forms without weight functions map to each other, field for

@@ -1,4 +1,6 @@
 import math
+import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -218,10 +220,35 @@ def test_characterization_outside_the_family():
 
 def test_parse_grid():
     assert parse_grid("-2:2:1") == (-2.0, -1.0, 0.0, 1.0, 2.0)
-    assert parse_grid("0:1:0.25") == pytest.approx((0.0, 0.25, 0.5, 0.75, 1.0))
+    assert parse_grid("0:1:0.25") == (0.0, 0.25, 0.5, 0.75, 1.0)
     assert parse_grid("1:1:1") == (1.0,)
-    assert parse_grid("0:0.3:0.1") == pytest.approx((0.0, 0.1, 0.2, 0.3))
     assert parse_grid("-1e200:1e200:1e200") == (-1e200, 0.0, 1e200)
+    assert parse_grid("1_0:2_0:5") == (10.0, 15.0, 20.0)
+
+
+@pytest.mark.parametrize(
+    "text,points",
+    [
+        ("-0.3:0.3:0.1", (-0.3, -0.2, -0.1, 0.0, 0.1, 0.2, 0.3)),
+        ("-0.6:0.6:0.2", (-0.6, -0.4, -0.2, 0.0, 0.2, 0.4, 0.6)),
+        ("-0.9:0.9:0.3", (-0.9, -0.6, -0.3, 0.0, 0.3, 0.6, 0.9)),
+        ("0:0.3:0.1", (0.0, 0.1, 0.2, 0.3)),
+        ("0.1:0.35:0.1", (0.1, 0.2, 0.3)),
+    ],
+)
+def test_parse_grid_rounds_each_decimal_point_once(text, points):
+    grid = parse_grid(text)
+    assert grid == points
+    lo, hi, step = (Fraction(p) for p in text.split(":"))
+    assert grid == tuple(float(lo + k * step) for k in range(len(grid)))
+    assert lo + (len(grid) - 1) * step <= hi < lo + len(grid) * step
+    assert all(math.copysign(1.0, t) == 1.0 for t in grid if t == 0.0)
+
+
+def test_parse_grid_reads_a_part_below_the_float_range_as_zero_at_once():
+    start = time.perf_counter()
+    assert parse_grid("1e-9999999:1:0.5") == (0.0, 0.5, 1.0)
+    assert time.perf_counter() - start < 0.1
 
 
 # A non-finite part is named before the points are counted.

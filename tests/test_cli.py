@@ -1130,11 +1130,11 @@ DUAL_RULES = [
     ("convex(lf;prop;0.5)", "convex(lf;prop;0.5)"),
     (
         AB_POLY,
-        "ab:A=poly:0.25000000000000006,-0.0,-0.05"
-        ",B=poly:0.32999999999999996,0.33999999999999997,0.030000000000000002",
+        "ab:A=poly:0.25,0.0,-0.05"
+        ",B=poly:0.33,0.33999999999999997,0.030000000000000002",
     ),
     ("afam:A=affine:0.2,0.4", "afam:A=affine:-0.2,0.6000000000000001"),
-    ("bfam:B=poly:0.5,0.3,0.1", "bfam:B=poly:0.09999999999999998,0.5,-0.1"),
+    ("bfam:B=poly:0.5,0.3,0.1", "bfam:B=poly:0.1,0.5,-0.1"),
     ("lin:0.3,0.2", "lindual:0.3,0.2"),
     ("lindual:0.3,0.2", "lin:0.3,0.2"),
     (f"dual({AB_POLY})", AB_POLY),
@@ -1154,6 +1154,29 @@ def test_dual_outside_the_label_catalog(capsys):
         assert code == 0
         assert report["dual_rule"] == dual_rule, rule
         assert report["dual_label"] is None
+
+
+def test_a_dual_weight_past_the_float_range_exits_2_with_one_line(capsys):
+    # 1 − B(1 − t) has constant term 1 − 2e308, which no float holds.
+    code, report, err = run_cli(
+        capsys, "dual", "--rule", "bfam:B=poly:1e308,1e308", "--no-timestamp"
+    )
+    assert (code, report) == (2, None)
+    assert err == "ValueError: parameter -inf is not finite\n"
+
+
+def test_importing_the_cli_leaves_fractions_unloaded():
+    code = "import sys, redistrib.cli; assert 'fractions' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True)
+
+
+def test_a_decimal_grid_straddling_zero_classifies(capsys):
+    code, report, _ = run_cli(
+        capsys, "classify", "--rule", "prop", "--grid=-0.3:0.3:0.1",
+        "--samples", "20", "--no-timestamp",
+    )
+    assert (code, report["label"]) == (0, "proportional")
+    assert report["profile"]["grid"] == [-0.3, -0.2, -0.1, 0.0, 0.1, 0.2, 0.3]
 
 
 def test_extract_proportional_weights(capsys):

@@ -1,4 +1,6 @@
 import math
+import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -119,6 +121,70 @@ def test_dual_ab_callables_match_catalog_pointwise():
         )
 
 
+def _through_points(f, degree):
+    """Exact ascending coefficients of the polynomial of this degree through
+    the points (k, f(k)), k = 0..degree, by Lagrange interpolation."""
+    coeffs = [Fraction(0)] * (degree + 1)
+    for i in range(degree + 1):
+        basis = [f(i)]
+        for j in range(degree + 1):
+            if j != i:
+                # times (t − j)/(i − j)
+                basis = [(lo - j * hi) / (i - j) for lo, hi in zip([0, *basis], [*basis, 0])]
+        coeffs = [c + b for c, b in zip(coeffs, basis)]
+    return coeffs
+
+
+def _exact_dual_weights(rule):
+    """The weights of the dual of an ab rule with poly weights, each
+    coefficient the exact value rounded once."""
+    a, b = (
+        [Fraction(c) for c in fn.coefficients()]
+        for fn in (rule.income_weight, rule.need_weight)
+    )
+
+    def at(coeffs, x):
+        return sum(c * x**k for k, c in enumerate(coeffs))
+
+    degree = max(len(a), len(b)) - 1
+    income = _through_points(lambda k: at(a, 1 - k), degree)
+    need = _through_points(lambda k: 1 - at(a, 1 - k) - at(b, 1 - k), degree)
+    return (
+        rules_module.from_coefficients([float(c) for c in income]),
+        rules_module.from_coefficients([float(c) for c in need]),
+    )
+
+
+def _exact_closed_form(rule):
+    if isinstance(rule, DualRule):
+        return rule.inner
+    if isinstance(rule, ConvexCombination):
+        return ConvexCombination(
+            _exact_closed_form(rule.first), _exact_closed_form(rule.second), rule.weight
+        )
+    return ABRule(*_exact_dual_weights(rule))
+
+
+def _negative_zeros(spec):
+    return re.findall(r"(?<![\d.e])-0\.0(?![\d])", spec)
+
+
+_POLY_WEIGHTS = st.lists(
+    st.one_of(st.floats(-1.0, 1.0), st.floats(-1e6, 1e6)), min_size=1, max_size=5
+).map(lambda c: ScalarFn.poly(*c))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rule=st.one_of(st.builds(ABRule, _POLY_WEIGHTS, _POLY_WEIGHTS), nested_rules(2))
+)
+def test_closed_form_dual_weights_are_the_exact_reflection_rounded_once(rule):
+    dual = dual_closed_form(rule)
+    assert dual == _exact_closed_form(rule)
+    spec, dual_spec = format_rule(rule), format_rule(dual)
+    assert len(_negative_zeros(dual_spec)) <= len(_negative_zeros(spec))
+
+
 def test_closed_form_catalog():
     assert dual_closed_form(LF) is LF
     assert dual_closed_form(PROP) is PROP
@@ -153,8 +219,8 @@ DUAL_SPELLINGS = [
     ("nafr", "full"),
     (
         "ab:A=poly:0.2,0.1,-0.05,B=poly:0.1,0.3,0.02",
-        "ab:A=poly:0.25000000000000006,-0.0,-0.05"
-        ",B=poly:0.32999999999999996,0.33999999999999997,0.030000000000000002",
+        "ab:A=poly:0.25,0.0,-0.05"
+        ",B=poly:0.33,0.33999999999999997,0.030000000000000002",
     ),
     ("ab:A=const:0.5,B=id", "ab:A=const:0.5,B=affine:1.0,-0.5"),
     ("afam:A=id", "afam:A=affine:-1.0,1.0"),
