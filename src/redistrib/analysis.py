@@ -19,7 +19,7 @@ from .axioms import AxiomReport, SampleConfig, axiom_suite, rng_for, worst_trial
 from .core import Block, Problem, balance_tolerance, check_tol, left_sum
 # make_problem is looked up here by perfbench's tracer, which wraps it per module.
 from .core import make_problem  # noqa: F401
-from .rules import ParseError, RuleSpec, ab_payoffs_batch
+from .rules import ParseError, RuleSpec, _excerpt, ab_payoffs_batch
 
 # The label of each catalog form that is a family of its own.
 CATALOG_LABELS = {
@@ -348,26 +348,28 @@ def parse_grid(text: str) -> tuple[float, ...]:
     """
     pieces = text.strip().split(":")
     if len(pieces) != 3:
-        raise ParseError(f"grid must look like lo:hi:step, got {text!r}")
+        raise ParseError(f"grid must look like lo:hi:step, got {_excerpt(text)!r}")
     try:
         rounded = [float(p) for p in pieces]
     except ValueError:
-        raise ParseError(f"grid has a non-numeric part in {text!r}") from None
+        raise ParseError(f"grid has a non-numeric part in {_excerpt(text)!r}") from None
     for name, value in zip(("lower end", "upper end", "step"), rounded):
         if not math.isfinite(value):
-            raise ParseError(f"grid {name} {value!r} is not finite in {text!r}")
+            raise ParseError(f"grid {name} {value!r} is not finite in {_excerpt(text)!r}")
     from fractions import Fraction
 
     # A part that rounds to 0.0 is read as 0, so no huge power of ten is built;
     # float() takes underscores between digits, which Python 3.10's Fraction refuses.
     lo, hi, step = (Fraction(p.replace("_", "")) if v else 0 for p, v in zip(pieces, rounded))
     if step <= 0:
-        raise ParseError(f"grid step must be positive, got {pieces[2]!r}")
+        raise ParseError(f"grid step must be positive, got {_excerpt(pieces[2])!r}")
     if hi < lo:
-        raise ParseError(f"grid upper end {rounded[1]!r} is below lower end {rounded[0]!r}")
+        raise ParseError(
+            f"grid upper end {_excerpt(pieces[1])!r} is below lower end {_excerpt(pieces[0])!r}"
+        )
     last = (hi - lo) // step
     if not last < MAX_GRID_POINTS:
-        raise ParseError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
+        raise ParseError(f"grid {_excerpt(text)!r} has more than {MAX_GRID_POINTS} points")
     # Over one denominator each point is a ratio of ints, which / rounds once.
     denominator = math.lcm(lo.denominator, step.denominator)
     start, stride = int(lo * denominator), int(step * denominator)

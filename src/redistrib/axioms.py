@@ -32,7 +32,7 @@ from .core import (
     make_problem,
     row_sums,
 )
-from .rules import RuleSpec
+from .rules import RuleSpec, _excerpt
 
 CORE_AXIOMS = ("homogeneity", "equal_treatment", "continuity")
 ALL_AXIOMS = CORE_AXIOMS + (
@@ -190,7 +190,7 @@ def expand_axiom_names(names: Iterable[str]) -> tuple[str, ...]:
         elif name in ALL_AXIOMS:
             group = (name,)
         else:
-            raise UnknownAxiom(f"unknown axiom {name!r}")
+            raise UnknownAxiom(f"unknown axiom {_excerpt(name)!r}")
         for member in group:
             if member not in out:
                 out.append(member)
@@ -633,7 +633,7 @@ def check_axiom(
     error raised, as trial by trial.
     """
     if axiom not in _CHECKERS:
-        raise UnknownAxiom(f"unknown axiom {axiom!r}")
+        raise UnknownAxiom(f"unknown axiom {_excerpt(axiom)!r}")
     check_tol(tol)
     checker = _CHECKERS[axiom]
     rng = rng_for(cfg.seed, axiom)
@@ -668,7 +668,7 @@ def recheck_counterexample(
 ) -> tuple[float, float]:
     """Re-screen a stored counterexample; returns (deviation, threshold scale)."""
     if axiom not in _CHECKERS:
-        raise UnknownAxiom(f"unknown axiom {axiom!r}")
+        raise UnknownAxiom(f"unknown axiom {_excerpt(axiom)!r}")
     deviation, scale, _, _ = _measure(_CHECKERS[axiom], rule, counterexample.instance)
     return deviation, scale
 

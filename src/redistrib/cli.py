@@ -1,7 +1,9 @@
 """Command line interface over income-and-need datasets.
 
-Subcommands: apply, check, dual, extract, classify, compare. Reports are
-JSON on stdout (or a file via --output); human messages go to stderr.
+Subcommands: apply, check, dual, extract, classify, compare. Each command
+is its handler plus one row of the _COMMANDS table, which gives its help,
+that handler and its option groups. Reports are JSON on stdout (or a file
+via --output); human messages go to stderr.
 Exit codes: 0 success, 1 axiom check failures, 2 parse errors, rules
 whose payoffs do not allocate a valid dataset (RuleError) and an --output
 path that cannot be written, 3 dataset validation errors.
@@ -237,9 +239,9 @@ def _counterexample_json(counterexample: Counterexample | None) -> dict | None:
     }
 
 
-def _base_report(command: str, args: argparse.Namespace) -> dict:
+def _base_report(args: argparse.Namespace) -> dict:
     """The opening keys of a report, with a sampling command's seed and samples."""
-    report: dict = {"schema_version": SCHEMA_VERSION, "command": command}
+    report: dict = {"schema_version": SCHEMA_VERSION, "command": args.command}
     if getattr(args, "rule", None) is not None:
         report["rule"] = args.rule.strip()
     if not args.no_timestamp:
@@ -558,7 +560,7 @@ def _cmd_apply(args: argparse.Namespace) -> tuple[dict, int]:
     rule = parse_rule(args.rule)
     problem = load_dataset(args.input, args.format)
     allocation = evaluate(rule, problem)
-    report = _base_report("apply", args)
+    report = _base_report(args)
     report["input"] = args.input
     report["agents"] = _apply_rows(
         problem.agents, problem.incomes, problem.needs, allocation.values
@@ -576,7 +578,7 @@ def _cmd_check(args: argparse.Namespace) -> tuple[dict, int]:
     for item in reports:
         status = "pass" if item.passed else "FAIL"
         print(f"{item.axiom}: {status}", file=sys.stderr)
-    report = _base_report("check", args)
+    report = _base_report(args)
     report["tolerance"] = args.tol
     report["axioms"] = [
         {
@@ -597,7 +599,7 @@ def _cmd_dual(args: argparse.Namespace) -> tuple[dict, int]:
     closed = dual_closed_form(rule)
     self_report = check_self_dual(rule, _sample_config(args), args.tol)
     dual_rule = format_rule(closed) if closed is not None else None
-    report = _base_report("dual", args)
+    report = _base_report(args)
     report["dual_rule"] = dual_rule
     report["dual_label"] = CATALOG_LABELS.get(dual_rule)
     report["self_dual"] = {
@@ -612,7 +614,7 @@ def _cmd_extract(args: argparse.Namespace) -> tuple[dict, int]:
     rule = parse_rule(args.rule)
     grid = parse_grid(args.grid)
     profile = profile_rule(rule, grid)
-    report = _base_report("extract", args)
+    report = _base_report(args)
     report.update(vars(profile))  # grid, a_values and b_values
     return report, EXIT_OK
 
@@ -621,7 +623,7 @@ def _cmd_classify(args: argparse.Namespace) -> tuple[dict, int]:
     rule = parse_rule(args.rule)
     grid = parse_grid(args.grid)
     result = classify(rule, grid, _sample_config(args), args.tol)
-    report = _base_report("classify", args)
+    report = _base_report(args)
     report["label"] = result.label
     report["a_shape"] = result.a_shape
     report["a_value"] = result.a_value
@@ -641,7 +643,7 @@ def _cmd_compare(args: argparse.Namespace) -> tuple[dict, int]:
     specs = list(rules)
     problem = load_dataset(args.input, args.format)
     allocations = {spec: evaluate(rule, problem).values for spec, rule in rules.items()}
-    report = _base_report("compare", args)
+    report = _base_report(args)
     report["rules"] = specs
     report["input"] = args.input
     report["agents"] = _compare_rows(
@@ -651,78 +653,56 @@ def _cmd_compare(args: argparse.Namespace) -> tuple[dict, int]:
     return report, EXIT_OK
 
 
+def _option(flag: str, **keywords) -> tuple[str, dict]:
+    """An option as its flag and its add_argument keywords."""
+    return flag, keywords
+
+
+# Option groups, each declared once, in help order.
+_RULE = (_option("--rule", required=True),)
+_RULES = (
+    _option("--rules", action="append", required=True, help="comma list of rule specs; repeatable"),
+)
+_DATASET = (_option("--input", required=True), _option("--format", choices=("csv", "json")))
+_AXIOMS = (_option("--axioms", default="all", help="comma list of axiom names, or core, or all"),)
+_GRID = (_option("--grid", default="-2:2:1", help="lo:hi:step, inclusive"),)
+_SAMPLING = (
+    _option("--seed", type=int, default=0),
+    _option("--samples", type=int, default=200),
+    _option("--tol", type=float, default=1e-9),
+)
+_COMMON = (
+    _option("--output", default="-", help="report path, or - for stdout"),
+    _option("--no-timestamp", action="store_true",
+            help="omit the generated_at field for byte-stable output"),
+)
+
+# Each command by name, in help order: its help, its handler, and the options
+# it takes before the common ones.
+_COMMANDS = {
+    "apply": ("allocate a dataset under one rule", _cmd_apply, _RULE + _DATASET),
+    "check": ("run axiom checks against one rule", _cmd_check, _RULE + _AXIOMS + _SAMPLING),
+    "dual": ("closed-form dual and self-duality check", _cmd_dual, _RULE + _SAMPLING),
+    "extract": ("recover deviation weights on a grid", _cmd_extract, _RULE + _GRID),
+    "classify": ("name the functional form of a rule", _cmd_classify, _RULE + _GRID + _SAMPLING),
+    "compare": ("allocate one dataset under many rules", _cmd_compare, _RULES + _DATASET),
+}
+
+# The handler main calls for each command; perfbench's tracer wraps these entries.
+_DISPATCH = {name: handler for name, (_, handler, _) in _COMMANDS.items()}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="redistrib",
         description="Evaluate and analyze redistribution rules on income-and-need data.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--output", default="-", help="report path, or - for stdout")
-        p.add_argument(
-            "--no-timestamp",
-            action="store_true",
-            help="omit the generated_at field for byte-stable output",
-        )
-
-    def add_sampling(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=200)
-        p.add_argument("--tol", type=float, default=1e-9)
-
-    p_apply = sub.add_parser("apply", help="allocate a dataset under one rule")
-    p_apply.add_argument("--rule", required=True)
-    p_apply.add_argument("--input", required=True)
-    p_apply.add_argument("--format", choices=("csv", "json"))
-    add_common(p_apply)
-
-    p_check = sub.add_parser("check", help="run axiom checks against one rule")
-    p_check.add_argument("--rule", required=True)
-    p_check.add_argument(
-        "--axioms", default="all", help="comma list of axiom names, or core, or all"
-    )
-    add_sampling(p_check)
-    add_common(p_check)
-
-    p_dual = sub.add_parser("dual", help="closed-form dual and self-duality check")
-    p_dual.add_argument("--rule", required=True)
-    add_sampling(p_dual)
-    add_common(p_dual)
-
-    p_extract = sub.add_parser("extract", help="recover deviation weights on a grid")
-    p_extract.add_argument("--rule", required=True)
-    p_extract.add_argument("--grid", default="-2:2:1", help="lo:hi:step, inclusive")
-    add_common(p_extract)
-
-    p_classify = sub.add_parser("classify", help="name the functional form of a rule")
-    p_classify.add_argument("--rule", required=True)
-    p_classify.add_argument("--grid", default="-2:2:1", help="lo:hi:step, inclusive")
-    add_sampling(p_classify)
-    add_common(p_classify)
-
-    p_compare = sub.add_parser("compare", help="allocate one dataset under many rules")
-    p_compare.add_argument(
-        "--rules",
-        action="append",
-        required=True,
-        help="comma list of rule specs; repeatable",
-    )
-    p_compare.add_argument("--input", required=True)
-    p_compare.add_argument("--format", choices=("csv", "json"))
-    add_common(p_compare)
-
+    for name, (text, _, options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=text)
+        for flag, keywords in options + _COMMON:
+            command.add_argument(flag, **keywords)
     return parser
-
-
-_DISPATCH = {
-    "apply": _cmd_apply,
-    "check": _cmd_check,
-    "dual": _cmd_dual,
-    "extract": _cmd_extract,
-    "classify": _cmd_classify,
-    "compare": _cmd_compare,
-}
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -374,13 +374,14 @@ class ConvexCombination(RuleSpec):
         if not (isinstance(w, (int, float)) and math.isfinite(w) and 0.0 <= w <= 1.0):
             raise InvalidWeight(f"weight {w!r} is not in [0, 1]")
 
-    def _mix(self, first: Sequence[Ratio], second: Sequence[Ratio]) -> tuple[Ratio, ...]:
+    def _mix(self, u: Ratio, v: Ratio) -> Ratio:
+        """w·u + (1−w)·v, of two weights or two payoff arrays."""
         w = self.weight
-        return tuple(w * u + (1.0 - w) * v for u, v in zip(first, second))
+        return w * u + (1.0 - w) * v
 
     def weights_at(self, t: Ratio) -> tuple[Ratio, Ratio] | None:
         first, second = self.first.weights_at(t), self.second.weights_at(t)
-        return None if first is None or second is None else self._mix(first, second)
+        return None if first is None or second is None else tuple(map(self._mix, first, second))
 
     def payoffs(self, problem: Problem) -> np.ndarray:
         weights = self.weights_at(problem.total_income / problem.total_need)
@@ -482,13 +483,16 @@ def equivalent_on(
     for problem in problems:
         x1 = _checked_length(first.payoffs(problem), problem)
         x2 = _checked_length(second.payoffs(problem), problem)
-        for i, (u, v) in enumerate(zip(x1, x2)):
-            gap = abs(float(u) - float(v))
-            # No gap exceeds NaN's, so the first NaN is the verdict.
-            if math.isnan(gap):
-                return EquivalenceVerdict(False, gap, problem, i)
-            if gap > worst:
-                worst, witness, where = gap, problem, i
+        with np.errstate(over="ignore", invalid="ignore"):
+            gaps = np.abs(x1 - x2)
+        # argmax picks the first NaN, else the first of the largest gaps.
+        i = int(np.argmax(gaps))
+        gap = float(gaps[i])
+        # No gap exceeds NaN's, so the first NaN is the verdict.
+        if math.isnan(gap):
+            return EquivalenceVerdict(False, gap, problem, i)
+        if gap > worst:
+            worst, witness, where = gap, problem, i
     return EquivalenceVerdict(worst <= tol, worst, witness, where)
 
 

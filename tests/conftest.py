@@ -50,6 +50,48 @@ NAN_RULES = {
 }
 
 
+# Grid texts parse_grid refuses, by case, with its message: the text or part
+# quoted as typed, cut to its first 60 characters when longer.
+GRID_MESSAGES = {
+    "shape": ("1:2", "grid must look like lo:hi:step, got '1:2'"),
+    "long-shape": ("1" * 100_000, "grid must look like lo:hi:step, got '" + "1" * 60 + "...'"),
+    "non-numeric": ("a:2:1", "grid has a non-numeric part in 'a:2:1'"),
+    "long-non-numeric": (
+        "a" * 100_000 + ":2:1",
+        "grid has a non-numeric part in '" + "a" * 60 + "...'",
+    ),
+    "non-finite": ("0:1:inf", "grid step inf is not finite in '0:1:inf'"),
+    "long-non-finite": (
+        "0:1:" + "1" * 100_000,
+        "grid step inf is not finite in '0:1:" + "1" * 56 + "...'",
+    ),
+    "step": ("1:2:0", "grid step must be positive, got '0'"),
+    "long-step": (
+        "1:2:-0." + "0" * 100_000,
+        "grid step must be positive, got '-0." + "0" * 57 + "...'",
+    ),
+    "order": (
+        "0.10000000000000000001:0.1:1",
+        "grid upper end '0.1' is below lower end '0.10000000000000000001'",
+    ),
+    "long-order": (
+        "1:0." + "0" * 100_000 + "1:1",
+        "grid upper end '0." + "0" * 58 + "...' is below lower end '1'",
+    ),
+    "count": ("0:1:1e-300", "grid '0:1:1e-300' has more than 100000 points"),
+    "long-count": (
+        "0:" + " " * 100_000 + "1e6:1",
+        "grid '0:" + " " * 58 + "...' has more than 100000 points",
+    ),
+}
+
+# Axiom names no checker has, with the message that refuses them.
+AXIOM_MESSAGES = {
+    "short": ("symmetry", "unknown axiom 'symmetry'"),
+    "long": ("x" * 100_000, "unknown axiom '" + "x" * 60 + "...'"),
+}
+
+
 def random_problems(seed: int, count: int) -> list[Problem]:
     """A reproducible batch of random problems of 1 to 6 agents."""
     rng = rng_for(seed, "problem-batch")

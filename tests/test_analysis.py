@@ -31,7 +31,7 @@ from redistrib import (
     profile_rule,
     verify_characterization,
 )
-from conftest import NAN_RULES, needs_squared_rule, nested_rules
+from conftest import GRID_MESSAGES, NAN_RULES, needs_squared_rule, nested_rules
 
 RATIOS = (-2.0, -1.0, 0.0, 0.5, 1.0, 2.0)
 
@@ -280,6 +280,13 @@ NON_FINITE_GRIDS = {
 def test_parse_grid_rejects_malformed_text(bad):
     with pytest.raises(ParseError, match=NON_FINITE_GRIDS.get(bad)):
         parse_grid(bad)
+
+
+@pytest.mark.parametrize("text,message", GRID_MESSAGES.values(), ids=list(GRID_MESSAGES))
+def test_parse_grid_quotes_the_text_as_typed_and_in_short(text, message):
+    with pytest.raises(ParseError) as excinfo:
+        parse_grid(text)
+    assert str(excinfo.value) == message
 
 
 def test_parse_grid_caps_the_point_count_before_building(monkeypatch):

@@ -34,7 +34,7 @@ from redistrib import (
 )
 from redistrib import axioms
 from redistrib.rules import ConvexCombination, WeightedRule
-from conftest import NAN_RULES, needs_squared_rule
+from conftest import AXIOM_MESSAGES, NAN_RULES, needs_squared_rule
 from scalar_measures import MEASURES
 
 
@@ -343,6 +343,19 @@ def test_recheck_rejects_unknown_axiom():
     cex = Counterexample({}, None, None, 0.0, 0.0)
     with pytest.raises(UnknownAxiom):
         recheck_counterexample("symmetry", LF, cex)
+
+
+@pytest.mark.parametrize("name,message", AXIOM_MESSAGES.values(), ids=list(AXIOM_MESSAGES))
+def test_an_unknown_axiom_is_quoted_in_short(name, message):
+    cex = Counterexample({}, None, None, 0.0, 0.0)
+    for refuse in (
+        lambda: expand_axiom_names([name]),
+        lambda: check_axiom(name, LF, SampleConfig()),
+        lambda: recheck_counterexample(name, LF, cex),
+    ):
+        with pytest.raises(UnknownAxiom) as excinfo:
+            refuse()
+        assert str(excinfo.value) == message
 
 
 SELF_DUAL_AXIOMS = (

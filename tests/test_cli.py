@@ -40,7 +40,7 @@ from redistrib.cli import (
 )
 from redistrib import cli
 from redistrib.rules import MAX_RULE_DEPTH
-from conftest import nested_spec
+from conftest import AXIOM_MESSAGES, GRID_MESSAGES, nested_spec
 
 CSV_TEXT = "id,income,need\na,5,1\nb,1,3\n"
 JSON_TEXT = json.dumps(
@@ -1533,6 +1533,76 @@ def test_a_huge_dataset_value_is_quoted_in_short(capsys, tmp_path, name, text):
     assert code == 3 and report is None
     assert err.count("\n") == 1
     assert len(err) <= len(str(path)) + 150, err[:300]
+
+
+@pytest.mark.parametrize("text,message", GRID_MESSAGES.values(), ids=list(GRID_MESSAGES))
+def test_a_refused_grid_is_quoted_as_typed_and_in_short(capsys, text, message):
+    code, report, err = run_cli(
+        capsys, "extract", "--rule", "prop", f"--grid={text}", "--no-timestamp"
+    )
+    assert (code, report) == (2, None)
+    assert err == f"ParseError: {message}\n"
+
+
+@pytest.mark.parametrize("name,message", AXIOM_MESSAGES.values(), ids=list(AXIOM_MESSAGES))
+def test_an_unknown_axiom_is_quoted_in_short(capsys, name, message):
+    code, report, err = run_cli(capsys, "check", "--rule", "prop", "--axioms", name)
+    assert (code, report) == (2, None)
+    assert err == f"UnknownAxiom: {message}\n"
+
+
+# Each command's options in help order, before the common --output and
+# --no-timestamp.
+COMMAND_OPTIONS = {
+    "apply": ["--rule", "--input", "--format"],
+    "check": ["--rule", "--axioms", "--seed", "--samples", "--tol"],
+    "dual": ["--rule", "--seed", "--samples", "--tol"],
+    "extract": ["--rule", "--grid"],
+    "classify": ["--rule", "--grid", "--seed", "--samples", "--tol"],
+    "compare": ["--rules", "--input", "--format"],
+}
+
+
+def test_each_command_takes_its_options_in_help_order():
+    (commands,) = (
+        action
+        for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    assert list(commands.choices) == list(COMMAND_OPTIONS) == list(cli._DISPATCH)
+    for name, options in COMMAND_OPTIONS.items():
+        actions = commands.choices[name]._actions
+        flags = [flag for action in actions for flag in action.option_strings]
+        assert flags == ["-h", "--help", *options, "--output", "--no-timestamp"], name
+
+
+def test_main_calls_the_dispatch_entry_of_its_command(capsys, monkeypatch):
+    def handler(args):
+        return {"handled": args.command}, 0
+
+    monkeypatch.setitem(cli._DISPATCH, "dual", handler)
+    assert run_cli(capsys, "dual", "--rule", "prop") == (0, {"handled": "dual"}, "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["apply", "--rule", "prop", "--input"],
+        ["check", "--rule", "prop", "--axioms", "homogeneity", "--samples", "5"],
+        ["dual", "--rule", "prop", "--samples", "5"],
+        ["extract", "--rule", "prop"],
+        ["classify", "--rule", "prop", "--samples", "5"],
+        ["compare", "--rules", "lf,prop", "--input"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_each_report_names_its_command(capsys, csv_path, argv):
+    if argv[-1] == "--input":
+        argv = argv + [csv_path]
+    code, report, _ = run_cli(capsys, *argv, "--no-timestamp")
+    assert code == 0
+    assert list(report)[:2] == ["schema_version", "command"]
+    assert report["command"] == argv[0]
 
 
 def test_missing_required_flag_exits_2(capsys):

@@ -39,7 +39,8 @@ from redistrib import (
     split_rule_list,
 )
 from redistrib.rules import MAX_RULE_DEPTH
-from conftest import nested_rules, nested_spec, random_problems, reference_problem
+from redistrib.rules import EquivalenceVerdict
+from conftest import NAN_RULES, nested_rules, nested_spec, random_problems, reference_problem
 
 # Hand-computed payoffs on incomes (5, 1) with needs (1, 3).
 REFERENCE_PAYOFFS = {
@@ -199,6 +200,62 @@ def test_equivalent_on_fails_a_nan_after_a_finite_gap():
     assert not verdict.passed
     assert math.isnan(verdict.max_deviation)
     assert verdict.agent_index == 1
+
+
+# Rules paying ±inf or ±1e308, whose payoff gaps are NaN or overflow.
+_EXTREME_RULES = [
+    CustomRule("inf", lambda q: [math.inf] * len(q)),
+    CustomRule("huge", lambda q: [(-1.0) ** k * 1e308 for k in range(len(q))]),
+]
+_ANY_RULES = st.one_of(
+    nested_rules(2),
+    st.sampled_from([LF, FULL, PROP, NAFR, *NAN_RULES.values(), *_EXTREME_RULES]),
+)
+
+
+def _equivalent_on_reference(first, second, problems, tol):
+    """equivalent_on, one payoff pair at a time."""
+    worst, witness, where = 0.0, None, None
+    for problem in problems:
+        for i, (u, v) in enumerate(zip(first.payoffs(problem), second.payoffs(problem))):
+            gap = abs(float(u) - float(v))
+            if math.isnan(gap):
+                return EquivalenceVerdict(False, gap, problem, i)
+            if gap > worst:
+                worst, witness, where = gap, problem, i
+    return EquivalenceVerdict(worst <= tol, worst, witness, where)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(_ANY_RULES, _ANY_RULES, st.integers(0, 2**16), st.integers(1, 8))
+def test_equivalent_on_matches_the_per_entry_reference(first, second, seed, count):
+    problems = random_problems(seed, count)
+    verdict = equivalent_on(first, second, problems)
+    expected = _equivalent_on_reference(first, second, problems, 1e-9)
+    assert verdict.passed == expected.passed
+    assert repr(verdict.max_deviation) == repr(expected.max_deviation)
+    assert verdict.witness is expected.witness
+    assert verdict.agent_index == expected.agent_index
+
+
+def test_equivalent_on_reports_the_first_of_tied_gaps():
+    problems = [make_problem(ids, (1.0, 2.0, 3.0), (1.0, 1.0, 1.0)) for ids in ("abc", "def")]
+    steps = CustomRule("steps", lambda q: [1.0, 3.0, -3.0])
+    zeros = CustomRule("zeros", lambda q: [0.0, 0.0, 0.0])
+    verdict = equivalent_on(steps, zeros, problems)
+    assert (verdict.max_deviation, verdict.agent_index) == (3.0, 1)
+    assert verdict.witness is problems[0]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(_ANY_RULES, _ANY_RULES, st.floats(0.0, 1.0), st.integers(0, 2**16))
+def test_convex_fallback_mixes_payoffs_bit_for_bit(first, second, weight, seed):
+    custom = CustomRule("wrapped", first.payoffs)
+    (problem,) = random_problems(seed, 1)
+    x1, x2 = first.payoffs(problem).tolist(), second.payoffs(problem).tolist()
+    expected = [weight * u + (1.0 - weight) * v for u, v in zip(x1, x2)]
+    mixed = ConvexCombination(custom, second, weight).payoffs(problem)
+    assert mixed.tobytes() == np.array(expected).tobytes()
 
 
 def test_equivalent_on_rejects_a_payoff_vector_of_another_length():
