@@ -13,7 +13,6 @@ from .analysis import (
     DEFAULT_GRID,
     ImplicationCheck,
     LABELS,
-    NotApplicable,
     classify,
     extract_ab,
     parse_grid,
@@ -82,7 +81,6 @@ from .rules import (
     RuleSpec,
     ScalarFn,
     WeightedRule,
-    ab_payoffs,
     equivalent_on,
     evaluate,
     format_rule,

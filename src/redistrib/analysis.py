@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .axioms import AxiomReport, SampleConfig, axiom_suite, rng_for, worst_trial
-from .core import Block, Problem, balance_tolerance, check_tol, left_sum
+from .core import Block, Problem, check_tol, row_sums
 # make_problem is looked up here by perfbench's tracer, which wraps it per module.
 from .core import make_problem  # noqa: F401
 from .rules import ParseError, RuleSpec, _excerpt, ab_payoffs_batch
@@ -39,40 +39,15 @@ class AnalysisError(ValueError):
     """Base class for extraction and classification failures."""
 
 
-class NotApplicable(AnalysisError):
-    """The probe construction needs at least two agents."""
-
-
-def extract_ab(
-    rule: RuleSpec,
-    t: float,
-    scale: tuple[float, float] | None = None,
-    agents: int = 3,
-) -> tuple[float, float]:
+def extract_ab(rule: RuleSpec, t: float) -> tuple[float, float]:
     """Recover the income and need deviation weights a rule applies at ratio t.
 
-    Probes two flat problems whose totals are given by scale = (total
-    income, total need); the default is (t, 1). One agent is bumped up and
-    a second bumped down by the same amount, so totals are preserved and
-    the weight falls out of the first agent's payoff shift.
+    profile_rule at one point: two flat problems of 3 agents and totals
+    (t, 1) are probed. One agent is bumped up and a second bumped down by
+    the same amount, so totals are preserved and the weight falls out of
+    the first agent's payoff shift.
     """
-    if agents < 2:
-        raise NotApplicable(f"extraction needs at least 2 agents, got {agents}")
-    if scale is None:
-        total_income, total_need = float(t), 1.0
-    else:
-        total_income, total_need = float(scale[0]), float(scale[1])
-    if total_need <= 0:
-        raise AnalysisError(f"total need must be positive, got {total_need!r}")
-    if abs(total_income - t * total_need) > balance_tolerance(
-        max(abs(total_income), total_need)
-    ):
-        raise AnalysisError(
-            f"scale {scale!r} is inconsistent with ratio {t!r}"
-        )
-    a, b = _extract_ab_batch(
-        rule, np.array([total_income]), np.array([total_need]), agents
-    )
+    a, b = _extract_ab_batch(rule, np.array([float(t)]), np.ones(1), agents=3)
     return float(a[0]), float(b[0])
 
 
@@ -164,7 +139,7 @@ def _fit_a_shape(values: tuple[float, ...], tol: float) -> tuple[str, float | No
     if all(abs(v - 1.0) <= tol for v in values):
         return "one", 1.0
     if max(values) - min(values) <= tol:
-        return "constant", left_sum(values) / len(values)
+        return "constant", row_sums(np.array([values])).item() / len(values)
     return "other", None
 
 
@@ -177,7 +152,7 @@ def _fit_b_shape(
     if all(abs(v - t) <= tol * max(1.0, abs(t)) for v, t in zip(values, grid)):
         return "identity", None
     if max(values) - min(values) <= tol:
-        return "constant", left_sum(values) / len(values)
+        return "constant", row_sums(np.array([values])).item() / len(values)
     return "other", None
 
 
@@ -356,11 +331,13 @@ def parse_grid(text: str) -> tuple[float, ...]:
     for name, value in zip(("lower end", "upper end", "step"), rounded):
         if not math.isfinite(value):
             raise ParseError(f"grid {name} {value!r} is not finite in {_excerpt(text)!r}")
+    from decimal import Decimal
     from fractions import Fraction
 
-    # A part that rounds to 0.0 is read as 0, so no huge power of ten is built;
-    # float() takes underscores between digits, which Python 3.10's Fraction refuses.
-    lo, hi, step = (Fraction(p.replace("_", "")) if v else 0 for p, v in zip(pieces, rounded))
+    # A part that rounds to 0.0 is read as 0, so no huge power of ten is built.
+    # Decimal reads what float() reads, underscores too, and its digits go to
+    # Fraction without Python's limit on digits in an int's string.
+    lo, hi, step = (Fraction(Decimal(p)) if v else 0 for p, v in zip(pieces, rounded))
     if step <= 0:
         raise ParseError(f"grid step must be positive, got {_excerpt(pieces[2])!r}")
     if hi < lo:

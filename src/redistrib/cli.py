@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import signal
@@ -27,7 +28,7 @@ import numpy as np
 
 from .analysis import CATALOG_LABELS, classify, parse_grid, profile_rule
 from .axioms import Counterexample, SampleConfig, axiom_suite, expand_axiom_names
-from .core import Problem, ValidationError, array_left_sum, make_problem
+from .core import Problem, ValidationError, make_problem, row_sums
 from .duality import check_self_dual, dual_closed_form
 from .rules import RuleSpec, _excerpt, evaluate, format_rule, parse_rule, split_rule_list
 
@@ -202,7 +203,7 @@ def _summary(values: np.ndarray) -> dict:
     first of a tie as Python's min and max do, so of +0.0 and -0.0 the
     first one is reported.
     """
-    total = array_left_sum(values)
+    total = row_sums(values[None]).item()
     return {
         "total": total,
         "mean": total / len(values),
@@ -692,7 +693,9 @@ _COMMANDS = {
 _DISPATCH = {name: handler for name, (_, handler, _) in _COMMANDS.items()}
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process; parsing leaves it as it is."""
     parser = argparse.ArgumentParser(
         prog="redistrib",
         description="Evaluate and analyze redistribution rules on income-and-need data.",

@@ -1,4 +1,8 @@
-"""Redistribution problems over income and need profiles, and their allocations."""
+"""Redistribution problems over income and need profiles, and their allocations.
+
+A Block holds many problems, one per row; Block.of is one problem's one-row
+block, through which rules pay it. row_sums adds every total, bit for bit alike.
+"""
 
 from __future__ import annotations
 
@@ -125,7 +129,7 @@ class Problem(_TupleEquality):
             if not math.isfinite(value):
                 raise NonFinite(f"need {value!r} is not finite")
             raise NegativeNeed(f"need {value!r} is negative")
-        total_income, total_need = array_left_sum(incomes), array_left_sum(needs)
+        total_income, total_need = (row_sums(c[None]).item() for c in (incomes, needs))
         for name, total in (("income", total_income), ("need", total_need)):
             if not math.isfinite(total):
                 raise NonFinite(f"total {name} {total!r} is not finite")
@@ -149,45 +153,35 @@ def make_problem(
     return Problem(ids, incomes, needs)
 
 
-def left_sum(values: Iterable[float]) -> float:
-    """Sum left to right, rounding once per addition, as row_sums adds a row.
-
-    Not sum(): from Python 3.12 it compensates float rounding, so its totals
-    would depend on the Python version and stop matching row_sums.
-    """
-    total = 0.0
-    for value in values:
-        total += value
-    return total
-
-
-# Entries array_left_sum adds per np.cumsum call, which bounds its scratch.
+# Entries of the scratch array row_sums adds a wide row in: the running
+# total, then the row's next _SUM_BLOCK - 1 entries.
 _SUM_BLOCK = 1 << 16
 
 
-def array_left_sum(values: np.ndarray) -> float:
-    """left_sum of a 1-D array, bit for bit.
-
-    np.cumsum adds strictly in order, unlike np.sum's pairwise sum. Each
-    block of entries is added after the running total, which starts from
-    +0.0 as left_sum's does (so an all-(-0.0) sum is +0.0), and the scratch
-    array np.cumsum writes stays one block long.
-    """
-    total = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, len(values), _SUM_BLOCK):
-            block = values[start : start + _SUM_BLOCK]
-            scratch = np.empty(len(block) + 1)
-            scratch[0], scratch[1:] = total, block
-            total = float(np.cumsum(scratch, out=scratch)[-1])
-    return total
-
-
 def row_sums(values: np.ndarray) -> np.ndarray:
-    """Sum each row left to right from +0.0, exactly as Problem totals its columns."""
-    total = np.zeros(len(values))
-    for column in values.T:
-        total += column
+    """Sum each row of a 2-D array left to right from +0.0, rounding once per addition.
+
+    Not np.sum's pairwise sum, nor sum(), which compensates from Python 3.12.
+    Rows no wider than the array is tall are added a column at a time, and
+    the column loop leaves overflow warnings to its caller. A wider row is
+    added by np.cumsum, strictly in order, a chunk at a time after the
+    running total. Both give the same bits, and never -0.0.
+    """
+    rows, width = values.shape
+    total = np.zeros(rows)
+    if width <= rows:
+        for column in values.T:
+            total += column
+        return total
+    step = _SUM_BLOCK - 1
+    scratch = np.empty(min(width, step) + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, row in enumerate(values):
+            for start in range(0, width, step):
+                chunk = row[start : start + step]
+                part = scratch[: len(chunk) + 1]
+                part[0], part[1:] = total[k], chunk
+                total[k] = np.cumsum(part, out=part)[-1]
     return total
 
 
@@ -195,22 +189,25 @@ def row_sums(values: np.ndarray) -> np.ndarray:
 class Block:
     """Problems of up to n agents, one per row of an income and a need (m, n) array.
 
-    Row k is the problem of agents 1..counts[k]; counts default to n for
-    every row. The columns past a row's count are padding and hold income
-    0.0 and need 0.0, and rules pay them 0.0. Totals start from +0.0, so a
-    row total is never -0.0 and adding a padded 0.0 leaves it as it is: a
-    padded row's totals equal those of the same row unpadded, bit for bit.
+    Row k is the problem of the first counts[k] agents; counts default to n
+    for every row. Agents are the ids in agents, one per column, or 1..n
+    without them. The columns past a row's count are padding and hold
+    income 0.0 and need 0.0, and rules pay them 0.0. Totals start from
+    +0.0, so a row total is never -0.0 and adding a padded 0.0 leaves it as
+    it is: a padded row's totals equal those of the same row unpadded, bit
+    for bit.
 
     Validated once, when built: a row is accepted exactly when Problem
     accepts it, and for an invalid block the first invalid row is built as
-    a Problem to raise its error. Each row's totals are summed left to
-    right, as Problem sums its columns. The arrays are held, not copied,
-    and marked read-only, so each row's Problem is a view of them.
+    a Problem to raise its error. Each row's totals are summed by row_sums,
+    as Problem sums its columns. The arrays are held, not copied, and
+    marked read-only, so each row's Problem is a view of them.
     """
 
     incomes: np.ndarray
     needs: np.ndarray
     counts: np.ndarray | None = None
+    agents: tuple[Hashable, ...] | None = None
     total_income: np.ndarray = field(init=False, repr=False)
     total_need: np.ndarray = field(init=False, repr=False)
 
@@ -243,13 +240,31 @@ class Block:
             row = self.problem(int(np.argmin(valid)))
             Problem(row.agents, row.incomes, row.needs)
 
+    @classmethod
+    def of(cls, problem: Problem) -> Block:
+        """A checked problem's one-row block, with its ids.
+
+        The rows are views of the problem's columns and the totals are its
+        own: nothing is checked, summed or copied again.
+        """
+        block = object.__new__(cls)
+        vars(block).update(
+            incomes=problem.incomes[None],
+            needs=problem.needs[None],
+            counts=np.array([len(problem)]),
+            agents=problem.agents,
+            total_income=np.array([problem.total_income]),
+            total_need=np.array([problem.total_need]),
+        )
+        return block
+
     @property
     def scales(self) -> np.ndarray:
         """problem_scale of each row."""
         return np.maximum(np.maximum(1.0, np.abs(self.total_income)), self.total_need)
 
     def problem(self, k: int) -> Problem:
-        """Row k as a Problem of agents 1..counts[k].
+        """Row k as a Problem of its first counts[k] agents.
 
         The row was checked when the block was built, so nothing is checked,
         copied or summed again: its columns are read-only views of the
@@ -258,7 +273,7 @@ class Block:
         n = int(self.counts[k])
         problem = object.__new__(Problem)
         vars(problem).update(
-            agents=tuple(range(1, n + 1)),
+            agents=tuple(range(1, n + 1)) if self.agents is None else self.agents[:n],
             incomes=self.incomes[k, :n],
             needs=self.needs[k, :n],
             total_income=float(self.total_income[k]),
@@ -296,7 +311,7 @@ class Allocation(_TupleEquality):
 
     @property
     def total(self) -> float:
-        return array_left_sum(self.values)
+        return row_sums(self.values[None]).item()
 
 
 @dataclass(frozen=True)
@@ -313,9 +328,9 @@ def check_allocation(problem: Problem, values: Sequence[float]) -> BalanceVerdic
 
     Raises LengthMismatch or NonFinite for malformed input, and whatever
     float() raises on an entry; balance itself is reported in the verdict
-    rather than raised. Values go through float_column, and each total is
-    its left_sum. A sum that overflows balances nothing, so a residual that
-    is not finite fails.
+    rather than raised. Values go through float_column, and row_sums adds
+    each total. A sum that overflows balances nothing, so a residual that is
+    not finite fails.
     """
     if len(values) != len(problem):
         raise LengthMismatch(f"{len(values)} values for {len(problem)} agents")
@@ -324,11 +339,11 @@ def check_allocation(problem: Problem, values: Sequence[float]) -> BalanceVerdic
     if not finite.all():
         value = float(values[np.argmin(finite)])
         raise NonFinite(f"allocation entry {value!r} is not finite")
-    residual = array_left_sum(values) - problem.total_income
+    residual = row_sums(values[None]).item() - problem.total_income
     # Both sums of absolute values bound the rounding of the totals, which
     # they can dwarf when positive and negative entries cancel.
-    income_scale = array_left_sum(np.abs(problem.incomes))
-    value_scale = array_left_sum(np.abs(values))
+    income_scale = row_sums(np.abs(problem.incomes)[None]).item()
+    value_scale = row_sums(np.abs(values)[None]).item()
     tolerance = balance_tolerance(max(income_scale, value_scale))
     passed = math.isfinite(residual) and abs(residual) <= tolerance
     return BalanceVerdict(passed, residual, tolerance)

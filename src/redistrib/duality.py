@@ -3,7 +3,9 @@
 The dual of a rule pays each agent her need minus what the rule would pay
 her in the reflected problem, where every income is replaced by the gap
 between need and income. Applying the operator twice returns the original
-rule.
+rule. reflected_payoffs is that operator on a block of problems: a dual
+around a rule without weights pays through it, dual_payoffs is its one-row
+case, and check_self_dual compares a rule with it.
 """
 
 from __future__ import annotations
@@ -15,28 +17,38 @@ from itertools import zip_longest
 import numpy as np
 
 from .axioms import SampleConfig, rng_for, worst_trial
-from .core import Block, Problem, check_tol, float_column, make_problem
+from .core import Block, Problem, check_tol
+# make_problem is looked up here by perfbench's tracer, which wraps it per module.
+from .core import make_problem  # noqa: F401
 from .rules import (
     ConvexCombination,
     DualRule,
     RuleSpec,
     ScalarFn,
     WeightedRule,
-    _checked_length,
     catalog_rule,
     from_coefficients,
 )
 
 
+def reflected_payoffs(rule: RuleSpec, block: Block) -> np.ndarray:
+    """Payoffs of the rule's dual, z − R(z − y, z), on each row of a block.
+
+    The reflected block, of incomes z − y, keeps the block's agents. An
+    entry that overflows is refused as NonFinite, by the reflected block or
+    by the Allocation of the payoffs.
+    """
+    needs = block.needs
+    reflected = Block(needs - block.incomes, needs, block.counts, block.agents)
+    return needs - rule.payoffs_batch(reflected)
+
+
 def dual_payoffs(rule: RuleSpec, problem: Problem) -> np.ndarray:
-    """Payoffs of the rule's dual, z − R(z − y, z), through the reflected problem."""
-    needs = problem.needs
-    # An entry that overflows is refused as NonFinite, by make_problem or Allocation.
-    with np.errstate(over="ignore"):
-        reflected = make_problem(problem.agents, needs - problem.incomes, needs)
-    payoffs = _checked_length(rule.payoffs(reflected), reflected)
-    with np.errstate(over="ignore"):
-        return float_column(needs - payoffs)
+    """reflected_payoffs of one problem, as a read-only float64 array."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        row = reflected_payoffs(rule, Block.of(problem))[0]
+    row.setflags(write=False)
+    return row
 
 
 def _reflected(coeffs: list[int]) -> list[int]:
@@ -132,15 +144,9 @@ class DualReport:
 
 
 def _self_dual_gap(rule: RuleSpec, block: Block) -> np.ndarray:
-    """Each row's largest payoff gap between the rule and its dual, over its scale.
-
-    The dual is evaluated on the block as z − R(z − y, z).
-    """
-    needs = block.needs
+    """Each row's largest payoff gap between the rule and its dual, over its scale."""
     direct = rule.payoffs_batch(block)
-    reflected = Block(needs - block.incomes, needs, block.counts)
-    mirrored = needs - rule.payoffs_batch(reflected)
-    return np.abs(direct - mirrored).max(axis=1) / block.scales
+    return np.abs(direct - reflected_payoffs(rule, block)).max(axis=1) / block.scales
 
 
 def check_self_dual(

@@ -3,9 +3,12 @@
 Every rule maps a problem to one payoff vector that exhausts total income.
 Family rules are parameterized by scalar functions of the problem's
 income-to-need ratio. Catalog and family rules are WeightedRule subclasses
-that give only their two deviation weights; ab_payoffs_batch is the one
-payoff kernel they share with their convex mixtures and duals, on a block
-of problems or, through ab_payoffs, on one.
+that give only their two deviation weights. Every rule is evaluated on a
+core.Block of problems by RuleSpec.payoffs_batch, and one problem is its
+one-row Block. A rule with weights pays through ab_payoffs_batch, the one
+payoff kernel; a convex mixture or a dual around a rule without weights
+mixes or reflects its inner rule's block payoffs, and a custom rule is
+paid row by row.
 """
 
 from __future__ import annotations
@@ -147,8 +150,11 @@ class RuleSpec:
     """A rule maps each problem to the unique payoff vector its formula defines."""
 
     def payoffs(self, problem: Problem) -> np.ndarray:
-        """Each agent's payoff, as a read-only float64 array."""
-        raise NotImplementedError
+        """Each agent's payoff, as a read-only float64 array: the problem's one-row block."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            row = self.payoffs_batch(Block.of(problem))[0]
+        row.setflags(write=False)
+        return row
 
     def weights_at(self, t: Ratio) -> tuple[Ratio, Ratio] | None:
         """(A(t), B(t)) if the rule pays ȳ + A(t)(y−ȳ) + B(t)(z−z̄), else None.
@@ -161,23 +167,19 @@ class RuleSpec:
         """Payoffs of a block of problems, one row per problem.
 
         A rule with weights takes them in one weights_at call on the array of
-        row ratios and pays through ab_payoffs_batch. Any other rule is
-        evaluated row by row, each row built as a Problem of its own agents.
-        Padded columns are paid 0.0.
+        row ratios and pays through ab_payoffs_batch; any other rule pays
+        through its _unweighted_batch. Padded columns are paid 0.0. Overflow
+        warnings are left to the caller; payoffs silences them.
         """
         totals = (block.total_income, block.total_need)
         weights = self.weights_at(totals[0] / totals[1])
-        if weights is not None:
-            return ab_payoffs_batch(
-                block.incomes, block.needs, totals, *weights, counts=block.counts
-            )
-        payoffs = np.zeros(block.incomes.shape)
-        for k in range(len(payoffs)):
-            problem = block.problem(k)
-            # Assigned to a slice, one value would silently fill the row.
-            row = _checked_length(self.payoffs(problem), problem)
-            payoffs[k, : len(row)] = row
-        return payoffs
+        if weights is None:
+            return self._unweighted_batch(block)
+        return ab_payoffs_batch(block.incomes, block.needs, totals, *weights, counts=block.counts)
+
+    def _unweighted_batch(self, block: Block) -> np.ndarray:
+        """payoffs_batch of a rule whose weights_at gives None."""
+        raise NotImplementedError
 
 
 def _checked_length(payoffs: Sequence[float], problem: Problem) -> Sequence[float]:
@@ -185,19 +187,6 @@ def _checked_length(payoffs: Sequence[float], problem: Problem) -> Sequence[floa
     if len(payoffs) != len(problem):
         raise LengthMismatch(f"{len(payoffs)} values for {len(problem)} agents")
     return payoffs
-
-
-def ab_payoffs(problem: Problem, a: float, b: float) -> np.ndarray:
-    """Equal split plus a times each income deviation and b times each need deviation.
-
-    The one-row case of ab_payoffs_batch, on the problem's columns and at
-    the totals it holds, as a read-only array.
-    """
-    totals = (np.array([problem.total_income]), np.array([problem.total_need]))
-    with np.errstate(over="ignore", invalid="ignore"):
-        row = ab_payoffs_batch(problem.incomes[None], problem.needs[None], totals, a, b)[0]
-    row.setflags(write=False)
-    return row
 
 
 def ab_payoffs_batch(
@@ -213,8 +202,7 @@ def ab_payoffs_batch(
     Each row has its own a and b; a float weight holds for every row. totals
     are the rows' (total income, total need), and counts their agent counts,
     as a Block holds them: the means divide by them and the columns past a
-    row's count are paid 0.0. Without counts every row has all its columns,
-    as for one problem's payoffs.
+    row's count are paid 0.0. Without counts every row has all its columns.
     """
     total_income, total_need = totals
     n = incomes.shape[1] if counts is None else counts
@@ -230,7 +218,8 @@ def ab_payoffs_batch(
     if large.any():
         deviation = mean_income + (incomes - mean_income) * a + need_terms
         payoffs = np.where(large, deviation, payoffs)
-    if counts is not None:
+    # Only a block with a short row builds the mask, not one problem's block.
+    if counts is not None and counts.min() < incomes.shape[1]:
         payoffs[np.arange(incomes.shape[1]) >= counts[:, None]] = 0.0
     return payoffs
 
@@ -249,9 +238,9 @@ class WeightedRule(RuleSpec):
 
     spelling: ClassVar[tuple[str, ...]]
 
-    def payoffs(self, problem: Problem) -> np.ndarray:
-        a, b = self.weights_at(problem.total_income / problem.total_need)
-        return ab_payoffs(problem, a, b)
+    # Named here, not only inherited, so that perfbench's tracer, which wraps
+    # the payoffs each direct RuleSpec subclass names, counts this class's.
+    payoffs = RuleSpec.payoffs
 
 
 @dataclass(frozen=True)
@@ -379,40 +368,35 @@ class ConvexCombination(RuleSpec):
         w = self.weight
         return w * u + (1.0 - w) * v
 
+    payoffs = RuleSpec.payoffs  # named for perfbench's tracer, as WeightedRule's
+
     def weights_at(self, t: Ratio) -> tuple[Ratio, Ratio] | None:
         first, second = self.first.weights_at(t), self.second.weights_at(t)
         return None if first is None or second is None else tuple(map(self._mix, first, second))
 
-    def payoffs(self, problem: Problem) -> np.ndarray:
-        weights = self.weights_at(problem.total_income / problem.total_need)
-        if weights is not None:
-            return ab_payoffs(problem, *weights)
-        x1 = _checked_length(self.first.payoffs(problem), problem)
-        x2 = _checked_length(self.second.payoffs(problem), problem)
-        with np.errstate(over="ignore", invalid="ignore"):
-            return float_column(self._mix(x1, x2))
+    def _unweighted_batch(self, block: Block) -> np.ndarray:
+        return self._mix(self.first.payoffs_batch(block), self.second.payoffs_batch(block))
 
 
 @dataclass(frozen=True)
 class DualRule(RuleSpec):
     """Applies the reflection operator to another rule.
 
-    Weights reflect to (A(1−t), 1 − A(1−t) − B(1−t)); else the problem does.
+    Weights reflect to (A(1−t), 1 − A(1−t) − B(1−t)); else the problems do.
     """
 
     inner: RuleSpec
+
+    payoffs = RuleSpec.payoffs  # named for perfbench's tracer, as WeightedRule's
 
     def weights_at(self, t: Ratio) -> tuple[Ratio, Ratio] | None:
         weights = self.inner.weights_at(1.0 - t)
         return None if weights is None else (weights[0], 1.0 - weights[0] - weights[1])
 
-    def payoffs(self, problem: Problem) -> np.ndarray:
-        weights = self.weights_at(problem.total_income / problem.total_need)
-        if weights is not None:
-            return ab_payoffs(problem, *weights)
-        from .duality import dual_payoffs
+    def _unweighted_batch(self, block: Block) -> np.ndarray:
+        from .duality import reflected_payoffs
 
-        return dual_payoffs(self.inner, problem)
+        return reflected_payoffs(self.inner, block)
 
 
 @dataclass(frozen=True)
@@ -420,7 +404,8 @@ class CustomRule(RuleSpec):
     """Escape hatch for rules given as a plain function of the problem.
 
     Not expressible in the rule-string grammar; intended for tests and
-    library callers.
+    library callers. Its function pays one problem, so payoffs is that
+    function's, and a block is paid row by row.
     """
 
     name: str
@@ -428,6 +413,16 @@ class CustomRule(RuleSpec):
 
     def payoffs(self, problem: Problem) -> np.ndarray:
         return float_column(self.allocate(problem))
+
+    def _unweighted_batch(self, block: Block) -> np.ndarray:
+        """Each row's payoffs, the row built as a Problem of its own agents."""
+        payoffs = np.zeros(block.incomes.shape)
+        for k in range(len(payoffs)):
+            problem = block.problem(k)
+            # Assigned to a slice, one value would silently fill the row.
+            row = _checked_length(self.payoffs(problem), problem)
+            payoffs[k, : len(row)] = row
+        return payoffs
 
 
 LF = LaissezFaire()

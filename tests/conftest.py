@@ -83,6 +83,23 @@ GRID_MESSAGES = {
         "0:" + " " * 100_000 + "1e6:1",
         "grid '0:" + " " * 58 + "...' has more than 100000 points",
     ),
+    # Parts of more digits than Python reads into an int from a string.
+    "digits-order": (
+        "1." + "0" * 5000 + "1:1:1",
+        "grid upper end '1' is below lower end '1." + "0" * 58 + "...'",
+    ),
+    "digits-count": (
+        "0:1:0.000000001" + "0" * 5000,
+        "grid '0:1:0.000000001" + "0" * 45 + "...' has more than 100000 points",
+    ),
+}
+
+# Valid grid texts with a part of more digits than Python reads into an int
+# from a string, and their points.
+LONG_GRIDS = {
+    "lower-end": ("1." + "0" * 5000 + "1:2:0.5", (1.0, 1.5)),
+    "upper-end": ("0:2." + "9" * 100_000 + ":1", (0.0, 1.0, 2.0)),
+    "step": ("0:1:0.5" + "0" * 5000 + "1", (0.0, 0.5)),
 }
 
 # Axiom names no checker has, with the message that refuses them.

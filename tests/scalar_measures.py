@@ -6,6 +6,8 @@ time; redistrib.rules computes it only on numpy blocks.
 
 check_allocation_reference is the balance check on Python floats, one
 entry at a time; redistrib.core checks and totals values only as an array.
+left_sum is the sum those references add with, one float at a time, as
+core.row_sums adds each row.
 
 Each measure re-derives its axiom on one trial's instance, built from
 Problem columns and rule payoffs read as Python floats, and returns (deviation, scale,
@@ -26,10 +28,21 @@ from redistrib.core import (
     LengthMismatch,
     NonFinite,
     balance_tolerance,
-    left_sum,
     make_problem,
     problem_scale,
 )
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """Sum left to right from +0.0, rounding once per addition.
+
+    Not sum(): from Python 3.12 it compensates float rounding, so its totals
+    would depend on the Python version.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def check_allocation_reference(problem, values):

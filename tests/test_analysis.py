@@ -2,6 +2,7 @@ import math
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -19,7 +20,6 @@ from redistrib import (
     LF,
     LinearRule,
     NAFR,
-    NotApplicable,
     PROP,
     ParseError,
     SampleConfig,
@@ -31,13 +31,12 @@ from redistrib import (
     profile_rule,
     verify_characterization,
 )
-from conftest import GRID_MESSAGES, NAN_RULES, needs_squared_rule, nested_rules
+from conftest import GRID_MESSAGES, LONG_GRIDS, NAN_RULES, needs_squared_rule, nested_rules
 
 RATIOS = (-2.0, -1.0, 0.0, 0.5, 1.0, 2.0)
 
 
 def test_error_hierarchy():
-    assert issubclass(NotApplicable, AnalysisError)
     assert issubclass(AnalysisError, ValueError)
 
 
@@ -74,20 +73,11 @@ def test_profile_is_extract_ab_at_each_point(rule):
 
 
 def test_extraction_ignores_problem_magnitude_and_size():
+    # classify's residual probes each row at its own totals and agent count.
     base = extract_ab(PROP, 1.5)
-    assert extract_ab(PROP, 1.5, scale=(30.0, 20.0)) == pytest.approx(base, abs=1e-9)
-    assert extract_ab(PROP, 1.5, agents=5) == pytest.approx(base, abs=1e-9)
-
-
-def test_extraction_input_validation():
-    with pytest.raises(NotApplicable):
-        extract_ab(PROP, 1.0, agents=1)
-    with pytest.raises(AnalysisError):
-        extract_ab(PROP, 1.0, scale=(1.0, 0.0))
-    with pytest.raises(AnalysisError):
-        extract_ab(PROP, 1.0, scale=(1.0, -2.0))
-    with pytest.raises(AnalysisError):
-        extract_ab(PROP, 2.0, scale=(1.0, 1.0))
+    for (income, need), agents in (((30.0, 20.0), 3), ((1.5, 1.0), 5), ((30.0, 20.0), 2)):
+        a, b = analysis._extract_ab_batch(PROP, np.array([income]), np.array([need]), agents)
+        assert (a[0], b[0]) == pytest.approx(base, abs=1e-9)
 
 
 def test_profile_collects_grid_columns():
@@ -243,6 +233,11 @@ def test_parse_grid_rounds_each_decimal_point_once(text, points):
     assert grid == tuple(float(lo + k * step) for k in range(len(grid)))
     assert lo + (len(grid) - 1) * step <= hi < lo + len(grid) * step
     assert all(math.copysign(1.0, t) == 1.0 for t in grid if t == 0.0)
+
+
+@pytest.mark.parametrize("text,points", LONG_GRIDS.values(), ids=list(LONG_GRIDS))
+def test_parse_grid_reads_a_part_of_any_length_exactly(text, points):
+    assert parse_grid(text) == points
 
 
 def test_parse_grid_reads_a_part_below_the_float_range_as_zero_at_once():

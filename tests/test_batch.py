@@ -3,8 +3,9 @@
 Payoffs and the sampled checkers are computed on numpy blocks, and the
 screen is each axiom's only measure: a flagged trial is re-screened as a
 one-row block, then shrunk and reported. The scalar kernel and measures in
-scalar_measures.py, extract_ab and the reflection definitions stay the
-reference. Every comparison here runs both on the same materialized trials.
+scalar_measures.py, the extraction probe and the reflection definitions
+stay the reference. Every comparison here runs both on the same
+materialized trials.
 """
 
 import dataclasses
@@ -29,18 +30,18 @@ from redistrib import (
     NegativeNeed,
     NonFinite,
     PROP,
+    RuleError,
     AFamilyRule,
     Block,
     SampleConfig,
     ScalarFn,
     ValidationError,
     ZeroTotalNeed,
-    ab_payoffs,
     check_axiom,
     check_self_dual,
     classify,
     dual_payoffs,
-    extract_ab,
+    evaluate,
     format_rule,
     make_problem,
     parse_rule,
@@ -240,8 +241,8 @@ _LARGE_INCOME_WEIGHTS = st.sampled_from(
     n=st.integers(1, 6),
 )
 def test_kernel_block_equals_scalar_payoffs_bit_for_bit(rule, seed, n):
-    # Block rows, one-row ab_payoffs and rule.payoffs against the kernel
-    # computed on Python floats.
+    # Block rows and rule.payoffs, the problem's one-row block, against the
+    # kernel computed on Python floats.
     block = Block(*axioms.draw_profiles(rng_for(seed, "bits"), n, 20))
     payoffs = rule.payoffs_batch(block)
     for k in range(len(payoffs)):
@@ -249,8 +250,70 @@ def test_kernel_block_equals_scalar_payoffs_bit_for_bit(rule, seed, n):
         a, b = rule.weights_at(problem.total_income / problem.total_need)
         reference = _bits(ab_payoffs_reference(problem, a, b))
         assert _bits(payoffs[k]) == reference
-        assert _bits(ab_payoffs(problem, a, b)) == reference
         assert _bits(rule.payoffs(problem)) == reference
+
+
+def _recording_rule(seen):
+    """needs_squared_rule, noting the agents of each problem it is given."""
+    inner = needs_squared_rule()
+
+    def allocate(problem):
+        seen.append(problem.agents)
+        return inner.allocate(problem)
+
+    return CustomRule("recording", allocate)
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 2 * core._SUM_BLOCK + 3])
+def test_one_problem_is_paid_as_its_one_row_block(n):
+    # Composites around a custom rule pay one problem through its one-row
+    # Block: the custom rule sees the problem's own ids, and the payoffs
+    # are the per-problem definitions' bits. 2·_SUM_BLOCK + 3 agents are
+    # totalled in three chunks.
+    rng = np.random.default_rng(n)
+    p = make_problem(
+        [f"h{k}" for k in range(n)], rng.uniform(-10.0, 10.0, n), rng.uniform(0.1, 10.0, n)
+    )
+    block = Block.of(p)
+    assert block.incomes.base is p.incomes and block.agents is p.agents
+    assert (block.total_income.tolist(), block.total_need.tolist()) == (
+        [p.total_income],
+        [p.total_need],
+    )
+    assert block.problem(0) == p and block.problem(0).agents is p.agents
+    seen = []
+    custom = _recording_rule(seen)
+    mixed = ConvexCombination(custom, LF, 0.3)
+    x, seen_mixed = mixed.payoffs(p), list(seen)
+    dual = DualRule(custom)
+    seen.clear()
+    y, seen_dual = dual.payoffs(p), list(seen)
+    assert seen_mixed == seen_dual == [p.agents]
+    assert not x.flags.writeable and not y.flags.writeable
+    u, v = list(map(float, custom.allocate(p))), ab_payoffs_reference(p, 1.0, 0.0)
+    assert _bits(x) == _bits([0.3 * a + (1.0 - 0.3) * b for a, b in zip(u, v)])
+    needs = p.needs.tolist()
+    reflected = make_problem(p.agents, [z - w for z, w in zip(needs, p.incomes.tolist())], needs)
+    mirrored = map(float, custom.allocate(reflected))
+    assert _bits(y) == _bits([z - a for z, a in zip(needs, mirrored)])
+    assert _bits(evaluate(dual, p).values) == _bits(y)
+
+
+def test_one_problem_keeps_the_errors_of_its_definition():
+    # A short custom vector is a LengthMismatch, and an overflowing
+    # reflection NonFinite, which evaluate blames on the rule.
+    short = CustomRule("first-only", lambda q: q.incomes[:1])
+    p = make_problem(("a", "b"), (5.0, 1.0), (1.0, 3.0))
+    for rule in (ConvexCombination(short, LF, 0.5), DualRule(short)):
+        with pytest.raises(LengthMismatch, match="^1 values for 2 agents$"):
+            rule.payoffs(p)
+        with pytest.raises(RuleError, match="LengthMismatch: 1 values for 2 agents"):
+            evaluate(rule, p)
+    huge = make_problem(("a", "b"), (-1.7e308, 1.0), (1.7e308, 1.0))
+    with pytest.raises(NonFinite, match="income inf is not finite"):
+        DualRule(needs_squared_rule()).payoffs(huge)
+    with pytest.raises(RuleError, match="NonFinite"):
+        evaluate(DualRule(needs_squared_rule()), huge)
 
 
 # Rules of every kind a padded block meets: grammar rules nested in convex
@@ -380,9 +443,10 @@ def test_classify_residual_matches_scalar_loop(rule):
     result = classify(rule, (-2.0, -1.0, 0.0, 1.0, 2.0), cfg, TOL)
 
     def residual(p):
-        t = p.total_income / p.total_need
-        a, b = extract_ab(rule, t, scale=(p.total_income, p.total_need), agents=len(p))
-        predicted = ab_payoffs_reference(p, a, b)
+        a, b = analysis._extract_ab_batch(
+            rule, np.array([p.total_income]), np.array([p.total_need]), len(p)
+        )
+        predicted = ab_payoffs_reference(p, a.item(), b.item())
         return max(abs(u - v) for u, v in zip(predicted, rule.payoffs(p))) / problem_scale(p)
 
     worst, witness = _worst(
@@ -557,22 +621,37 @@ def test_padded_block_validation_agrees_with_problem(rows):
 
 
 def _count_row_sums(monkeypatch):
-    """Count Blocks built, row_sums calls from any module and nat screens."""
-    counts = {"blocks": 0, "row_sums": 0, "nat_screens": 0}
+    """Count Blocks built, nat screens, and the row_sums calls made in each.
+
+    A Problem's totals and an allocation's balance check are row_sums calls
+    too; the counts take only those made while a Block is built, and those
+    a nat screen makes outside building one.
+    """
+    counts = {"blocks": 0, "block_sums": 0, "nat_screens": 0, "nat_sums": 0}
+    inside = []
     post_init, row_sums = Block.__post_init__, core.row_sums
     nat = axioms._CHECKERS["nat"]
 
     def counting_post_init(self):
         counts["blocks"] += 1
-        post_init(self)
+        inside.append("block")
+        try:
+            post_init(self)
+        finally:
+            inside.pop()
 
     def counting_row_sums(values):
-        counts["row_sums"] += 1
+        if inside:
+            counts[f"{inside[-1]}_sums"] += 1
         return row_sums(values)
 
     def counting_nat_screen(rule, trials):
         counts["nat_screens"] += 1
-        return nat.screen(rule, trials)
+        inside.append("nat")
+        try:
+            return nat.screen(rule, trials)
+        finally:
+            inside.pop()
 
     monkeypatch.setattr(Block, "__post_init__", counting_post_init)
     for module in (core, rules, axioms, duality, analysis, cli):
@@ -588,7 +667,8 @@ def _assert_each_block_is_summed_once(counts):
     # Two row_sums per Block, its incomes and its needs, and two per nat
     # screen, the group's payoffs before and after.
     assert counts["blocks"] > 0
-    assert counts["row_sums"] == 2 * counts["blocks"] + 2 * counts["nat_screens"]
+    assert counts["block_sums"] == 2 * counts["blocks"]
+    assert counts["nat_sums"] == 2 * counts["nat_screens"]
 
 
 # Blocks built per batch of trials: the draw's problems, then the screen's.

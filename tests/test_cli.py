@@ -40,7 +40,7 @@ from redistrib.cli import (
 )
 from redistrib import cli
 from redistrib.rules import MAX_RULE_DEPTH
-from conftest import AXIOM_MESSAGES, GRID_MESSAGES, nested_spec
+from conftest import AXIOM_MESSAGES, GRID_MESSAGES, LONG_GRIDS, nested_spec
 
 CSV_TEXT = "id,income,need\na,5,1\nb,1,3\n"
 JSON_TEXT = json.dumps(
@@ -1544,6 +1544,13 @@ def test_a_refused_grid_is_quoted_as_typed_and_in_short(capsys, text, message):
     assert err == f"ParseError: {message}\n"
 
 
+@pytest.mark.parametrize("text,points", LONG_GRIDS.values(), ids=list(LONG_GRIDS))
+def test_a_grid_part_of_any_length_is_read_exactly(capsys, text, points):
+    code, report, err = run_cli(capsys, "extract", "--rule", "prop", f"--grid={text}")
+    assert (code, err) == (0, "")
+    assert report["grid"] == list(points)
+
+
 @pytest.mark.parametrize("name,message", AXIOM_MESSAGES.values(), ids=list(AXIOM_MESSAGES))
 def test_an_unknown_axiom_is_quoted_in_short(capsys, name, message):
     code, report, err = run_cli(capsys, "check", "--rule", "prop", "--axioms", name)
@@ -1582,6 +1589,28 @@ def test_main_calls_the_dispatch_entry_of_its_command(capsys, monkeypatch):
 
     monkeypatch.setitem(cli._DISPATCH, "dual", handler)
     assert run_cli(capsys, "dual", "--rule", "prop") == (0, {"handled": "dual"}, "")
+
+
+def test_the_parser_is_built_once_per_process(capsys, monkeypatch):
+    # Each parser built counts; one main() after another builds none.
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    try:
+        for _ in range(2):
+            code, report, _ = run_cli(capsys, "dual", "--rule", "lf", "--samples", "5")
+            assert (code, report["dual_rule"]) == (0, "lf")
+        # The top-level parser and one per command.
+        assert len(built) == 1 + len(cli._COMMANDS)
+        assert cli.build_parser() is cli.build_parser()
+    finally:
+        cli.build_parser.cache_clear()
 
 
 @pytest.mark.parametrize(

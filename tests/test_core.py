@@ -28,10 +28,10 @@ from redistrib import (
     problem_scale,
 )
 from redistrib import Problem, core
-from redistrib.core import Block, array_left_sum, left_sum, row_sums
+from redistrib.core import Block, row_sums
 from redistrib.rules import CustomRule, RuleError
 from conftest import reference_problem
-from scalar_measures import check_allocation_reference
+from scalar_measures import check_allocation_reference, left_sum
 
 
 def test_aggregates_of_reference_problem():
@@ -254,33 +254,69 @@ EDGE_FLOATS = st.one_of(
 )
 
 
-@given(
-    st.lists(
-        st.one_of(EDGE_FLOATS, st.sampled_from([math.inf, -math.inf, math.nan])),
-        max_size=8,
+def _row_sums_quietly(values):
+    """row_sums, with the column loop's overflow warnings, and only those, off.
+
+    The chunked branch silences its own; it must raise none.
+    """
+    values = np.array(values, dtype=float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        if values.shape[1] <= values.shape[0]:
+            with np.errstate(over="ignore", invalid="ignore"):
+                return row_sums(values)
+        return row_sums(values)
+
+
+def _same_bits(total, expected):
+    # NaN bits are not compared: which NaN an addition returns is the CPU's.
+    return _bits(total) == _bits(expected) or math.isnan(total) and math.isnan(expected)
+
+
+# Blocks of rows of one length, with inf and NaN entries too: each shape,
+# (1, n), (m, 1) and (m, n), falls on either side of row_sums' shape test.
+_SUM_ROWS = st.integers(1, 6).flatmap(
+    lambda n: st.lists(
+        st.lists(
+            st.one_of(EDGE_FLOATS, st.sampled_from([math.inf, -math.inf, math.nan])),
+            min_size=n,
+            max_size=n,
+        ),
+        min_size=1,
+        max_size=6,
     )
 )
-def test_array_left_sum_is_left_sum_bit_for_bit(values):
-    expected = left_sum(values)
-    # Blocks of 2 and 3 entries carry the running total across blocks.
+
+
+@given(_SUM_ROWS)
+def test_row_sums_is_left_sum_bit_for_bit(rows):
+    expected = [left_sum(row) for row in rows]
+    # Chunks of 1 and 2 entries carry the running total across chunks.
     for block in (core._SUM_BLOCK, 2, 3):
-        with mock.patch.object(core, "_SUM_BLOCK", block), warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            total = array_left_sum(np.array(values, dtype=float))
-        assert type(total) is float
-        # NaN bits are not compared: which NaN an addition returns is the CPU's.
-        assert _bits(total) == _bits(expected) or math.isnan(total) and math.isnan(expected)
+        with mock.patch.object(core, "_SUM_BLOCK", block):
+            totals = _row_sums_quietly(rows)
+        assert totals.shape == (len(rows),)
+        assert all(map(_same_bits, totals.tolist(), expected)), (block, rows)
 
 
-def test_array_left_sum_over_many_blocks():
+def test_row_sums_over_many_chunks():
+    # Rows three chunks long, one row alone and two stacked, against the
+    # same rows stacked tall enough to be added a column at a time.
     rng = np.random.default_rng(0)
     n = 2 * core._SUM_BLOCK + 3
-    values = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 17, n)
-    assert _bits(array_left_sum(values)) == _bits(left_sum(values.tolist()))
-    assert _bits(array_left_sum(np.abs(values))) == _bits(left_sum(map(abs, values.tolist())))
+    values = rng.standard_normal((2, n)) * 10.0 ** rng.integers(-8, 17, (2, n))
+    expected = [_bits(left_sum(row)) for row in values.tolist()]
+    assert [_bits(row_sums(values[k : k + 1])[0]) for k in range(2)] == expected
+    assert list(map(_bits, row_sums(values))) == expected
+    tall = np.zeros((n, 64))
+    tall[:2] = values[:, :64]
+    assert list(map(_bits, row_sums(tall)[:2])) == [
+        _bits(left_sum(row[:64])) for row in values.tolist()
+    ]
+    assert _bits(row_sums(np.abs(values[:1]))[0]) == _bits(left_sum(map(abs, values[0].tolist())))
 
 
-def test_array_left_sum_of_signed_zeros_and_overflow():
+def test_row_sums_of_signed_zeros_and_overflow():
     for values, expected in [
         ([-0.0], "0.0"),
         ([-0.0, -0.0], "0.0"),
@@ -289,10 +325,13 @@ def test_array_left_sum_of_signed_zeros_and_overflow():
         ([1.7e308, 1.7e308], "inf"),
         ([-1.7e308, -1.7e308, 1.0], "-inf"),
         ([1e16, 1.0, -1e16], "0.0"),
+        ([1.7e308, 1.7e308, -math.inf], "nan"),
+        ([-math.inf, 1.7e308], "-inf"),
     ]:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            assert repr(array_left_sum(np.array(values, dtype=float))) == expected
+        # The row alone, and as every row of a block at least as tall as wide.
+        for height in (1, max(1, len(values))):
+            totals = _row_sums_quietly([values] * height)
+            assert [repr(total) for total in totals.tolist()] == [expected] * height
 
 
 # Entries float() takes, float() refuses, and non-finite ones.

@@ -27,7 +27,6 @@ from redistrib import (
     SampleConfig,
     ScalarFn,
     WeightedRule,
-    ab_payoffs,
     check_allocation,
     check_self_dual,
     dual_ab,
@@ -335,16 +334,17 @@ def test_kernel_matches_definitions_for_random_polynomial_rules(rule, seed):
 
 def test_grammar_duals_and_mixtures_evaluate_through_the_kernel(monkeypatch):
     calls = []
+    kernel = rules_module.ab_payoffs_batch
 
-    def counting(problem, a, b):
+    def counting(incomes, needs, totals, a, b, counts=None):
         calls.append((a, b))
-        return ab_payoffs(problem, a, b)
+        return kernel(incomes, needs, totals, a, b, counts)
 
-    def refuse(*columns):
+    def refuse(rule, block):
         raise AssertionError("reflected problem built")
 
-    monkeypatch.setattr(rules_module, "ab_payoffs", counting)
-    monkeypatch.setattr(duality_module, "make_problem", refuse)
+    monkeypatch.setattr(rules_module, "ab_payoffs_batch", counting)
+    monkeypatch.setattr(duality_module, "reflected_payoffs", refuse)
     p = reference_problem()
     for spec in (
         "dual(convex(lf;nafr;0.4))",

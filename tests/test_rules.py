@@ -26,7 +26,6 @@ from redistrib import (
     ScalarFn,
     ValidationError,
     WeightedRule,
-    ab_payoffs,
     check_allocation,
     equivalent_on,
     evaluate,
@@ -532,7 +531,8 @@ def test_income_weights_beyond_one_balance(size, negative, b, n, data):
     # sum to about zero, and a lone agent, whose deviations are zero, keeps
     # its income bit for bit.
     p = _drawn_problem(data, n)
-    payoffs = ab_payoffs(p, -size if negative else size, b)
+    a = -size if negative else size
+    payoffs = ABRule(ScalarFn.constant(a), ScalarFn.constant(b)).payoffs(p)
     assert check_allocation(p, payoffs).passed
     if n == 1:
         assert payoffs == p.incomes
