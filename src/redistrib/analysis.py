@@ -161,11 +161,8 @@ def _residual(rule: RuleSpec, block: Block) -> np.ndarray:
 
     The form takes the weights extract_ab finds at the row's totals.
     """
-    totals = (block.total_income, block.total_need)
-    a, b = _extract_ab_batch(rule, *totals, agents=block.counts)
-    predicted = ab_payoffs_batch(
-        block.incomes, block.needs, totals, a, b, counts=block.counts
-    )
+    a, b = _extract_ab_batch(rule, block.total_income, block.total_need, agents=block.counts)
+    predicted = ab_payoffs_batch(block, a, b)
     actual = rule.payoffs_batch(block)
     return np.abs(predicted - actual).max(axis=1) / block.scales
 
@@ -338,6 +335,9 @@ def parse_grid(text: str) -> tuple[float, ...]:
     # Decimal reads what float() reads, underscores too, and its digits go to
     # Fraction without Python's limit on digits in an int's string.
     lo, hi, step = (Fraction(Decimal(p)) if v else 0 for p, v in zip(pieces, rounded))
+    # A step read as 0 takes its sign from its decimal as typed.
+    if step == 0 and Decimal(pieces[2]) > 0:
+        raise ParseError(f"grid step {_excerpt(pieces[2])!r} is below the float range")
     if step <= 0:
         raise ParseError(f"grid step must be positive, got {_excerpt(pieces[2])!r}")
     if hi < lo:

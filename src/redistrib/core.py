@@ -117,28 +117,9 @@ class Problem(_TupleEquality):
         n = len(agents)
         if len(incomes) != n or len(needs) != n:
             raise LengthMismatch(f"got {n} agents, {len(incomes)} incomes, {len(needs)} needs")
-        if n == 0:
-            raise EmptyAgentSet("a problem needs at least one agent")
-        finite = np.isfinite(incomes)
-        if not finite.all():
-            raise NonFinite(f"income {float(incomes[np.argmin(finite)])!r} is not finite")
-        # The first need that is not finite or is negative names the error.
-        bad = ~np.isfinite(needs) | (needs < 0)
-        if bad.any():
-            value = float(needs[np.argmax(bad)])
-            if not math.isfinite(value):
-                raise NonFinite(f"need {value!r} is not finite")
-            raise NegativeNeed(f"need {value!r} is negative")
-        total_income, total_need = (row_sums(c[None]).item() for c in (incomes, needs))
-        for name, total in (("income", total_income), ("need", total_need)):
-            if not math.isfinite(total):
-                raise NonFinite(f"total {name} {total!r} is not finite")
-        # Needs are non-negative, so their sum cannot cancel; only a total
-        # within the slack of its own scale is too close to zero.
-        if total_need <= balance_tolerance(total_need):
-            raise ZeroTotalNeed(f"total need {total_need!r} is not positive")
-        object.__setattr__(self, "total_income", total_income)
-        object.__setattr__(self, "total_need", total_need)
+        total_income, total_need = checked_totals(incomes[None], needs[None])
+        object.__setattr__(self, "total_income", total_income.item())
+        object.__setattr__(self, "total_need", total_need.item())
 
     def __len__(self) -> int:
         return len(self.agents)
@@ -185,6 +166,47 @@ def row_sums(values: np.ndarray) -> np.ndarray:
     return total
 
 
+def checked_totals(incomes: np.ndarray, needs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's total income and total need, if every row is a valid problem.
+
+    One vectorised pass decides. Only the first invalid row is read again,
+    and the first check it fails names its error: an income not finite, a
+    need not finite or negative, a total not finite, a total need not positive.
+    """
+    if incomes.shape[1] == 0:
+        raise EmptyAgentSet("a problem needs at least one agent")
+    with np.errstate(over="ignore", invalid="ignore"):
+        total_income, total_need = row_sums(incomes), row_sums(needs)
+        # A NaN or infinite entry makes its row's total NaN or infinite, so
+        # finite totals also vouch for every entry. Needs are non-negative,
+        # so their sum cannot cancel; only a total within the slack of its
+        # own scale is too close to zero.
+        valid = (
+            np.isfinite(total_income)
+            & np.isfinite(total_need)
+            & (needs >= 0.0).all(axis=1)
+            & (total_need > balance_tolerance(total_need))
+        )
+    if valid.all():
+        return total_income, total_need
+    k = int(np.argmin(valid))
+    incomes, needs = incomes[k], needs[k]
+    finite = np.isfinite(incomes)
+    if not finite.all():
+        raise NonFinite(f"income {float(incomes[np.argmin(finite)])!r} is not finite")
+    # The first need that is not finite or is negative names the error.
+    bad = ~np.isfinite(needs) | (needs < 0)
+    if bad.any():
+        value = float(needs[np.argmax(bad)])
+        if not math.isfinite(value):
+            raise NonFinite(f"need {value!r} is not finite")
+        raise NegativeNeed(f"need {value!r} is negative")
+    for name, total in (("income", total_income[k].item()), ("need", total_need[k].item())):
+        if not math.isfinite(total):
+            raise NonFinite(f"total {name} {total!r} is not finite")
+    raise ZeroTotalNeed(f"total need {total_need[k].item()!r} is not positive")
+
+
 @dataclass(frozen=True, eq=False)
 class Block:
     """Problems of up to n agents, one per row of an income and a need (m, n) array.
@@ -197,11 +219,11 @@ class Block:
     it is: a padded row's totals equal those of the same row unpadded, bit
     for bit.
 
-    Validated once, when built: a row is accepted exactly when Problem
-    accepts it, and for an invalid block the first invalid row is built as
-    a Problem to raise its error. Each row's totals are summed by row_sums,
-    as Problem sums its columns. The arrays are held, not copied, and
-    marked read-only, so each row's Problem is a view of them.
+    Validated once, when built, by checked_totals, as a Problem is: the
+    first invalid row raises the error that row would raise as a Problem,
+    and each row's totals are those of its Problem. The arrays are held,
+    not copied, and marked read-only, so each row's Problem is a view of
+    them.
     """
 
     incomes: np.ndarray
@@ -219,26 +241,11 @@ class Block:
             raise LengthMismatch(
                 f"got income and need blocks of shapes {incomes.shape} and {needs.shape}"
             )
-        if incomes.shape[1] == 0:
-            raise EmptyAgentSet("a problem needs at least one agent")
-        if self.counts is None:
-            object.__setattr__(self, "counts", np.full(len(incomes), incomes.shape[1]))
-        with np.errstate(over="ignore", invalid="ignore"):
-            total_income, total_need = row_sums(incomes), row_sums(needs)
-            # A NaN or infinite entry makes its row's total NaN or infinite, so
-            # finite totals also vouch for every entry.
-            valid = (
-                np.isfinite(total_income)
-                & np.isfinite(total_need)
-                & (needs >= 0.0).all(axis=1)
-                & (total_need > balance_tolerance(total_need))
-            )
+        total_income, total_need = checked_totals(incomes, needs)
         object.__setattr__(self, "total_income", total_income)
         object.__setattr__(self, "total_need", total_need)
-        if not valid.all():
-            # Built again through Problem's checks, the row raises its error.
-            row = self.problem(int(np.argmin(valid)))
-            Problem(row.agents, row.incomes, row.needs)
+        if self.counts is None:
+            object.__setattr__(self, "counts", np.full(len(incomes), incomes.shape[1]))
 
     @classmethod
     def of(cls, problem: Problem) -> Block:
@@ -260,7 +267,7 @@ class Block:
 
     @property
     def scales(self) -> np.ndarray:
-        """problem_scale of each row."""
+        """Each row's max(1, |total income|, total need), which its tolerances scale with."""
         return np.maximum(np.maximum(1.0, np.abs(self.total_income)), self.total_need)
 
     def problem(self, k: int) -> Problem:
@@ -288,8 +295,8 @@ def aggregates(problem: Problem) -> tuple[float, float, int]:
 
 
 def problem_scale(problem: Problem) -> float:
-    """Magnitude used to scale comparison tolerances for this problem."""
-    return max(1.0, abs(problem.total_income), problem.total_need)
+    """Magnitude used to scale comparison tolerances for this problem: its block's scale."""
+    return Block.of(problem).scales.item()
 
 
 @dataclass(frozen=True, eq=False)
@@ -301,7 +308,7 @@ class Allocation(_TupleEquality):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", float_column(self.values))
-        verdict = check_allocation(self.problem, self.values)
+        verdict = _balance(self.problem, checked_length(self.values, self.problem))
         if not verdict.passed:
             total_income = self.problem.total_income
             raise BalanceViolation(
@@ -332,9 +339,18 @@ def check_allocation(problem: Problem, values: Sequence[float]) -> BalanceVerdic
     each total. A sum that overflows balances nothing, so a residual that is
     not finite fails.
     """
+    return _balance(problem, float_column(checked_length(values, problem)))
+
+
+def checked_length(values: Sequence[float], problem: Problem) -> Sequence[float]:
+    """The values, if there is one for each agent of the problem."""
     if len(values) != len(problem):
         raise LengthMismatch(f"{len(values)} values for {len(problem)} agents")
-    values = float_column(values)
+    return values
+
+
+def _balance(problem: Problem, values: np.ndarray) -> BalanceVerdict:
+    """check_allocation of a float_column of one value per agent."""
     finite = np.isfinite(values)
     if not finite.all():
         value = float(values[np.argmin(finite)])

@@ -22,10 +22,10 @@ import numpy as np
 from .core import (
     Allocation,
     Block,
-    LengthMismatch,
     Problem,
     ValidationError,
     check_tol,
+    checked_length,
     float_column,
 )
 
@@ -171,44 +171,27 @@ class RuleSpec:
         through its _unweighted_batch. Padded columns are paid 0.0. Overflow
         warnings are left to the caller; payoffs silences them.
         """
-        totals = (block.total_income, block.total_need)
-        weights = self.weights_at(totals[0] / totals[1])
+        weights = self.weights_at(block.total_income / block.total_need)
         if weights is None:
             return self._unweighted_batch(block)
-        return ab_payoffs_batch(block.incomes, block.needs, totals, *weights, counts=block.counts)
+        return ab_payoffs_batch(block, *weights)
 
     def _unweighted_batch(self, block: Block) -> np.ndarray:
         """payoffs_batch of a rule whose weights_at gives None."""
         raise NotImplementedError
 
 
-def _checked_length(payoffs: Sequence[float], problem: Problem) -> Sequence[float]:
-    """The payoffs, if there is one for each agent of the problem."""
-    if len(payoffs) != len(problem):
-        raise LengthMismatch(f"{len(payoffs)} values for {len(problem)} agents")
-    return payoffs
-
-
-def ab_payoffs_batch(
-    incomes: np.ndarray,
-    needs: np.ndarray,
-    totals: tuple[np.ndarray, np.ndarray],
-    a: np.ndarray | float,
-    b: np.ndarray | float,
-    counts: np.ndarray | None = None,
-) -> np.ndarray:
+def ab_payoffs_batch(block: Block, a: np.ndarray | float, b: np.ndarray | float) -> np.ndarray:
     """Payoffs ȳ + a(y−ȳ) + b(z−z̄) of each row of a block of problems.
 
-    Each row has its own a and b; a float weight holds for every row. totals
-    are the rows' (total income, total need), and counts their agent counts,
-    as a Block holds them: the means divide by them and the columns past a
-    row's count are paid 0.0. Without counts every row has all its columns.
+    Each row has its own a and b; a float weight holds for every row. The
+    means divide the rows' totals by their counts, and the columns past a
+    row's count are paid 0.0.
     """
-    total_income, total_need = totals
-    n = incomes.shape[1] if counts is None else counts
+    incomes, counts = block.incomes, block.counts
     a, b = np.reshape(a, (-1, 1)), np.reshape(b, (-1, 1))
-    mean_income = (total_income / n)[:, None]
-    need_terms = (needs - (total_need / n)[:, None]) * b
+    mean_income = (block.total_income / counts)[:, None]
+    need_terms = (block.needs - (block.total_need / counts)[:, None]) * b
     # a·y + (1−a)·ȳ rather than ȳ + a(y−ȳ): with a = 1 and b = 0 every
     # other term is zero, so incomes come back exactly, and with a = 0 the
     # equal split does. For |a| > 1 its two terms cancel (a 1-agent problem
@@ -219,7 +202,7 @@ def ab_payoffs_batch(
         deviation = mean_income + (incomes - mean_income) * a + need_terms
         payoffs = np.where(large, deviation, payoffs)
     # Only a block with a short row builds the mask, not one problem's block.
-    if counts is not None and counts.min() < incomes.shape[1]:
+    if counts.min() < incomes.shape[1]:
         payoffs[np.arange(incomes.shape[1]) >= counts[:, None]] = 0.0
     return payoffs
 
@@ -420,7 +403,7 @@ class CustomRule(RuleSpec):
         for k in range(len(payoffs)):
             problem = block.problem(k)
             # Assigned to a slice, one value would silently fill the row.
-            row = _checked_length(self.payoffs(problem), problem)
+            row = checked_length(self.payoffs(problem), problem)
             payoffs[k, : len(row)] = row
         return payoffs
 
@@ -476,8 +459,8 @@ def equivalent_on(
     witness: Problem | None = None
     where: int | None = None
     for problem in problems:
-        x1 = _checked_length(first.payoffs(problem), problem)
-        x2 = _checked_length(second.payoffs(problem), problem)
+        x1 = checked_length(first.payoffs(problem), problem)
+        x2 = checked_length(second.payoffs(problem), problem)
         with np.errstate(over="ignore", invalid="ignore"):
             gaps = np.abs(x1 - x2)
         # argmax picks the first NaN, else the first of the largest gaps.
@@ -658,9 +641,9 @@ def _rule_name(rule: RuleSpec) -> str:
         return repr(rule)
 
 
-def _excerpt(text: str, limit: int = 60) -> str:
-    """The text, cut to its first limit characters with a marker if longer."""
-    return text if len(text) <= limit else text[:limit] + "..."
+def _excerpt(text: str) -> str:
+    """The text, cut to its first 60 characters with a marker if longer."""
+    return text if len(text) <= 60 else text[:60] + "..."
 
 
 def _head(spec: str) -> str:

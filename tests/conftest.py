@@ -70,6 +70,14 @@ GRID_MESSAGES = {
         "1:2:-0." + "0" * 100_000,
         "grid step must be positive, got '-0." + "0" * 57 + "...'",
     ),
+    # A positive step that rounds to 0.0 is named as too small, not as not
+    # positive; a negative one is not positive.
+    "tiny-step": ("0:0:1e-400", "grid step '1e-400' is below the float range"),
+    "long-tiny-step": (
+        "0:1:0." + "0" * 5000 + "1",
+        "grid step '0." + "0" * 58 + "...' is below the float range",
+    ),
+    "negative-tiny-step": ("0:1:-1e-400", "grid step must be positive, got '-1e-400'"),
     "order": (
         "0.10000000000000000001:0.1:1",
         "grid upper end '0.1' is below lower end '0.10000000000000000001'",

@@ -571,8 +571,8 @@ def _fields(problem):
 
 def _assert_block_agrees_with_problems(rows, counts=None):
     # The rows as one Block, padded with zeros to the longest, raise the
-    # first invalid row's Problem error or hold each row's totals, scale and
-    # every field of its Problem, bit for bit.
+    # first invalid row's Problem error, type and message, or hold each
+    # row's totals, scale and every field of its Problem, bit for bit.
     width = max(len(y) for y, _ in rows)
     incomes, needs = np.zeros((2, len(rows), width))
     for k, (y, z) in enumerate(rows):
@@ -582,8 +582,9 @@ def _assert_block_agrees_with_problems(rows, counts=None):
         try:
             problems.append(make_problem(range(1, len(y) + 1), y, z))
         except ValidationError as exc:
-            with pytest.raises(type(exc)):
+            with pytest.raises(type(exc)) as raised:
                 Block(incomes, needs, counts)
+            assert str(raised.value) == str(exc)
             return
     block = Block(incomes, needs, counts)
     assert block.counts.tolist() == [len(y) for y, _ in rows]

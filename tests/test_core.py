@@ -27,7 +27,7 @@ from redistrib import (
     parse_rule,
     problem_scale,
 )
-from redistrib import Problem, core
+from redistrib import Problem, core, rules
 from redistrib.core import Block, row_sums
 from redistrib.rules import CustomRule, RuleError
 from conftest import reference_problem
@@ -478,3 +478,43 @@ def test_block_arrays_are_read_only_and_rows_are_views_of_them():
     assert row.incomes.tolist() == [1.0, 1.0] and not row.incomes.flags.writeable
     assert np.shares_memory(row.incomes, block.incomes)
     assert np.shares_memory(row.needs, block.needs)
+
+
+@pytest.mark.parametrize(
+    "incomes,needs,error,message",
+    [
+        ((1.0, math.nan), (1.0, -1.0), NonFinite, "income nan is not finite"),
+        ((1.0, 1.0), (math.inf, -1.0), NonFinite, "need inf is not finite"),
+        ((1e308, 1e308), (2.0, -0.5), NegativeNeed, "need -0.5 is negative"),
+        ((1e308, 1e308), (1e308, 1e308), NonFinite, "total income inf is not finite"),
+        ((1.0, 1.0), (1e308, 1e308), NonFinite, "total need inf is not finite"),
+        ((1.0, 1.0), (0.0, 0.0), ZeroTotalNeed, "total need 0.0 is not positive"),
+    ],
+    ids=["income", "need", "negative-need", "total-income", "total-need", "zero-total-need"],
+)
+def test_a_padded_block_raises_its_invalid_row_error(incomes, needs, error, message):
+    # Row 1 of three, of 2 agents padded to 3, is invalid; rows 0 and 2 are
+    # valid. The block raises the error and message the row raises alone.
+    block_incomes = np.array([[1.0, 2.0, 3.0], [*incomes, 0.0], [4.0, 0.0, 0.0]])
+    block_needs = np.array([[1.0, 1.0, 1.0], [*needs, 0.0], [1.0, 0.0, 0.0]])
+    with pytest.raises(error, match=f"^{message}$"):
+        Block(block_incomes, block_needs, np.array([3, 2, 1]))
+    with pytest.raises(error, match=f"^{message}$"):
+        make_problem("ab", incomes, needs)
+
+
+def test_evaluate_coerces_a_weighted_rule_payoffs_once(monkeypatch):
+    calls = []
+    original = core.float_column
+
+    def counting(values):
+        calls.append(len(values))
+        return original(values)
+
+    monkeypatch.setattr(core, "float_column", counting)
+    monkeypatch.setattr(rules, "float_column", counting)
+    p = reference_problem()
+    for spec in ("prop", "convex(lf;full;0.3)", "dual(lin:0.3,0.2)"):
+        calls.clear()
+        evaluate(parse_rule(spec), p)
+        assert calls == [len(p)], spec

@@ -336,9 +336,9 @@ def test_grammar_duals_and_mixtures_evaluate_through_the_kernel(monkeypatch):
     calls = []
     kernel = rules_module.ab_payoffs_batch
 
-    def counting(incomes, needs, totals, a, b, counts=None):
+    def counting(block, a, b):
         calls.append((a, b))
-        return kernel(incomes, needs, totals, a, b, counts)
+        return kernel(block, a, b)
 
     def refuse(rule, block):
         raise AssertionError("reflected problem built")
