@@ -189,13 +189,11 @@ def classify(
         )
     check_tol(tol)
 
+    # Sampled first: a rule that cannot pay a drawn problem raises RuleError.
+    max_residual, witness = worst_trial(rng_for(cfg.seed, "classify"), cfg, rule, _residual)
     profile = profile_rule(rule, values)
     a_shape, a_value = _fit_a_shape(profile.a_values, tol)
     b_shape, b_value = _fit_b_shape(profile.b_values, values, tol)
-
-    max_residual, witness = worst_trial(
-        rng_for(cfg.seed, "classify"), cfg, lambda block: _residual(rule, block)
-    )
 
     # A NaN residual (a rule error) shows no membership either.
     if not max_residual <= tol:
@@ -259,10 +257,10 @@ def verify_characterization(
     classification must land in the matching family. With core for
     homogeneity, equal treatment and continuity, core + nat gives the
     deviation-weighted form; adding dummy, B = (1 − A)t; adding stability,
-    lf or A ≡ 0; adding both, lf or prop. So the axioms single out {lf,
-    prop}, not prop alone: the axiom that separates prop from lf is not
-    known offline, where only the paper's abstract is. Implications are
-    checked on sampled verdicts only and are reported, not assumed.
+    lf or A ≡ 0; adding both, lf or prop. Each holds per agent count only:
+    a rule paying prop to 2-3 agents and lf to more passes all six and is
+    labelled proportional. Which axiom separates prop from lf is unknown
+    offline. Implications are checked on sampled verdicts, not assumed.
     """
     reports = tuple(
         axiom_suite(rule, ["core", "nat", "stability", "dummy"], cfg, tol)

@@ -13,7 +13,8 @@ incomes and needs, paid zero, which leave every row's totals and payoffs
 as they are unpadded, bit for bit. The screen is each axiom's only
 measure. The first flagged trial is rebuilt as an instance of Problems,
 re-screened as an unpadded one-row batch, then shrunk, and reported with
-the screen of the last instance the shrink took.
+the screen of the last instance the shrink took. Drawn problems are valid,
+so payoffs that do not allocate one raise RuleError.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .core import (
     make_problem,
     row_sums,
 )
-from .rules import RuleSpec, _excerpt
+from .rules import RuleError, RuleSpec, _excerpt, rule_error
 
 CORE_AXIOMS = ("homogeneity", "equal_treatment", "continuity")
 ALL_AXIOMS = CORE_AXIOMS + (
@@ -149,22 +150,32 @@ def _draw_problems(rng, n, m):
     return {"problem": draw_profiles(rng, n, m)}
 
 
-def worst_trial(
-    rng: np.random.Generator,
-    cfg: SampleConfig,
-    measure: Callable[[Block], np.ndarray],
-) -> tuple[float, Problem | None]:
-    """Largest measure over cfg.trials random problems, and its first problem.
+def _screened(screen: Callable, rule: RuleSpec, trials):
+    """screen(rule, trials), float warnings silenced; a ValidationError becomes RuleError.
 
-    measure maps a padded Block to one value per row; values that are not
-    positive never count. A NaN value, which only a rule error gives, is
-    worse than any number: the first one is returned with its problem.
+    Drawn trials are valid problems, so the error is the rule's, as in evaluate.
+    """
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return screen(rule, trials)
+    except ValidationError as exc:
+        raise rule_error(rule, "a sampled problem", exc) from None
+
+
+def worst_trial(
+    rng: np.random.Generator, cfg: SampleConfig, rule: RuleSpec, measure: Callable
+) -> tuple[float, Problem | None]:
+    """Largest measure of a rule over cfg.trials random problems, and its first problem.
+
+    measure maps the rule and a padded Block to one value per row; values
+    that are not positive never count. A NaN value, which only a rule error
+    gives, is worse than any number: the first one is returned with its
+    problem. Payoffs that do not allocate a drawn problem raise RuleError.
     """
     worst, witness = 0.0, None
     for _, trials in trial_blocks(rng, cfg, _draw_problems):
         block = trials["problem"]
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = measure(block)
+        values = _screened(measure, rule, block)
         nan_rows = np.flatnonzero(np.isnan(values))
         k = int(nan_rows[0]) if nan_rows.size else int(np.argmax(values))
         if not values[k] <= worst:
@@ -317,8 +328,7 @@ def _measure(checker: _Checker, rule: RuleSpec, instance: dict) -> tuple:
     Returns its deviation and scale as floats, and its expected and observed
     values as tuples of floats (or None).
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        deviation, scale, *values = checker.screen(rule, _one_row(instance))
+    deviation, scale, *values = _screened(checker.screen, rule, _one_row(instance))
     expected, observed = (None if v is None else tuple(v[0].tolist()) for v in values)
     return deviation[0].item(), scale[0].item(), expected, observed
 
@@ -600,13 +610,13 @@ def _shrunk(
     """A violating instance and its measure, shrunk while the violation persists.
 
     Each of up to MAX_SHRINK_STEPS steps takes the first of its candidates
-    that still violates; a candidate the screen rejects is skipped.
+    that still violates; a candidate the rule cannot pay is skipped.
     """
     for step in range(MAX_SHRINK_STEPS):
         for candidate in checker.shrink(instance, step):
             try:
                 screened = _measure(checker, rule, candidate)
-            except ValidationError:
+            except RuleError:
                 continue
             if _violates(screened[0], tol, screened[1]):
                 instance, measured = candidate, screened
@@ -627,10 +637,8 @@ def check_axiom(
     Trials are screened a block at a time, as one padded batch. The first
     trial the screen flags is re-screened as a one-row batch rebuilt from
     its instance, which then shrinks; the report holds the screen of the
-    last instance taken. When a batch's screen builds a problem that
-    Problem rejects, every trial of the batch is
-    re-screened that way in order, so the first violation is reported or the
-    error raised, as trial by trial.
+    last instance taken. A rule whose payoffs do not allocate a drawn
+    problem raises RuleError, whatever the block's other trials show.
     """
     if axiom not in _CHECKERS:
         raise UnknownAxiom(f"unknown axiom {_excerpt(axiom)!r}")
@@ -638,13 +646,8 @@ def check_axiom(
     checker = _CHECKERS[axiom]
     rng = rng_for(cfg.seed, axiom)
     for start, trials in trial_blocks(rng, cfg, checker.draw):
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                deviation, scale, _, _ = checker.screen(rule, trials)
-            flagged = np.flatnonzero(~(deviation <= tol * scale)).tolist()
-        except ValidationError:
-            flagged = range(len(trials["problem"].incomes))
-        for k in flagged:
+        deviation, scale, _, _ = _screened(checker.screen, rule, trials)
+        for k in np.flatnonzero(~(deviation <= tol * scale)).tolist():
             instance = _trial(trials, k)
             measured = _measure(checker, rule, instance)
             if _violates(measured[0], tol, measured[1]):

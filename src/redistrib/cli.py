@@ -5,8 +5,8 @@ is its handler plus one row of the _COMMANDS table, which gives its help,
 that handler and its option groups. Reports are JSON on stdout (or a file
 via --output); human messages go to stderr.
 Exit codes: 0 success, 1 axiom check failures, 2 parse errors, rules
-whose payoffs do not allocate a valid dataset (RuleError) and an --output
-path that cannot be written, 3 dataset validation errors.
+whose payoffs do not allocate a dataset or a sampled problem (RuleError)
+and an --output path that cannot be written, 3 dataset validation errors.
 """
 
 from __future__ import annotations

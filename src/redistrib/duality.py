@@ -159,8 +159,6 @@ def check_self_dual(
     blocks, as the axiom checkers draw them.
     """
     check_tol(tol)
-    worst, witness = worst_trial(
-        rng_for(cfg.seed, "self_dual"), cfg, lambda block: _self_dual_gap(rule, block)
-    )
+    worst, witness = worst_trial(rng_for(cfg.seed, "self_dual"), cfg, rule, _self_dual_gap)
     passed = worst <= tol
     return DualReport(rule, passed, worst, tol, None if passed else witness)

@@ -431,10 +431,7 @@ def evaluate(rule: RuleSpec, problem: Problem) -> Allocation:
     try:
         return Allocation(problem, rule.payoffs(problem))
     except ValidationError as exc:
-        raise RuleError(
-            f"rule {_rule_name(rule)} does not allocate this problem: "
-            f"{type(exc).__name__}: {exc}"
-        ) from None
+        raise rule_error(rule, "this problem", exc) from None
 
 
 @dataclass(frozen=True)
@@ -633,12 +630,16 @@ def format_rule(rule: RuleSpec) -> str:
     raise ValueError(f"cannot format {rule!r}")
 
 
-def _rule_name(rule: RuleSpec) -> str:
-    """The rule's spec string, or its repr if the grammar cannot spell it."""
+def rule_error(rule: RuleSpec, where: str, exc: ValidationError) -> RuleError:
+    """The error of a rule whose payoffs raised exc on the valid problem where names.
+
+    The rule is named by its spec string, or its repr if the grammar cannot spell it.
+    """
     try:
-        return repr(format_rule(rule))
+        name = repr(format_rule(rule))
     except ValueError:
-        return repr(rule)
+        name = repr(rule)
+    return RuleError(f"rule {name} does not allocate {where}: {type(exc).__name__}: {exc}")
 
 
 def _excerpt(text: str) -> str:

@@ -17,9 +17,9 @@ from redistrib import (
     LF,
     LinearRule,
     NAFR,
-    NonFinite,
     PROP,
     Problem,
+    RuleError,
     SampleConfig,
     ScalarFn,
     UnknownAxiom,
@@ -335,7 +335,10 @@ def test_nan_payoffs_violate_the_axiom(axiom, name):
 
 @pytest.mark.parametrize("name", NAN_RULES)
 def test_nan_payoffs_cannot_be_reapplied_for_stability(name):
-    with pytest.raises(NonFinite):
+    # Reapplied, NaN payoffs are NaN incomes: the rule cannot pay a drawn
+    # problem, so it is at fault, not the sampled data.
+    message = f"rule 'custom:{name}' does not allocate a sampled problem: NonFinite: "
+    with pytest.raises(RuleError, match=message):
         check_axiom("stability", NAN_RULES[name], SampleConfig(seed=0, trials=20))
 
 

@@ -2,7 +2,9 @@
 
 Payoffs and the sampled checkers are computed on numpy blocks, and the
 screen is each axiom's only measure: a flagged trial is re-screened as a
-one-row block, then shrunk and reported. The scalar kernel and measures in
+one-row block, then shrunk and reported. A rule that cannot pay a drawn
+trial raises RuleError, whichever trial of its block it is, where the scalar
+loop would report an earlier violation. The scalar kernel and measures in
 scalar_measures.py, the extraction probe and the reflection definitions
 stay the reference. Every comparison here runs both on the same
 materialized trials.
@@ -136,7 +138,7 @@ def test_screen_matches_scalar_measure_through_the_custom_fallback(rule):
 
 def test_a_custom_rule_paying_the_wrong_number_of_values_is_rejected():
     # One value for n agents would fill the whole row of a block; it is a
-    # LengthMismatch, in a padded block, an unpadded one and a sampled check.
+    # LengthMismatch, in a padded block and an unpadded one.
     rule = CustomRule("one value", lambda problem: (problem.total_income,))
     padded = axioms.draw_trials(
         rng_for(5, "wrong length"), np.array([2, 4, 3]), axioms._draw_problems
@@ -145,8 +147,20 @@ def test_a_custom_rule_paying_the_wrong_number_of_values_is_rejected():
     for block in (padded, unpadded):
         with pytest.raises(LengthMismatch, match="1 values for [234] agents"):
             rule.payoffs_batch(block)
-    with pytest.raises(LengthMismatch):
-        check_axiom("homogeneity", rule, SampleConfig(seed=1, trials=20), TOL)
+
+
+def test_a_wrong_length_rule_is_a_rule_error_in_every_sampled_check():
+    # Drawn trials are valid problems, so the LengthMismatch is the rule's.
+    rule = CustomRule("one", lambda problem: (problem.total_income,))
+    cfg = SampleConfig(seed=1, trials=20)
+    message = r"rule 'custom:one' does not allocate a sampled problem: LengthMismatch: 1 values"
+    for check in (
+        lambda: check_axiom("homogeneity", rule, cfg, TOL),
+        lambda: check_self_dual(rule, cfg, TOL),
+        lambda: classify(rule, (-2.0, -1.0, 0.0, 1.0, 2.0), cfg, TOL),
+    ):
+        with pytest.raises(RuleError, match=message):
+            check()
 
 
 def _step(t):
@@ -403,11 +417,11 @@ def _worst(values_and_problems):
 def test_worst_trial_ranks_nan_above_every_number():
     cfg = SampleConfig(seed=8, trials=4 * BLOCK)
 
-    def measure(block):
-        first = block.incomes[:, 0]
+    def measure(rule, block):
+        first = rule.payoffs_batch(block)[:, 0]
         return np.where(first > 9.9, np.nan, first)
 
-    worst, witness = axioms.worst_trial(rng_for(cfg.seed, "nan"), cfg, measure)
+    worst, witness = axioms.worst_trial(rng_for(cfg.seed, "nan"), cfg, LF, measure)
     trials = _trials_in_order("nan", cfg)
     first_nan = next(k for k, p in enumerate(trials) if p.incomes[0] > 9.9)
     # Positive values come before it, some in earlier blocks.
@@ -460,21 +474,15 @@ def _scalar_outcome(axiom, rule, cfg):
     """check_axiom's verdict from the scalar measure over the same trials."""
     checker = axioms._CHECKERS[axiom]
     draws = _draws_by_count(rng_for(cfg.seed, axiom), cfg, checker.draw)
-    try:
-        for trial, batch, k in sorted(draws, key=lambda draw: draw[0]):
-            deviation, scale, _, _ = MEASURES[axiom](rule, axioms._trial(batch, k))
-            if not deviation <= TOL * scale:
-                return False, trial + 1
-    except ValidationError as exc:
-        return type(exc)
+    for trial, batch, k in sorted(draws, key=lambda draw: draw[0]):
+        deviation, scale, _, _ = MEASURES[axiom](rule, axioms._trial(batch, k))
+        if not deviation <= TOL * scale:
+            return False, trial + 1
     return True, cfg.trials
 
 
 def _block_outcome(axiom, rule, cfg):
-    try:
-        report = check_axiom(axiom, rule, cfg, TOL)
-    except ValidationError as exc:
-        return type(exc)
+    report = check_axiom(axiom, rule, cfg, TOL)
     return report.passed, report.trials_run
 
 
@@ -494,7 +502,6 @@ CHECK_CASES = {
     "nat-sqneed": ("nat", needs_squared_rule()),
     "income_additivity-lin": ("income_additivity", parse_rule("lin:0.3,0.2")),
     "homogeneity-lf": ("homogeneity", LF),
-    "stability-mixed": ("stability", CustomRule("mixed", _unstable_or_overflowing)),
 }
 
 
@@ -506,18 +513,25 @@ def test_check_axiom_matches_scalar_loop(case, seed):
     assert _block_outcome(axiom, rule, cfg) == _scalar_outcome(axiom, rule, cfg)
 
 
-def test_an_invalid_block_keeps_trial_order():
-    # A block whose screen raises is re-screened trial by trial as one-row
-    # blocks: the earlier of a violation and an invalid trial decides, as it
-    # would without blocks. Both kinds of outcome occur over these seeds.
+def test_a_rule_that_cannot_pay_a_trial_gives_a_verdict_or_a_rule_error():
+    # A rule that pays some drawn trials infinite payoffs raises RuleError,
+    # never a ValidationError; when every trial screened is paid, the
+    # verdict is the scalar loop's. At ten trials a check, some seeds draw no
+    # trial it cannot pay: a pass, a fail and a RuleError all occur.
     rule = CustomRule("mixed", _unstable_or_overflowing)
+    message = "rule 'custom:mixed' does not allocate a sampled problem: NonFinite: "
     outcomes = set()
     for seed in range(12):
-        cfg = SampleConfig(seed=seed, trials=40)
-        outcome = _block_outcome("stability", rule, cfg)
-        assert outcome == _scalar_outcome("stability", rule, cfg)
-        outcomes.add(outcome if isinstance(outcome, type) else outcome[0])
-    assert outcomes == {NonFinite, False}
+        cfg = SampleConfig(seed=seed, trials=10)
+        try:
+            outcome = _block_outcome("stability", rule, cfg)
+        except RuleError as exc:
+            assert str(exc).startswith(message)
+            outcomes.add(RuleError)
+        else:
+            assert outcome == _scalar_outcome("stability", rule, cfg)
+            outcomes.add(outcome[0])
+    assert outcomes == {RuleError, False, True}
 
 
 NAN, INF = math.nan, math.inf

@@ -480,6 +480,21 @@ def test_a_rule_that_fails_on_valid_data_exits_2_and_names_the_rule(
     )
 
 
+@pytest.mark.parametrize("axioms", ["stability", "all"])
+def test_a_rule_that_cannot_pay_a_sampled_problem_exits_2_and_names_the_rule(capsys, axioms):
+    # Stability reapplies the rule to its own payoffs, which overflow: the
+    # rule is at fault, and check reads no dataset.
+    argv = ["check", "--rule", "lin:1e308,0.0", "--axioms", axioms, "--samples", "50"]
+    code = main(argv + ["--no-timestamp"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "RuleError: rule 'lin:1e+308,0.0' does not allocate a sampled problem: "
+        "NonFinite: income inf is not finite\n"
+    )
+
+
 def test_a_huge_income_weight_pays_a_lone_agent_its_income(capsys, tmp_path):
     # a·y + (1 − a)·ȳ cancels to 0.0 at a = 1e300; ȳ + a(y − ȳ) is exact
     path = tmp_path / "one.csv"
