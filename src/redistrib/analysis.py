@@ -19,7 +19,7 @@ from .axioms import AxiomReport, SampleConfig, axiom_suite, rng_for, worst_trial
 from .core import Block, Problem, check_tol, row_sums
 # make_problem is looked up here by perfbench's tracer, which wraps it per module.
 from .core import make_problem  # noqa: F401
-from .rules import ParseError, RuleSpec, _excerpt, ab_payoffs_batch
+from .rules import ParseError, RuleSpec, _excerpt, ab_payoffs_batch, blame_rule
 
 # The label of each catalog form that is a family of its own.
 CATALOG_LABELS = {
@@ -75,14 +75,18 @@ def _extract_ab_batch(
         needs = flat_needs.copy()
         needs[:, 0] += need_bump
         needs[:, 1] -= need_bump
-        payoffs = rule.payoffs_batch(Block(flat_incomes, needs, counts))
+        block = Block(flat_incomes, needs, counts)
+        with blame_rule(rule, "a probe problem"):
+            payoffs = rule.payoffs_batch(block)
         need_weight = (payoffs[:, 0] - mean_income) / need_bump
 
         income_bump = np.abs(total_income) / (2 * counts) + 1.0
         incomes = flat_incomes.copy()
         incomes[:, 0] += income_bump
         incomes[:, 1] -= income_bump
-        payoffs = rule.payoffs_batch(Block(incomes, flat_needs, counts))
+        block = Block(incomes, flat_needs, counts)
+        with blame_rule(rule, "a probe problem"):
+            payoffs = rule.payoffs_batch(block)
         income_weight = (payoffs[:, 0] - mean_income) / income_bump
 
     return income_weight, need_weight
@@ -161,9 +165,11 @@ def _residual(rule: RuleSpec, block: Block) -> np.ndarray:
 
     The form takes the weights extract_ab finds at the row's totals.
     """
+    # The sampled block is paid first, so a rule that cannot pay it raises
+    # the sampler's error, not the probe's.
+    actual = rule.payoffs_batch(block)
     a, b = _extract_ab_batch(rule, block.total_income, block.total_need, agents=block.counts)
     predicted = ab_payoffs_batch(block, a, b)
-    actual = rule.payoffs_batch(block)
     return np.abs(predicted - actual).max(axis=1) / block.scales
 
 

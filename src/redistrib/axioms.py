@@ -13,14 +13,17 @@ incomes and needs, paid zero, which leave every row's totals and payoffs
 as they are unpadded, bit for bit. The screen is each axiom's only
 measure. The first flagged trial is rebuilt as an instance of Problems,
 re-screened as an unpadded one-row batch, then shrunk, and reported with
-the screen of the last instance the shrink took. Drawn problems are valid,
-so payoffs that do not allocate one raise RuleError.
+the screen of the last instance the shrink took. Shrinking screens each
+round of candidates as one batch: a halving chain is built and screened
+ahead, all its steps at once. Drawn problems are valid, so payoffs that do
+not allocate one raise RuleError.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -33,7 +36,7 @@ from .core import (
     make_problem,
     row_sums,
 )
-from .rules import RuleError, RuleSpec, _excerpt, rule_error
+from .rules import RuleError, RuleSpec, _excerpt, blame_rule
 
 CORE_AXIOMS = ("homogeneity", "equal_treatment", "continuity")
 ALL_AXIOMS = CORE_AXIOMS + (
@@ -155,11 +158,8 @@ def _screened(screen: Callable, rule: RuleSpec, trials):
 
     Drawn trials are valid problems, so the error is the rule's, as in evaluate.
     """
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return screen(rule, trials)
-    except ValidationError as exc:
-        raise rule_error(rule, "a sampled problem", exc) from None
+    with blame_rule(rule, "a sampled problem"), np.errstate(over="ignore", invalid="ignore"):
+        return screen(rule, trials)
 
 
 def worst_trial(
@@ -244,14 +244,16 @@ class _Checker:
     draw(rng, n, m) gives m trials of n agents, which draw_trials gathers
     into a padded batch: a dict of Blocks and arrays, one row per trial.
     screen gives each trial's deviation, scale, expected and observed values
-    (expected may be None); on a one-row batch rebuilt from an instance it
-    confirms, shrinks and re-checks counterexamples. shrink(instance, step)
-    gives the smaller instances that shrinking step tries, in order.
+    (expected may be None); on a batch that _rows rebuilds from instances it
+    confirms, shrinks and re-checks counterexamples. shrink(instance) gives
+    one shrinking round's candidates, in order: when chained, a halving
+    chain, each candidate shrunk from the one before; else alternatives.
     """
 
     draw: Callable[[np.random.Generator, int, int], dict]
     screen: Callable[[RuleSpec, dict], tuple]
-    shrink: Callable[[dict, int], Iterable[dict]] = lambda instance, step: ()
+    shrink: Callable[[dict], Iterable[dict]] = lambda instance: ()
+    chained: bool = False
 
 
 def _violates(deviation: float, tol: float, scale: float) -> bool:
@@ -278,8 +280,7 @@ def _trial(trials: dict, k: int) -> dict:
 
     A Block's row becomes a Problem, a boolean mask the positions it
     selects, a 2-D array a tuple cut to the trial's agents, a 1-D array an
-    entry; a scalar is kept. _one_row turns the instance back into a one-row
-    batch.
+    entry; a scalar is kept. _rows turns instances back into a batch.
     """
     n = int(trials["problem"].counts[k])
     instance = {}
@@ -301,44 +302,69 @@ def _trial(trials: dict, k: int) -> dict:
 _AGENT_KEYS = ("first", "second", "agent")
 
 
-def _one_row(instance: dict) -> dict:
-    """The one-row batch whose trial is this instance: the inverse of _trial.
+def _rows(instances: Sequence[dict]) -> dict:
+    """The batch whose trial k is instances[k]: the inverse of _trial.
 
-    Agent ids become 1-based columns of the instance's problem, which
-    shrinking may have left with gaps in its ids; member positions become a
-    mask. The screen's rule sees agents 1..n, as in the batch it was drawn in.
+    The instances share their keys and agent count, as the candidates of a
+    shrinking round do, so no row is padded, and their problems are checked
+    already, so they are stacked as they are. Agent ids become 1-based
+    columns of each instance's problem, which shrinking may have left with
+    gaps in its ids; member positions become a mask. The screen's rule sees
+    agents 1..n, as in the batch the trials were drawn in.
     """
-    agents = instance["problem"].agents
+    positions = np.arange(len(instances[0]["problem"]))
     trials = {}
-    for key, value in instance.items():
-        if isinstance(value, Problem):
-            trials[key] = Block(value.incomes[None], value.needs[None])
+    for key, first in instances[0].items():
+        values = [instance[key] for instance in instances]
+        if isinstance(first, Problem):
+            trials[key] = Block.stack(values)
         elif key == "members":
-            trials[key] = np.isin(np.arange(len(agents)), value)[None]
+            trials[key] = np.array([np.isin(positions, v) for v in values])
         elif key in _AGENT_KEYS:
-            trials[key] = np.array([agents.index(value) + 1])
+            trials[key] = np.array(
+                [i["problem"].agents.index(v) + 1 for i, v in zip(instances, values)]
+            )
         else:
-            trials[key] = np.array([value], dtype=float)
+            trials[key] = np.array(values, dtype=float)
     return trials
 
 
-def _measure(checker: _Checker, rule: RuleSpec, instance: dict) -> tuple:
-    """Screen an instance as a one-row batch.
+def _measures(checker: _Checker, rule: RuleSpec, instances: Sequence[dict]) -> list[tuple]:
+    """Screen instances as one batch, row k for instances[k].
 
-    Returns its deviation and scale as floats, and its expected and observed
-    values as tuples of floats (or None).
+    Gives each its deviation and scale as floats, and its expected and
+    observed values as tuples of floats (or None).
     """
-    deviation, scale, *values = _screened(checker.screen, rule, _one_row(instance))
-    expected, observed = (None if v is None else tuple(v[0].tolist()) for v in values)
-    return deviation[0].item(), scale[0].item(), expected, observed
+    deviation, scale, *values = _screened(checker.screen, rule, _rows(instances))
+    expected, observed = (
+        [None] * len(instances) if v is None else [tuple(row) for row in v.tolist()]
+        for v in values
+    )
+    return list(zip(deviation.tolist(), scale.tolist(), expected, observed))
 
 
-def _halving(shrink: Callable[[dict, float], dict]) -> Callable[[dict, int], tuple]:
-    """One candidate a step: shrink(instance, s), s halving from 0.5 step by step."""
-    return lambda instance, step: (shrink(instance, 0.5 ** (step + 1)),)
+def _measure(checker: _Checker, rule: RuleSpec, instance: dict) -> tuple:
+    """Screen an instance as a one-row batch: its entry of _measures."""
+    return _measures(checker, rule, [instance])[0]
 
 
-def _drops(instance: dict, step: int) -> Iterator[dict]:
+# The shrink factors of a halving chain's steps: 0.5, 0.25, ...
+_HALVES = [0.5 ** (step + 1) for step in range(MAX_SHRINK_STEPS)]
+
+
+def _halvings(value, shrink: Callable) -> list:
+    """MAX_SHRINK_STEPS values, each shrink(previous, s) for the step's s in _HALVES."""
+    return list(accumulate(_HALVES, shrink, initial=value))[1:]
+
+
+def _halving(key: str, shrink: Callable) -> Callable[[dict], list[dict]]:
+    """The halving chain of the instance's key entry, shrunk by shrink(value, s)."""
+    return lambda instance: [
+        {**instance, key: value} for value in _halvings(instance[key], shrink)
+    ]
+
+
+def _drops(instance: dict) -> Iterator[dict]:
     """The instance without each agent it does not name, in agent order.
 
     A drop that leaves no valid problem, say one of zero total need, is skipped.
@@ -380,11 +406,7 @@ def _screen_homogeneity(rule, trials):
     return _row_max_abs(observed - expected), scale, expected, observed
 
 
-def _shrink_homogeneity(instance, s):
-    return {
-        "problem": instance["problem"],
-        "factor": 1.0 + (instance["factor"] - 1.0) * s,
-    }
+_chain_homogeneity = _halving("factor", lambda factor, s: 1.0 + (factor - 1.0) * s)
 
 
 # --- equal treatment: identical agents receive identical payoffs ---
@@ -497,17 +519,22 @@ def _screen_nat(rule, trials):
     return np.abs(after - before), scale, before[:, None], after[:, None]
 
 
-def _shrink_nat(instance, s):
+def _chain_nat(instance):
+    """NAT's halving chain, its modified problems built as one Block: each
+    step sets the group's incomes and needs to (1 - s)·original + s·previous."""
     problem, modified = instance["problem"], instance["modified"]
-    members = list(instance["members"])
-    incomes, needs = problem.incomes.copy(), problem.needs.copy()
-    incomes[members] = (1.0 - s) * incomes[members] + s * modified.incomes[members]
-    needs[members] = (1.0 - s) * needs[members] + s * modified.needs[members]
-    return {
-        "problem": problem,
-        "modified": make_problem(problem.agents, incomes, needs),
-        "members": instance["members"],
-    }
+    group = np.isin(np.arange(len(problem)), instance["members"])
+
+    def toward(start, end):
+        shrink = lambda value, s: np.where(group, (1.0 - s) * start + s * value, start)
+        return np.stack(_halvings(end, shrink))
+
+    steps = Block(
+        toward(problem.incomes, modified.incomes),
+        toward(problem.needs, modified.needs),
+        agents=problem.agents,
+    )
+    return [{**instance, "modified": steps.problem(k)} for k in range(MAX_SHRINK_STEPS)]
 
 
 # --- stability: reapplying a rule to its own output changes nothing ---
@@ -562,10 +589,7 @@ def _screen_income_additivity(rule, trials):
     return _row_max_abs(observed - expected), scale, expected, observed
 
 
-def _shrink_extra_incomes(instance, s):
-    out = dict(instance)
-    out["extra_incomes"] = tuple(s * e for e in instance["extra_incomes"])
-    return out
+_chain_extra_incomes = _halving("extra_incomes", lambda extra, s: tuple(s * e for e in extra))
 
 
 # --- dual income additivity: the reflected form of income additivity ---
@@ -584,24 +608,50 @@ def _screen_dual_income_additivity(rule, trials):
 
 _CHECKERS: dict[str, _Checker] = {
     "homogeneity": _Checker(
-        _draw_homogeneity, _screen_homogeneity, _halving(_shrink_homogeneity)
+        _draw_homogeneity,
+        _screen_homogeneity,
+        _chain_homogeneity,
+        chained=True,
     ),
     "equal_treatment": _Checker(_draw_equal_treatment, _screen_equal_treatment, _drops),
     "continuity": _Checker(_draw_continuity, _screen_continuity),
-    "nat": _Checker(_draw_nat, _screen_nat, _halving(_shrink_nat)),
+    "nat": _Checker(_draw_nat, _screen_nat, _chain_nat, chained=True),
     "stability": _Checker(_draw_problems, _screen_stability, _drops),
     "dummy": _Checker(_draw_dummy, _screen_dummy, _drops),
     "income_additivity": _Checker(
         _draw_income_additivity,
         _screen_income_additivity,
-        _halving(_shrink_extra_incomes),
+        _chain_extra_incomes,
+        chained=True,
     ),
     "dual_income_additivity": _Checker(
         _draw_income_additivity,
         _screen_dual_income_additivity,
-        _halving(_shrink_extra_incomes),
+        _chain_extra_incomes,
+        chained=True,
     ),
 }
+
+
+def _round_measures(checker: _Checker, rule: RuleSpec, candidates: list[dict]) -> Iterable:
+    """_measures of a shrinking round's candidates, None for one the rule cannot pay.
+
+    The round is screened as one batch. If that raises, the candidates are
+    screened again one at a time, each when it is read, so a shrink that
+    stops reading raises only what the candidates it read raise.
+    """
+    try:
+        return _measures(checker, rule, candidates)
+    except Exception:
+        return (_paid_measure(checker, rule, candidate) for candidate in candidates)
+
+
+def _paid_measure(checker: _Checker, rule: RuleSpec, instance: dict) -> tuple | None:
+    """_measure of the instance, or None if the rule cannot pay it."""
+    try:
+        return _measure(checker, rule, instance)
+    except RuleError:
+        return None
 
 
 def _shrunk(
@@ -609,19 +659,29 @@ def _shrunk(
 ) -> tuple[dict, tuple]:
     """A violating instance and its measure, shrunk while the violation persists.
 
-    Each of up to MAX_SHRINK_STEPS steps takes the first of its candidates
-    that still violates; a candidate the rule cannot pay is skipped.
+    Each round's candidates are screened as one batch; a candidate the rule
+    cannot pay does not violate. A halving chain's MAX_SHRINK_STEPS steps
+    are one round, screened ahead, and shrinking takes the last of its
+    longest violating prefix. Otherwise each of up to MAX_SHRINK_STEPS
+    rounds takes its first violating candidate, and shrinking stops at a
+    round with none. Either way the shrink takes the instance that a loop
+    screening one candidate at a time would take. If a round's batch
+    raises, its candidates are screened one at a time as far as that loop
+    reads them, so an error raised on a candidate past where it stops, in
+    a chain or a drop round, is not raised.
     """
-    for step in range(MAX_SHRINK_STEPS):
-        for candidate in checker.shrink(instance, step):
-            try:
-                screened = _measure(checker, rule, candidate)
-            except RuleError:
-                continue
-            if _violates(screened[0], tol, screened[1]):
-                instance, measured = candidate, screened
+    for _ in range(MAX_SHRINK_STEPS):
+        candidates = list(checker.shrink(instance))
+        shrunk = False
+        for candidate, screened in zip(candidates, _round_measures(checker, rule, candidates)):
+            violates = screened is not None and _violates(screened[0], tol, screened[1])
+            if violates:
+                instance, measured, shrunk = candidate, screened, True
+            # A chain stops at its first step that passes, a drop round at
+            # its first candidate that violates.
+            if violates != checker.chained:
                 break
-        else:
+        if checker.chained or not shrunk:
             break
     return instance, measured
 
@@ -639,6 +699,11 @@ def check_axiom(
     its instance, which then shrinks; the report holds the screen of the
     last instance taken. A rule whose payoffs do not allocate a drawn
     problem raises RuleError, whatever the block's other trials show.
+    Shrinking screens each round of candidates as one batch, a halving
+    chain all its steps at once, and takes the instance a loop screening
+    one candidate at a time would take. An error the rule raises only on
+    candidates past where that loop stops, in a chain or a drop round, is
+    not raised: the report is the FAIL that loop gives.
     """
     if axiom not in _CHECKERS:
         raise UnknownAxiom(f"unknown axiom {_excerpt(axiom)!r}")

@@ -254,14 +254,42 @@ class Block:
         The rows are views of the problem's columns and the totals are its
         own: nothing is checked, summed or copied again.
         """
+        return cls._checked(
+            problem.incomes[None],
+            problem.needs[None],
+            [problem.total_income],
+            [problem.total_need],
+            problem.agents,
+        )
+
+    @classmethod
+    def stack(cls, problems: Sequence[Problem]) -> Block:
+        """The block of checked problems of one agent count, row k problems[k].
+
+        Its agents are 1..n. Each row takes its problem's totals, which are
+        the block's own row sums bit for bit, so nothing is checked or
+        summed again.
+        """
+        return cls._checked(
+            np.stack([p.incomes for p in problems]),
+            np.stack([p.needs for p in problems]),
+            [p.total_income for p in problems],
+            [p.total_need for p in problems],
+        )
+
+    @classmethod
+    def _checked(cls, incomes, needs, total_income, total_need, agents=None) -> Block:
+        """The block of rows already checked as problems, with their totals."""
+        incomes.setflags(write=False)
+        needs.setflags(write=False)
         block = object.__new__(cls)
         vars(block).update(
-            incomes=problem.incomes[None],
-            needs=problem.needs[None],
-            counts=np.array([len(problem)]),
-            agents=problem.agents,
-            total_income=np.array([problem.total_income]),
-            total_need=np.array([problem.total_need]),
+            incomes=incomes,
+            needs=needs,
+            counts=np.full(len(incomes), incomes.shape[1]),
+            agents=agents,
+            total_income=np.array(total_income),
+            total_need=np.array(total_need),
         )
         return block
 

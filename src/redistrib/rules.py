@@ -14,8 +14,9 @@ paid row by row.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Sequence, Union
+from typing import Callable, ClassVar, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -428,10 +429,8 @@ def evaluate(rule: RuleSpec, problem: Problem) -> Allocation:
 
     The problem is valid, so payoffs that do not allocate it raise RuleError.
     """
-    try:
+    with blame_rule(rule, "this problem"):
         return Allocation(problem, rule.payoffs(problem))
-    except ValidationError as exc:
-        raise rule_error(rule, "this problem", exc) from None
 
 
 @dataclass(frozen=True)
@@ -630,16 +629,23 @@ def format_rule(rule: RuleSpec) -> str:
     raise ValueError(f"cannot format {rule!r}")
 
 
-def rule_error(rule: RuleSpec, where: str, exc: ValidationError) -> RuleError:
-    """The error of a rule whose payoffs raised exc on the valid problem where names.
+@contextmanager
+def blame_rule(rule: RuleSpec, where: str) -> Iterator[None]:
+    """Raise a ValidationError of the with block again as the rule's RuleError.
 
-    The rule is named by its spec string, or its repr if the grammar cannot spell it.
+    The problems where names are valid, so payoffs that do not allocate
+    them are the rule's fault. The rule is named by its spec string, or its
+    repr if the grammar cannot spell it.
     """
     try:
-        name = repr(format_rule(rule))
-    except ValueError:
-        name = repr(rule)
-    return RuleError(f"rule {name} does not allocate {where}: {type(exc).__name__}: {exc}")
+        yield
+    except ValidationError as exc:
+        try:
+            name = repr(format_rule(rule))
+        except ValueError:
+            name = repr(rule)
+        message = f"rule {name} does not allocate {where}: {type(exc).__name__}: {exc}"
+        raise RuleError(message) from None
 
 
 def _excerpt(text: str) -> str:

@@ -14,14 +14,17 @@ from redistrib import (
     AnalysisError,
     BFamilyRule,
     ConvexCombination,
+    CustomRule,
     DEFAULT_GRID,
     FULL,
     LABELS,
     LF,
     LinearRule,
     NAFR,
+    NonFinite,
     PROP,
     ParseError,
+    RuleError,
     SampleConfig,
     ScalarFn,
     classify,
@@ -38,6 +41,18 @@ RATIOS = (-2.0, -1.0, 0.0, 0.5, 1.0, 2.0)
 
 def test_error_hierarchy():
     assert issubclass(AnalysisError, ValueError)
+
+
+def test_a_rule_that_cannot_pay_a_probe_problem_is_a_rule_error():
+    # Probe problems are valid, so a wrong-length payoff vector is the
+    # rule's fault; a ratio that makes no problem is the caller's.
+    rule = CustomRule("one", lambda problem: (problem.total_income,))
+    message = r"rule 'custom:one' does not allocate a probe problem: LengthMismatch: 1 values"
+    for probe in (lambda: extract_ab(rule, 0.5), lambda: profile_rule(rule, RATIOS)):
+        with pytest.raises(RuleError, match=message):
+            probe()
+    with pytest.raises(NonFinite):
+        extract_ab(PROP, math.inf)
 
 
 @pytest.mark.parametrize("t", RATIOS)

@@ -7,7 +7,9 @@ trial raises RuleError, whichever trial of its block it is, where the scalar
 loop would report an earlier violation. The scalar kernel and measures in
 scalar_measures.py, the extraction probe and the reflection definitions
 stay the reference. Every comparison here runs both on the same
-materialized trials.
+materialized trials. Shrinking screens each round of candidates as one
+block; a step-by-step shrink written here, one candidate at a time, is its
+reference.
 """
 
 import dataclasses
@@ -32,6 +34,7 @@ from redistrib import (
     NegativeNeed,
     NonFinite,
     PROP,
+    Problem,
     RuleError,
     AFamilyRule,
     Block,
@@ -533,6 +536,213 @@ def test_a_rule_that_cannot_pay_a_trial_gives_a_verdict_or_a_rule_error():
             outcomes.add(outcome[0])
     assert outcomes == {RuleError, False, True}
 
+
+# One halving step of each chained axiom, as a step-by-step shrink takes it:
+# the instance moved s of the way toward a trivial one.
+def _halve_homogeneity(instance, s):
+    return {**instance, "factor": 1.0 + (instance["factor"] - 1.0) * s}
+
+
+def _halve_nat(instance, s):
+    problem, modified = instance["problem"], instance["modified"]
+    members = list(instance["members"])
+    incomes, needs = problem.incomes.copy(), problem.needs.copy()
+    incomes[members] = (1.0 - s) * incomes[members] + s * modified.incomes[members]
+    needs[members] = (1.0 - s) * needs[members] + s * modified.needs[members]
+    return {**instance, "modified": make_problem(problem.agents, incomes, needs)}
+
+
+def _halve_extra_incomes(instance, s):
+    return {**instance, "extra_incomes": tuple(s * e for e in instance["extra_incomes"])}
+
+
+HALVING_STEPS = {
+    "homogeneity": _halve_homogeneity,
+    "nat": _halve_nat,
+    "income_additivity": _halve_extra_incomes,
+    "dual_income_additivity": _halve_extra_incomes,
+}
+
+
+def _reference_shrunk(axiom, rule, instance, measured):
+    """The shrink one candidate at a time, each screened alone by _measure.
+
+    Each step takes its first candidate that still violates, skips one the
+    rule cannot pay, and shrinking stops at a step where none violates.
+    """
+    checker = axioms._CHECKERS[axiom]
+    for step in range(axioms.MAX_SHRINK_STEPS):
+        if axiom in HALVING_STEPS:
+            candidates = [HALVING_STEPS[axiom](instance, 0.5 ** (step + 1))]
+        else:
+            candidates = checker.shrink(instance)
+        for candidate in candidates:
+            try:
+                screened = axioms._measure(checker, rule, candidate)
+            except RuleError:
+                continue
+            if not screened[0] <= TOL * screened[1]:
+                instance, measured = candidate, screened
+                break
+        else:
+            break
+    return instance, measured
+
+
+def _instance_bits(instance):
+    """An instance with every float as its bits, a Problem as its fields."""
+    out = {}
+    for key, value in instance.items():
+        if isinstance(value, Problem):
+            out[key] = (value.agents, _bits(value.incomes), _bits(value.needs))
+        elif isinstance(value, tuple):
+            out[key] = tuple(float.hex(v) if isinstance(v, float) else v for v in value)
+        else:
+            out[key] = float.hex(value) if isinstance(value, float) else value
+    return out
+
+
+def _shrink_outcome(shrink):
+    """The bits of a shrink's instance and measure, or the type of what it raised.
+
+    Some negative controls index a second agent, so an instance shrunk to
+    one agent raises IndexError; both shrinks must raise it alike.
+    """
+    try:
+        instance, measured = shrink()
+    except Exception as exc:
+        return type(exc)
+    return _instance_bits(instance), [_bits(v) for v in measured]
+
+
+def _assert_shrunk_matches_reference(axiom, rule, instance):
+    checker = axioms._CHECKERS[axiom]
+    measured = axioms._measure(checker, rule, instance)
+    shrunk = _shrink_outcome(lambda: axioms._shrunk(checker, rule, instance, measured, TOL))
+    reference = _shrink_outcome(lambda: _reference_shrunk(axiom, rule, instance, measured))
+    assert shrunk == reference, axiom
+    return shrunk
+
+
+def _assert_shrinks_match_reference(rule, seed, flagged=2):
+    """Up to flagged violating trials of each axiom, shrunk both ways."""
+    counts = np.array([2, 3, 4, 5, 6, 4, 3, 2, 6, 5, 3, 4])
+    for axiom in ALL_AXIOMS:
+        checker = axioms._CHECKERS[axiom]
+        trials = axioms.draw_trials(rng_for(seed, "shrink"), counts, checker.draw)
+        deviation, scale, _, _ = checker.screen(rule, trials)
+        for k in np.flatnonzero(~(deviation <= TOL * scale))[:flagged].tolist():
+            _assert_shrunk_matches_reference(axiom, rule, axioms._trial(trials, k))
+
+
+@settings(max_examples=25, deadline=None)
+@given(rule=nested_rules(2), seed=st.integers(0, 2**32 - 1))
+def test_shrinking_a_round_at_a_time_matches_one_candidate_at_a_time(rule, seed):
+    _assert_shrinks_match_reference(rule, seed)
+
+
+@pytest.mark.parametrize(
+    "rule", [rule for _, rule in NEGATIVE_CONTROLS], ids=[a for a, _ in NEGATIVE_CONTROLS]
+)
+def test_negative_controls_shrink_as_one_candidate_at_a_time(rule):
+    for seed in (33, 1, 7):
+        _assert_shrinks_match_reference(rule, seed, flagged=3)
+
+
+# Homogeneity's halving chain from factor 3.0: its steps scale a problem of
+# needs (1, 1) to total needs 2·f, f = 2.0, 1.25, 1.03125, 1.001953125, ...
+CHAIN_FACTORS = (2.0, 1.25, 1.03125, 1.001953125)
+
+
+def _homogeneous_except_at(violating, unpaid=(), raising=()):
+    """Laissez-faire, which is homogeneous, but for a transfer at the total
+    needs 2·f of the chain factors in violating, one value at those in
+    unpaid, which no problem of 2 agents takes, and ZeroDivisionError at
+    those in raising."""
+
+    def allocate(problem):
+        factor = problem.total_need / 2.0
+        if factor in raising:
+            raise ZeroDivisionError(f"factor {factor}")
+        if factor in unpaid:
+            return (problem.total_income,)
+        if factor in violating:
+            return (problem.incomes[0] + 1.0, problem.incomes[1] - 1.0)
+        return problem.incomes
+
+    return CustomRule("chain", allocate)
+
+
+def _chain_start():
+    return {"problem": make_problem((1, 2), (1.0, 2.0), (1.0, 1.0)), "factor": 3.0}
+
+
+def test_a_halving_chain_stops_at_its_first_step_that_passes():
+    # Steps 1 and 3 violate, step 2 does not: the shrink stops after step 1,
+    # as a step-by-step loop does, although the chain screened step 3 too.
+    rule = _homogeneous_except_at({3.0, CHAIN_FACTORS[0], CHAIN_FACTORS[2]})
+    instance, measured = _assert_shrunk_matches_reference("homogeneity", rule, _chain_start())
+    assert instance["factor"] == float.hex(CHAIN_FACTORS[0])
+    assert measured[0] == [float.hex(1.0)]
+
+
+def test_a_chain_the_rule_cannot_pay_is_screened_one_step_at_a_time():
+    # Step 3 cannot be paid, so the chain's block raises RuleError; screened
+    # one step at a time, steps 1 and 2 violate and step 3 ends the prefix,
+    # though step 4 violates again.
+    violating = {3.0, CHAIN_FACTORS[0], CHAIN_FACTORS[1], CHAIN_FACTORS[3]}
+    rule = _homogeneous_except_at(violating, unpaid={CHAIN_FACTORS[2]})
+    checker = axioms._CHECKERS["homogeneity"]
+    chain = checker.shrink(_chain_start())
+    with pytest.raises(RuleError, match="does not allocate a sampled problem"):
+        axioms._measures(checker, rule, chain)
+    instance, _ = _assert_shrunk_matches_reference("homogeneity", rule, _chain_start())
+    assert instance["factor"] == float.hex(CHAIN_FACTORS[1])
+
+
+
+def test_an_error_past_where_a_chain_stops_is_not_raised():
+    # Step 1 violates and step 2 passes, so shrinking stops after step 1, as
+    # a step-by-step loop does; the chain's block raises at step 3, which
+    # that loop never screens, so the shrink does not raise it.
+    rule = _homogeneous_except_at({3.0, CHAIN_FACTORS[0]}, raising={CHAIN_FACTORS[2]})
+    checker = axioms._CHECKERS["homogeneity"]
+    with pytest.raises(ZeroDivisionError):
+        axioms._measures(checker, rule, checker.shrink(_chain_start()))
+    instance, _ = _assert_shrunk_matches_reference("homogeneity", rule, _chain_start())
+    assert instance["factor"] == float.hex(CHAIN_FACTORS[0])
+
+
+def _unstable_except_at(total_income):
+    """Moves 1.0 from the last agent to the first, which is not stable,
+    and raises ZeroDivisionError on a problem of this total income."""
+
+    def allocate(problem):
+        if problem.total_income == total_income:
+            raise ZeroDivisionError(f"total income {total_income}")
+        payoffs = problem.incomes.copy()
+        payoffs[0] += 1.0
+        payoffs[-1] -= 1.0
+        return payoffs
+
+    return CustomRule("unstable", allocate)
+
+
+def test_an_error_past_the_first_violating_drop_is_not_raised():
+    # The drop round of incomes (1, 2, 4) screens agents (2, 3), (1, 3) and
+    # (1, 2). The first violates stability, so a loop takes it and never
+    # screens (1, 2), of total income 3.0, on which the rule raises; the
+    # round's block raises there, and the shrink does not.
+    rule = _unstable_except_at(3.0)
+    instance = {"problem": make_problem((1, 2, 3), (1.0, 2.0, 4.0), (1.0, 1.0, 1.0))}
+    checker = axioms._CHECKERS["stability"]
+    with pytest.raises(ZeroDivisionError):
+        axioms._measures(checker, rule, list(checker.shrink(instance)))
+    shrunk, _ = _assert_shrunk_matches_reference("stability", rule, instance)
+    assert shrunk["problem"][0] == (2, 3)
+    # An error the loop does reach is raised: here the round's first drop.
+    with pytest.raises(ZeroDivisionError):
+        axioms._shrunk(checker, _unstable_except_at(6.0), instance, None, TOL)
 
 NAN, INF = math.nan, math.inf
 
