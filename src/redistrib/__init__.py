@@ -50,13 +50,7 @@ from .core import (
     make_problem,
     problem_scale,
 )
-from .duality import (
-    DualReport,
-    check_self_dual,
-    dual_ab,
-    dual_closed_form,
-    dual_payoffs,
-)
+from .duality import DualReport, check_self_dual, dual_closed_form
 from .rules import (
     ABRule,
     AFamilyRule,
@@ -81,6 +75,8 @@ from .rules import (
     RuleSpec,
     ScalarFn,
     WeightedRule,
+    dual_ab,
+    dual_payoffs,
     equivalent_on,
     evaluate,
     format_rule,

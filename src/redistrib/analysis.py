@@ -114,8 +114,8 @@ def _validate_grid(grid: Sequence[float]) -> tuple[float, ...]:
 def profile_rule(rule: RuleSpec, grid: Sequence[float]) -> ABProfile:
     """Extract deviation weights at every ratio in a strictly increasing grid.
 
-    The whole grid is probed as one block, at totals (t, 1) with 3 agents,
-    which is extract_ab(rule, t) at each point.
+    The grid is probed as two blocks, a need bump and an income bump, at
+    totals (t, 1) with 3 agents, which is extract_ab(rule, t) at each point.
     """
     values = _validate_grid(grid)
     ratios = np.array(values)

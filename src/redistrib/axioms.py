@@ -256,9 +256,9 @@ class _Checker:
     chained: bool = False
 
 
-def _violates(deviation: float, tol: float, scale: float) -> bool:
-    """Whether a deviation exceeds tol times scale; a NaN always does."""
-    return not deviation <= tol * scale
+def _violates(deviation, tol: float, scale):
+    """Whether a deviation exceeds tol times scale, entry by entry; a NaN always does."""
+    return np.logical_not(deviation <= tol * scale)
 
 
 def _row_max_abs(values: np.ndarray) -> np.ndarray:
@@ -341,11 +341,6 @@ def _measures(checker: _Checker, rule: RuleSpec, instances: Sequence[dict]) -> l
         for v in values
     )
     return list(zip(deviation.tolist(), scale.tolist(), expected, observed))
-
-
-def _measure(checker: _Checker, rule: RuleSpec, instance: dict) -> tuple:
-    """Screen an instance as a one-row batch: its entry of _measures."""
-    return _measures(checker, rule, [instance])[0]
 
 
 # The shrink factors of a halving chain's steps: 0.5, 0.25, ...
@@ -647,9 +642,9 @@ def _round_measures(checker: _Checker, rule: RuleSpec, candidates: list[dict]) -
 
 
 def _paid_measure(checker: _Checker, rule: RuleSpec, instance: dict) -> tuple | None:
-    """_measure of the instance, or None if the rule cannot pay it."""
+    """The instance's _measures, screened alone, or None if the rule cannot pay it."""
     try:
-        return _measure(checker, rule, instance)
+        return _measures(checker, rule, [instance])[0]
     except RuleError:
         return None
 
@@ -672,6 +667,8 @@ def _shrunk(
     """
     for _ in range(MAX_SHRINK_STEPS):
         candidates = list(checker.shrink(instance))
+        if not candidates:  # no shrink, or nothing left to drop
+            break
         shrunk = False
         for candidate, screened in zip(candidates, _round_measures(checker, rule, candidates)):
             violates = screened is not None and _violates(screened[0], tol, screened[1])
@@ -712,9 +709,9 @@ def check_axiom(
     rng = rng_for(cfg.seed, axiom)
     for start, trials in trial_blocks(rng, cfg, checker.draw):
         deviation, scale, _, _ = _screened(checker.screen, rule, trials)
-        for k in np.flatnonzero(~(deviation <= tol * scale)).tolist():
+        for k in np.flatnonzero(_violates(deviation, tol, scale)).tolist():
             instance = _trial(trials, k)
-            measured = _measure(checker, rule, instance)
+            measured = _measures(checker, rule, [instance])[0]
             if _violates(measured[0], tol, measured[1]):
                 instance, measured = _shrunk(checker, rule, instance, measured, tol)
                 deviation, scale, expected, observed = measured
@@ -737,7 +734,7 @@ def recheck_counterexample(
     """Re-screen a stored counterexample; returns (deviation, threshold scale)."""
     if axiom not in _CHECKERS:
         raise UnknownAxiom(f"unknown axiom {_excerpt(axiom)!r}")
-    deviation, scale, _, _ = _measure(_CHECKERS[axiom], rule, counterexample.instance)
+    deviation, scale, _, _ = _measures(_CHECKERS[axiom], rule, [counterexample.instance])[0]
     return deviation, scale
 
 

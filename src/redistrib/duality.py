@@ -1,18 +1,17 @@
-"""Reflection duality for allocation rules.
+"""Closed-form duals and the sampled self-duality check.
 
 The dual of a rule pays each agent her need minus what the rule would pay
 her in the reflected problem, where every income is replaced by the gap
 between need and income. Applying the operator twice returns the original
-rule. reflected_payoffs is that operator on a block of problems: a dual
-around a rule without weights pays through it, dual_payoffs is its one-row
-case, and check_self_dual compares a rule with it.
+rule. The operator itself lives in rules, beside DualRule: reflected_payoffs
+on a block of problems, dual_payoffs on one, and dual_ab on a rule's
+weights. Here dual_closed_form rewrites a rule into the form of its dual,
+and check_self_dual compares a rule with its dual on sampled problems.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from itertools import zip_longest
 
 import numpy as np
 
@@ -27,73 +26,11 @@ from .rules import (
     ScalarFn,
     WeightedRule,
     catalog_rule,
-    from_coefficients,
+    dual_ab,
+    reflected_payoffs,
 )
 
-
-def reflected_payoffs(rule: RuleSpec, block: Block) -> np.ndarray:
-    """Payoffs of the rule's dual, z − R(z − y, z), on each row of a block.
-
-    The reflected block, of incomes z − y, keeps the block's agents. An
-    entry that overflows is refused as NonFinite, by the reflected block or
-    by the Allocation of the payoffs.
-    """
-    needs = block.needs
-    reflected = Block(needs - block.incomes, needs, block.counts, block.agents)
-    return needs - rule.payoffs_batch(reflected)
-
-
-def dual_payoffs(rule: RuleSpec, problem: Problem) -> np.ndarray:
-    """reflected_payoffs of one problem, as a read-only float64 array."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        row = reflected_payoffs(rule, Block.of(problem))[0]
-    row.setflags(write=False)
-    return row
-
-
-def _reflected(coeffs: list[int]) -> list[int]:
-    """Ascending coefficients of p(1 − t), given those of p(t), in integers.
-
-    Shifting p(u) to p(u + 1) by repeated synthetic division takes only
-    additions; p(1 − t) is that shift with its odd coefficients negated.
-    """
-    shifted = list(coeffs)
-    for i in range(len(shifted) - 1):
-        for j in range(len(shifted) - 2, i - 1, -1):
-            shifted[j] += shifted[j + 1]
-    return [-c if j % 2 else c for j, c in enumerate(shifted)]
-
-
-def _rounded(numerator: int, denominator: int) -> float:
-    """numerator / denominator rounded once; ±inf past the float range, which ScalarFn refuses."""
-    try:
-        return numerator / denominator
-    except OverflowError:
-        return math.inf if numerator > 0 else -math.inf
-
-
 _ZERO = ScalarFn.constant(0.0)
-
-
-def dual_ab(income_weight: ScalarFn, need_weight: ScalarFn) -> tuple[ScalarFn, ScalarFn]:
-    """Weights of the dual of a deviation-weighted rule with catalog weights.
-
-    The dual's income weight is t -> A(1-t) and its need weight is
-    t -> 1 - A(1-t) - B(1-t), that is 1 - A - B at 1 - t, writing A and B
-    for the inputs. A float is an integer over a power of two, so over the
-    largest of the coefficients' denominators both weights are derived
-    exactly, in integers; each coefficient is then rounded once.
-    """
-    income = income_weight.coefficients()
-    ratios = [c.as_integer_ratio() for c in income + need_weight.coefficients()]
-    denominator = max(d for _, d in ratios)
-    numerators = [n * (denominator // d) for n, d in ratios]
-    a, b = numerators[: len(income)], numerators[len(income) :]
-    rest = [-u - v for u, v in zip_longest(a, b, fillvalue=0)]
-    rest[0] += denominator
-    return tuple(
-        from_coefficients([_rounded(n, denominator) for n in _reflected(p)]) for p in (a, rest)
-    )
 
 
 # The catalog forms without weight functions map to each other, field for

@@ -8,7 +8,9 @@ core.Block of problems by RuleSpec.payoffs_batch, and one problem is its
 one-row Block. A rule with weights pays through ab_payoffs_batch, the one
 payoff kernel; a convex mixture or a dual around a rule without weights
 mixes or reflects its inner rule's block payoffs, and a custom rule is
-paid row by row.
+paid row by row, its vector length-checked by CustomRule.payoffs. The
+reflection lives beside DualRule: reflected_payoffs on a block,
+dual_payoffs on one problem, and dual_ab on a rule's weights.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Callable, ClassVar, Iterator, Sequence, Union
 
 import numpy as np
@@ -147,15 +150,20 @@ def _weight(fn: FnLike, t: Ratio) -> Ratio:
     return np.array([float(fn(x)) for x in t.tolist()])
 
 
+def _one_row(batch: Callable[[Block], np.ndarray], problem: Problem) -> np.ndarray:
+    """batch's payoffs of the problem's one-row block, as a read-only float64 array."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        row = batch(Block.of(problem))[0]
+    row.setflags(write=False)
+    return row
+
+
 class RuleSpec:
     """A rule maps each problem to the unique payoff vector its formula defines."""
 
     def payoffs(self, problem: Problem) -> np.ndarray:
         """Each agent's payoff, as a read-only float64 array: the problem's one-row block."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            row = self.payoffs_batch(Block.of(problem))[0]
-        row.setflags(write=False)
-        return row
+        return _one_row(self.payoffs_batch, problem)
 
     def weights_at(self, t: Ratio) -> tuple[Ratio, Ratio] | None:
         """(A(t), B(t)) if the rule pays ȳ + A(t)(y−ȳ) + B(t)(z−z̄), else None.
@@ -378,9 +386,66 @@ class DualRule(RuleSpec):
         return None if weights is None else (weights[0], 1.0 - weights[0] - weights[1])
 
     def _unweighted_batch(self, block: Block) -> np.ndarray:
-        from .duality import reflected_payoffs
-
         return reflected_payoffs(self.inner, block)
+
+
+def reflected_payoffs(rule: RuleSpec, block: Block) -> np.ndarray:
+    """Payoffs of the rule's dual, z − R(z − y, z), on each row of a block.
+
+    The reflected block, of incomes z − y, keeps the block's agents. An
+    entry that overflows is refused as NonFinite, by the reflected block or
+    by the Allocation of the payoffs.
+    """
+    needs = block.needs
+    reflected = Block(needs - block.incomes, needs, block.counts, block.agents)
+    return needs - rule.payoffs_batch(reflected)
+
+
+def dual_payoffs(rule: RuleSpec, problem: Problem) -> np.ndarray:
+    """reflected_payoffs of one problem, as a read-only float64 array."""
+    return _one_row(lambda block: reflected_payoffs(rule, block), problem)
+
+
+def _reflected(coeffs: list[int]) -> list[int]:
+    """Ascending coefficients of p(1 − t), given those of p(t), in integers.
+
+    Shifting p(u) to p(u + 1) by repeated synthetic division takes only
+    additions; p(1 − t) is that shift with its odd coefficients negated.
+    """
+    shifted = list(coeffs)
+    for i in range(len(shifted) - 1):
+        for j in range(len(shifted) - 2, i - 1, -1):
+            shifted[j] += shifted[j + 1]
+    return [-c if j % 2 else c for j, c in enumerate(shifted)]
+
+
+def _rounded(numerator: int, denominator: int) -> float:
+    """numerator / denominator rounded once; ±inf past the float range, which ScalarFn refuses."""
+    try:
+        return numerator / denominator
+    except OverflowError:
+        return math.inf if numerator > 0 else -math.inf
+
+
+def dual_ab(income_weight: ScalarFn, need_weight: ScalarFn) -> tuple[ScalarFn, ScalarFn]:
+    """Weights of the dual of a deviation-weighted rule with catalog weights.
+
+    The dual's income weight is t -> A(1-t) and its need weight is
+    t -> 1 - A(1-t) - B(1-t), that is 1 - A - B at 1 - t, writing A and B
+    for the inputs. A float is an integer over a power of two, so over the
+    largest of the coefficients' denominators both weights are derived
+    exactly, in integers; each coefficient is then rounded once.
+    """
+    income = income_weight.coefficients()
+    ratios = [c.as_integer_ratio() for c in income + need_weight.coefficients()]
+    denominator = max(d for _, d in ratios)
+    numerators = [n * (denominator // d) for n, d in ratios]
+    a, b = numerators[: len(income)], numerators[len(income) :]
+    rest = [-u - v for u, v in zip_longest(a, b, fillvalue=0)]
+    rest[0] += denominator
+    return tuple(
+        from_coefficients([_rounded(n, denominator) for n in _reflected(p)]) for p in (a, rest)
+    )
 
 
 @dataclass(frozen=True)
@@ -389,22 +454,21 @@ class CustomRule(RuleSpec):
 
     Not expressible in the rule-string grammar; intended for tests and
     library callers. Its function pays one problem, so payoffs is that
-    function's, and a block is paid row by row.
+    function's, refused as LengthMismatch unless it pays each agent once,
+    and a block is paid row by row.
     """
 
     name: str
     allocate: Callable[[Problem], Sequence[float]]
 
     def payoffs(self, problem: Problem) -> np.ndarray:
-        return float_column(self.allocate(problem))
+        return checked_length(float_column(self.allocate(problem)), problem)
 
     def _unweighted_batch(self, block: Block) -> np.ndarray:
         """Each row's payoffs, the row built as a Problem of its own agents."""
         payoffs = np.zeros(block.incomes.shape)
         for k in range(len(payoffs)):
-            problem = block.problem(k)
-            # Assigned to a slice, one value would silently fill the row.
-            row = checked_length(self.payoffs(problem), problem)
+            row = self.payoffs(block.problem(k))
             payoffs[k, : len(row)] = row
         return payoffs
 
@@ -455,8 +519,7 @@ def equivalent_on(
     witness: Problem | None = None
     where: int | None = None
     for problem in problems:
-        x1 = checked_length(first.payoffs(problem), problem)
-        x2 = checked_length(second.payoffs(problem), problem)
+        x1, x2 = first.payoffs(problem), second.payoffs(problem)
         with np.errstate(over="ignore", invalid="ignore"):
             gaps = np.abs(x1 - x2)
         # argmax picks the first NaN, else the first of the largest gaps.

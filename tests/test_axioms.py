@@ -296,6 +296,33 @@ def test_continuity_probe_records_gap_sequence():
     assert max(cex.observed) > 0.5
 
 
+def test_a_continuity_fail_screens_no_empty_shrink_round(monkeypatch):
+    # Continuity has no shrink: the FAIL screens only its confirmed trial.
+    sizes = []
+    rows = axioms._rows
+
+    def spying(instances):
+        sizes.append(len(instances))
+        return rows(instances)
+
+    monkeypatch.setattr(axioms, "_rows", spying)
+    report = check_axiom("continuity", _bit_noise_rule(), SampleConfig(seed=1, trials=200))
+    assert not report.passed
+    assert sizes == [1]
+
+
+def test_violates_gives_a_block_the_answer_of_each_trial():
+    tol = 1e-9
+    at = tol * 2.0
+    deviation = np.array([math.nan, math.inf, -math.inf, at, np.nextafter(at, 1.0), 0.0])
+    scale = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 1.0])
+    expected = [True, True, False, False, True, False]
+    block = axioms._violates(deviation, tol, scale)
+    assert block.tolist() == expected
+    trials = [axioms._violates(d, tol, s) for d, s in zip(deviation.tolist(), scale.tolist())]
+    assert trials == expected
+
+
 def test_reports_are_deterministic():
     cfg = SampleConfig(seed=9, trials=40)
     assert check_axiom("dummy", FULL, cfg) == check_axiom("dummy", FULL, cfg)

@@ -99,7 +99,7 @@ def _assert_screen_matches_measure(axiom, rule, seed, counts):
         assert len(instance["problem"]) == counts[k]
         row_expected = None if expected is None else expected[k]
         row = (deviation[k], scale[k], row_expected, observed[k])
-        one_row = axioms._measure(checker, rule, instance)
+        one_row = axioms._measures(checker, rule, [instance])[0]
         scalar = MEASURES[axiom](rule, instance)
         for padded, unpadded in zip(row, one_row):
             _assert_padded_row(padded, unpadded, (axiom, k))
@@ -565,7 +565,7 @@ HALVING_STEPS = {
 
 
 def _reference_shrunk(axiom, rule, instance, measured):
-    """The shrink one candidate at a time, each screened alone by _measure.
+    """The shrink one candidate at a time, each screened alone by _measures.
 
     Each step takes its first candidate that still violates, skips one the
     rule cannot pay, and shrinking stops at a step where none violates.
@@ -578,7 +578,7 @@ def _reference_shrunk(axiom, rule, instance, measured):
             candidates = checker.shrink(instance)
         for candidate in candidates:
             try:
-                screened = axioms._measure(checker, rule, candidate)
+                screened = axioms._measures(checker, rule, [candidate])[0]
             except RuleError:
                 continue
             if not screened[0] <= TOL * screened[1]:
@@ -617,7 +617,7 @@ def _shrink_outcome(shrink):
 
 def _assert_shrunk_matches_reference(axiom, rule, instance):
     checker = axioms._CHECKERS[axiom]
-    measured = axioms._measure(checker, rule, instance)
+    measured = axioms._measures(checker, rule, [instance])[0]
     shrunk = _shrink_outcome(lambda: axioms._shrunk(checker, rule, instance, measured, TOL))
     reference = _shrink_outcome(lambda: _reference_shrunk(axiom, rule, instance, measured))
     assert shrunk == reference, axiom

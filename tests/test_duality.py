@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from redistrib import duality as duality_module
 from redistrib import rules as rules_module
 from redistrib import (
     ABRule,
@@ -344,7 +343,7 @@ def test_grammar_duals_and_mixtures_evaluate_through_the_kernel(monkeypatch):
         raise AssertionError("reflected problem built")
 
     monkeypatch.setattr(rules_module, "ab_payoffs_batch", counting)
-    monkeypatch.setattr(duality_module, "reflected_payoffs", refuse)
+    monkeypatch.setattr(rules_module, "reflected_payoffs", refuse)
     p = reference_problem()
     for spec in (
         "dual(convex(lf;nafr;0.4))",

@@ -1,5 +1,7 @@
+import ast
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +39,7 @@ from redistrib import (
     parse_scalar_fn,
     split_rule_list,
 )
+import redistrib
 from redistrib.rules import MAX_RULE_DEPTH
 from redistrib.rules import EquivalenceVerdict
 from conftest import NAN_RULES, nested_rules, nested_spec, random_problems, reference_problem
@@ -269,6 +272,32 @@ def test_convex_payoffs_reject_a_payoff_vector_of_another_length():
     for first, second in ((first_only, LF), (LF, first_only)):
         with pytest.raises(LengthMismatch, match="1 values for 2 agents"):
             ConvexCombination(first, second, 0.5).payoffs(reference_problem())
+
+
+def test_custom_payoffs_reject_a_payoff_vector_of_another_length():
+    p = make_problem(("a", "b", "c"), (1.0, 2.0, 3.0), (1.0, 1.0, 1.0))
+    for allocate, count in ((lambda q: (q.total_income,), 1), (lambda q: (*q.incomes, 0.0), 4)):
+        with pytest.raises(LengthMismatch, match=f"^{count} values for 3 agents$"):
+            CustomRule("wrong-length", allocate).payoffs(p)
+
+
+def test_no_function_imports_a_module_of_the_package():
+    # The package's modules import each other at their heads only.
+    imports = []
+    for path in sorted(Path(redistrib.__file__).parent.glob("*.py")):
+        for function in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            for node in ast.walk(function):
+                if isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""] if node.level == 0 else ["redistrib"]
+                elif isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                else:
+                    continue
+                if any(name.partition(".")[0] == "redistrib" for name in names):
+                    imports.append(f"{path.name}:{node.lineno}")
+    assert imports == []
 
 
 def test_equivalent_on_rejects_bad_tol():
