@@ -5,18 +5,20 @@ measure how far the rule deviates from the property, and fail when the
 deviation exceeds a tolerance scaled by the instance's magnitude. A pass is
 evidence, not proof; a fail comes with a concrete re-runnable counterexample.
 
-Trials are drawn in blocks of up to BLOCK_TRIALS and screened as one batch
-of numpy arrays, row k for trial k, each problem of a batch held in a
-core.Block. A trial has 2 to 6 agents, so the batch is as wide as its
-largest trial and the columns past a trial's own agents are padding: zero
-incomes and needs, paid zero, which leave every row's totals and payoffs
-as they are unpadded, bit for bit. The screen is each axiom's only
-measure. The first flagged trial is rebuilt as an instance of Problems,
-re-screened as an unpadded one-row batch, then shrunk, and reported with
-the screen of the last instance the shrink took. Shrinking screens each
-round of candidates as one batch: a halving chain is built and screened
-ahead, all its steps at once. Drawn problems are valid, so payoffs that do
-not allocate one raise RuleError.
+Trials are drawn in blocks of BLOCK_TRIALS, the draw unit, which fixes
+every trial's bits. They are screened in batches of numpy arrays, row k for
+trial k, each problem of a batch held in a core.Block: the first block
+alone, then up to SCREEN_ROWS trials, several blocks, at a time. A trial
+has 2 to 6 agents, so the batch is as wide as its largest trial and the
+columns past a trial's own agents are padding: zero incomes and needs,
+paid zero, which leave every row's totals and payoffs as they are
+unpadded, bit for bit. The screen is each axiom's only measure. The first
+flagged trial is rebuilt as an instance of Problems, re-screened as an
+unpadded one-row batch, then shrunk, and reported with the screen of the
+last instance the shrink took. Shrinking screens each round of candidates
+as one batch: a halving chain is built and screened ahead, all its steps
+at once. Drawn problems are valid, so payoffs that do not allocate one
+raise RuleError, wherever in its screened batch the problem is.
 """
 
 from __future__ import annotations
@@ -51,9 +53,6 @@ CONTINUITY_STEPS = 40
 # Halvings at the end of the continuity probe whose gap must not grow.
 CONTINUITY_TAIL = CONTINUITY_STEPS // 2
 MAX_SHRINK_STEPS = 40
-# Continuity steps screened together. A block of trials at all 41 steps
-# takes about 1.2 MB more memory at its peak than at 8.
-CONTINUITY_SLICE = 8
 
 # The sampled domain. Every problem has 2 to 6 agents, so each axiom's
 # construction (a second identical agent, a group, a dummy) fits. Needs
@@ -63,9 +62,13 @@ INCOME_RANGE = (-10.0, 10.0)
 NEED_RANGE = (0.1, 10.0)
 # The largest step of the continuity probe.
 PERTURBATION_SCALE = 0.5
-# Trials drawn and screened together: bounds the memory of a check
-# whatever its trial count.
+# The draw unit: trials drawn together, their agent counts first. It fixes
+# the RNG stream, so it is never changed.
 BLOCK_TRIALS = 128
+# The screen unit: trials screened as one batch after the first block, and
+# the step rows of one slice of the continuity probe. A multiple of
+# BLOCK_TRIALS; it bounds the memory of a check whatever its trial count.
+SCREEN_ROWS = 1024
 
 
 class UnknownAxiom(ValueError):
@@ -94,15 +97,25 @@ def rng_for(seed: int, label: str) -> np.random.Generator:
 def trial_blocks(
     rng: np.random.Generator, cfg: SampleConfig, draw: Callable
 ) -> Iterator[tuple[int, dict]]:
-    """Split cfg.trials into blocks of BLOCK_TRIALS trials or fewer.
+    """Split cfg.trials into screen batches: the first block alone, then SCREEN_ROWS at a time.
 
-    Yields each block's first trial index and its trials as one padded
-    batch (see draw_trials); row k of the batch is trial start + k.
+    Trials are drawn a block of BLOCK_TRIALS at a time, each block's agent
+    counts and then its trials (see draw_trials), so every trial's draw is
+    the same however blocks are batched. The first block is its own batch,
+    as most checks that fail do so in it; later batches gather up to
+    SCREEN_ROWS trials, several blocks, into one padded batch. Yields each
+    batch's first trial index and the batch; row k is trial start + k.
     """
-    for start in range(0, cfg.trials, BLOCK_TRIALS):
-        size = min(BLOCK_TRIALS, cfg.trials - start)
-        counts = rng.integers(N_RANGE[0], N_RANGE[1] + 1, size)
-        yield start, draw_trials(rng, counts, draw)
+    start = 0
+    while start < cfg.trials:
+        stop = min(cfg.trials, start + (SCREEN_ROWS if start else BLOCK_TRIALS))
+        counts, groups = [], []
+        for first in range(start, stop, BLOCK_TRIALS):
+            block = rng.integers(N_RANGE[0], N_RANGE[1] + 1, min(BLOCK_TRIALS, stop - first))
+            groups += _count_draws(rng, block, draw, first - start)
+            counts.append(block)
+        yield start, _scattered(np.concatenate(counts), groups)
+        start = stop
 
 
 def draw_trials(rng: np.random.Generator, counts: np.ndarray, draw: Callable) -> dict:
@@ -115,11 +128,23 @@ def draw_trials(rng: np.random.Generator, counts: np.ndarray, draw: Callable) ->
     mask) to the largest count, and each problem becomes one Block that
     records the counts.
     """
-    size, width = len(counts), int(counts.max())
+    return _scattered(counts, _count_draws(rng, counts, draw))
+
+
+def _count_draws(
+    rng: np.random.Generator, counts: np.ndarray, draw: Callable, offset: int = 0
+) -> list:
+    """(rows, draw) of each agent count in turn, ascending; rows are offset."""
     groups = []
     for n in sorted(set(counts.tolist())):
         rows = np.flatnonzero(counts == n)
-        groups.append((rows, draw(rng, n, len(rows))))
+        groups.append((rows + offset, draw(rng, n, len(rows))))
+    return groups
+
+
+def _scattered(counts: np.ndarray, groups: list) -> dict:
+    """The batch of the groups' draws, each row at its trial's position."""
+    size, width = len(counts), int(counts.max())
 
     def scatter(parts: Sequence[np.ndarray]) -> np.ndarray:
         out = np.zeros((size, width)[: parts[0].ndim], parts[0].dtype)
@@ -170,7 +195,9 @@ def worst_trial(
     measure maps the rule and a padded Block to one value per row; values
     that are not positive never count. A NaN value, which only a rule error
     gives, is worse than any number: the first one is returned with its
-    problem. Payoffs that do not allocate a drawn problem raise RuleError.
+    problem. Trials are screened in trial_blocks' batches; payoffs that do
+    not allocate a drawn problem raise RuleError, even after a NaN earlier
+    in the same batch.
     """
     worst, witness = 0.0, None
     for _, trials in trial_blocks(rng, cfg, _draw_problems):
@@ -335,9 +362,14 @@ def _measures(checker: _Checker, rule: RuleSpec, instances: Sequence[dict]) -> l
     Gives each its deviation and scale as floats, and its expected and
     observed values as tuples of floats (or None).
     """
-    deviation, scale, *values = _screened(checker.screen, rule, _rows(instances))
+    return _screened_rows(checker, rule, _rows(instances))
+
+
+def _screened_rows(checker: _Checker, rule: RuleSpec, trials: dict) -> list[tuple]:
+    """_measures of a batch that _rows built, one tuple per row."""
+    deviation, scale, *values = _screened(checker.screen, rule, trials)
     expected, observed = (
-        [None] * len(instances) if v is None else [tuple(row) for row in v.tolist()]
+        [None] * len(deviation) if v is None else [tuple(row) for row in v.tolist()]
         for v in values
     )
     return list(zip(deviation.tolist(), scale.tolist(), expected, observed))
@@ -458,13 +490,15 @@ def _screen_continuity(rule, trials):
     base = rule.payoffs_batch(problem)
     scale = _payoff_scale([problem.scales], base)
     deltas = (trials["base_delta"] * _HALVINGS)[:, None, None]
-    counts = np.tile(problem.counts, CONTINUITY_SLICE)
-    gaps = []
     # Every trial's steps in one Block of shape (steps, m, n), a slice of
-    # CONTINUITY_SLICE steps at a time. Slices give the bits the whole probe
-    # would: each payoff is its own row's, and a max does not depend on order.
-    for first in range(0, len(deltas), CONTINUITY_SLICE):
-        delta = deltas[first : first + CONTINUITY_SLICE]
+    # about SCREEN_ROWS step rows at a time. Slices give the bits the whole
+    # probe would: each payoff is its own row's, and a max does not depend
+    # on order.
+    per_slice = min(len(deltas), max(1, SCREEN_ROWS // m))
+    counts = np.tile(problem.counts, per_slice)
+    gaps = []
+    for first in range(0, len(deltas), per_slice):
+        delta = deltas[first : first + per_slice]
         steps = Block(
             (problem.incomes + delta * trials["income_dir"]).reshape(-1, n),
             (problem.needs + delta * trials["need_dir"]).reshape(-1, n),
@@ -631,12 +665,15 @@ _CHECKERS: dict[str, _Checker] = {
 def _round_measures(checker: _Checker, rule: RuleSpec, candidates: list[dict]) -> Iterable:
     """_measures of a shrinking round's candidates, None for one the rule cannot pay.
 
-    The round is screened as one batch. If that raises, the candidates are
-    screened again one at a time, each when it is read, so a shrink that
-    stops reading raises only what the candidates it read raise.
+    The round is screened as one batch. If the screen raises, the
+    candidates are screened again one at a time, each when it is read, so a
+    shrink that stops reading raises only what the candidates it read
+    raise. Building the batch is not guarded: an error there is never the
+    rule's.
     """
+    trials = _rows(candidates)
     try:
-        return _measures(checker, rule, candidates)
+        return _screened_rows(checker, rule, trials)
     except Exception:
         return (_paid_measure(checker, rule, candidate) for candidate in candidates)
 
@@ -691,11 +728,13 @@ def check_axiom(
     Stops at the first violation, shrinks it, and reports a counterexample
     whose measured deviation exceeds tol scaled by instance magnitude;
     a NaN deviation, as a NaN payoff gives, counts as a violation.
-    Trials are screened a block at a time, as one padded batch. The first
+    Trials are screened a batch at a time, each one padded batch: the first
+    block of BLOCK_TRIALS alone, then up to SCREEN_ROWS trials. The first
     trial the screen flags is re-screened as a one-row batch rebuilt from
     its instance, which then shrinks; the report holds the screen of the
     last instance taken. A rule whose payoffs do not allocate a drawn
-    problem raises RuleError, whatever the block's other trials show.
+    problem raises RuleError, whatever the other trials of its screened
+    batch show: a violation earlier in the batch does not pre-empt it.
     Shrinking screens each round of candidates as one batch, a halving
     chain all its steps at once, and takes the instance a loop screening
     one candidate at a time would take. An error the rule raises only on

@@ -92,8 +92,8 @@ def check_self_dual(
     """Compare rule and dual payoffs on sampled problems.
 
     Deviations are scaled by each problem's magnitude before comparison
-    with tol, matching the axiom checkers. Problems are drawn in padded
-    blocks, as the axiom checkers draw them.
+    with tol, matching the axiom checkers. Problems are drawn and screened
+    in padded batches, as the axiom checkers draw and screen them.
     """
     check_tol(tol)
     worst, witness = worst_trial(rng_for(cfg.seed, "self_dual"), cfg, rule, _self_dual_gap)

@@ -311,6 +311,28 @@ def test_a_continuity_fail_screens_no_empty_shrink_round(monkeypatch):
     assert sizes == [1]
 
 
+class _BuildFault(Exception):
+    """Raised by a broken _rows, not by any rule."""
+
+
+@pytest.mark.parametrize("axiom,rule", [NEGATIVE_CONTROLS[2], NEGATIVE_CONTROLS[-1]])
+def test_a_fault_building_a_shrink_round_is_raised(monkeypatch, axiom, rule):
+    # Only the round's screen falls back to one candidate at a time: a
+    # fault in building the round's batch, here on every batch of more than
+    # one instance, surfaces instead of sending the round through the
+    # fallback, whose one-instance batches would hide it.
+    rows = axioms._rows
+
+    def broken(instances):
+        if len(instances) > 1:
+            raise _BuildFault(len(instances))
+        return rows(instances)
+
+    monkeypatch.setattr(axioms, "_rows", broken)
+    with pytest.raises(_BuildFault):
+        check_axiom(axiom, rule, SampleConfig(seed=33, trials=60))
+
+
 def test_violates_gives_a_block_the_answer_of_each_trial():
     tol = 1e-9
     at = tol * 2.0

@@ -2,9 +2,12 @@
 
 Payoffs and the sampled checkers are computed on numpy blocks, and the
 screen is each axiom's only measure: a flagged trial is re-screened as a
-one-row block, then shrunk and reported. A rule that cannot pay a drawn
-trial raises RuleError, whichever trial of its block it is, where the scalar
-loop would report an earlier violation. The scalar kernel and measures in
+one-row block, then shrunk and reported. Trials are drawn in blocks of
+BLOCK_TRIALS, whatever the screen unit, and screened in batches: the first
+block alone, then up to SCREEN_ROWS trials at a time; the batch size moves
+no bit of a report. A rule that cannot pay a drawn trial raises RuleError,
+whichever trial of its screened batch it is, where the scalar loop would
+report an earlier violation. The scalar kernel and measures in
 scalar_measures.py, the extraction probe and the reflection definitions
 stay the reference. Every comparison here runs both on the same
 materialized trials. Shrinking screens each round of candidates as one
@@ -64,6 +67,7 @@ TOL = 1e-9
 # instance's scale.
 AGREE = 1e-12
 BLOCK = axioms.BLOCK_TRIALS
+SCREEN = axioms.SCREEN_ROWS
 
 
 def _bits(values):
@@ -391,20 +395,24 @@ def _trials_in_order(label, cfg):
 @pytest.mark.parametrize("axiom", ALL_AXIOMS)
 def test_padded_blocks_hold_the_draws_of_each_agent_count(axiom):
     # The same rng calls as one draw per agent count, scattered so that row
-    # k of a block is its trial k: every trial's instance is unchanged.
-    cfg = SampleConfig(seed=9, trials=BLOCK + 40)
+    # k of a batch is its trial k: every trial's instance is unchanged. The
+    # first block is screened alone, the next SCREEN_ROWS trials, eight draw
+    # blocks, as one batch, and the last 40 trials as a batch of their own.
+    cfg = SampleConfig(seed=9, trials=BLOCK + SCREEN + 40)
     draw = axioms._CHECKERS[axiom].draw
     expected = {
         trial: axioms._trial(batch, k)
         for trial, batch, k in _draws_by_count(rng_for(cfg.seed, axiom), cfg, draw)
     }
-    got = {}
+    got, starts = {}, []
     for start, trials in axioms.trial_blocks(rng_for(cfg.seed, axiom), cfg, draw):
+        starts.append(start)
         counts = trials["problem"].counts
-        assert len(counts) == min(BLOCK, cfg.trials - start)
+        assert len(counts) == min(SCREEN if start else BLOCK, cfg.trials - start)
         assert trials["problem"].incomes.shape == (len(counts), counts.max())
         for k in range(len(counts)):
             got[start + k] = axioms._trial(trials, k)
+    assert starts == [0, BLOCK, BLOCK + SCREEN]
     assert list(got) == list(range(cfg.trials))
     assert got == expected
 
@@ -535,6 +543,111 @@ def test_a_rule_that_cannot_pay_a_trial_gives_a_verdict_or_a_rule_error():
             assert outcome == _scalar_outcome("stability", rule, cfg)
             outcomes.add(outcome[0])
     assert outcomes == {RuleError, False, True}
+
+
+def _unstable_or_unpaid_at(unstable, unpaid):
+    """Pays incomes, which is stable, but moves 1.0 from the last agent to the
+    first on a problem whose first need is in unstable, and pays infinite
+    payoffs, which no Problem accepts, on one whose first need is in unpaid."""
+
+    def allocate(problem):
+        if problem.needs[0] in unpaid:
+            return [math.inf] * len(problem)
+        payoffs = problem.incomes.copy()
+        if problem.needs[0] in unstable:
+            payoffs[0] += 1.0
+            payoffs[-1] -= 1.0
+        return payoffs
+
+    return CustomRule("unstable-or-unpaid", allocate)
+
+
+def test_an_unpaid_trial_raises_only_within_its_screened_batch(monkeypatch):
+    cfg = SampleConfig(seed=11, trials=1000)
+    needs = [p.needs[0] for p in _trials_in_order("stability", cfg)]
+    # The first block is screened alone: a FAIL at trial 6 is reported, and
+    # trial 301, which the rule cannot pay, is never screened.
+    rule = _unstable_or_unpaid_at({needs[5]}, {needs[300]})
+    report = check_axiom("stability", rule, cfg, TOL)
+    assert (report.passed, report.trials_run) == (False, 6)
+    # Trials 151 and 301, of the second and third draw blocks, are screened
+    # in one batch, which raises RuleError though trial 151 violates;
+    # screened a draw block at a time, trial 151 is reported first.
+    rule = _unstable_or_unpaid_at({needs[150]}, {needs[300]})
+    message = "rule 'custom:unstable-or-unpaid' does not allocate a sampled problem: NonFinite"
+    with pytest.raises(RuleError, match=message):
+        check_axiom("stability", rule, cfg, TOL)
+    monkeypatch.setattr(axioms, "SCREEN_ROWS", BLOCK)
+    report = check_axiom("stability", rule, cfg, TOL)
+    assert (report.passed, report.trials_run) == (False, 151)
+
+
+def _report_bits(value):
+    """A report with every float as its bits and a Problem as its fields; the
+    rule it was made for is left out."""
+    if isinstance(value, float):
+        return float.hex(value)
+    if isinstance(value, Problem):
+        return _fields(value)
+    if isinstance(value, (tuple, list)):
+        return [_report_bits(v) for v in value]
+    if isinstance(value, dict):
+        return {key: _report_bits(v) for key, v in value.items()}
+    if dataclasses.is_dataclass(value):
+        return {
+            f.name: _report_bits(getattr(value, f.name))
+            for f in dataclasses.fields(value)
+            if f.name != "rule"
+        }
+    return value
+
+
+def _sampled_outcomes(rule, cfg):
+    """Every sampled report of a rule, as bits, or the error a check raised."""
+    checks = [lambda axiom=axiom: check_axiom(axiom, rule, cfg, TOL) for axiom in ALL_AXIOMS]
+    checks += [
+        lambda: check_self_dual(rule, cfg, TOL),
+        lambda: classify(rule, (-2.0, -1.0, 0.0, 1.0, 2.0), cfg, TOL),
+    ]
+    outcomes = []
+    for check in checks:
+        try:
+            outcomes.append(_report_bits(check()))
+        except Exception as exc:
+            outcomes.append((type(exc), str(exc)))
+    return outcomes
+
+
+def _late_stability_fails():
+    """Two rules that pay every problem and fail stability only at trial 701
+    or 1201 of seed 12, in the second and third screened batches."""
+    needs = [p.needs[0] for p in _trials_in_order("stability", SampleConfig(12, 2100))]
+    return [_unstable_or_unpaid_at({needs[k]}, ()) for k in (700, 1200)]
+
+
+@pytest.mark.parametrize("trials", [1, BLOCK - 1, BLOCK, BLOCK + 1, 1000, 2100])
+def test_the_screen_unit_moves_no_bit_of_a_report(monkeypatch, trials):
+    # Every axiom, self-duality and classify report of PROP and of each
+    # negative control, needs_squared_rule among them, screened in batches
+    # of SCREEN_ROWS trials and a draw block at a time, holds the same
+    # verdict, trial count, counterexample, deviation, residual and witness;
+    # so do stability FAILs in the second and third screened batches.
+    cfg = SampleConfig(seed=12, trials=trials)
+    everywhere = [PROP, *{format_rule(rule): rule for _, rule in NEGATIVE_CONTROLS}.values()]
+    late = _late_stability_fails()
+
+    def outcomes():
+        return [_sampled_outcomes(rule, cfg) for rule in everywhere] + [
+            _report_bits(check_axiom("stability", rule, cfg, TOL)) for rule in late
+        ]
+
+    batched = outcomes()
+    monkeypatch.setattr(axioms, "SCREEN_ROWS", BLOCK)
+    assert outcomes() == batched
+    assert [report["trials_run"] for report in batched[-2:]] == [
+        min(trials, 701),
+        min(trials, 1201),
+    ]
 
 
 # One halving step of each chained axiom, as a step-by-step shrink takes it:
@@ -900,8 +1013,6 @@ def _assert_each_block_is_summed_once(counts):
 BLOCKS_PER_BATCH = {
     "homogeneity": 1 + 1,
     "equal_treatment": 1,
-    # One Block per slice of the probe's steps.
-    "continuity": 1 + math.ceil((axioms.CONTINUITY_STEPS + 1) / axioms.CONTINUITY_SLICE),
     "nat": 2,
     "stability": 1 + 1,
     "dummy": 1,
@@ -910,16 +1021,27 @@ BLOCKS_PER_BATCH = {
 }
 
 
+def _blocks_per_batch(axiom, rows):
+    """Blocks built to screen a batch of rows trials."""
+    if axiom != "continuity":
+        return BLOCKS_PER_BATCH[axiom]
+    # The draw's Block, then one per slice of the probe: as many halvings as
+    # fit in SCREEN_ROWS step rows, at least one.
+    per_slice = max(1, SCREEN // rows)
+    return 1 + math.ceil((axioms.CONTINUITY_STEPS + 1) / per_slice)
+
+
 @pytest.mark.parametrize("axiom", ALL_AXIOMS)
 def test_check_axiom_sums_each_block_once(monkeypatch, axiom):
     # A passing rule, and a failing one whose counterexample is confirmed,
     # shrunk and re-checked through one-row Blocks.
     failing = [rule for name, rule in NEGATIVE_CONTROLS if name == axiom]
     counts = _count_row_sums(monkeypatch)
-    cfg = SampleConfig(seed=3, trials=BLOCK + 5)
+    cfg = SampleConfig(seed=3, trials=BLOCK + SCREEN + 5)
     assert check_axiom(axiom, PROP, cfg, TOL).passed
-    # Two batches, each of its trials' agent counts at once.
-    assert counts["blocks"] == 2 * BLOCKS_PER_BATCH[axiom]
+    # Three batches, the first block, a full batch and 5 trials, each of its
+    # trials' agent counts at once.
+    assert counts["blocks"] == sum(_blocks_per_batch(axiom, m) for m in (BLOCK, SCREEN, 5))
     reports = [check_axiom(axiom, rule, cfg, TOL) for rule in failing]
     assert [report.passed for report in reports] == [False] * len(failing)
     _assert_each_block_is_summed_once(counts)
@@ -954,7 +1076,10 @@ def _continuity_peak(trials):
 
 
 def test_screen_memory_does_not_grow_with_trials():
-    _continuity_peak(BLOCK)  # warm numpy's and the module's caches
-    one = _continuity_peak(BLOCK)
-    eight = _continuity_peak(8 * BLOCK)
+    # A check of one full screen batch after the first block, and one of 8
+    # times as many trials, peak alike: batches of SCREEN_ROWS trials, and
+    # continuity slices of about SCREEN_ROWS step rows, bound the memory.
+    _continuity_peak(BLOCK + SCREEN)  # warm numpy's and the module's caches
+    one = _continuity_peak(BLOCK + SCREEN)
+    eight = _continuity_peak(BLOCK + 8 * SCREEN)
     assert eight <= 1.5 * one, (one, eight)

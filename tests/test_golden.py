@@ -4,7 +4,8 @@ The files under data/golden are --no-timestamp reports. Those of check
 --axioms all, classify and dual at --seed 7 --samples 300 pin every
 verdict, trial count, counterexample and float that sampling gives, so a
 change to how trials are drawn, batched or screened that moves any of them
-shows here. Those of apply and compare on the small dataset under
+shows here; those at --samples 1000, the benchmark's sample count, span
+the first screened block and a full batch after it. Those of apply and compare on the small dataset under
 data/datasets, as CSV and as JSON, pin every allocation, coverage and
 summary float, so a change to how a dataset is loaded, checked, totalled
 or summarised that moves any of them shows here. To record them again, run
@@ -30,13 +31,28 @@ RULES = {
 COMMANDS = {"check": ["--axioms", "all"], "classify": [], "dual": []}
 
 
+def _sampled_report(capsys, command, name, samples):
+    argv = [command, "--rule", RULES[name], *COMMANDS[command]]
+    main(argv + ["--seed", "7", "--samples", str(samples), "--no-timestamp"])
+    return capsys.readouterr().out
+
+
 @pytest.mark.parametrize("command", COMMANDS)
 @pytest.mark.parametrize("name", RULES)
 def test_report_matches_the_recorded_bytes(capsys, command, name):
-    argv = [command, "--rule", RULES[name], *COMMANDS[command]]
-    main(argv + ["--seed", "7", "--samples", "300", "--no-timestamp"])
-    report = capsys.readouterr().out
+    report = _sampled_report(capsys, command, name, 300)
     assert report == (GOLDEN / f"{command}-{name}.json").read_text(encoding="utf-8")
+
+
+# Continuity of lf passes all 1000 trials; afam's stability FAIL is shrunk.
+SAMPLES_1000 = [("check", "lf"), ("check", "afam"), ("classify", "dual_ab"), ("dual", "dual_ab")]
+
+
+@pytest.mark.parametrize("command,name", SAMPLES_1000)
+def test_report_at_1000_samples_matches_the_recorded_bytes(capsys, command, name):
+    report = _sampled_report(capsys, command, name, 1000)
+    golden = GOLDEN / f"{command}-{name}-1000.json"
+    assert report == golden.read_text(encoding="utf-8")
 
 
 # Negative incomes, a zero need (coverage null), a +0.0/-0.0 income tie and
