@@ -563,7 +563,7 @@ def _chain_nat(instance):
         toward(problem.needs, modified.needs),
         agents=problem.agents,
     )
-    return [{**instance, "modified": steps.problem(k)} for k in range(MAX_SHRINK_STEPS)]
+    return [{**instance, "modified": modified} for modified in steps.problems()]
 
 
 # --- stability: reapplying a rule to its own output changes nothing ---

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -65,13 +65,18 @@ def float_column(values: Iterable[float]) -> np.ndarray:
 
     A float64 array, which float() would leave as it is, is copied whole.
     """
-    if isinstance(values, np.ndarray) and values.dtype == np.float64 and values.ndim == 1:
+    if is_float64_vector(values):
         column = values.copy()
     else:
         count = len(values) if hasattr(values, "__len__") else -1
         column = np.fromiter(map(float, values), float, count=count)
     column.setflags(write=False)
     return column
+
+
+def is_float64_vector(values) -> bool:
+    """Whether values are a 1-D float64 array, whose entries float() leaves as they are."""
+    return isinstance(values, np.ndarray) and values.dtype == np.float64 and values.ndim == 1
 
 
 class _TupleEquality:
@@ -298,6 +303,16 @@ class Block:
         """Each row's max(1, |total income|, total need), which its tolerances scale with."""
         return np.maximum(np.maximum(1.0, np.abs(self.total_income)), self.total_need)
 
+    @property
+    def padded(self) -> bool:
+        """Whether some row is shorter than the block is wide."""
+        return bool((self.counts < self.incomes.shape[1]).any())
+
+    @property
+    def agent_mask(self) -> np.ndarray:
+        """Where the agents are: entry (k, j) is True if j < counts[k], False on padding."""
+        return np.arange(self.incomes.shape[1]) < self.counts[:, None]
+
     def problem(self, k: int) -> Problem:
         """Row k as a Problem of its first counts[k] agents.
 
@@ -305,14 +320,27 @@ class Block:
         copied or summed again: its columns are read-only views of the
         block's arrays and the Problem takes the row's totals.
         """
-        n = int(self.counts[k])
+        return self._row(k, int(self.counts[k]), self._ids())
+
+    def problems(self) -> Iterator[Problem]:
+        """Each row's Problem, in row order, as problem(k) gives it."""
+        ids = self._ids()
+        for k, n in enumerate(self.counts.tolist()):
+            yield self._row(k, n, ids)
+
+    def _ids(self) -> tuple[Hashable, ...]:
+        """The agents of a full row: the block's ids, or 1..n."""
+        return tuple(range(1, self.incomes.shape[1] + 1)) if self.agents is None else self.agents
+
+    def _row(self, k: int, n: int, ids: tuple[Hashable, ...]) -> Problem:
+        """Row k as a Problem of its first n agents, named by ids."""
         problem = object.__new__(Problem)
         vars(problem).update(
-            agents=tuple(range(1, n + 1)) if self.agents is None else self.agents[:n],
+            agents=ids[:n],
             incomes=self.incomes[k, :n],
             needs=self.needs[k, :n],
-            total_income=float(self.total_income[k]),
-            total_need=float(self.total_need[k]),
+            total_income=self.total_income.item(k),
+            total_need=self.total_need.item(k),
         )
         return problem
 
@@ -372,9 +400,14 @@ def check_allocation(problem: Problem, values: Sequence[float]) -> BalanceVerdic
 
 def checked_length(values: Sequence[float], problem: Problem) -> Sequence[float]:
     """The values, if there is one for each agent of the problem."""
-    if len(values) != len(problem):
-        raise LengthMismatch(f"{len(values)} values for {len(problem)} agents")
+    check_count(len(values), problem)
     return values
+
+
+def check_count(count: int, problem: Problem) -> None:
+    """Refuse count values for the problem unless there is one for each agent."""
+    if count != len(problem):
+        raise LengthMismatch(f"{count} values for {len(problem)} agents")
 
 
 def _balance(problem: Problem, values: np.ndarray) -> BalanceVerdict:

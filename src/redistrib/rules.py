@@ -7,8 +7,8 @@ that give only their two deviation weights. Every rule is evaluated on a
 core.Block of problems by RuleSpec.payoffs_batch, and one problem is its
 one-row Block. A rule with weights pays through ab_payoffs_batch, the one
 payoff kernel; a convex mixture or a dual around a rule without weights
-mixes or reflects its inner rule's block payoffs, and a custom rule is
-paid row by row, its vector length-checked by CustomRule.payoffs. The
+mixes or reflects its inner rule's block payoffs, and a custom rule's
+function pays each row, its vector length-checked, into one buffer. The
 reflection lives beside DualRule: reflected_payoffs on a block,
 dual_payoffs on one problem, and dual_ab on a rule's weights.
 """
@@ -16,6 +16,7 @@ dual_payoffs on one problem, and dual_ab on a rule's weights.
 from __future__ import annotations
 
 import math
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import zip_longest
@@ -28,9 +29,11 @@ from .core import (
     Block,
     Problem,
     ValidationError,
+    check_count,
     check_tol,
     checked_length,
     float_column,
+    is_float64_vector,
 )
 
 
@@ -177,8 +180,11 @@ class RuleSpec:
 
         A rule with weights takes them in one weights_at call on the array of
         row ratios and pays through ab_payoffs_batch; any other rule pays
-        through its _unweighted_batch. Padded columns are paid 0.0. Overflow
-        warnings are left to the caller; payoffs silences them.
+        through its _unweighted_batch: a mixture or a dual from its inner
+        rules' block payoffs, a custom rule by calling its function on each
+        row and gathering the values in one buffer. Padded columns are
+        paid 0.0. Overflow warnings are left to the caller; payoffs
+        silences them.
         """
         weights = self.weights_at(block.total_income / block.total_need)
         if weights is None:
@@ -211,8 +217,8 @@ def ab_payoffs_batch(block: Block, a: np.ndarray | float, b: np.ndarray | float)
         deviation = mean_income + (incomes - mean_income) * a + need_terms
         payoffs = np.where(large, deviation, payoffs)
     # Only a block with a short row builds the mask, not one problem's block.
-    if counts.min() < incomes.shape[1]:
-        payoffs[np.arange(incomes.shape[1]) >= counts[:, None]] = 0.0
+    if block.padded:
+        payoffs[~block.agent_mask] = 0.0
     return payoffs
 
 
@@ -454,8 +460,9 @@ class CustomRule(RuleSpec):
 
     Not expressible in the rule-string grammar; intended for tests and
     library callers. Its function pays one problem, so payoffs is that
-    function's, refused as LengthMismatch unless it pays each agent once,
-    and a block is paid row by row.
+    function's, refused as LengthMismatch unless it pays each agent once.
+    A block calls the function on each row's Problem, as Block.problems
+    gives it, and gathers every row's values in one float64 buffer.
     """
 
     name: str
@@ -465,11 +472,28 @@ class CustomRule(RuleSpec):
         return checked_length(float_column(self.allocate(problem)), problem)
 
     def _unweighted_batch(self, block: Block) -> np.ndarray:
-        """Each row's payoffs, the row built as a Problem of its own agents."""
+        """Each row's function payoffs, gathered in one buffer.
+
+        Rows are paid in order, each a Problem from Block.problems, and each
+        value goes through float() into one float64 buffer; a float64 array,
+        which float() would leave as it is, is copied in whole. The first
+        row not paid once per agent raises LengthMismatch, as payoffs would,
+        and no later row is paid. An unpadded block's payoffs are the
+        buffer; a padded block's fill its agent entries in one assignment.
+        """
+        values = array("d")
+        for problem in block.problems():
+            start, row = len(values), self.allocate(problem)
+            if is_float64_vector(row):
+                values.frombytes(row.tobytes())
+            else:
+                values.extend(map(float, row))
+            check_count(len(values) - start, problem)
+        values = np.frombuffer(values)
+        if not block.padded:
+            return values.reshape(block.incomes.shape)
         payoffs = np.zeros(block.incomes.shape)
-        for k in range(len(payoffs)):
-            row = self.payoffs(block.problem(k))
-            payoffs[k, : len(row)] = row
+        payoffs[block.agent_mask] = values
         return payoffs
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 from hypothesis import strategies as st
 
 from redistrib import (
@@ -33,6 +34,19 @@ def needs_squared_rule() -> CustomRule:
         return [z * z / weight * problem.total_income for z in problem.needs]
 
     return CustomRule("needs-squared", allocate)
+
+
+def hex_bits(value):
+    """A report field in JSON, each float as its hex bits and a Problem by column."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, Problem):
+        return {name: hex_bits(getattr(value, name)) for name in ("agents", "incomes", "needs")}
+    if isinstance(value, dict):
+        return {key: hex_bits(v) for key, v in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [hex_bits(v) for v in value]
+    return value.hex() if isinstance(value, float) else value
 
 
 def _nan_payoffs(problem: Problem) -> list[float]:

@@ -34,7 +34,7 @@ from redistrib import (
 )
 from redistrib import axioms
 from redistrib.rules import ConvexCombination, WeightedRule
-from conftest import AXIOM_MESSAGES, NAN_RULES, needs_squared_rule
+from conftest import AXIOM_MESSAGES, NAN_RULES, hex_bits, needs_squared_rule
 from scalar_measures import MEASURES
 
 
@@ -171,24 +171,11 @@ PINNED_SEEDS = (33, 1, 7)
 PINNED = Path(__file__).parent / "data" / "golden" / "negative-controls.json"
 
 
-def _bits(value):
-    """A report field in JSON, each float as its hex bits and a Problem by column."""
-    if isinstance(value, np.ndarray):
-        value = value.tolist()
-    if isinstance(value, Problem):
-        return {name: _bits(getattr(value, name)) for name in ("agents", "incomes", "needs")}
-    if isinstance(value, dict):
-        return {key: _bits(v) for key, v in value.items()}
-    if isinstance(value, (tuple, list)):
-        return [_bits(v) for v in value]
-    return value.hex() if isinstance(value, float) else value
-
-
 def _pinned_report(axiom, rule, seed):
     report = check_axiom(axiom, rule, SampleConfig(seed=seed, trials=300))
     cex = report.counterexample
     fields = ("instance", "expected", "observed", "deviation", "threshold")
-    return {"trials_run": report.trials_run, **{f: _bits(getattr(cex, f)) for f in fields}}
+    return {"trials_run": report.trials_run, **{f: hex_bits(getattr(cex, f)) for f in fields}}
 
 
 def pinned_reports():

@@ -1083,3 +1083,27 @@ def test_screen_memory_does_not_grow_with_trials():
     one = _continuity_peak(BLOCK + SCREEN)
     eight = _continuity_peak(BLOCK + 8 * SCREEN)
     assert eight <= 1.5 * one, (one, eight)
+
+
+@pytest.mark.parametrize("padded", [False, True], ids=["probe", "padded"])
+def test_a_custom_block_of_a_grid_probe_fills_one_buffer(padded):
+    # A MAX_GRID_POINTS probe of a custom rule: 100,000 rows of 3 agents,
+    # and as many rows padded from 2 agents. One float64 buffer of the
+    # values and the payoffs (2.4 MB) bound the peak, not a Python list or
+    # float object per value.
+    rows = analysis.MAX_GRID_POINTS
+    incomes, needs = axioms.draw_profiles(rng_for(6, "grid probe"), 3, rows)
+    counts = np.where(np.arange(rows) % 2, 2, 3) if padded else None
+    if padded:
+        incomes[1::2, 2] = needs[1::2, 2] = 0.0
+    block = Block(incomes, needs, counts)
+    rule = CustomRule("incomes", lambda problem: problem.incomes.tolist())
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        payoffs = rule.payoffs_batch(block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert payoffs.tobytes() == block.incomes.tobytes()
+    assert peak <= 6_000_000, peak

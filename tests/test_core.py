@@ -480,6 +480,28 @@ def test_block_arrays_are_read_only_and_rows_are_views_of_them():
     assert np.shares_memory(row.needs, block.needs)
 
 
+@pytest.mark.parametrize("agents", [None, ("a", "b", "c", "d")], ids=["padded", "ids"])
+def test_block_problems_are_its_rows_as_problem_gives_them(agents):
+    # Rows of 4, 2 and 3 agents padded to 4, numbered 1..n or named by ids.
+    incomes = np.array([[1.0, -2.0, 3.0, 0.5], [4.0, 5.0, 0.0, 0.0], [-0.0, 6.0, 7.0, 0.0]])
+    needs = np.array([[1.0, 0.0, 2.0, 3.0], [0.5, 0.5, 0.0, 0.0], [1.0, 2.0, 3.0, 0.0]])
+    block = Block(incomes, needs, np.array([4, 2, 3]), agents)
+    rows = list(block.problems())
+    assert len(rows) == 3
+    for k, row in enumerate(rows):
+        alone = block.problem(k)
+        assert row.agents == alone.agents == (agents or (1, 2, 3, 4))[: len(alone)]
+        for name in ("incomes", "needs"):
+            column = getattr(row, name)
+            assert column.tobytes() == getattr(alone, name).tobytes()
+            assert not column.flags.writeable
+            assert np.shares_memory(column, getattr(block, name)[k])
+        assert (row.total_income, row.total_need) == (alone.total_income, alone.total_need)
+        assert type(row.total_income) is type(row.total_need) is float
+    assert [r.total_income for r in rows] == block.total_income.tolist()
+    assert [r.total_need for r in rows] == block.total_need.tolist()
+
+
 @pytest.mark.parametrize(
     "incomes,needs,error,message",
     [

@@ -40,6 +40,8 @@ from redistrib import (
     split_rule_list,
 )
 import redistrib
+from redistrib import rng_for
+from redistrib.axioms import _draw_problems, draw_trials
 from redistrib.rules import MAX_RULE_DEPTH
 from redistrib.rules import EquivalenceVerdict
 from conftest import NAN_RULES, nested_rules, nested_spec, random_problems, reference_problem
@@ -96,9 +98,19 @@ def test_evaluate_blames_the_rule_when_a_valid_problem_is_not_allocated(payoffs,
         evaluate(DualRule(rule), reference_problem())
 
 
-@pytest.mark.parametrize(
-    "make", [list, tuple, iter, np.array], ids=["list", "tuple", "generator", "array"]
-)
+# Sequences a custom rule may return: a float64 array is copied whole, any
+# other sequence, a float32 or a strided array included, goes through float().
+SEQUENCES = {
+    "list": list,
+    "tuple": tuple,
+    "generator": iter,
+    "array": np.array,
+    "float32": lambda values: np.array(values, np.float32),
+    "strided": lambda values: np.repeat(values, 2)[::2],
+}
+
+
+@pytest.mark.parametrize("make", SEQUENCES.values(), ids=SEQUENCES)
 def test_custom_payoffs_of_any_sequence_give_the_same_allocation_bits(make):
     p = reference_problem()
     rule = CustomRule("fixed", lambda problem: make([1.5, 4.5]))
@@ -107,6 +119,53 @@ def test_custom_payoffs_of_any_sequence_give_the_same_allocation_bits(make):
     values = evaluate(rule, p).values
     assert values.dtype == np.float64 and not values.flags.writeable
     assert values.tobytes() == evaluate(PROP, p).values.tobytes()
+    # A padded drawn block paid by payoffs_batch: each row holds the bits of
+    # its problem paid alone, then a +0.0 for each padded column.
+    shares = CustomRule(
+        "shares",
+        lambda problem: make((problem.needs * problem.needs * problem.total_income).tolist()),
+    )
+    counts = np.array([2, 6, 3, 5, 2, 4])
+    block = draw_trials(rng_for(3, "sequences"), counts, _draw_problems)["problem"]
+    batch = shares.payoffs_batch(block)
+    assert batch.dtype == np.float64 and batch.shape == (len(counts), 6)
+    for k, n in enumerate(counts):
+        assert batch[k, :n].tobytes() == shares.payoffs(block.problem(k)).tobytes()
+        assert batch[k, n:].tobytes() == bytes(8 * (6 - n))
+
+
+@pytest.mark.parametrize("fault", [None, "raises", "short", "long"])
+def test_a_custom_block_pays_each_row_once_in_order_up_to_the_first_fault(fault):
+    # The function sees each row's Problem once, in row order; a row that
+    # raises or pays the wrong number of values ends the block, and no
+    # later row is paid.
+    counts = np.array([2, 5, 3, 6, 4])
+    block = draw_trials(rng_for(4, "recording"), counts, _draw_problems)["problem"]
+    seen = []
+
+    def allocate(problem):
+        seen.append(problem)
+        values = PROP.payoffs(problem).tolist()
+        if len(seen) == 3 and fault == "raises":
+            raise ZeroDivisionError("row 2")
+        if len(seen) == 3 and fault is not None:
+            return values[:-1] if fault == "short" else values + [0.0]
+        return values
+
+    rule = CustomRule("recording", allocate)
+    if fault is None:
+        batch = rule.payoffs_batch(block)
+        assert batch.tobytes() == PROP.payoffs_batch(block).tobytes()
+        assert seen == [block.problem(k) for k in range(len(counts))]
+        return
+    error, message = {
+        "raises": (ZeroDivisionError, "^row 2$"),
+        "short": (LengthMismatch, "^2 values for 3 agents$"),
+        "long": (LengthMismatch, "^4 values for 3 agents$"),
+    }[fault]
+    with pytest.raises(error, match=message):
+        rule.payoffs_batch(block)
+    assert seen == [block.problem(k) for k in range(3)]
 
 
 def test_ab_rule_evaluates_ratio_once_per_problem():
