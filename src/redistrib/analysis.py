@@ -29,6 +29,14 @@ CATALOG_LABELS = {
     "nafr": "need-adjusted-full",
 }
 LABELS = (*CATALOG_LABELS.values(), "generic-AB", "non-AB")
+# The catalog form each (a_shape, b_shape) of classify names; nafr's B
+# must also be 1.
+_SHAPE_LABELS = {
+    ("one", "zero"): CATALOG_LABELS["lf"],
+    ("zero", "identity"): CATALOG_LABELS["prop"],
+    ("zero", "zero"): CATALOG_LABELS["full"],
+    ("zero", "constant"): CATALOG_LABELS["nafr"],
+}
 
 DEFAULT_GRID = (-2.0, -1.0, 0.0, 0.5, 1.0, 2.0)
 
@@ -60,36 +68,29 @@ def _extract_ab_batch(
     """The extract_ab probe at each row's totals, all rows probed as two blocks.
 
     agents is one agent count for every row, or each row's own count, as a
-    padded Block holds them; each row is probed with its own agents.
-    Bumps are half a mean need, which leaves every probe need nonnegative.
+    padded Block holds them; each row is probed with its own agents. Needs
+    are bumped first, by half a mean need, which leaves every probe need
+    nonnegative, then incomes, by half a mean |income| plus 1.
     """
     counts = np.broadcast_to(agents, total_income.shape)
     agent = np.arange(int(counts.max())) < counts[:, None]
+    weights = {}
     with np.errstate(over="ignore", invalid="ignore"):
-        mean_income = total_income / counts
-        mean_need = total_need / counts
-        flat_incomes = np.where(agent, mean_income[:, None], 0.0)
-        flat_needs = np.where(agent, mean_need[:, None], 0.0)
+        means = total_income / counts, total_need / counts
+        flat = [np.where(agent, mean[:, None], 0.0) for mean in means]
+        # Needs first: that fixes the order of a custom rule's calls, so which probe raises.
+        bumps = ((1, total_need / (2 * counts)), (0, np.abs(total_income) / (2 * counts) + 1.0))
+        for column, bump in bumps:
+            columns = list(flat)
+            columns[column] = bumped = flat[column].copy()
+            bumped[:, 0] += bump
+            bumped[:, 1] -= bump
+            block = Block(*columns, counts)
+            with blame_rule(rule, "a probe problem"):
+                payoffs = rule.payoffs_batch(block)
+            weights[column] = (payoffs[:, 0] - means[0]) / bump
 
-        need_bump = total_need / (2 * counts)
-        needs = flat_needs.copy()
-        needs[:, 0] += need_bump
-        needs[:, 1] -= need_bump
-        block = Block(flat_incomes, needs, counts)
-        with blame_rule(rule, "a probe problem"):
-            payoffs = rule.payoffs_batch(block)
-        need_weight = (payoffs[:, 0] - mean_income) / need_bump
-
-        income_bump = np.abs(total_income) / (2 * counts) + 1.0
-        incomes = flat_incomes.copy()
-        incomes[:, 0] += income_bump
-        incomes[:, 1] -= income_bump
-        block = Block(incomes, flat_needs, counts)
-        with blame_rule(rule, "a probe problem"):
-            payoffs = rule.payoffs_batch(block)
-        income_weight = (payoffs[:, 0] - mean_income) / income_bump
-
-    return income_weight, need_weight
+    return weights[0], weights[1]
 
 
 @dataclass(frozen=True)
@@ -117,7 +118,10 @@ def profile_rule(rule: RuleSpec, grid: Sequence[float]) -> ABProfile:
     The grid is probed as two blocks, a need bump and an income bump, at
     totals (t, 1) with 3 agents, which is extract_ab(rule, t) at each point.
     """
-    values = _validate_grid(grid)
+    return _profile(rule, _validate_grid(grid))
+
+
+def _profile(rule: RuleSpec, values: tuple[float, ...]) -> ABProfile:
     ratios = np.array(values)
     a, b = _extract_ab_batch(rule, ratios, np.ones_like(ratios), agents=3)
     return ABProfile(values, tuple(a.tolist()), tuple(b.tolist()))
@@ -137,24 +141,26 @@ class Classification:
     witness: Problem | None
 
 
-def _fit_a_shape(values: tuple[float, ...], tol: float) -> tuple[str, float | None]:
-    if all(abs(v) <= tol for v in values):
-        return "zero", 0.0
-    if all(abs(v - 1.0) <= tol for v in values):
-        return "one", 1.0
-    if max(values) - min(values) <= tol:
-        return "constant", row_sums(np.array([values])).item() / len(values)
-    return "other", None
+def _near(
+    values: Sequence[float], points: Sequence[float], tol: float, scales: Sequence | None = None
+) -> bool:
+    """Whether each value v is within tol·max(1, |s|) of its point p.
+
+    s is p unless scales are given: the test is absolute for a point of 0
+    or 1, and relative to |t| for B = t, which is extracted to a relative
+    precision.
+    """
+    scales = points if scales is None else scales
+    return all(abs(v - p) <= tol * max(1.0, abs(s)) for v, p, s in zip(values, points, scales))
 
 
-def _fit_b_shape(
-    values: tuple[float, ...], grid: tuple[float, ...], tol: float
+def _fit_shape(
+    values: tuple[float, ...], targets: Sequence[tuple], tol: float
 ) -> tuple[str, float | None]:
-    if all(abs(v) <= tol for v in values):
-        return "zero", 0.0
-    # B = t is extracted to a relative precision, so compare relative to |t|.
-    if all(abs(v - t) <= tol * max(1.0, abs(t)) for v, t in zip(values, grid)):
-        return "identity", None
+    """The first target (name, points, value) near the values, else constant or other."""
+    for name, points, value in targets:
+        if _near(values, points, tol):
+            return name, value
     if max(values) - min(values) <= tol:
         return "constant", row_sums(np.array([values])).item() / len(values)
     return "other", None
@@ -197,23 +203,16 @@ def classify(
 
     # Sampled first: a rule that cannot pay a drawn problem raises RuleError.
     max_residual, witness = worst_trial(rng_for(cfg.seed, "classify"), cfg, rule, _residual)
-    profile = profile_rule(rule, values)
-    a_shape, a_value = _fit_a_shape(profile.a_values, tol)
-    b_shape, b_value = _fit_b_shape(profile.b_values, values, tol)
+    profile = _profile(rule, values)
+    zeros, ones = (0.0,) * len(values), (1.0,) * len(values)
+    a_shape, a_value = _fit_shape(profile.a_values, (("zero", zeros, 0.0), ("one", ones, 1.0)), tol)
+    b_targets = (("zero", zeros, 0.0), ("identity", values, None))
+    b_shape, b_value = _fit_shape(profile.b_values, b_targets, tol)
 
-    # A NaN residual (a rule error) shows no membership either.
-    if not max_residual <= tol:
-        label = "non-AB"
-    elif a_shape == "one" and b_shape == "zero":
-        label = "laissez-faire"
-    elif a_shape == "zero" and b_shape == "identity":
-        label = "proportional"
-    elif a_shape == "zero" and b_shape == "zero":
-        label = "full"
-    elif a_shape == "zero" and b_shape == "constant" and abs(b_value - 1.0) <= tol:
-        label = "need-adjusted-full"
-    else:
-        label = "generic-AB"
+    # Of the constant need weights only B ≡ 1 is a catalog form. A NaN
+    # residual (a rule error) shows no membership either.
+    shape = (a_shape, b_shape) if b_shape != "constant" or abs(b_value - 1.0) <= tol else None
+    label = _SHAPE_LABELS.get(shape, "generic-AB") if max_residual <= tol else "non-AB"
 
     return Classification(
         label,
@@ -278,21 +277,19 @@ def verify_characterization(
     is_ab = classification.label != "non-AB"
     a_zero = classification.a_shape == "zero"
     profile = classification.profile
-    afam_shape = is_ab and all(
-        abs(b - (1.0 - a) * t) <= tol * max(1.0, abs(t))
-        for a, b, t in zip(profile.a_values, profile.b_values, profile.grid)
-    )
+    mix_b = [(1.0 - a) * t for a, t in zip(profile.a_values, profile.grid)]
+    afam_shape = is_ab and _near(profile.b_values, mix_b, tol, scales=profile.grid)
 
     implications = (
         ImplicationCheck(
             "core+nat+stability+dummy -> untouched incomes or proportional",
             core_ok and passed["nat"] and passed["stability"] and passed["dummy"],
-            classification.label in ("laissez-faire", "proportional"),
+            classification.label in (CATALOG_LABELS["lf"], CATALOG_LABELS["prop"]),
         ),
         ImplicationCheck(
             "core+nat+stability -> untouched incomes or need-deviation family",
             core_ok and passed["nat"] and passed["stability"],
-            classification.label == "laissez-faire" or (is_ab and a_zero),
+            classification.label == CATALOG_LABELS["lf"] or (is_ab and a_zero),
         ),
         ImplicationCheck(
             "core+nat+dummy -> income-weighted mix family",

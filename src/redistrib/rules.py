@@ -487,7 +487,7 @@ class CustomRule(RuleSpec):
             if is_float64_vector(row):
                 values.frombytes(row.tobytes())
             else:
-                values.extend(map(float, row))
+                values.fromlist(list(map(float, row)))
             check_count(len(values) - start, problem)
         values = np.frombuffer(values)
         if not block.padded:

@@ -160,6 +160,44 @@ def test_classification_shape_evidence():
     assert lin.b_value is None
 
 
+# Weights within about tol of a catalog shape. Each shape is a point test,
+# |v − p| ≤ tol·max(1, |p|): absolute for the 0 and 1 targets and relative
+# to |t| for B = t, so at t = 5 a gap of 2e-9 still reads as identity.
+FIT_BOUNDARY_CASES = [
+    ("ab:A=const:0.0,B=scale:1.0000000004", ("proportional", "zero", 0.0, "identity", None)),
+    ("ab:A=const:0.0,B=scale:1.000000004", ("generic-AB", "zero", 0.0, "other", None)),
+    (
+        "bfam:B=const:1.0000000009",
+        ("need-adjusted-full", "zero", 0.0, "constant", 1.0000000009000003),
+    ),
+    ("ab:A=const:0.9999999995,B=const:0.0", ("laissez-faire", "one", 1.0, "zero", 0.0)),
+    ("afam:A=const:5e-10", ("proportional", "zero", 0.0, "identity", None)),
+    ("lin:5e-10,0.9999999996", ("proportional", "zero", 0.0, "identity", None)),
+]
+BOUNDARY_GRID = parse_grid("-5:5:1")
+BOUNDARY_CFG = SampleConfig(seed=7, trials=300)
+
+
+@pytest.mark.parametrize("spec,fit", FIT_BOUNDARY_CASES, ids=[s for s, _ in FIT_BOUNDARY_CASES])
+def test_classification_shape_fits_at_their_tolerance(spec, fit):
+    result = classify(parse_rule(spec), BOUNDARY_GRID, BOUNDARY_CFG, tol=1e-9)
+    assert (result.label, result.a_shape, result.a_value, result.b_shape, result.b_value) == fit
+
+
+@pytest.mark.parametrize(
+    "spec,dummy_family",
+    [
+        # B = (1 − A)t is tested relative to |t|: at t = 5 the gap is 4e-9.
+        ("ab:A=const:0.5,B=scale:0.5000000008", True),
+        ("ab:A=const:0.5,B=scale:0.500000002", False),
+    ],
+)
+def test_characterization_mix_family_at_its_tolerance(spec, dummy_family):
+    report = verify_characterization(parse_rule(spec), BOUNDARY_CFG, 1e-9, BOUNDARY_GRID)
+    pairs = [(check.premise_holds, check.conclusion_holds) for check in report.implications]
+    assert pairs == [(False, False), (False, False), (dummy_family,) * 2, (True, True)]
+
+
 def test_classification_is_deterministic():
     assert classify(FULL, DEFAULT_GRID, CFG) == classify(FULL, DEFAULT_GRID, CFG)
 
