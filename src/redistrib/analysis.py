@@ -157,11 +157,11 @@ def _near(
 def _fit_shape(
     values: tuple[float, ...], targets: Sequence[tuple], tol: float
 ) -> tuple[str, float | None]:
-    """The first target (name, points, value) near the values, else constant or other."""
+    """The first target (name, points, value) near the values, else a finite constant or other."""
     for name, points, value in targets:
         if _near(values, points, tol):
             return name, value
-    if max(values) - min(values) <= tol:
+    if all(map(math.isfinite, values)) and max(values) - min(values) <= tol:
         return "constant", row_sums(np.array([values])).item() / len(values)
     return "other", None
 
@@ -210,9 +210,10 @@ def classify(
     b_shape, b_value = _fit_shape(profile.b_values, b_targets, tol)
 
     # Of the constant need weights only B ≡ 1 is a catalog form. A NaN
-    # residual (a rule error) shows no membership either.
+    # residual (a rule error) or a weight that is not finite shows none.
     shape = (a_shape, b_shape) if b_shape != "constant" or abs(b_value - 1.0) <= tol else None
-    label = _SHAPE_LABELS.get(shape, "generic-AB") if max_residual <= tol else "non-AB"
+    finite = all(map(math.isfinite, profile.a_values + profile.b_values))
+    label = _SHAPE_LABELS.get(shape, "generic-AB") if max_residual <= tol and finite else "non-AB"
 
     return Classification(
         label,

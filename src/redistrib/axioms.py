@@ -6,19 +6,22 @@ deviation exceeds a tolerance scaled by the instance's magnitude. A pass is
 evidence, not proof; a fail comes with a concrete re-runnable counterexample.
 
 Trials are drawn in blocks of BLOCK_TRIALS, the draw unit, which fixes
-every trial's bits. They are screened in batches of numpy arrays, row k for
-trial k, each problem of a batch held in a core.Block: the first block
+every trial's bits: a block's agent counts first, then each variate once
+for the whole block. They are screened in batches of numpy arrays, row k
+for trial k, each problem of a batch held in a core.Block: the first block
 alone, then up to SCREEN_ROWS trials, several blocks, at a time. A trial
 has 2 to 6 agents, so the batch is as wide as its largest trial and the
-columns past a trial's own agents are padding: zero incomes and needs,
-paid zero, which leave every row's totals and payoffs as they are
-unpadded, bit for bit. The screen is each axiom's only measure. The first
-flagged trial is rebuilt as an instance of Problems, re-screened as an
-unpadded one-row batch, then shrunk, and reported with the screen of the
-last instance the shrink took. Shrinking screens each round of candidates
-as one batch: a halving chain is built and screened ahead, all its steps
-at once. Drawn problems are valid, so payoffs that do not allocate one
-raise RuleError, wherever in its screened batch the problem is.
+columns past a trial's own agents are padding: zero incomes and needs, paid
+zero, which leave every row's totals and payoffs as they are unpadded, bit
+for bit. Sampled numbers differ from those of versions that drew each agent
+count of a block in turn, at the same seed; verdicts do not. The screen is
+each axiom's only measure. The first flagged trial is rebuilt as an
+instance of Problems, re-screened as an unpadded one-row batch, then
+shrunk, and reported with the screen of the last instance the shrink took.
+Shrinking screens each round of candidates as one batch: a halving chain is
+built and screened ahead, all its steps at once. Drawn problems are valid,
+so payoffs that do not allocate one raise RuleError, wherever in its
+screened batch the problem is.
 """
 
 from __future__ import annotations
@@ -62,8 +65,10 @@ INCOME_RANGE = (-10.0, 10.0)
 NEED_RANGE = (0.1, 10.0)
 # The largest step of the continuity probe.
 PERTURBATION_SCALE = 0.5
-# The draw unit: trials drawn together, their agent counts first. It fixes
-# the RNG stream, so it is never changed.
+# The draw unit: trials drawn together, their agent counts first, then each
+# variate once for all of them. It fixes every trial's bits, which depend on
+# its block alone, so it is never changed; a new variate, such as a targeted
+# ratio, is one more draw of each block.
 BLOCK_TRIALS = 128
 # The screen unit: trials screened as one batch after the first block, and
 # the step rows of one slice of the continuity probe. A multiple of
@@ -99,83 +104,73 @@ def trial_blocks(
 ) -> Iterator[tuple[int, dict]]:
     """Split cfg.trials into screen batches: the first block alone, then SCREEN_ROWS at a time.
 
-    Trials are drawn a block of BLOCK_TRIALS at a time, each block's agent
-    counts and then its trials (see draw_trials), so every trial's draw is
-    the same however blocks are batched. The first block is its own batch,
-    as most checks that fail do so in it; later batches gather up to
-    SCREEN_ROWS trials, several blocks, into one padded batch. Yields each
-    batch's first trial index and the batch; row k is trial start + k.
+    Every block draws BLOCK_TRIALS trials, however few a check runs, so a
+    trial's draw depends only on its block (see draw_trials), not on the
+    trial count or on how blocks are batched. The first block is its own
+    batch, as most checks that fail do so in it; later batches gather up
+    to SCREEN_ROWS trials, several blocks, into one padded batch. Yields
+    each batch's first trial index and the batch; row k is trial start + k.
     """
     start = 0
     while start < cfg.trials:
         stop = min(cfg.trials, start + (SCREEN_ROWS if start else BLOCK_TRIALS))
-        counts, groups = [], []
-        for first in range(start, stop, BLOCK_TRIALS):
-            block = rng.integers(N_RANGE[0], N_RANGE[1] + 1, min(BLOCK_TRIALS, stop - first))
-            groups += _count_draws(rng, block, draw, first - start)
-            counts.append(block)
-        yield start, _scattered(np.concatenate(counts), groups)
+        blocks = [
+            _drawn(rng, rng.integers(N_RANGE[0], N_RANGE[1] + 1, BLOCK_TRIALS), draw)
+            for _ in range(start, stop, BLOCK_TRIALS)
+        ]
+        yield start, _joined(blocks, stop - start)
         start = stop
 
 
 def draw_trials(rng: np.random.Generator, counts: np.ndarray, draw: Callable) -> dict:
-    """Trials of the given agent counts as one batch, row k of agents 1..counts[k].
+    """Trials of the given agent counts as one block, row k of agents 1..counts[k].
 
-    draw(rng, n, m) gives m trials of n agents: a dict of problems, as
-    (incomes, needs) pairs, and of arrays, one row per trial, or scalars.
-    Each agent count is drawn in turn, ascending, and its rows are scattered
-    to its trials' positions. 2-D arrays are padded with zeros (False, for a
-    mask) to the largest count, and each problem becomes one Block that
-    records the counts.
+    draw(rng, counts, mask) draws each variate once for the whole block,
+    N_RANGE[1] columns wide; mask is True on each row's first counts[k]
+    columns. It gives a dict of problems, as (incomes, needs) pairs, and of
+    arrays, one row per trial, or scalars. 2-D arrays are cut to the largest
+    count and hold +0.0 (False, for a mask) past each row's own, and each
+    problem becomes one Block that records the counts.
     """
-    return _scattered(counts, _count_draws(rng, counts, draw))
+    return _joined([_drawn(rng, counts, draw)], len(counts))
 
 
-def _count_draws(
-    rng: np.random.Generator, counts: np.ndarray, draw: Callable, offset: int = 0
-) -> list:
-    """(rows, draw) of each agent count in turn, ascending; rows are offset."""
-    groups = []
-    for n in sorted(set(counts.tolist())):
-        rows = np.flatnonzero(counts == n)
-        groups.append((rows + offset, draw(rng, n, len(rows))))
-    return groups
+def _drawn(rng: np.random.Generator, counts: np.ndarray, draw: Callable) -> tuple:
+    """One block's agent counts and its draw."""
+    return counts, draw(rng, counts, np.arange(N_RANGE[1]) < counts[:, None])
 
 
-def _scattered(counts: np.ndarray, groups: list) -> dict:
-    """The batch of the groups' draws, each row at its trial's position."""
-    size, width = len(counts), int(counts.max())
+def _joined(blocks: Sequence[tuple], rows: int) -> dict:
+    """The blocks' first rows trials as one batch, cut and padded as in draw_trials."""
+    counts = np.concatenate([block_counts for block_counts, _ in blocks])[:rows]
+    mask = np.arange(counts.max()) < counts[:, None]
 
-    def scatter(parts: Sequence[np.ndarray]) -> np.ndarray:
-        out = np.zeros((size, width)[: parts[0].ndim], parts[0].dtype)
-        for (rows, _), part in zip(groups, parts):
-            if part.ndim == 2:
-                out[rows, : part.shape[1]] = part
-            else:
-                out[rows] = part
-        return out
+    def join(parts: Sequence[np.ndarray]) -> np.ndarray:
+        if parts[0].ndim == 1:
+            return np.concatenate(parts)[:rows]
+        joined = np.concatenate([part[:, : mask.shape[1]] for part in parts])[:rows]
+        # Padding by np.where, as a product with the mask would give -0.0.
+        return np.where(mask, joined, np.zeros((), joined.dtype))
 
     batch = {}
-    for key, value in groups[0][1].items():
-        parts = [trials[key] for _, trials in groups]
+    for key, value in blocks[0][1].items():
+        parts = [trials[key] for _, trials in blocks]
         if np.ndim(value) == 0:
             batch[key] = value
         elif isinstance(value, tuple):
-            batch[key] = Block(*map(scatter, zip(*parts)), counts)
+            batch[key] = Block(*map(join, zip(*parts)), counts)
         else:
-            batch[key] = scatter(parts)
+            batch[key] = join(parts)
     return batch
 
 
-def draw_profiles(
-    rng: np.random.Generator, n: int, m: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Incomes and needs of m random problems of n agents, one per row."""
-    return rng.uniform(*INCOME_RANGE, (m, n)), rng.uniform(*NEED_RANGE, (m, n))
+def draw_profiles(rng: np.random.Generator, shape: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Incomes and needs of random problems, one per row of an array of this shape."""
+    return rng.uniform(*INCOME_RANGE, shape), rng.uniform(*NEED_RANGE, shape)
 
 
-def _draw_problems(rng, n, m):
-    return {"problem": draw_profiles(rng, n, m)}
+def _draw_problems(rng, counts, mask):
+    return {"problem": draw_profiles(rng, mask.shape)}
 
 
 def _screened(screen: Callable, rule: RuleSpec, trials):
@@ -268,8 +263,9 @@ class AxiomReport:
 class _Checker:
     """An axiom's draw and screen, and how its counterexamples shrink.
 
-    draw(rng, n, m) gives m trials of n agents, which draw_trials gathers
-    into a padded batch: a dict of Blocks and arrays, one row per trial.
+    draw(rng, counts, mask) gives a block of trials of the given agent
+    counts, which draw_trials makes a padded batch: a dict of Blocks and
+    arrays, one row per trial.
     screen gives each trial's deviation, scale, expected and observed values
     (expected may be None); on a batch that _rows rebuilds from instances it
     confirms, shrinks and re-checks counterexamples. shrink(instance) gives
@@ -277,7 +273,7 @@ class _Checker:
     chain, each candidate shrunk from the one before; else alternatives.
     """
 
-    draw: Callable[[np.random.Generator, int, int], dict]
+    draw: Callable[[np.random.Generator, np.ndarray, np.ndarray], dict]
     screen: Callable[[RuleSpec, dict], tuple]
     shrink: Callable[[dict], Iterable[dict]] = lambda instance: ()
     chained: bool = False
@@ -419,8 +415,8 @@ def _drop_agent(instance: dict, agent) -> dict:
 # --- homogeneity: scaling incomes and needs together scales payoffs ---
 
 
-def _draw_homogeneity(rng, n, m):
-    return {"problem": draw_profiles(rng, n, m), "factor": rng.uniform(0.1, 10.0, m)}
+def _draw_homogeneity(rng, counts, mask):
+    return {"problem": draw_profiles(rng, mask.shape), "factor": rng.uniform(0.1, 10.0, len(mask))}
 
 
 def _screen_homogeneity(rule, trials):
@@ -439,11 +435,11 @@ _chain_homogeneity = _halving("factor", lambda factor, s: 1.0 + (factor - 1.0) *
 # --- equal treatment: identical agents receive identical payoffs ---
 
 
-def _draw_equal_treatment(rng, n, m):
-    incomes, needs = draw_profiles(rng, n, m)
-    rows = np.arange(m)
-    first = rng.integers(0, n, m)
-    second = (first + rng.integers(1, n, m)) % n
+def _draw_equal_treatment(rng, counts, mask):
+    incomes, needs = draw_profiles(rng, mask.shape)
+    rows = np.arange(len(counts))
+    first = rng.integers(0, counts)
+    second = (first + rng.integers(1, counts)) % counts
     incomes[rows, second] = incomes[rows, first]
     needs[rows, second] = needs[rows, first]
     # Agents are numbered from 1.
@@ -466,13 +462,13 @@ def _screen_equal_treatment(rule, trials):
 # --- continuity: payoffs converge as a perturbation shrinks ---
 
 
-def _draw_continuity(rng, n, m):
-    incomes, needs = draw_profiles(rng, n, m)
+def _draw_continuity(rng, counts, mask):
+    incomes, needs = draw_profiles(rng, mask.shape)
     delta = PERTURBATION_SCALE
-    income_dir = rng.uniform(-1.0, 1.0, (m, n))
+    income_dir = rng.uniform(-1.0, 1.0, mask.shape)
     # Need directions are damped so every step keeps needs at or above half
     # their original value, hence valid.
-    need_dir = rng.uniform(-1.0, 1.0, (m, n)) * np.minimum(1.0, needs / (2.0 * delta))
+    need_dir = rng.uniform(-1.0, 1.0, mask.shape) * np.minimum(1.0, needs / (2.0 * delta))
     return {
         "problem": (incomes, needs),
         "income_dir": income_dir,
@@ -519,18 +515,20 @@ def _screen_continuity(rule, trials):
 # --- nat: within-group reallocation never changes the group's total payoff ---
 
 
-def _draw_nat(rng, n, m):
-    incomes, needs = draw_profiles(rng, n, m)
-    size = rng.integers(2, n + 1, m)[:, None]
-    # Each row ranks its agents at random; the size lowest form the group.
-    members = rng.permuted(np.broadcast_to(np.arange(n), (m, n)), axis=1) < size
+def _draw_nat(rng, counts, mask):
+    incomes, needs = draw_profiles(rng, mask.shape)
+    size = rng.integers(2, counts + 1)[:, None]
+    # Each row ranks its agents by random keys, padding last; the size
+    # lowest form the group.
+    keys = np.where(mask, rng.random(mask.shape), np.inf)
+    members = keys.argsort(axis=1).argsort(axis=1) < size
     income_total = (incomes * members).sum(axis=1, keepdims=True)
     need_total = (needs * members).sum(axis=1, keepdims=True)
-    spread = rng.uniform(-1.0, 1.0, (m, n)) * members
+    spread = rng.uniform(-1.0, 1.0, mask.shape) * members
     spread -= spread.sum(axis=1, keepdims=True) / size
-    amp = rng.uniform(0.0, INCOME_RANGE[1] - INCOME_RANGE[0], (m, 1))
+    amp = rng.uniform(0.0, INCOME_RANGE[1] - INCOME_RANGE[0], (len(counts), 1))
     # Normalized exponentials: flat Dirichlet weights over the group.
-    weights = rng.standard_exponential((m, n)) * members
+    weights = rng.standard_exponential(mask.shape) * members
     weights /= weights.sum(axis=1, keepdims=True)
     modified = (
         np.where(members, income_total / size + amp * spread, incomes),
@@ -579,10 +577,10 @@ def _screen_stability(rule, trials):
 # --- dummy: an agent with zero income and zero need receives zero ---
 
 
-def _draw_dummy(rng, n, m):
-    incomes, needs = draw_profiles(rng, n, m)
-    rows = np.arange(m)
-    agent = rng.integers(0, n, m)
+def _draw_dummy(rng, counts, mask):
+    incomes, needs = draw_profiles(rng, mask.shape)
+    rows = np.arange(len(counts))
+    agent = rng.integers(0, counts)
     incomes[rows, agent] = 0.0
     needs[rows, agent] = 0.0
     # Agents are numbered from 1.
@@ -600,10 +598,10 @@ def _screen_dummy(rule, trials):
 # --- income additivity: payoffs add across income profiles at fixed needs ---
 
 
-def _draw_income_additivity(rng, n, m):
+def _draw_income_additivity(rng, counts, mask):
     return {
-        "problem": draw_profiles(rng, n, m),
-        "extra_incomes": rng.uniform(*INCOME_RANGE, (m, n)),
+        "problem": draw_profiles(rng, mask.shape),
+        "extra_incomes": rng.uniform(*INCOME_RANGE, mask.shape),
     }
 
 

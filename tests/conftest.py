@@ -137,7 +137,7 @@ def random_problems(seed: int, count: int) -> list[Problem]:
     problems = []
     for _ in range(count):
         n = int(rng.integers(1, 7))
-        problems.append(Block(*draw_profiles(rng, n, 1)).problem(0))
+        problems.append(Block(*draw_profiles(rng, (1, n))).problem(0))
     return problems
 
 

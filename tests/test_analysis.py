@@ -147,6 +147,28 @@ def test_nan_payoffs_classify_as_non_ab(name):
     assert result.witness is not None
 
 
+def _nan_at_half(problem):
+    """Proportional, but NaN for every agent at ratio 0.5, which no draw hits."""
+    if problem.total_income / problem.total_need == 0.5:
+        return [math.nan] * len(problem)
+    return PROP.payoffs(problem)
+
+
+def test_a_non_finite_weight_fits_no_shape_and_is_non_ab():
+    # max and min skip a NaN that is not first, so a constant fit would
+    # take weights (0.5, nan, 0.5) as the constant nan.
+    for values in [(0.5, math.nan, 0.5), (math.nan, 0.5), (0.5, math.inf), (0.0, 0.0, math.nan)]:
+        zero = ("zero", (0.0,) * len(values), 0.0)
+        assert analysis._fit_shape(values, [zero], 1e-9) == ("other", None)
+    # The sampled residual is rounding noise, but the grid's weights at 0.5
+    # are NaN: the profile shows no membership.
+    result = classify(CustomRule("nan-at-half", _nan_at_half), DEFAULT_GRID, SampleConfig(1, 50))
+    assert result.max_residual <= 1e-9
+    assert math.isnan(result.profile.a_values[DEFAULT_GRID.index(0.5)])
+    assert (result.label, result.a_shape, result.a_value) == ("non-AB", "other", None)
+    assert result.witness is None
+
+
 def test_classification_shape_evidence():
     prop = classify(PROP, DEFAULT_GRID, CFG)
     assert (prop.a_shape, prop.b_shape) == ("zero", "identity")

@@ -261,11 +261,12 @@ def test_needs_squared_group_total_drifts_by_known_amount():
 
 
 @pytest.mark.parametrize(
-    "spec,seed", [("lin:0.3,0.2", 580), ("afam:A=affine:0.2,0.4", 19)]
+    "spec,seed", [("lin:0.3,0.2", 443), ("afam:A=affine:0.2,0.4", 53)]
 )
 def test_continuity_allows_gap_growth_at_large_steps(spec, seed, monkeypatch):
-    # These seeds draw a trial whose gap grows at the first halvings and
-    # then shrinks to rounding noise: the rule is continuous.
+    # These seeds, the first from 0 up to do so, draw a trial whose gap grows
+    # at the first halvings and then shrinks to rounding noise: the rule is
+    # continuous.
     cfg = SampleConfig(seed=seed, trials=1000)
     report = check_axiom("continuity", parse_rule(spec), cfg)
     assert report.passed

@@ -234,7 +234,7 @@ def test_payoffs_batch_takes_weights_once_per_block(monkeypatch):
 
     monkeypatch.setattr(ABRule, "weights_at", counting)
     rule = parse_rule("dual(convex(ab:A=id,B=const:0.5;dual(ab:A=const:0.2,B=id);0.3))")
-    rule.payoffs_batch(Block(*axioms.draw_profiles(rng_for(3, "count"), 4, 50)))
+    rule.payoffs_batch(Block(*axioms.draw_profiles(rng_for(3, "count"), (50, 4))))
     # One call per ab rule inside, each on the block's 50 ratios.
     assert calls == [(50,), (50,)]
 
@@ -264,7 +264,7 @@ _LARGE_INCOME_WEIGHTS = st.sampled_from(
 def test_kernel_block_equals_scalar_payoffs_bit_for_bit(rule, seed, n):
     # Block rows and rule.payoffs, the problem's one-row block, against the
     # kernel computed on Python floats.
-    block = Block(*axioms.draw_profiles(rng_for(seed, "bits"), n, 20))
+    block = Block(*axioms.draw_profiles(rng_for(seed, "bits"), (20, n)))
     payoffs = rule.payoffs_batch(block)
     for k in range(len(payoffs)):
         problem = block.problem(k)
@@ -366,43 +366,41 @@ def test_padded_rows_equal_their_own_unpadded_blocks(rule, seed, counts):
                 _assert_padded_row(values[k], measure(rule, alone)[0], (measure, k))
 
 
-def _draws_by_count(rng, cfg, draw):
+def _drawn_by_block(rng, cfg, draw):
     """Each trial's number and its draw, drawn as trial_blocks draws them.
 
-    The reference for the padded batches: per block, the agent counts, then
-    each count's trials as one unpadded batch, counts ascending. Yields
-    (trial number, batch, row of the trial in the batch), in draw order.
+    The reference for the screen batches: per block of BLOCK trials, however
+    few a check runs, the agent counts, then the block as draw_trials draws
+    it alone. Yields (trial number, block, row of the trial in the block),
+    in trial order.
     """
     for start in range(0, cfg.trials, BLOCK):
-        size = min(BLOCK, cfg.trials - start)
-        counts = rng.integers(axioms.N_RANGE[0], axioms.N_RANGE[1] + 1, size)
-        for n in sorted(set(counts.tolist())):
-            rows = np.flatnonzero(counts == n)
-            batch = axioms.draw_trials(rng, np.full(len(rows), n), draw)
-            for k, row in enumerate(rows.tolist()):
-                yield start + row, batch, k
+        counts = rng.integers(axioms.N_RANGE[0], axioms.N_RANGE[1] + 1, BLOCK)
+        block = axioms.draw_trials(rng, counts, draw)
+        for k in range(min(BLOCK, cfg.trials - start)):
+            yield start + k, block, k
 
 
 def _trials_in_order(label, cfg):
     """The problems worst_trial draws for one label, in trial order."""
-    problems = {}
-    for trial, batch, k in _draws_by_count(rng_for(cfg.seed, label), cfg, axioms._draw_problems):
-        incomes, needs = batch["problem"].incomes[k], batch["problem"].needs[k]
-        problems[trial] = make_problem(range(1, len(incomes) + 1), incomes, needs)
-    return [problems[k] for k in sorted(problems)]
+    return [
+        batch["problem"].problem(k)
+        for _, batch, k in _drawn_by_block(rng_for(cfg.seed, label), cfg, axioms._draw_problems)
+    ]
 
 
 @pytest.mark.parametrize("axiom", ALL_AXIOMS)
 def test_padded_blocks_hold_the_draws_of_each_agent_count(axiom):
-    # The same rng calls as one draw per agent count, scattered so that row
-    # k of a batch is its trial k: every trial's instance is unchanged. The
-    # first block is screened alone, the next SCREEN_ROWS trials, eight draw
-    # blocks, as one batch, and the last 40 trials as a batch of their own.
+    # Each block's trials of every agent count, as the block drawn alone
+    # holds them: a batch of several blocks, cut to its trials and to its
+    # widest one, changes no trial's instance. The first block is screened
+    # alone, the next SCREEN_ROWS trials, eight draw blocks, as one batch,
+    # and the last 40 trials, of a block drawn whole, as a batch of their own.
     cfg = SampleConfig(seed=9, trials=BLOCK + SCREEN + 40)
     draw = axioms._CHECKERS[axiom].draw
     expected = {
         trial: axioms._trial(batch, k)
-        for trial, batch, k in _draws_by_count(rng_for(cfg.seed, axiom), cfg, draw)
+        for trial, batch, k in _drawn_by_block(rng_for(cfg.seed, axiom), cfg, draw)
     }
     got, starts = {}, []
     for start, trials in axioms.trial_blocks(rng_for(cfg.seed, axiom), cfg, draw):
@@ -415,6 +413,88 @@ def test_padded_blocks_hold_the_draws_of_each_agent_count(axiom):
     assert starts == [0, BLOCK, BLOCK + SCREEN]
     assert list(got) == list(range(cfg.trials))
     assert got == expected
+
+
+@pytest.mark.parametrize("axiom", ALL_AXIOMS)
+def test_a_trial_draws_the_same_bits_whatever_the_trial_count(monkeypatch, axiom):
+    # A trial's draw depends only on its block: the first k trials of a
+    # check of k trials are those of a check of 2100, screened in batches of
+    # SCREEN_ROWS trials or a block at a time.
+    draw = axioms._CHECKERS[axiom].draw
+
+    def trials(count):
+        cfg = SampleConfig(seed=13, trials=count)
+        return [
+            _instance_bits(axioms._trial(batch, k))
+            for _, batch in axioms.trial_blocks(rng_for(cfg.seed, axiom), cfg, draw)
+            for k in range(len(batch["problem"].counts))
+        ]
+
+    longest = trials(2100)
+    for count in (1, BLOCK - 1, BLOCK, BLOCK + 1, 1000):
+        assert trials(count) == longest[:count], count
+    monkeypatch.setattr(axioms, "SCREEN_ROWS", BLOCK)
+    assert trials(2100) == longest
+
+
+def _block_draw(axiom, seed):
+    """One block's agent counts, its agents' mask and its draw, as trial_blocks
+    draws its first block; the counts reach N_RANGE[1]."""
+    rng = rng_for(seed, axiom)
+    counts = rng.integers(axioms.N_RANGE[0], axioms.N_RANGE[1] + 1, BLOCK)
+    trials = axioms.draw_trials(rng, counts, axioms._CHECKERS[axiom].draw)
+    assert trials["problem"].incomes.shape == (BLOCK, axioms.N_RANGE[1])
+    return counts, trials["problem"].agent_mask, trials
+
+
+@pytest.mark.parametrize("axiom", ALL_AXIOMS)
+def test_every_padded_entry_is_positive_zero_or_false(axiom):
+    # Each variate is drawn for the whole block and set to +0.0 past each
+    # trial's agents, not -0.0, which a product with the mask could give;
+    # a mask, such as NAT's members, is False there.
+    for seed in range(4):
+        _, mask, trials = _block_draw(axiom, seed)
+        arrays = []
+        for value in trials.values():
+            arrays += [value.incomes, value.needs] if isinstance(value, Block) else [value]
+        padded = [array[~mask] for array in arrays if np.ndim(array) == 2]
+        assert padded and all(len(values) == (~mask).sum() for values in padded)
+        for values in padded:
+            if values.dtype == bool:
+                assert not values.any(), axiom
+            else:
+                assert (values.view(np.uint64) == 0).all(), axiom
+
+
+def test_drawn_agents_and_groups_fit_their_trials():
+    # Equal treatment's twins are two agents of the trial, dummy's agent is
+    # one, and NAT's group is as large as the size drawn for it: the agents
+    # of the lowest keys among the trial's own.
+    counts, mask, twins = _block_draw("equal_treatment", 1)
+    first, second = twins["first"], twins["second"]
+    assert (first != second).all()
+    assert ((1 <= first) & (first <= counts) & (1 <= second) & (second <= counts)).all()
+    rows = np.arange(BLOCK)
+    for column in (twins["problem"].incomes, twins["problem"].needs):
+        assert (column[rows, first - 1] == column[rows, second - 1]).all()
+    counts, mask, dummy = _block_draw("dummy", 2)
+    agent = dummy["agent"]
+    assert ((1 <= agent) & (agent <= counts)).all()
+    for column in (dummy["problem"].incomes, dummy["problem"].needs):
+        assert (column[rows, agent - 1] == 0.0).all()
+    counts, mask, nat = _block_draw("nat", 3)
+    # The stream again: counts, incomes, needs, group sizes, then keys.
+    rng = rng_for(3, "nat")
+    assert (rng.integers(axioms.N_RANGE[0], axioms.N_RANGE[1] + 1, BLOCK) == counts).all()
+    axioms.draw_profiles(rng, (BLOCK, axioms.N_RANGE[1]))
+    size = rng.integers(2, counts + 1)
+    keys = rng.random(mask.shape)
+    members = nat["members"]
+    assert (members.sum(axis=1) == size).all()
+    assert set(size.tolist()) == set(range(2, axioms.N_RANGE[1] + 1))
+    for k in range(BLOCK):
+        lowest = np.argsort(keys[k, : counts[k]])[: size[k]]
+        assert np.flatnonzero(members[k]).tolist() == sorted(lowest.tolist())
 
 
 def _worst(values_and_problems):
@@ -484,8 +564,7 @@ def test_classify_residual_matches_scalar_loop(rule):
 def _scalar_outcome(axiom, rule, cfg):
     """check_axiom's verdict from the scalar measure over the same trials."""
     checker = axioms._CHECKERS[axiom]
-    draws = _draws_by_count(rng_for(cfg.seed, axiom), cfg, checker.draw)
-    for trial, batch, k in sorted(draws, key=lambda draw: draw[0]):
+    for trial, batch, k in _drawn_by_block(rng_for(cfg.seed, axiom), cfg, checker.draw):
         deviation, scale, _, _ = MEASURES[axiom](rule, axioms._trial(batch, k))
         if not deviation <= TOL * scale:
             return False, trial + 1
@@ -1092,7 +1171,7 @@ def test_a_custom_block_of_a_grid_probe_fills_one_buffer(padded):
     # values and the payoffs (2.4 MB) bound the peak, not a Python list or
     # float object per value.
     rows = analysis.MAX_GRID_POINTS
-    incomes, needs = axioms.draw_profiles(rng_for(6, "grid probe"), 3, rows)
+    incomes, needs = axioms.draw_profiles(rng_for(6, "grid probe"), (rows, 3))
     counts = np.where(np.arange(rows) % 2, 2, 3) if padded else None
     if padded:
         incomes[1::2, 2] = needs[1::2, 2] = 0.0

@@ -11,9 +11,12 @@ summary float, so a change to how a dataset is loaded, checked, totalled
 or summarised that moves any of them shows here. To record them again, run
 each command below with --output - (the dataset ones from data/). The
 needs-squared custom rule, which the grammar cannot spell, is pinned
-through the library instead: see custom_reports.
+through the library instead: see custom_reports. The verdicts of every
+sampled golden are also checked against perfbench's oracle, so recording
+them again may move sampled numbers but never a verdict.
 """
 
+import importlib.util
 import json
 from pathlib import Path
 
@@ -58,6 +61,41 @@ def test_report_at_1000_samples_matches_the_recorded_bytes(capsys, command, name
     report = _sampled_report(capsys, command, name, 1000)
     golden = GOLDEN / f"{command}-{name}-1000.json"
     assert report == golden.read_text(encoding="utf-8")
+
+
+def _benchmark_oracle():
+    """perfbench/oracle.py, which predicts every verdict of a grammar rule
+    from its (A, B) polynomials and shares no code with redistrib."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("perfbench_oracle", path)
+    oracle = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracle)
+    return oracle
+
+
+SAMPLED_GOLDENS = {
+    **{f"{command}-{name}": (command, name, 300) for command in COMMANDS for name in RULES},
+    **{f"{command}-{name}-1000": (command, name, 1000) for command, name in SAMPLES_1000},
+}
+
+
+@pytest.mark.parametrize("golden", SAMPLED_GOLDENS)
+def test_recorded_verdicts_are_the_oracles(golden):
+    # Recording the goldens again may move their sampled numbers, never a
+    # verdict: each axiom's pass, the label and weight shapes, the dual
+    # and the self-dual verdict are those the oracle predicts.
+    oracle = _benchmark_oracle()
+    command, name, samples = SAMPLED_GOLDENS[golden]
+    report = json.loads((GOLDEN / f"{golden}.json").read_text(encoding="utf-8"))
+    spec = RULES[name]
+    if command == "check":
+        passed = {item["axiom"]: item["passed"] for item in report["axioms"]}
+        assert passed == oracle.expected_verdicts(spec)["axioms"]
+    elif command == "classify":
+        grid = report["profile"]["grid"]
+        assert oracle.check_classify_report(report, spec, grid, 7, samples, 1e-9) == []
+    else:
+        assert oracle.check_dual_report(report, spec, 7, samples, 1e-9) == []
 
 
 # Negative incomes, a zero need (coverage null), a +0.0/-0.0 income tie and
