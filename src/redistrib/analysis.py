@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .axioms import AxiomReport, SampleConfig, axiom_suite, rng_for, worst_trial
+from .axioms import CORE_AXIOMS, AxiomReport, SampleConfig, axiom_suite, rng_for, worst_trial
 from .core import Block, Problem, check_tol, row_sums
 # make_problem is looked up here by perfbench's tracer, which wraps it per module.
 from .core import make_problem  # noqa: F401
@@ -274,7 +274,7 @@ def verify_characterization(
     passed = {report.axiom: report.passed for report in reports}
     classification = classify(rule, grid, cfg, tol)
 
-    core_ok = all(passed[name] for name in ("homogeneity", "equal_treatment", "continuity"))
+    core_ok = all(passed[name] for name in CORE_AXIOMS)
     is_ab = classification.label != "non-AB"
     a_zero = classification.a_shape == "zero"
     profile = classification.profile

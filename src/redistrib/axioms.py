@@ -8,20 +8,21 @@ evidence, not proof; a fail comes with a concrete re-runnable counterexample.
 Trials are drawn in blocks of BLOCK_TRIALS, the draw unit, which fixes
 every trial's bits: a block's agent counts first, then each variate once
 for the whole block. They are screened in batches of numpy arrays, row k
-for trial k, each problem of a batch held in a core.Block: the first block
-alone, then up to SCREEN_ROWS trials, several blocks, at a time. A trial
-has 2 to 6 agents, so the batch is as wide as its largest trial and the
-columns past a trial's own agents are padding: zero incomes and needs, paid
-zero, which leave every row's totals and payoffs as they are unpadded, bit
-for bit. Sampled numbers differ from those of versions that drew each agent
-count of a block in turn, at the same seed; verdicts do not. The screen is
-each axiom's only measure. The first flagged trial is rebuilt as an
-instance of Problems, re-screened as an unpadded one-row batch, then
-shrunk, and reported with the screen of the last instance the shrink took.
-Shrinking screens each round of candidates as one batch: a halving chain is
-built and screened ahead, all its steps at once. Drawn problems are valid,
-so payoffs that do not allocate one raise RuleError, wherever in its
-screened batch the problem is.
+for trial k in every field, each problem of a batch held in a core.Block:
+the first block alone, then up to SCREEN_ROWS trials, several blocks, at a
+time. A trial has 2 to 6 agents, so the batch is as wide as its largest
+trial and the columns past a trial's own agents are padding: zero incomes
+and needs, paid zero, which leave every row's totals and payoffs as they
+are unpadded, bit for bit. Sampled numbers differ from those of versions
+that drew each agent count of a block in turn, at the same seed; verdicts
+do not. The screen is each axiom's only measure. The first flagged trial,
+and no later one, is rebuilt as an instance of Problems, re-screened as an
+unpadded one-row batch, then shrunk, and reported with the screen of the
+last instance the shrink took. Shrinking screens each round of candidates
+as one batch, its problems stacked into Blocks that check them again: a
+halving chain is built and screened ahead, all its steps at once. Drawn
+problems are valid, so payoffs that do not allocate one raise RuleError,
+wherever in its screened batch the problem is.
 """
 
 from __future__ import annotations
@@ -128,9 +129,9 @@ def draw_trials(rng: np.random.Generator, counts: np.ndarray, draw: Callable) ->
     draw(rng, counts, mask) draws each variate once for the whole block,
     N_RANGE[1] columns wide; mask is True on each row's first counts[k]
     columns. It gives a dict of problems, as (incomes, needs) pairs, and of
-    arrays, one row per trial, or scalars. 2-D arrays are cut to the largest
-    count and hold +0.0 (False, for a mask) past each row's own, and each
-    problem becomes one Block that records the counts.
+    arrays, one row per trial. 2-D arrays are cut to the largest count and
+    hold +0.0 (False, for a mask) past each row's own, and each problem
+    becomes one Block that records the counts.
     """
     return _joined([_drawn(rng, counts, draw)], len(counts))
 
@@ -155,9 +156,7 @@ def _joined(blocks: Sequence[tuple], rows: int) -> dict:
     batch = {}
     for key, value in blocks[0][1].items():
         parts = [trials[key] for _, trials in blocks]
-        if np.ndim(value) == 0:
-            batch[key] = value
-        elif isinstance(value, tuple):
+        if isinstance(value, tuple):
             batch[key] = Block(*map(join, zip(*parts)), counts)
         else:
             batch[key] = join(parts)
@@ -303,15 +302,13 @@ def _trial(trials: dict, k: int) -> dict:
 
     A Block's row becomes a Problem, a boolean mask the positions it
     selects, a 2-D array a tuple cut to the trial's agents, a 1-D array an
-    entry; a scalar is kept. _rows turns instances back into a batch.
+    entry. _rows turns instances back into a batch.
     """
     n = int(trials["problem"].counts[k])
     instance = {}
     for key, value in trials.items():
         if isinstance(value, Block):
             instance[key] = value.problem(k)
-        elif np.ndim(value) == 0:
-            instance[key] = value
         elif value.dtype == bool:
             instance[key] = tuple(np.flatnonzero(value[k, :n]).tolist())
         elif value.ndim == 2:
@@ -329,18 +326,20 @@ def _rows(instances: Sequence[dict]) -> dict:
     """The batch whose trial k is instances[k]: the inverse of _trial.
 
     The instances share their keys and agent count, as the candidates of a
-    shrinking round do, so no row is padded, and their problems are checked
-    already, so they are stacked as they are. Agent ids become 1-based
-    columns of each instance's problem, which shrinking may have left with
-    gaps in its ids; member positions become a mask. The screen's rule sees
-    agents 1..n, as in the batch the trials were drawn in.
+    shrinking round do, so no row is padded. Each key's problems are
+    stacked into one Block, which checks its rows as any Block does. Agent
+    ids become 1-based columns of each instance's problem, which shrinking
+    may have left with gaps in its ids; member positions become a mask. The
+    screen's rule sees agents 1..n, as in the batch the trials were drawn in.
     """
     positions = np.arange(len(instances[0]["problem"]))
     trials = {}
     for key, first in instances[0].items():
         values = [instance[key] for instance in instances]
         if isinstance(first, Problem):
-            trials[key] = Block.stack(values)
+            trials[key] = Block(
+                np.stack([p.incomes for p in values]), np.stack([p.needs for p in values])
+            )
         elif key == "members":
             trials[key] = np.array([np.isin(positions, v) for v in values])
         elif key in _AGENT_KEYS:
@@ -473,7 +472,7 @@ def _draw_continuity(rng, counts, mask):
         "problem": (incomes, needs),
         "income_dir": income_dir,
         "need_dir": need_dir,
-        "base_delta": delta,
+        "base_delta": np.full(len(counts), delta),
     }
 
 
@@ -485,16 +484,15 @@ def _screen_continuity(rule, trials):
     m, n = problem.incomes.shape
     base = rule.payoffs_batch(problem)
     scale = _payoff_scale([problem.scales], base)
-    deltas = (trials["base_delta"] * _HALVINGS)[:, None, None]
     # Every trial's steps in one Block of shape (steps, m, n), a slice of
     # about SCREEN_ROWS step rows at a time. Slices give the bits the whole
     # probe would: each payoff is its own row's, and a max does not depend
     # on order.
-    per_slice = min(len(deltas), max(1, SCREEN_ROWS // m))
+    per_slice = min(len(_HALVINGS), max(1, SCREEN_ROWS // m))
     counts = np.tile(problem.counts, per_slice)
     gaps = []
-    for first in range(0, len(deltas), per_slice):
-        delta = deltas[first : first + per_slice]
+    for first in range(0, len(_HALVINGS), per_slice):
+        delta = _HALVINGS[first : first + per_slice, None, None] * trials["base_delta"][:, None]
         steps = Block(
             (problem.incomes + delta * trials["income_dir"]).reshape(-1, n),
             (problem.needs + delta * trials["need_dir"]).reshape(-1, n),
@@ -728,9 +726,10 @@ def check_axiom(
     a NaN deviation, as a NaN payoff gives, counts as a violation.
     Trials are screened a batch at a time, each one padded batch: the first
     block of BLOCK_TRIALS alone, then up to SCREEN_ROWS trials. The first
-    trial the screen flags is re-screened as a one-row batch rebuilt from
-    its instance, which then shrinks; the report holds the screen of the
-    last instance taken. A rule whose payoffs do not allocate a drawn
+    trial the screen flags is the one reported: it is re-screened as a
+    one-row batch rebuilt from its instance, which cuts its values to its
+    own agents, and then shrinks; the report holds the screen of the last
+    instance taken. A rule whose payoffs do not allocate a drawn
     problem raises RuleError, whatever the other trials of its screened
     batch show: a violation earlier in the batch does not pre-empt it.
     Shrinking screens each round of candidates as one batch, a halving
@@ -746,22 +745,21 @@ def check_axiom(
     rng = rng_for(cfg.seed, axiom)
     for start, trials in trial_blocks(rng, cfg, checker.draw):
         deviation, scale, _, _ = _screened(checker.screen, rule, trials)
-        for k in np.flatnonzero(_violates(deviation, tol, scale)).tolist():
+        flagged = np.flatnonzero(_violates(deviation, tol, scale))
+        if flagged.size:
+            k = int(flagged[0])
             instance = _trial(trials, k)
             measured = _measures(checker, rule, [instance])[0]
-            if _violates(measured[0], tol, measured[1]):
-                instance, measured = _shrunk(checker, rule, instance, measured, tol)
-                deviation, scale, expected, observed = measured
-                counterexample = Counterexample(
-                    instance=instance,
-                    expected=expected,
-                    observed=observed,
-                    deviation=deviation,
-                    threshold=tol * scale,
-                )
-                return AxiomReport(
-                    axiom, rule, False, start + k + 1, tol, counterexample
-                )
+            instance, measured = _shrunk(checker, rule, instance, measured, tol)
+            deviation, scale, expected, observed = measured
+            counterexample = Counterexample(
+                instance=instance,
+                expected=expected,
+                observed=observed,
+                deviation=deviation,
+                threshold=tol * scale,
+            )
+            return AxiomReport(axiom, rule, False, start + k + 1, tol, counterexample)
     return AxiomReport(axiom, rule, True, cfg.trials, tol, None)
 
 

@@ -224,11 +224,12 @@ class Block:
     it is: a padded row's totals equal those of the same row unpadded, bit
     for bit.
 
-    Validated once, when built, by checked_totals, as a Problem is: the
+    Every block built is validated, by checked_totals, as a Problem is: the
     first invalid row raises the error that row would raise as a Problem,
-    and each row's totals are those of its Problem. The arrays are held,
-    not copied, and marked read-only, so each row's Problem is a view of
-    them.
+    and each row's totals are those of its Problem. Only Block.of, one
+    checked problem's row, takes its totals as they are. The arrays are
+    held, not copied, and marked read-only, so each row's Problem is a view
+    of them.
     """
 
     incomes: np.ndarray
@@ -256,45 +257,17 @@ class Block:
     def of(cls, problem: Problem) -> Block:
         """A checked problem's one-row block, with its ids.
 
-        The rows are views of the problem's columns and the totals are its
-        own: nothing is checked, summed or copied again.
+        The rows are views of the problem's read-only columns and the totals
+        are its own: nothing is checked, summed or copied again.
         """
-        return cls._checked(
-            problem.incomes[None],
-            problem.needs[None],
-            [problem.total_income],
-            [problem.total_need],
-            problem.agents,
-        )
-
-    @classmethod
-    def stack(cls, problems: Sequence[Problem]) -> Block:
-        """The block of checked problems of one agent count, row k problems[k].
-
-        Its agents are 1..n. Each row takes its problem's totals, which are
-        the block's own row sums bit for bit, so nothing is checked or
-        summed again.
-        """
-        return cls._checked(
-            np.stack([p.incomes for p in problems]),
-            np.stack([p.needs for p in problems]),
-            [p.total_income for p in problems],
-            [p.total_need for p in problems],
-        )
-
-    @classmethod
-    def _checked(cls, incomes, needs, total_income, total_need, agents=None) -> Block:
-        """The block of rows already checked as problems, with their totals."""
-        incomes.setflags(write=False)
-        needs.setflags(write=False)
         block = object.__new__(cls)
         vars(block).update(
-            incomes=incomes,
-            needs=needs,
-            counts=np.full(len(incomes), incomes.shape[1]),
-            agents=agents,
-            total_income=np.array(total_income),
-            total_need=np.array(total_need),
+            incomes=problem.incomes[None],
+            needs=problem.needs[None],
+            counts=np.full(1, len(problem)),
+            agents=problem.agents,
+            total_income=np.array([problem.total_income]),
+            total_need=np.array([problem.total_need]),
         )
         return block
 

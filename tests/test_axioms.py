@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from redistrib import (
     ALL_AXIOMS,
@@ -25,6 +26,7 @@ from redistrib import (
     UnknownAxiom,
     axiom_suite,
     check_axiom,
+    check_self_dual,
     expand_axiom_names,
     format_rule,
     make_problem,
@@ -34,8 +36,9 @@ from redistrib import (
 )
 from redistrib import axioms
 from redistrib.rules import ConvexCombination, WeightedRule
-from conftest import AXIOM_MESSAGES, NAN_RULES, hex_bits, needs_squared_rule
+from conftest import AXIOM_MESSAGES, NAN_RULES, hex_bits, needs_squared_rule, nested_rules
 from scalar_measures import MEASURES
+from test_golden import _benchmark_oracle
 
 
 def _bit_noise_rule():
@@ -427,3 +430,45 @@ def test_dual_rule_verdicts_mirror_the_original(rule):
         check_axiom("dual_income_additivity", rule, cfg).passed
         == check_axiom("income_additivity", mirrored, cfg).passed
     )
+
+
+ORACLE = _benchmark_oracle()
+# Identity residuals the sampler at tol 1e-9 may miss but the oracle sees:
+# a coefficient past the oracle's COEF_TOL and below this is a near miss.
+NEAR_MISS = 1e-6
+
+
+def _near_miss(a, b):
+    """Whether a residual coefficient of an axiom's or self-duality's identity
+    lies between the oracle's COEF_TOL and NEAR_MISS."""
+    one, t = ORACLE.ONE, ORACLE.T
+    a_dual, b_dual = ORACLE.reflect(a, b)
+    residuals = [
+        (a * a - a).coef,
+        (a * b).coef,
+        (b - (one - a) * t).coef,
+        a.coef[1:],
+        [b(0.0)],
+        [b(1.0) + a(0.0) - 1.0],
+        b.coef[2:],
+        (a - a_dual).coef,
+        (b - b_dual).coef,
+    ]
+    size = np.abs(np.concatenate(residuals))
+    return bool(((ORACLE.COEF_TOL < size) & (size < NEAR_MISS)).any())
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(rule=nested_rules(2))
+def test_sampled_verdicts_agree_with_the_oracle(rule):
+    # perfbench's oracle decides each axiom and self-duality from the
+    # rule's (A, B) polynomials, read from its spec; the sampler must agree
+    # wherever no identity misses by a hair.
+    a, b = ORACLE.rule_ab(format_rule(rule))
+    if _near_miss(a, b):
+        return
+    cfg = SampleConfig(seed=1, trials=300)
+    sampled = {axiom: check_axiom(axiom, rule, cfg, 1e-9).passed for axiom in ALL_AXIOMS}
+    assert sampled == ORACLE.predict_axioms(a, b), format_rule(rule)
+    dual = check_self_dual(rule, cfg, 1e-9).is_self_dual
+    assert dual == ORACLE.predict_self_dual(a, b), format_rule(rule)

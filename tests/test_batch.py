@@ -366,6 +366,24 @@ def test_padded_rows_equal_their_own_unpadded_blocks(rule, seed, counts):
                 _assert_padded_row(values[k], measure(rule, alone)[0], (measure, k))
 
 
+@pytest.mark.parametrize(
+    "rule", [parse_rule("afam:A=const:0.5"), needs_squared_rule()], ids=format_rule
+)
+@pytest.mark.parametrize("axiom", ALL_AXIOMS)
+def test_instances_of_different_trials_screen_as_one_batch(axiom, rule):
+    # Trials 0 and 2 of a draw, both of 3 agents, rebuilt as instances and
+    # screened together, as a shrinking round screens its candidates: each
+    # row gives the bits of its instance screened alone.
+    checker = axioms._CHECKERS[axiom]
+    trials = axioms.draw_trials(rng_for(1, "x"), np.array([3, 4, 3]), checker.draw)
+    instances = [axioms._trial(trials, k) for k in (0, 2)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        together = axioms._measures(checker, rule, instances)
+        for instance, row in zip(instances, together):
+            alone = axioms._measures(checker, rule, [instance])[0]
+            assert list(map(_bits, row)) == list(map(_bits, alone)), axiom
+
+
 def _drawn_by_block(rng, cfg, draw):
     """Each trial's number and its draw, drawn as trial_blocks draws them.
 
@@ -408,6 +426,10 @@ def test_padded_blocks_hold_the_draws_of_each_agent_count(axiom):
         counts = trials["problem"].counts
         assert len(counts) == min(SCREEN if start else BLOCK, cfg.trials - start)
         assert trials["problem"].incomes.shape == (len(counts), counts.max())
+        # Every value of the batch holds one row per trial, none a scalar.
+        for value in trials.values():
+            rows = value.incomes if isinstance(value, Block) else value
+            assert np.ndim(rows) >= 1 and len(rows) == len(counts), axiom
         for k in range(len(counts)):
             got[start + k] = axioms._trial(trials, k)
     assert starts == [0, BLOCK, BLOCK + SCREEN]

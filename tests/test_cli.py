@@ -409,6 +409,7 @@ def test_a_long_rule_is_quoted_in_short(capsys, spec, message):
         ("afam:A=wavelet:x", "expected a number, got 'x'"),
         ("lin:0.3,x", "expected a number, got 'x'"),
         ("lin:0.3,inf", "number 'inf' is not finite"),
+        ("dual(lf))", "unbalanced ')' in 'lf)'"),
     ],
 )
 def test_a_short_rule_keeps_its_exact_message(capsys, spec, message):
@@ -524,6 +525,13 @@ def test_csv_loader_accepts(tmp_path, text, ids, incomes):
     problem = load_dataset(str(path))
     assert problem.agents == ids
     assert problem.incomes.tolist() == list(incomes)
+
+
+def test_load_dataset_refuses_an_unknown_format(tmp_path):
+    path = tmp_path / "data.xml"
+    path.write_text(CSV_TEXT, encoding="utf-8")
+    with pytest.raises(cli.DatasetError, match="^unknown format 'xml'$"):
+        load_dataset(str(path), "xml")
 
 
 # Nested far deeper than json.load can recurse.
@@ -672,6 +680,7 @@ def test_edge_dataset_reports_are_exact(capsys, tmp_path, name, command, specs):
 @pytest.mark.parametrize(
     "name,text,message",
     [
+        ("empty.csv", "", ": empty file"),
         ("columns.csv", "id,income,need\na,5,1\n\nb,1\n", " line 4: expected 3 columns, got 2"),
         ("blank.csv", "id,income,need\n\n \t, ,\nb,x,3\n", " line 4: income 'x' is not a number"),
         ("padded.csv", "id,income,need\n a , 5 , one \n", " line 2: need ' one ' is not a number"),

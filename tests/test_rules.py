@@ -25,6 +25,7 @@ from redistrib import (
     PROP,
     ParseError,
     RuleError,
+    RuleSpec,
     ScalarFn,
     ValidationError,
     WeightedRule,
@@ -96,6 +97,26 @@ def test_evaluate_blames_the_rule_when_a_valid_problem_is_not_allocated(payoffs,
     # inside a dual, whose reflected problem is built from the valid one
     with pytest.raises(RuleError, match=r"rule 'dual\(custom:broken\)'"):
         evaluate(DualRule(rule), reference_problem())
+
+
+class _Unspelled(RuleSpec):
+    """A rule outside the grammar, which pays every agent 0.0."""
+
+    def __repr__(self):
+        return "Unspelled()"
+
+    def _unweighted_batch(self, block):
+        return np.zeros_like(block.incomes)
+
+
+def test_a_rule_outside_the_grammar_is_named_by_its_repr():
+    # format_rule cannot spell it, so the RuleError of a problem it does not
+    # balance names it by its repr.
+    rule = _Unspelled()
+    with pytest.raises(ValueError, match=r"^cannot format Unspelled\(\)$"):
+        format_rule(rule)
+    with pytest.raises(RuleError, match=r"^rule Unspelled\(\) does not allocate this problem: "):
+        evaluate(rule, reference_problem())
 
 
 # Sequences a custom rule may return: a float64 array is copied whole, any
