@@ -18,11 +18,13 @@ that drew each agent count of a block in turn, at the same seed; verdicts
 do not. The screen is each axiom's only measure. The first flagged trial,
 and no later one, is rebuilt as an instance of Problems, re-screened as an
 unpadded one-row batch, then shrunk, and reported with the screen of the
-last instance the shrink took. Shrinking screens each round of candidates
-as one batch, its problems stacked into Blocks that check them again: a
-halving chain is built and screened ahead, all its steps at once. Drawn
-problems are valid, so payoffs that do not allocate one raise RuleError,
-wherever in its screened batch the problem is.
+last instance the shrink took; if the re-screen does not violate, the rule
+paid that problem two ways, and RuleError is raised. Shrinking screens
+each round of candidates as one batch, its problems stacked into Blocks
+that check them again: a halving chain is built and screened ahead, all
+its steps at once. Drawn problems are valid, so payoffs that do not
+allocate one raise RuleError, wherever in its screened batch the problem
+is.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .core import (
     make_problem,
     row_sums,
 )
-from .rules import RuleError, RuleSpec, _excerpt, blame_rule
+from .rules import RuleError, RuleSpec, _excerpt, _rule_error, blame_rule
 
 CORE_AXIOMS = ("homogeneity", "equal_treatment", "continuity")
 ALL_AXIOMS = CORE_AXIOMS + (
@@ -658,6 +660,13 @@ _CHECKERS: dict[str, _Checker] = {
 }
 
 
+def _checker(axiom: str) -> _Checker:
+    """The axiom's checker; a name no checker has raises UnknownAxiom."""
+    if axiom not in _CHECKERS:
+        raise UnknownAxiom(f"unknown axiom {_excerpt(axiom)!r}")
+    return _CHECKERS[axiom]
+
+
 def _round_measures(checker: _Checker, rule: RuleSpec, candidates: list[dict]) -> Iterable:
     """_measures of a shrinking round's candidates, None for one the rule cannot pay.
 
@@ -729,19 +738,20 @@ def check_axiom(
     trial the screen flags is the one reported: it is re-screened as a
     one-row batch rebuilt from its instance, which cuts its values to its
     own agents, and then shrinks; the report holds the screen of the last
-    instance taken. A rule whose payoffs do not allocate a drawn
-    problem raises RuleError, whatever the other trials of its screened
-    batch show: a violation earlier in the batch does not pre-empt it.
+    instance taken. If the re-screen does not violate, the rule paid one
+    problem two ways (a custom function that keeps state, say), and
+    RuleError is raised: no FAIL holds a counterexample that passes. A
+    rule whose payoffs do not allocate a drawn problem raises RuleError,
+    whatever the other trials of its screened batch show: a violation
+    earlier in the batch does not pre-empt it.
     Shrinking screens each round of candidates as one batch, a halving
     chain all its steps at once, and takes the instance a loop screening
     one candidate at a time would take. An error the rule raises only on
     candidates past where that loop stops, in a chain or a drop round, is
     not raised: the report is the FAIL that loop gives.
     """
-    if axiom not in _CHECKERS:
-        raise UnknownAxiom(f"unknown axiom {_excerpt(axiom)!r}")
+    checker = _checker(axiom)
     check_tol(tol)
-    checker = _CHECKERS[axiom]
     rng = rng_for(cfg.seed, axiom)
     for start, trials in trial_blocks(rng, cfg, checker.draw):
         deviation, scale, _, _ = _screened(checker.screen, rule, trials)
@@ -750,6 +760,12 @@ def check_axiom(
             k = int(flagged[0])
             instance = _trial(trials, k)
             measured = _measures(checker, rule, [instance])[0]
+            if not _violates(measured[0], tol, measured[1]):
+                raise _rule_error(
+                    rule,
+                    f"pays a sampled problem two ways: {axiom} trial {start + k + 1} "
+                    "violates in its batch and not when screened again",
+                )
             instance, measured = _shrunk(checker, rule, instance, measured, tol)
             deviation, scale, expected, observed = measured
             counterexample = Counterexample(
@@ -767,9 +783,7 @@ def recheck_counterexample(
     axiom: str, rule: RuleSpec, counterexample: Counterexample
 ) -> tuple[float, float]:
     """Re-screen a stored counterexample; returns (deviation, threshold scale)."""
-    if axiom not in _CHECKERS:
-        raise UnknownAxiom(f"unknown axiom {_excerpt(axiom)!r}")
-    deviation, scale, _, _ = _measures(_CHECKERS[axiom], rule, [counterexample.instance])[0]
+    deviation, scale, _, _ = _measures(_checker(axiom), rule, [counterexample.instance])[0]
     return deviation, scale
 
 

@@ -31,8 +31,6 @@ from .core import (
     ValidationError,
     check_count,
     check_tol,
-    checked_length,
-    float_column,
     is_float64_vector,
 )
 
@@ -459,17 +457,14 @@ class CustomRule(RuleSpec):
     """Escape hatch for rules given as a plain function of the problem.
 
     Not expressible in the rule-string grammar; intended for tests and
-    library callers. Its function pays one problem, so payoffs is that
-    function's, refused as LengthMismatch unless it pays each agent once.
-    A block calls the function on each row's Problem, as Block.problems
-    gives it, and gathers every row's values in one float64 buffer.
+    library callers. Its function pays one problem. A block, and so the
+    one-row block of payoffs, calls it on each row's Problem, as
+    Block.problems gives it, and gathers every row's values in one float64
+    buffer, refused as LengthMismatch unless it pays each agent once.
     """
 
     name: str
     allocate: Callable[[Problem], Sequence[float]]
-
-    def payoffs(self, problem: Problem) -> np.ndarray:
-        return checked_length(float_column(self.allocate(problem)), problem)
 
     def _unweighted_batch(self, block: Block) -> np.ndarray:
         """Each row's function payoffs, gathered in one buffer.
@@ -477,9 +472,9 @@ class CustomRule(RuleSpec):
         Rows are paid in order, each a Problem from Block.problems, and each
         value goes through float() into one float64 buffer; a float64 array,
         which float() would leave as it is, is copied in whole. The first
-        row not paid once per agent raises LengthMismatch, as payoffs would,
-        and no later row is paid. An unpadded block's payoffs are the
-        buffer; a padded block's fill its agent entries in one assignment.
+        row not paid once per agent raises LengthMismatch, and no later row
+        is paid. An unpadded block's payoffs are the buffer; a padded
+        block's fill its agent entries in one assignment.
         """
         values = array("d")
         for problem in block.problems():
@@ -721,18 +716,22 @@ def blame_rule(rule: RuleSpec, where: str) -> Iterator[None]:
     """Raise a ValidationError of the with block again as the rule's RuleError.
 
     The problems where names are valid, so payoffs that do not allocate
-    them are the rule's fault. The rule is named by its spec string, or its
-    repr if the grammar cannot spell it.
+    them are the rule's fault; _rule_error names the rule.
     """
     try:
         yield
     except ValidationError as exc:
-        try:
-            name = repr(format_rule(rule))
-        except ValueError:
-            name = repr(rule)
-        message = f"rule {name} does not allocate {where}: {type(exc).__name__}: {exc}"
-        raise RuleError(message) from None
+        message = f"does not allocate {where}: {type(exc).__name__}: {exc}"
+        raise _rule_error(rule, message) from None
+
+
+def _rule_error(rule: RuleSpec, message: str) -> RuleError:
+    """RuleError 'rule <name> <message>', the rule named by its spec string or its repr."""
+    try:
+        name = repr(format_rule(rule))
+    except ValueError:
+        name = repr(rule)
+    return RuleError(f"rule {name} {message}")
 
 
 def _excerpt(text: str) -> str:

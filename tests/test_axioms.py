@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import struct
@@ -380,6 +381,27 @@ def test_nan_payoffs_cannot_be_reapplied_for_stability(name):
     message = f"rule 'custom:{name}' does not allocate a sampled problem: NonFinite: "
     with pytest.raises(RuleError, match=message):
         check_axiom("stability", NAN_RULES[name], SampleConfig(seed=0, trials=20))
+
+
+def test_a_flagged_trial_that_passes_when_screened_again_raises_rule_error():
+    # The rule pays prop, but its third call, the third row of the first
+    # screened block, moves a unit between two agents: it pays that
+    # problem two ways, and no FAIL can hold a counterexample that passes.
+    calls = itertools.count(1)
+
+    def allocate(problem):
+        values = PROP.payoffs(problem).tolist()
+        if next(calls) == 3:
+            values[0] += 1.0
+            values[1] -= 1.0
+        return values
+
+    message = (
+        "rule 'custom:moves-once' pays a sampled problem two ways: homogeneity "
+        "trial 3 violates in its batch and not when screened again"
+    )
+    with pytest.raises(RuleError, match=f"^{message}$"):
+        check_axiom("homogeneity", CustomRule("moves-once", allocate), SampleConfig(1, 200))
 
 
 def test_recheck_rejects_unknown_axiom():

@@ -41,6 +41,7 @@ from redistrib.cli import (
 from redistrib import cli
 from redistrib.rules import MAX_RULE_DEPTH
 from conftest import AXIOM_MESSAGES, GRID_MESSAGES, LONG_GRIDS, nested_spec
+from test_golden import GOLDEN, _benchmark_oracle
 
 CSV_TEXT = "id,income,need\na,5,1\nb,1,3\n"
 JSON_TEXT = json.dumps(
@@ -420,15 +421,22 @@ def test_a_short_rule_keeps_its_exact_message(capsys, spec, message):
 
 
 def test_data_failures_exit_3(capsys, tmp_path):
+    # Each dataset and the start of its one stderr line; the Problem's own
+    # checks of its float64 columns name no path.
     cases = {
-        "zero_need.csv": "id,income,need\na,5,0\nb,1,0\n",
-        "dup.csv": "id,income,need\na,5,1\na,1,3\n",
-        "header.csv": "agent,cash,want\na,5,1\n",
-        "bad_number.csv": "id,income,need\na,five,1\n",
-        "not_json.json": "{",
-        "no_agents.json": "{\"rows\": []}",
+        "zero_need.csv": (
+            "id,income,need\na,5,0\nb,1,0\n", "ZeroTotalNeed: total need 0.0 is not positive"
+        ),
+        "nan.csv": ("id,income,need\na,5,1\nb,nan,3\n", "NonFinite: income nan is not finite"),
+        "inf.csv": ("id,income,need\na,5,1\nb,1,inf\n", "NonFinite: need inf is not finite"),
+        "negative.csv": ("id,income,need\na,5,1\nb,1,-3\n", "NegativeNeed: need -3.0 is negative"),
+        "dup.csv": ("id,income,need\na,5,1\na,1,3\n", "DatasetError: {path}: duplicate agent id 'a'"),
+        "header.csv": ("agent,cash,want\na,5,1\n", "DatasetError: {path}: header must be"),
+        "bad_number.csv": ("id,income,need\na,five,1\n", "DatasetError: {path} line 2: income 'five'"),
+        "not_json.json": ("{", "DatasetError: {path}: invalid JSON"),
+        "no_agents.json": ('{"rows": []}', "DatasetError: {path}: expected an object"),
     }
-    for name, text in cases.items():
+    for name, (text, message) in cases.items():
         path = tmp_path / name
         path.write_text(text, encoding="utf-8")
         code = main(
@@ -437,6 +445,8 @@ def test_data_failures_exit_3(capsys, tmp_path):
         captured = capsys.readouterr()
         assert code == 3, name
         assert captured.out == "", name
+        assert captured.err.startswith(message.format(path=path)), captured.err
+        assert captured.err.count("\n") == 1, name
     code = main(
         ["apply", "--rule", "lf", "--input", str(tmp_path / "missing.csv")]
     )
@@ -599,6 +609,11 @@ def test_non_finite_coverage_is_named_as_json_names_it(capsys, tmp_path, rows, b
     assert captured.err == f"ValueError: Out of range float values are not JSON compliant: {bad}\n"
 
 
+# More rows than two blocks, so a host of two or more CPUs formats the
+# second half in a helper process: signed zero incomes keep their spelling
+# and zero needs give null coverage.
+SIGNED_ZEROS = [(f"z{k:05d}", (-0.0, 0.0, 2.5)[k % 3], (0.0, 1.5)[k % 2]) for k in range(9000)]
+
 # Datasets whose rows take each path of the loaders, with the columns they hold.
 EDGE_DATASETS = {
     # blank and whitespace-only rows are skipped but still counted as lines
@@ -625,6 +640,10 @@ EDGE_DATASETS = {
             }
         ),
         ["a", "7", "c"], [5.0, 1.5, -2.0], [1.0, 3.0, 0.0],
+    ),
+    "signed-zeros.csv": (
+        "id,income,need\n" + "".join(f"{i},{y},{z}\n" for i, y, z in SIGNED_ZEROS),
+        *map(list, zip(*SIGNED_ZEROS)),
     ),
 }
 
@@ -661,7 +680,14 @@ def _summary_of(values):
 @pytest.mark.parametrize("name", sorted(EDGE_DATASETS))
 @pytest.mark.parametrize(
     "command,specs",
-    [("apply", ["prop"]), ("apply", ["nafr"]), ("compare", ["lf", "prop", "dual(lin:0.3,0.2)"])],
+    [
+        ("apply", ["prop"]),
+        ("apply", ["nafr"]),
+        ("compare", ["lf", "prop", "dual(lin:0.3,0.2)"]),
+        # A comma inside a poly weight continues it; one before a rule's name ends it.
+        ("compare", ["afam:A=poly:0.5,0.25", "lf"]),
+        ("compare", ["ab:A=poly:0.2,0.1,-0.05,B=poly:0.1,0.3,0.02", "lf"]),
+    ],
 )
 def test_edge_dataset_reports_are_exact(capsys, tmp_path, name, command, specs):
     text, *columns = EDGE_DATASETS[name]
@@ -1071,9 +1097,12 @@ def test_a_failed_write_leaves_no_helper_behind(capsys, tmp_path, to):
     _no_child_is_left()
 
 
-def _buffered_cli(argv, **kwargs):
-    """The CLI in a new interpreter whose stdout buffers, as it does by default."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+def _buffered_cli(argv, env=(), **kwargs):
+    """The CLI in a new interpreter whose stdout buffers, as it does by default.
+
+    env holds variables to set in the interpreter's environment.
+    """
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"} | dict(env)
     return subprocess.run(
         [sys.executable, "-m", "redistrib", *argv], env=env, text=True, **kwargs
     )
@@ -1114,6 +1143,46 @@ def test_the_helper_writes_the_one_process_bytes_to_a_real_stdout(capsys, tmp_pa
     proc = _buffered_cli(argv, capture_output=True)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == expected
+
+
+# Commands whose report a new interpreter must write byte for byte, whatever
+# its hash seed, and their exit codes. The check FAILs stability at seed 7
+# and shrinks its counterexample; apply and compare read 20,000 rows, more
+# than two blocks, so a host of two or more CPUs starts the report helper.
+PROCESS_COMMANDS = {
+    "check": (
+        ["check", "--rule", "afam:A=const:0.5", "--axioms", "all", "--seed", "7", "--samples", "300"],
+        1,
+    ),
+    "apply": (["apply", "--rule", "prop"], 0),
+    "compare": (["compare", "--rules", "lf,prop,dual(lin:0.3,0.2)"], 0),
+}
+
+
+@pytest.mark.parametrize("command", PROCESS_COMMANDS)
+def test_a_new_interpreter_writes_the_same_bytes_under_any_hash_seed(tmp_path, command):
+    # Under PYTHONHASHSEED 0 and 1 and, where the CPUs a process may use can
+    # be set, on one CPU, where the report helper is never started.
+    argv, code = PROCESS_COMMANDS[command]
+    if command != "check":
+        argv = argv + ["--input", _long_dataset(tmp_path, 20_000)]
+    runs = [
+        _buffered_cli(argv + ["--no-timestamp"], {"PYTHONHASHSEED": seed}, capture_output=True)
+        for seed in ("0", "1")
+    ]
+    if command != "check" and hasattr(os, "sched_setaffinity"):
+        runs.append(
+            _buffered_cli(
+                argv + ["--no-timestamp"],
+                capture_output=True,
+                preexec_fn=lambda: os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}),
+            )
+        )
+    for run in runs:
+        assert run.returncode == code and "Traceback" not in run.stderr, run.stderr
+    assert all(run.stdout == runs[0].stdout for run in runs)
+    if command == "check":
+        assert runs[0].stdout == (GOLDEN / "check-afam.json").read_text(encoding="utf-8")
 
 
 def test_a_written_report_leaves_no_helper_behind(capsys, tmp_path):
@@ -1251,6 +1320,42 @@ def test_classify_at_large_ratios(capsys):
     )
     assert code == 0
     assert report["label"] == "proportional"
+
+
+ORACLE = _benchmark_oracle()
+
+# Reports whose every verdict and weight perfbench's oracle predicts from the
+# rule's (A, B) polynomials: at 1000 samples the first block of 128 trials is
+# screened alone and the next 872 as one batch, and the weight probe runs
+# through a reflected polynomial rule and a mixture.
+ORACLE_REPORTS = {
+    "classify-lin-1000": ["classify", "--rule", "lin:0.3,0.2", "--seed", "7", "--samples", "1000"],
+    "dual-lin-1000": ["dual", "--rule", "lin:0.3,0.2", "--seed", "7", "--samples", "1000"],
+    "classify-convex": ["classify", "--rule", "convex(lf;prop;0.5)", "--seed", "7", "--samples", "200"],
+    "extract-dual-ab": ["extract", "--rule", f"dual({AB_POLY})", "--grid=-2:2:0.25"],
+    "extract-convex": ["extract", "--rule", "convex(lf;prop;0.3)", "--grid=-2:2:0.25"],
+}
+
+
+@pytest.mark.parametrize("argv", ORACLE_REPORTS.values(), ids=list(ORACLE_REPORTS))
+def test_a_sampled_or_probed_report_is_the_oracles(capsys, argv):
+    code, report, err = run_cli(capsys, *argv, "--no-timestamp")
+    assert (code, err) == (0, "")
+    command, spec = argv[0], argv[2]
+    if command == "classify":
+        grid = report["profile"]["grid"]
+        errors = ORACLE.check_classify_report(report, spec, grid, 7, int(argv[-1]), 1e-9)
+    elif command == "dual":
+        errors = ORACLE.check_dual_report(report, spec, 7, int(argv[-1]), 1e-9)
+    else:
+        grid = [-2.0 + 0.25 * k for k in range(17)]
+        assert report["grid"] == grid
+        errors = [
+            key
+            for key, weight in zip(("a_values", "b_values"), ORACLE.rule_ab(spec))
+            if report[key] != pytest.approx(weight(np.array(grid)).tolist(), abs=ORACLE.PROFILE_TOL)
+        ]
+    assert errors == []
 
 
 def test_compare_reports_a_repeated_spec_once(capsys, csv_path):
@@ -1605,6 +1710,9 @@ def test_each_command_takes_its_options_in_help_order():
         actions = commands.choices[name]._actions
         flags = [flag for action in actions for flag in action.option_strings]
         assert flags == ["-h", "--help", *options, "--output", "--no-timestamp"], name
+        # --help prints this text, which names each of them.
+        help_text = commands.choices[name].format_help()
+        assert all(flag in help_text for flag in flags), name
 
 
 def test_main_calls_the_dispatch_entry_of_its_command(capsys, monkeypatch):
@@ -1665,23 +1773,9 @@ def test_missing_required_flag_exits_2(capsys):
     assert excinfo.value.code == 2
 
 
-def test_module_entry_point(tmp_path):
-    path = tmp_path / "two.csv"
-    path.write_text(CSV_TEXT, encoding="utf-8")
-    proc = subprocess.run(
-        [
-            sys.executable,
-            "-m",
-            "redistrib",
-            "apply",
-            "--rule",
-            "prop",
-            "--input",
-            str(path),
-            "--no-timestamp",
-        ],
-        capture_output=True,
-        text=True,
+def test_module_entry_point(csv_path):
+    proc = _buffered_cli(
+        ["apply", "--rule", "prop", "--input", csv_path, "--no-timestamp"], capture_output=True
     )
     assert proc.returncode == 0
     report = json.loads(proc.stdout)

@@ -227,6 +227,7 @@ DUAL_SPELLINGS = [
     ("bfam:B=affine:0.5,0.25", "bfam:B=affine:0.5,0.25"),
     ("lin:0.3,0.2", "lindual:0.3,0.2"),
     ("lindual:-0.5,1.0", "lin:-0.5,1.0"),
+    ("convex(lf;prop;0.3)", "convex(lf;prop;0.3)"),
     ("convex(full;lin:0.3,0.2;0.75)", "convex(nafr;lindual:0.3,0.2;0.75)"),
     ("dual(afam:A=scale:2.0)", "afam:A=scale:2.0"),
     ("dual(dual(nafr))", "dual(nafr)"),
