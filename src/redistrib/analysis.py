@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .axioms import CORE_AXIOMS, AxiomReport, SampleConfig, axiom_suite, rng_for, worst_trial
-from .core import Block, Problem, check_tol, row_sums
+from .core import DEFAULT_TOL, Block, Problem, check_tol, row_sums
 # make_problem is looked up here by perfbench's tracer, which wraps it per module.
 from .core import make_problem  # noqa: F401
 from .rules import ParseError, RuleSpec, _excerpt, ab_payoffs_batch, blame_rule
@@ -183,7 +183,7 @@ def classify(
     rule: RuleSpec,
     grid: Sequence[float],
     cfg: SampleConfig,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
 ) -> Classification:
     """Name the functional form a rule presents over a grid of ratios.
 
@@ -254,7 +254,7 @@ class CharacterizationReport:
 def verify_characterization(
     rule: RuleSpec,
     cfg: SampleConfig,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
     grid: Sequence[float] = DEFAULT_GRID,
 ) -> CharacterizationReport:
     """Cross-check sampled axiom verdicts against the recovered form.

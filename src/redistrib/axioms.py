@@ -13,18 +13,16 @@ the first block alone, then up to SCREEN_ROWS trials, several blocks, at a
 time. A trial has 2 to 6 agents, so the batch is as wide as its largest
 trial and the columns past a trial's own agents are padding: zero incomes
 and needs, paid zero, which leave every row's totals and payoffs as they
-are unpadded, bit for bit. Sampled numbers differ from those of versions
-that drew each agent count of a block in turn, at the same seed; verdicts
-do not. The screen is each axiom's only measure. The first flagged trial,
-and no later one, is rebuilt as an instance of Problems, re-screened as an
-unpadded one-row batch, then shrunk, and reported with the screen of the
-last instance the shrink took; if the re-screen does not violate, the rule
-paid that problem two ways, and RuleError is raised. Shrinking screens
-each round of candidates as one batch, its problems stacked into Blocks
-that check them again: a halving chain is built and screened ahead, all
-its steps at once. Drawn problems are valid, so payoffs that do not
-allocate one raise RuleError, wherever in its screened batch the problem
-is.
+are unpadded, bit for bit. The screen is each axiom's only measure. The
+first flagged trial, and no later one, is rebuilt as an instance of
+Problems, re-screened as an unpadded one-row batch, then shrunk, and
+reported with the screen of the last instance the shrink took; if the
+re-screen does not violate, the rule paid that problem two ways, and
+RuleError is raised. Shrinking screens each round of candidates as one
+batch, its problems stacked into Blocks that check them again: a halving
+chain is built and screened ahead, all its steps at once. Drawn problems
+are valid, so payoffs that do not allocate one raise RuleError, wherever
+in its screened batch the problem is.
 """
 
 from __future__ import annotations
@@ -37,6 +35,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .core import (
+    DEFAULT_TOL,
     Block,
     Problem,
     ValidationError,
@@ -73,9 +72,9 @@ PERTURBATION_SCALE = 0.5
 # its block alone, so it is never changed; a new variate, such as a targeted
 # ratio, is one more draw of each block.
 BLOCK_TRIALS = 128
-# The screen unit: trials screened as one batch after the first block, and
-# the step rows of one slice of the continuity probe. A multiple of
-# BLOCK_TRIALS; it bounds the memory of a check whatever its trial count.
+# The screen unit: trials screened as one batch after the first block. A
+# multiple of BLOCK_TRIALS; it bounds the memory of a check whatever its
+# trial count.
 SCREEN_ROWS = 1024
 
 
@@ -482,28 +481,22 @@ _HALVINGS = 0.5 ** np.arange(CONTINUITY_STEPS + 1)
 
 
 def _screen_continuity(rule, trials):
-    problem = trials["problem"]
-    m, n = problem.incomes.shape
+    problem, base_delta = trials["problem"], trials["base_delta"][:, None]
     base = rule.payoffs_batch(problem)
     scale = _payoff_scale([problem.scales], base)
-    # Every trial's steps in one Block of shape (steps, m, n), a slice of
-    # about SCREEN_ROWS step rows at a time. Slices give the bits the whole
-    # probe would: each payoff is its own row's, and a max does not depend
-    # on order.
-    per_slice = min(len(_HALVINGS), max(1, SCREEN_ROWS // m))
-    counts = np.tile(problem.counts, per_slice)
-    gaps = []
-    for first in range(0, len(_HALVINGS), per_slice):
-        delta = _HALVINGS[first : first + per_slice, None, None] * trials["base_delta"][:, None]
+    # One Block per halving, as tall as the batch, which bounds the probe's
+    # memory; each payoff is its own row's, so no bit depends on the split.
+    gaps = np.empty((len(_HALVINGS), len(base)))
+    for k, halving in enumerate(_HALVINGS):
+        delta = halving * base_delta
         steps = Block(
-            (problem.incomes + delta * trials["income_dir"]).reshape(-1, n),
-            (problem.needs + delta * trials["need_dir"]).reshape(-1, n),
-            counts[: len(delta) * m],
+            problem.incomes + delta * trials["income_dir"],
+            problem.needs + delta * trials["need_dir"],
+            problem.counts,
         )
-        moved = rule.payoffs_batch(steps).reshape(-1, m, n)
-        gaps.append(np.abs(moved - base).max(axis=2))
-        scale = _payoff_scale([scale], moved.swapaxes(0, 1))
-    gaps = np.concatenate(gaps)
+        moved = rule.payoffs_batch(steps)
+        gaps[k] = np.abs(moved - base).max(axis=1)
+        scale = _payoff_scale([scale], moved)
     # Violation when the gap fails to vanish, or grows along the tail. A
     # continuous rule's gap may grow at the first, large steps, before the
     # perturbation is small enough for the rule to look linear.
@@ -726,7 +719,7 @@ def _shrunk(
 
 
 def check_axiom(
-    axiom: str, rule: RuleSpec, cfg: SampleConfig, tol: float = 1e-9
+    axiom: str, rule: RuleSpec, cfg: SampleConfig, tol: float = DEFAULT_TOL
 ) -> AxiomReport:
     """Run one axiom's sampled predicate for cfg.trials trials.
 
@@ -791,7 +784,7 @@ def axiom_suite(
     rule: RuleSpec,
     axioms: Iterable[str],
     cfg: SampleConfig,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
 ) -> list[AxiomReport]:
     """Check several axioms; composite names are expanded first.
 

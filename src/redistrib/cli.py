@@ -28,7 +28,7 @@ import numpy as np
 
 from .analysis import CATALOG_LABELS, classify, parse_grid, profile_rule
 from .axioms import Counterexample, SampleConfig, axiom_suite, expand_axiom_names
-from .core import Problem, ValidationError, make_problem, row_sums
+from .core import DEFAULT_TOL, Problem, ValidationError, make_problem, row_sums
 from .duality import check_self_dual, dual_closed_form
 from .rules import RuleSpec, _excerpt, evaluate, format_rule, parse_rule, split_rule_list
 
@@ -670,7 +670,7 @@ _GRID = (_option("--grid", default="-2:2:1", help="lo:hi:step, inclusive"),)
 _SAMPLING = (
     _option("--seed", type=int, default=0),
     _option("--samples", type=int, default=200),
-    _option("--tol", type=float, default=1e-9),
+    _option("--tol", type=float, default=DEFAULT_TOL),
 )
 _COMMON = (
     _option("--output", default="-", help="report path, or - for stdout"),

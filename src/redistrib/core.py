@@ -13,6 +13,8 @@ from typing import Hashable, Iterable, Iterator, Sequence
 import numpy as np
 
 BALANCE_REL_TOL = 1e-9
+# The default tolerance of every comparison of payoffs, deviations and weights.
+DEFAULT_TOL = 1e-9
 
 
 class ValidationError(ValueError):
@@ -275,11 +277,6 @@ class Block:
     def scales(self) -> np.ndarray:
         """Each row's max(1, |total income|, total need), which its tolerances scale with."""
         return np.maximum(np.maximum(1.0, np.abs(self.total_income)), self.total_need)
-
-    @property
-    def padded(self) -> bool:
-        """Whether some row is shorter than the block is wide."""
-        return bool((self.counts < self.incomes.shape[1]).any())
 
     @property
     def agent_mask(self) -> np.ndarray:

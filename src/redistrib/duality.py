@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .axioms import SampleConfig, rng_for, worst_trial
-from .core import Block, Problem, check_tol
+from .core import DEFAULT_TOL, Block, Problem, check_tol
 # make_problem is looked up here by perfbench's tracer, which wraps it per module.
 from .core import make_problem  # noqa: F401
 from .rules import (
@@ -87,7 +87,7 @@ def _self_dual_gap(rule: RuleSpec, block: Block) -> np.ndarray:
 
 
 def check_self_dual(
-    rule: RuleSpec, cfg: SampleConfig, tol: float = 1e-9
+    rule: RuleSpec, cfg: SampleConfig, tol: float = DEFAULT_TOL
 ) -> DualReport:
     """Compare rule and dual payoffs on sampled problems.
 

@@ -25,6 +25,7 @@ from typing import Callable, ClassVar, Iterator, Sequence, Union
 import numpy as np
 
 from .core import (
+    DEFAULT_TOL,
     Allocation,
     Block,
     Problem,
@@ -214,9 +215,7 @@ def ab_payoffs_batch(block: Block, a: np.ndarray | float, b: np.ndarray | float)
     if large.any():
         deviation = mean_income + (incomes - mean_income) * a + need_terms
         payoffs = np.where(large, deviation, payoffs)
-    # Only a block with a short row builds the mask, not one problem's block.
-    if block.padded:
-        payoffs[~block.agent_mask] = 0.0
+    payoffs[~block.agent_mask] = 0.0
     return payoffs
 
 
@@ -457,10 +456,11 @@ class CustomRule(RuleSpec):
     """Escape hatch for rules given as a plain function of the problem.
 
     Not expressible in the rule-string grammar; intended for tests and
-    library callers. Its function pays one problem. A block, and so the
-    one-row block of payoffs, calls it on each row's Problem, as
-    Block.problems gives it, and gathers every row's values in one float64
-    buffer, refused as LengthMismatch unless it pays each agent once.
+    library callers. Its function pays one problem. A block of any shape,
+    and so the one-row block of payoffs, calls it on each row's Problem, as
+    Block.problems gives it, and places every row's values at the block's
+    agents from one float64 buffer, refused as LengthMismatch unless it
+    pays each agent once.
     """
 
     name: str
@@ -473,8 +473,8 @@ class CustomRule(RuleSpec):
         value goes through float() into one float64 buffer; a float64 array,
         which float() would leave as it is, is copied in whole. The first
         row not paid once per agent raises LengthMismatch, and no later row
-        is paid. An unpadded block's payoffs are the buffer; a padded
-        block's fill its agent entries in one assignment.
+        is paid. The buffer fills the block's agent entries, through
+        Block.agent_mask, in one assignment.
         """
         values = array("d")
         for problem in block.problems():
@@ -484,11 +484,8 @@ class CustomRule(RuleSpec):
             else:
                 values.fromlist(list(map(float, row)))
             check_count(len(values) - start, problem)
-        values = np.frombuffer(values)
-        if not block.padded:
-            return values.reshape(block.incomes.shape)
         payoffs = np.zeros(block.incomes.shape)
-        payoffs[block.agent_mask] = values
+        payoffs[block.agent_mask] = np.frombuffer(values)
         return payoffs
 
 
@@ -530,7 +527,7 @@ def equivalent_on(
     first: RuleSpec,
     second: RuleSpec,
     problems: Sequence[Problem],
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
 ) -> EquivalenceVerdict:
     """Compare two rules payoff-by-payoff over the given problems."""
     check_tol(tol)

@@ -1111,25 +1111,17 @@ def _assert_each_block_is_summed_once(counts):
 
 
 # Blocks built per batch of trials: the draw's problems, then the screen's.
+# Continuity's probe builds one Block per halving.
 BLOCKS_PER_BATCH = {
     "homogeneity": 1 + 1,
     "equal_treatment": 1,
+    "continuity": 1 + axioms.CONTINUITY_STEPS + 1,
     "nat": 2,
     "stability": 1 + 1,
     "dummy": 1,
     "income_additivity": 1 + 2,
     "dual_income_additivity": 1 + 2,
 }
-
-
-def _blocks_per_batch(axiom, rows):
-    """Blocks built to screen a batch of rows trials."""
-    if axiom != "continuity":
-        return BLOCKS_PER_BATCH[axiom]
-    # The draw's Block, then one per slice of the probe: as many halvings as
-    # fit in SCREEN_ROWS step rows, at least one.
-    per_slice = max(1, SCREEN // rows)
-    return 1 + math.ceil((axioms.CONTINUITY_STEPS + 1) / per_slice)
 
 
 @pytest.mark.parametrize("axiom", ALL_AXIOMS)
@@ -1142,7 +1134,7 @@ def test_check_axiom_sums_each_block_once(monkeypatch, axiom):
     assert check_axiom(axiom, PROP, cfg, TOL).passed
     # Three batches, the first block, a full batch and 5 trials, each of its
     # trials' agent counts at once.
-    assert counts["blocks"] == sum(_blocks_per_batch(axiom, m) for m in (BLOCK, SCREEN, 5))
+    assert counts["blocks"] == 3 * BLOCKS_PER_BATCH[axiom]
     reports = [check_axiom(axiom, rule, cfg, TOL) for rule in failing]
     assert [report.passed for report in reports] == [False] * len(failing)
     _assert_each_block_is_summed_once(counts)
@@ -1165,6 +1157,25 @@ def test_self_dual_and_classify_sum_each_block_once(monkeypatch, rule):
     assert counts["nat_screens"] == 0
 
 
+def test_no_continuity_block_is_taller_than_its_batch(monkeypatch):
+    # A check of one draw block, passing and failing: its probe, shrink and
+    # re-checks build no Block taller than the BLOCK_TRIALS rows it screens.
+    heights = []
+    post_init = Block.__post_init__
+
+    def recording_post_init(self):
+        heights.append(len(self.incomes))
+        post_init(self)
+
+    monkeypatch.setattr(Block, "__post_init__", recording_post_init)
+    cfg = SampleConfig(seed=3, trials=BLOCK)
+    assert check_axiom("continuity", PROP, cfg, TOL).passed
+    for name, rule in NEGATIVE_CONTROLS:
+        if name == "continuity":
+            assert not check_axiom("continuity", rule, cfg, TOL).passed
+    assert heights and max(heights) == BLOCK, max(heights)
+
+
 def _continuity_peak(trials):
     cfg = SampleConfig(seed=2, trials=trials)
     tracemalloc.start()
@@ -1178,8 +1189,8 @@ def _continuity_peak(trials):
 
 def test_screen_memory_does_not_grow_with_trials():
     # A check of one full screen batch after the first block, and one of 8
-    # times as many trials, peak alike: batches of SCREEN_ROWS trials, and
-    # continuity slices of about SCREEN_ROWS step rows, bound the memory.
+    # times as many trials, peak alike: batches of SCREEN_ROWS trials, each
+    # probed one halving at a time, bound the memory.
     _continuity_peak(BLOCK + SCREEN)  # warm numpy's and the module's caches
     one = _continuity_peak(BLOCK + SCREEN)
     eight = _continuity_peak(BLOCK + 8 * SCREEN)
