@@ -52,30 +52,20 @@ from .core import (
 )
 from .duality import DualReport, check_self_dual, dual_closed_form
 from .rules import (
-    ABRule,
-    AFamilyRule,
-    BFamilyRule,
     ConvexCombination,
     CustomRule,
     DualRule,
     EquivalenceVerdict,
     FULL,
-    FullRedistribution,
     InvalidWeight,
     LF,
-    LaissezFaire,
-    LinearDualRule,
-    LinearRule,
     NAFR,
-    NeedAdjustedFull,
     PROP,
     ParseError,
-    Proportional,
     RuleError,
     RuleSpec,
     ScalarFn,
     WeightedRule,
-    dual_ab,
     dual_payoffs,
     equivalent_on,
     evaluate,

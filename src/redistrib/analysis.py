@@ -265,8 +265,9 @@ def verify_characterization(
     deviation-weighted form; adding dummy, B = (1 − A)t; adding stability,
     lf or A ≡ 0; adding both, lf or prop. Each holds per agent count only:
     a rule paying prop to 2-3 agents and lf to more passes all six and is
-    labelled proportional. Which axiom separates prop from lf is unknown
-    offline. Implications are checked on sampled verdicts, not assumed.
+    labelled proportional. lf and prop both satisfy all eight axioms and
+    self-duality, so no subset of them separates the two. Implications are
+    checked on sampled verdicts, not assumed.
     """
     reports = tuple(
         axiom_suite(rule, ["core", "nat", "stability", "dummy"], cfg, tol)

@@ -4,9 +4,9 @@ The dual of a rule pays each agent her need minus what the rule would pay
 her in the reflected problem, where every income is replaced by the gap
 between need and income. Applying the operator twice returns the original
 rule. The operator itself lives in rules, beside DualRule: reflected_payoffs
-on a block of problems, dual_payoffs on one, and dual_ab on a rule's
-weights. Here dual_closed_form rewrites a rule into the form of its dual,
-and check_self_dual compares a rule with its dual on sampled problems.
+on a block of problems and dual_payoffs on one. Here dual_closed_form
+reflects a rule's exact weights and spells its dual as a catalog rule, and
+check_self_dual compares a rule with its dual on sampled problems.
 """
 
 from __future__ import annotations
@@ -25,39 +25,29 @@ from .rules import (
     RuleSpec,
     ScalarFn,
     WeightedRule,
-    catalog_rule,
-    dual_ab,
+    _Exact,
     reflected_payoffs,
+    spelled_rule,
 )
-
-_ZERO = ScalarFn.constant(0.0)
-
-
-# The catalog forms without weight functions map to each other, field for
-# field, under the reflection operator (Thomson & Yeh 2008).
-_NAMED_DUALS = {"lf": "lf", "prop": "prop", "full": "nafr", "lin": "lindual"}
-_NAMED_DUALS.update({dual: name for name, dual in _NAMED_DUALS.items()})
 
 
 def dual_closed_form(rule: RuleSpec) -> RuleSpec | None:
     """Rewrite a rule into the closed form of its dual, when one is known.
 
-    Returns None for rules outside the rewrite catalog, such as custom rules;
-    a weighted rule with no closed form, say with a plain callable weight,
+    A weighted rule's exact weights (A, B) reflect to (A(1−t),
+    1 − A(1−t) − B(1−t)), the operator of Thomson & Yeh (2008), spelled
+    by spelled_rule in the rule's own form when it can hold them. Returns
+    None for rules outside the rewrite catalog, such as custom rules; a
+    weighted rule with no exact weights, say with a plain callable weight,
     comes back as its DualRule.
     """
     if isinstance(rule, WeightedRule):
-        name, *labels = rule.spelling
-        values = tuple(vars(rule).values())
-        if name in _NAMED_DUALS:
-            return catalog_rule(_NAMED_DUALS[name], values)
-        if not (labels and all(isinstance(fn, ScalarFn) for fn in values)):
+        weights = rule.exact_weights()
+        if weights is None:
             return DualRule(rule)
-        # The dual holds the reflected A and B in the same fields: bfam is ab
-        # with A = 0, afam is ab with B = (1 − A)t, and reflection keeps both.
-        held = dict(zip(labels, values))
-        a, b = dual_ab(held.get("A=", _ZERO), held.get("B=", _ZERO))
-        return type(rule)(*(a if label == "A=" else b for label in labels))
+        one_minus_t = _Exact.of(ScalarFn.affine(-1.0, 1.0))
+        a, b = (w.at(one_minus_t) for w in weights)
+        return spelled_rule(a, 1.0 - a - b, rule.form)
     if isinstance(rule, ConvexCombination):
         first = dual_closed_form(rule.first)
         second = dual_closed_form(rule.second)

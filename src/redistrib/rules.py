@@ -1,16 +1,18 @@
-"""Allocation rules: the fixed catalog, parameterized families, and combinations.
+"""Allocation rules: the catalog forms, their families, and combinations.
 
 Every rule maps a problem to one payoff vector that exhausts total income.
-Family rules are parameterized by scalar functions of the problem's
-income-to-need ratio. Catalog and family rules are WeightedRule subclasses
-that give only their two deviation weights. Every rule is evaluated on a
+Each catalog form is one row of the _FORMS table: its field labels and
+one expression of its two deviation weights at the problem's
+income-to-need ratio. A WeightedRule is a form with its field values; the
+expression pays it in floats and gives its exact weights on exact
+polynomials, which a closed-form dual reflects. Every rule is evaluated on a
 core.Block of problems by RuleSpec.payoffs_batch, and one problem is its
 one-row Block. A rule with weights pays through ab_payoffs_batch, the one
 payoff kernel; a convex mixture or a dual around a rule without weights
 mixes or reflects its inner rule's block payoffs, and a custom rule's
 function pays each row, its vector length-checked, into one buffer. The
-reflection lives beside DualRule: reflected_payoffs on a block,
-dual_payoffs on one problem, and dual_ab on a rule's weights.
+reflection lives beside DualRule: reflected_payoffs on a block and
+dual_payoffs on one problem.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import zip_longest
-from typing import Callable, ClassVar, Iterator, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -34,6 +36,9 @@ from .core import (
     check_tol,
     is_float64_vector,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class InvalidWeight(ValueError):
@@ -219,127 +224,149 @@ def ab_payoffs_batch(block: Block, a: np.ndarray | float, b: np.ndarray | float)
     return payoffs
 
 
-class WeightedRule(RuleSpec):
-    """A rule of the deviation-weighted form ȳ + A(t)(y−ȳ) + B(t)(z−z̄), t = Y/Z.
+# The catalog forms, by the name that spells each. A form gives a label per
+# field, "A=" or "B=" before a weight function and "" before a real, and its
+# weights (A(t), B(t)) as one expression of t and its field values. The same
+# expression pays, on floats or arrays, and gives exact weights, on _Exact
+# polynomials; the order is the one in which a closed-form dual is spelled.
+_FORMS: dict[str, tuple[tuple[str, ...], Callable]] = {
+    "lf": ((), lambda t: (1.0, 0.0)),
+    "full": ((), lambda t: (0.0, 0.0)),
+    "prop": ((), lambda t: (0.0, t)),
+    "nafr": ((), lambda t: (0.0, 1.0)),
+    "lin": (("", ""), lambda t, c1, c2: (c1, c2 * t)),
+    "lindual": (("", ""), lambda t, c1, c2: (c1, c2 * t + 1.0 - c1 - c2)),
+    "afam": (("A=",), lambda t, a: (a, (1.0 - a) * t)),
+    "bfam": (("B=",), lambda t, b: (0.0, b)),
+    "ab": (("A=", "B="), lambda t, a, b: (a, b)),
+}
 
-    Subclasses give only their weights (A(t), B(t)) at the problem's
-    income-to-need ratio, evaluated once per problem, and their spelling:
-    their catalog form's name, then a label per field in field order, "A="
-    or "B=" before a weight function and "" before a real. Parse, format
-    and the closed-form dual read the form from it and from nothing else,
-    so a form whose fields are all functions must be its own dual, with A
-    and B reflected.
+
+@dataclass(frozen=True)
+class WeightedRule(RuleSpec):
+    """A catalog form ȳ + A(t)(y−ȳ) + B(t)(z−z̄), t = Y/Z, with its field values.
+
+    The form names a row of _FORMS; fields holds one value per label, in
+    label order: a ScalarFn, or a plain callable of one float, after "A="
+    or "B=", and a real after "". The weights are evaluated once per
+    problem, at its income-to-need ratio.
     """
 
-    spelling: ClassVar[tuple[str, ...]]
+    form: str
+    fields: tuple = ()
+
+    def __post_init__(self) -> None:
+        if self.form not in _FORMS or len(self.fields) != len(_FORMS[self.form][0]):
+            raise ValueError(f"no catalog form {self.form!r} with {len(self.fields)} fields")
 
     # Named here, not only inherited, so that perfbench's tracer, which wraps
     # the payoffs each direct RuleSpec subclass names, counts this class's.
     payoffs = RuleSpec.payoffs
 
-
-@dataclass(frozen=True)
-class LaissezFaire(WeightedRule):
-    """Leaves every agent's income untouched."""
-
-    spelling = ("lf",)
-
     def weights_at(self, t: Ratio) -> tuple[Ratio, Ratio]:
-        return 1.0, 0.0
+        labels, weights = _FORMS[self.form]
+        return weights(t, *[_weight(v, t) if label else v for label, v in zip(labels, self.fields)])
+
+    def exact_weights(self) -> tuple[_Exact, _Exact] | None:
+        """(A, B) as exact polynomials; None if a field is a plain callable
+        or a real that is not finite."""
+        pairs = zip(_FORMS[self.form][0], self.fields)
+        if all(isinstance(v, ScalarFn) if label else math.isfinite(v) for label, v in pairs):
+            return _exact_weights(self.form, map(_Exact.of, self.fields))
+        return None
 
 
-@dataclass(frozen=True)
-class FullRedistribution(WeightedRule):
-    """Pays every agent an equal share of total income."""
+class _Exact:
+    """A polynomial in t with exact rational coefficients, in ascending order.
 
-    spelling = ("full",)
-
-    def weights_at(self, t: Ratio) -> tuple[Ratio, Ratio]:
-        return 0.0, 0.0
-
-
-@dataclass(frozen=True)
-class Proportional(WeightedRule):
-    """Splits total income in proportion to needs."""
-
-    spelling = ("prop",)
-
-    def weights_at(self, t: Ratio) -> tuple[Ratio, Ratio]:
-        return 0.0, t
-
-
-@dataclass(frozen=True)
-class NeedAdjustedFull(WeightedRule):
-    """Covers each need exactly, splitting the surplus or deficit equally."""
-
-    spelling = ("nafr",)
-
-    def weights_at(self, t: Ratio) -> tuple[Ratio, Ratio]:
-        return 0.0, 1.0
-
-
-@dataclass(frozen=True)
-class ABRule(WeightedRule):
-    """Equal split adjusted by weighted income and need deviations."""
-
-    spelling = ("ab", "A=", "B=")
-    income_weight: FnLike
-    need_weight: FnLike
-
-    def weights_at(self, t: Ratio) -> tuple[Ratio, Ratio]:
-        return _weight(self.income_weight, t), _weight(self.need_weight, t)
-
-
-@dataclass(frozen=True)
-class BFamilyRule(WeightedRule):
-    """Equal split adjusted by weighted need deviations only."""
-
-    spelling = ("bfam", "B=")
-    need_weight: FnLike
-
-    def weights_at(self, t: Ratio) -> tuple[Ratio, Ratio]:
-        return 0.0, _weight(self.need_weight, t)
-
-
-@dataclass(frozen=True)
-class AFamilyRule(WeightedRule):
-    """Mixes untouched incomes with the proportional split via an income weight."""
-
-    spelling = ("afam", "A=")
-    income_weight: FnLike
-
-    def weights_at(self, t: Ratio) -> tuple[Ratio, Ratio]:
-        a = _weight(self.income_weight, t)
-        return a, (1.0 - a) * t
-
-
-@dataclass(frozen=True)
-class LinearRule(WeightedRule):
-    """Linear mix of untouched incomes, the proportional split, and the equal split.
-
-    Coefficients need not lie in [0, 1]; the three terms always sum to
-    total income because their weights sum to one.
+    It has the arithmetic a _FORMS expression uses, and a float operand
+    counts at its exact value. fractions is imported on first use, so
+    paying a rule never loads it.
     """
 
-    spelling = ("lin", "", "")
-    income_coeff: float
-    need_share_coeff: float
+    def __init__(self, coeffs: Iterable) -> None:
+        coeffs = list(coeffs)
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        self.coeffs = tuple(coeffs)
 
-    def weights_at(self, t: Ratio) -> tuple[Ratio, Ratio]:
-        return self.income_coeff, self.need_share_coeff * t
+    @staticmethod
+    def of(value: object) -> _Exact:
+        """value as a polynomial: itself, a ScalarFn's, or a real as a constant."""
+        from fractions import Fraction
+
+        if isinstance(value, _Exact):
+            return value
+        coeffs = value.coefficients() if isinstance(value, ScalarFn) else (value,)
+        return _Exact(map(Fraction, coeffs))
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _Exact) and self.coeffs == other.coeffs
+
+    def __add__(self, other: object) -> _Exact:
+        terms = zip_longest(self.coeffs, _Exact.of(other).coeffs, fillvalue=0)
+        return _Exact(u + v for u, v in terms)
+
+    def __neg__(self) -> _Exact:
+        return _Exact(-c for c in self.coeffs)
+
+    def __sub__(self, other: object) -> _Exact:
+        return self + -_Exact.of(other)
+
+    def __rsub__(self, other: object) -> _Exact:
+        return -self + other
+
+    def __mul__(self, other: object) -> _Exact:
+        other = _Exact.of(other).coeffs
+        product = [0] * (len(self.coeffs) + len(other))
+        for i, u in enumerate(self.coeffs):
+            for j, v in enumerate(other):
+                product[i + j] += u * v
+        return _Exact(product)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def at(self, x: _Exact) -> _Exact:
+        """This polynomial of x, by Horner's rule."""
+        acc = _Exact(())
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
 
 
-@dataclass(frozen=True)
-class LinearDualRule(WeightedRule):
-    """Like LinearRule but the remainder goes to the need-adjusted equal split."""
+def _exact_weights(form: str, fields: Iterable[_Exact]) -> tuple[_Exact, _Exact]:
+    """The form's exact weights with these exact field values."""
+    a, b = _FORMS[form][1](_Exact.of(ScalarFn.identity()), *fields)
+    return _Exact.of(a), _Exact.of(b)
 
-    spelling = ("lindual", "", "")
-    income_coeff: float
-    need_share_coeff: float
 
-    def weights_at(self, t: Ratio) -> tuple[Ratio, Ratio]:
-        c1, c2 = self.income_coeff, self.need_share_coeff
-        return c1, c2 * t + 1.0 - c1 - c2
+def _rounded(c: Fraction) -> float:
+    """c rounded once; ±inf past the float range, which ScalarFn refuses."""
+    try:
+        return float(c)
+    except OverflowError:
+        return math.inf if c > 0 else -math.inf
+
+
+def spelled_rule(a: _Exact, b: _Exact, form: str) -> WeightedRule:
+    """The catalog rule with exact weights (a, b), each field rounded once.
+
+    It is spelled in the given form if that form's expression gives (a, b)
+    exactly, else in the first form of _FORMS that does; ab gives any. An
+    A= field holds a and a B= field b, and the reals of lin and lindual
+    are a's constant and b's slope, each a constant polynomial.
+    """
+    for name in (form, *_FORMS):
+        labels = _FORMS[name][0]
+        reals = iter((_Exact(a.coeffs[:1]), _Exact(b.coeffs[1:2])))
+        fields = [a if label == "A=" else b if label == "B=" else next(reals) for label in labels]
+        if _exact_weights(name, fields) == (a, b):
+            break
+    rounded = [
+        from_coefficients([_rounded(c) for c in f.coeffs]) if label else _rounded(sum(f.coeffs))
+        for label, f in zip(labels, fields)
+    ]
+    return catalog_rule(name, rounded)
 
 
 @dataclass(frozen=True)
@@ -409,48 +436,6 @@ def dual_payoffs(rule: RuleSpec, problem: Problem) -> np.ndarray:
     return _one_row(lambda block: reflected_payoffs(rule, block), problem)
 
 
-def _reflected(coeffs: list[int]) -> list[int]:
-    """Ascending coefficients of p(1 − t), given those of p(t), in integers.
-
-    Shifting p(u) to p(u + 1) by repeated synthetic division takes only
-    additions; p(1 − t) is that shift with its odd coefficients negated.
-    """
-    shifted = list(coeffs)
-    for i in range(len(shifted) - 1):
-        for j in range(len(shifted) - 2, i - 1, -1):
-            shifted[j] += shifted[j + 1]
-    return [-c if j % 2 else c for j, c in enumerate(shifted)]
-
-
-def _rounded(numerator: int, denominator: int) -> float:
-    """numerator / denominator rounded once; ±inf past the float range, which ScalarFn refuses."""
-    try:
-        return numerator / denominator
-    except OverflowError:
-        return math.inf if numerator > 0 else -math.inf
-
-
-def dual_ab(income_weight: ScalarFn, need_weight: ScalarFn) -> tuple[ScalarFn, ScalarFn]:
-    """Weights of the dual of a deviation-weighted rule with catalog weights.
-
-    The dual's income weight is t -> A(1-t) and its need weight is
-    t -> 1 - A(1-t) - B(1-t), that is 1 - A - B at 1 - t, writing A and B
-    for the inputs. A float is an integer over a power of two, so over the
-    largest of the coefficients' denominators both weights are derived
-    exactly, in integers; each coefficient is then rounded once.
-    """
-    income = income_weight.coefficients()
-    ratios = [c.as_integer_ratio() for c in income + need_weight.coefficients()]
-    denominator = max(d for _, d in ratios)
-    numerators = [n * (denominator // d) for n, d in ratios]
-    a, b = numerators[: len(income)], numerators[len(income) :]
-    rest = [-u - v for u, v in zip_longest(a, b, fillvalue=0)]
-    rest[0] += denominator
-    return tuple(
-        from_coefficients([_rounded(n, denominator) for n in _reflected(p)]) for p in (a, rest)
-    )
-
-
 @dataclass(frozen=True)
 class CustomRule(RuleSpec):
     """Escape hatch for rules given as a plain function of the problem.
@@ -489,19 +474,13 @@ class CustomRule(RuleSpec):
         return payoffs
 
 
-LF = LaissezFaire()
-FULL = FullRedistribution()
-PROP = Proportional()
-NAFR = NeedAdjustedFull()
-
-# The spelling table: each catalog form by the name that spells it.
-_CATALOG = {cls.spelling[0]: cls for cls in WeightedRule.__subclasses__()}
-_FIXED = {rule.spelling[0]: rule for rule in (LF, FULL, PROP, NAFR)}
+LF, FULL, PROP, NAFR = (WeightedRule(name) for name in ("lf", "full", "prop", "nafr"))
+_FIXED = {rule.form: rule for rule in (LF, FULL, PROP, NAFR)}
 
 
 def catalog_rule(name: str, values: Sequence = ()) -> WeightedRule:
     """The catalog form spelled name with these field values, or its one instance."""
-    return _CATALOG[name](*values) if values else _FIXED[name]
+    return WeightedRule(name, tuple(values)) if values else _FIXED[name]
 
 
 def evaluate(rule: RuleSpec, problem: Problem) -> Allocation:
@@ -630,8 +609,8 @@ def parse_rule(text: str, _depth: int = 0) -> RuleSpec:
         | lin:<r>,<r> | lindual:<r>,<r>
         | convex(<rule>;<rule>;<weight>) | dual(<rule>)
 
-    The catalog forms are read from each WeightedRule's spelling. convex
-    and dual nest at most MAX_RULE_DEPTH deep.
+    The catalog forms are read from _FORMS. convex and dual nest at most
+    MAX_RULE_DEPTH deep.
     """
     if _depth > MAX_RULE_DEPTH:
         raise ParseError(_TOO_DEEP)
@@ -651,11 +630,10 @@ def parse_rule(text: str, _depth: int = 0) -> RuleSpec:
         _split_top(inner, "\x00")
         return DualRule(parse_rule(inner, _depth + 1))
     name, colon, body = s.partition(":")
-    form = _CATALOG.get(name)
+    labels = _FORMS[name][0] if name in _FORMS else None
     # A form without fields is spelled by its name alone, any other with a colon.
-    if form is None or bool(colon) != bool(form.spelling[1:]):
+    if labels is None or bool(colon) != bool(labels):
         raise ParseError(f"unknown rule {_excerpt(text)!r}")
-    labels = form.spelling[1:]
     texts = _split_fields(body, labels)
     if texts is None:
         raise ParseError(f"{name} takes {_usage(labels)}, got {_excerpt(text)!r}")
@@ -690,12 +668,12 @@ def _usage(labels: Sequence[str]) -> str:
 def format_rule(rule: RuleSpec) -> str:
     """Spec-string form of a rule; inverse of parse_rule for catalog rules."""
     if isinstance(rule, WeightedRule):
-        name, *labels = rule.spelling
+        labels = _FORMS[rule.form][0]
         texts = (
             label + (format_scalar_fn(value) if label else _format_real(value))
-            for label, value in zip(labels, vars(rule).values())
+            for label, value in zip(labels, rule.fields)
         )
-        return f"{name}:{','.join(texts)}" if labels else name
+        return f"{rule.form}:{','.join(texts)}" if labels else rule.form
     if isinstance(rule, ConvexCombination):
         return (
             f"convex({format_rule(rule.first)};{format_rule(rule.second)}"
@@ -751,10 +729,10 @@ def split_rule_list(text: str) -> list[RuleSpec]:
     """
     specs: list[str] = []
     for part in _split_top(text, ","):
-        form = _CATALOG.get(_head(specs[-1])) if specs else None
+        form = _FORMS.get(_head(specs[-1])) if specs else None
         head = _head(part)
-        names_rule = head in _CATALOG or head in ("convex", "dual")
-        if form is not None and form.spelling[1:] and not names_rule:
+        names_rule = head in _FORMS or head in ("convex", "dual")
+        if form is not None and form[0] and not names_rule:
             specs[-1] += "," + part
         else:
             specs.append(part)

@@ -8,13 +8,13 @@ import numpy as np
 from hypothesis import strategies as st
 
 from redistrib import (
-    ABRule,
     ConvexCombination,
     CustomRule,
     DualRule,
     PROP,
     Problem,
     ScalarFn,
+    WeightedRule,
     make_problem,
     rng_for,
 )
@@ -146,11 +146,8 @@ def reference_problem() -> Problem:
 
 
 _COEFFS = st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=4)
-_POLY_RULES = st.builds(
-    ABRule,
-    _COEFFS.map(lambda c: ScalarFn.poly(*c)),
-    _COEFFS.map(lambda c: ScalarFn.poly(*c)),
-)
+_POLY_FN = _COEFFS.map(lambda c: ScalarFn.poly(*c))
+_POLY_RULES = st.tuples(_POLY_FN, _POLY_FN).map(lambda fields: WeightedRule("ab", fields))
 
 
 def nested_rules(depth):

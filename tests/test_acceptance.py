@@ -9,20 +9,16 @@ the underlying checker defines a scale.
 import pytest
 
 from redistrib import (
-    ABRule,
-    AFamilyRule,
-    BFamilyRule,
     ConvexCombination,
     DEFAULT_GRID,
     DualRule,
     FULL,
     LF,
-    LinearDualRule,
-    LinearRule,
     NAFR,
     PROP,
     SampleConfig,
     ScalarFn,
+    WeightedRule,
     axiom_suite,
     check_allocation,
     check_axiom,
@@ -34,6 +30,7 @@ from redistrib import (
     evaluate,
     extract_ab,
     format_rule,
+    parse_rule,
     recheck_counterexample,
 )
 from conftest import needs_squared_rule, random_problems
@@ -87,7 +84,7 @@ def test_criterion_02_negative_controls_with_witnesses():
     failures = []
     controls = [
         ("dummy", FULL),
-        ("stability", AFamilyRule(CONST_HALF)),
+        ("stability", WeightedRule("afam", (CONST_HALF,))),
         ("nat", needs_squared_rule()),
     ]
     for axiom, rule in controls:
@@ -124,12 +121,12 @@ def test_criterion_03_families_pass_their_axiom_sets():
                 failures.append(f"{format_rule(rule)} fails {report.axiom}")
 
     for b_fn in (CONST0, IDENT, SQUARE):
-        expect_pass(BFamilyRule(b_fn), ["core", "nat", "stability"])
+        expect_pass(WeightedRule("bfam", (b_fn,)), ["core", "nat", "stability"])
     for a_fn in (CONST0, CONST_HALF, CONST1):
-        expect_pass(AFamilyRule(a_fn), ["core", "nat", "dummy"])
+        expect_pass(WeightedRule("afam", (a_fn,)), ["core", "nat", "dummy"])
     for a_fn in (CONST0, CONST_HALF, CONST1):
         for b_fn in (CONST0, CONST1, IDENT):
-            expect_pass(ABRule(a_fn, b_fn), ["core", "nat"])
+            expect_pass(WeightedRule("ab", (a_fn, b_fn)), ["core", "nat"])
     _verdict(
         3,
         "need-weight family passes core+nat+stability, income-weight family "
@@ -155,7 +152,7 @@ def test_criterion_04_duality():
             failures.append(f"{format_rule(rule)} is not self-dual")
 
     ab_catalog = [
-        ABRule(a_fn, b_fn)
+        WeightedRule("ab", (a_fn, b_fn))
         for a_fn in (CONST0, CONST_HALF, CONST1, IDENT)
         for b_fn in (CONST0, CONST1, IDENT, SQUARE)
     ]
@@ -173,10 +170,10 @@ def test_criterion_04_duality():
         FULL,
         PROP,
         NAFR,
-        AFamilyRule(IDENT),
-        BFamilyRule(SQUARE),
-        LinearRule(0.3, 0.2),
-        LinearDualRule(0.3, 0.2),
+        WeightedRule("afam", (IDENT,)),
+        WeightedRule("bfam", (SQUARE,)),
+        parse_rule("lin:0.3,0.2"),
+        parse_rule("lindual:0.3,0.2"),
         ConvexCombination(FULL, PROP, 0.25),
     ]
     for rule in round_trip:
@@ -188,8 +185,8 @@ def test_criterion_04_duality():
                 f"(gap {verdict.max_deviation})"
             )
     spot = problems_100[0]
-    if dual_payoffs(DualRule(LinearRule(0.3, 0.2)), spot) != pytest.approx(
-        LinearRule(0.3, 0.2).payoffs(spot), abs=TOL
+    if dual_payoffs(DualRule(parse_rule("lin:0.3,0.2")), spot) != pytest.approx(
+        parse_rule("lin:0.3,0.2").payoffs(spot), abs=TOL
     ):
         failures.append("lazy dual applied twice drifts from the original")
     _verdict(
@@ -209,7 +206,7 @@ def test_criterion_05_extraction_and_classification():
         (FULL, lambda t: (0.0, 0.0)),
         (PROP, lambda t: (0.0, t)),
         (NAFR, lambda t: (0.0, 1.0)),
-        (LinearRule(0.3, 0.2), lambda t: (0.3, 0.2 * t)),
+        (parse_rule("lin:0.3,0.2"), lambda t: (0.3, 0.2 * t)),
     ]
     for rule, weights_at in expectations:
         for t in ratios:
@@ -226,7 +223,7 @@ def test_criterion_05_extraction_and_classification():
         (FULL, "full"),
         (PROP, "proportional"),
         (NAFR, "need-adjusted-full"),
-        (LinearRule(0.3, 0.2), "generic-AB"),
+        (parse_rule("lin:0.3,0.2"), "generic-AB"),
         (ConvexCombination(LF, PROP, 0.5), "generic-AB"),
         (needs_squared_rule(), "non-AB"),
     ]
@@ -248,11 +245,11 @@ def test_criterion_06_linear_families_are_additive():
     failures = []
     pairs = [(1.0, 0.0), (0.0, 1.0), (0.0, 0.0), (0.3, 0.2), (-0.5, 1.0)]
     for a1, a2 in pairs:
-        direct = check_axiom("income_additivity", LinearRule(a1, a2), AX_CFG, TOL)
+        direct = check_axiom("income_additivity", WeightedRule("lin", (a1, a2)), AX_CFG, TOL)
         if not direct.passed:
             failures.append(f"lin:{a1},{a2} fails income_additivity")
         mirrored = check_axiom(
-            "dual_income_additivity", LinearDualRule(a1, a2), AX_CFG, TOL
+            "dual_income_additivity", WeightedRule("lindual", (a1, a2)), AX_CFG, TOL
         )
         if not mirrored.passed:
             failures.append(f"lindual:{a1},{a2} fails dual_income_additivity")
@@ -290,15 +287,15 @@ def test_criterion_07_convex_mixtures_keep_their_axioms():
 def test_criterion_08_family_embeddings():
     failures = []
     cases = [
-        (ABRule(CONST0, IDENT), PROP),
-        (ABRule(CONST1, CONST0), LF),
-        (ABRule(CONST0, CONST0), FULL),
-        (ABRule(CONST0, CONST1), NAFR),
-        (AFamilyRule(ScalarFn.constant(0.3)), ConvexCombination(LF, PROP, 0.3)),
-        (LinearRule(0.0, 1.0), PROP),
-        (LinearRule(1.0, 0.0), LF),
-        (LinearRule(0.0, 0.0), FULL),
-        (LinearDualRule(0.0, 0.0), NAFR),
+        (WeightedRule("ab", (CONST0, IDENT)), PROP),
+        (WeightedRule("ab", (CONST1, CONST0)), LF),
+        (WeightedRule("ab", (CONST0, CONST0)), FULL),
+        (WeightedRule("ab", (CONST0, CONST1)), NAFR),
+        (parse_rule("afam:A=const:0.3"), ConvexCombination(LF, PROP, 0.3)),
+        (parse_rule("lin:0.0,1.0"), PROP),
+        (parse_rule("lin:1.0,0.0"), LF),
+        (parse_rule("lin:0.0,0.0"), FULL),
+        (parse_rule("lindual:0.0,0.0"), NAFR),
     ]
     for k, (first, second) in enumerate(cases):
         problems = random_problems(100 + k, 100)
@@ -323,11 +320,11 @@ def test_criterion_09_every_allocation_balances():
         FULL,
         PROP,
         NAFR,
-        ABRule(CONST_HALF, IDENT),
-        AFamilyRule(IDENT),
-        BFamilyRule(SQUARE),
-        LinearRule(0.3, 0.2),
-        LinearDualRule(-0.5, 1.0),
+        WeightedRule("ab", (CONST_HALF, IDENT)),
+        WeightedRule("afam", (IDENT,)),
+        WeightedRule("bfam", (SQUARE,)),
+        parse_rule("lin:0.3,0.2"),
+        parse_rule("lindual:-0.5,1.0"),
         ConvexCombination(FULL, PROP, 0.5),
         DualRule(needs_squared_rule()),
         needs_squared_rule(),
@@ -355,8 +352,8 @@ def test_criterion_10_reports_are_reproducible():
         failures.append("axiom suite reports differ between reruns")
     if check_axiom("dummy", FULL, cfg, TOL) != check_axiom("dummy", FULL, cfg, TOL):
         failures.append("failing reports differ between reruns")
-    if classify(LinearRule(0.3, 0.2), DEFAULT_GRID, cfg, TOL) != classify(
-        LinearRule(0.3, 0.2), DEFAULT_GRID, cfg, TOL
+    if classify(parse_rule("lin:0.3,0.2"), DEFAULT_GRID, cfg, TOL) != classify(
+        parse_rule("lin:0.3,0.2"), DEFAULT_GRID, cfg, TOL
     ):
         failures.append("classifications differ between reruns")
     if check_self_dual(FULL, cfg, TOL) != check_self_dual(FULL, cfg, TOL):

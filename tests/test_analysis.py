@@ -9,17 +9,13 @@ from hypothesis import strategies as st
 
 from redistrib import analysis
 from redistrib import (
-    ABRule,
-    AFamilyRule,
     AnalysisError,
-    BFamilyRule,
     ConvexCombination,
     CustomRule,
     DEFAULT_GRID,
     FULL,
     LABELS,
     LF,
-    LinearRule,
     NAFR,
     NonFinite,
     PROP,
@@ -61,10 +57,10 @@ def test_extracted_weights_match_known_forms(t):
     assert extract_ab(FULL, t) == pytest.approx((0.0, 0.0), abs=1e-9)
     assert extract_ab(PROP, t) == pytest.approx((0.0, t), abs=1e-9)
     assert extract_ab(NAFR, t) == pytest.approx((0.0, 1.0), abs=1e-9)
-    assert extract_ab(LinearRule(0.3, 0.2), t) == pytest.approx(
+    assert extract_ab(parse_rule("lin:0.3,0.2"), t) == pytest.approx(
         (0.3, 0.2 * t), abs=1e-9
     )
-    quad = ABRule(ScalarFn.poly(0.0, 0.0, 1.0), ScalarFn.identity())
+    quad = parse_rule("ab:A=poly:0.0,0.0,1.0,B=id")
     assert extract_ab(quad, t) == pytest.approx((t * t, t), abs=1e-9)
 
 
@@ -118,10 +114,10 @@ LABEL_CASES = [
     (FULL, "full"),
     (PROP, "proportional"),
     (NAFR, "need-adjusted-full"),
-    (LinearRule(0.3, 0.2), "generic-AB"),
+    (parse_rule("lin:0.3,0.2"), "generic-AB"),
     (ConvexCombination(LF, PROP, 0.5), "generic-AB"),
-    (AFamilyRule(ScalarFn.identity()), "generic-AB"),
-    (BFamilyRule(ScalarFn.poly(0.0, 0.0, 1.0)), "generic-AB"),
+    (parse_rule("afam:A=id"), "generic-AB"),
+    (parse_rule("bfam:B=poly:0.0,0.0,1.0"), "generic-AB"),
     (needs_squared_rule(), "non-AB"),
 ]
 
@@ -175,7 +171,7 @@ def test_classification_shape_evidence():
     nafr = classify(NAFR, DEFAULT_GRID, CFG)
     assert nafr.b_shape == "constant"
     assert nafr.b_value == pytest.approx(1.0)
-    lin = classify(LinearRule(0.3, 0.2), DEFAULT_GRID, CFG)
+    lin = classify(parse_rule("lin:0.3,0.2"), DEFAULT_GRID, CFG)
     assert lin.a_shape == "constant"
     assert lin.a_value == pytest.approx(0.3)
     assert lin.b_shape == "other"
@@ -246,7 +242,7 @@ def test_characterization_of_proportional():
 
 
 def test_characterization_of_need_weight_family_member():
-    rule = BFamilyRule(ScalarFn.poly(0.0, 0.0, 1.0))
+    rule = parse_rule("bfam:B=poly:0.0,0.0,1.0")
     report = verify_characterization(rule, CFG)
     by_name = {check.name: check for check in report.implications}
     stability_only = by_name[
@@ -261,7 +257,7 @@ def test_characterization_of_need_weight_family_member():
 
 
 def test_characterization_of_income_weight_family_member():
-    report = verify_characterization(AFamilyRule(ScalarFn.constant(0.5)), CFG)
+    report = verify_characterization(parse_rule("afam:A=const:0.5"), CFG)
     by_name = {check.name: check for check in report.implications}
     mix = by_name["core+nat+dummy -> income-weighted mix family"]
     assert mix.premise_holds
@@ -271,7 +267,7 @@ def test_characterization_of_income_weight_family_member():
 
 def test_characterization_at_large_ratios():
     grid = (-2e9, -1e9, 0.0, 1e9, 2e9)
-    report = verify_characterization(AFamilyRule(ScalarFn.constant(0.5)), CFG, grid=grid)
+    report = verify_characterization(parse_rule("afam:A=const:0.5"), CFG, grid=grid)
     assert report.classification.label == "generic-AB"
     assert report.consistent
 

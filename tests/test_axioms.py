@@ -10,14 +10,12 @@ from hypothesis import given, settings
 
 from redistrib import (
     ALL_AXIOMS,
-    AFamilyRule,
     CORE_AXIOMS,
     Counterexample,
     CustomRule,
     DualRule,
     FULL,
     LF,
-    LinearRule,
     NAFR,
     PROP,
     Problem,
@@ -132,11 +130,11 @@ def test_reference_rules_satisfy_every_axiom(rule):
 NEGATIVE_CONTROLS = [
     ("dummy", FULL),
     ("dummy", NAFR),
-    ("stability", AFamilyRule(ScalarFn.constant(0.5))),
+    ("stability", parse_rule("afam:A=const:0.5")),
     ("nat", needs_squared_rule()),
     ("income_additivity", NAFR),
     ("dual_income_additivity", FULL),
-    ("dual_income_additivity", LinearRule(0.3, 0.2)),
+    ("dual_income_additivity", parse_rule("lin:0.3,0.2")),
     ("continuity", _bit_noise_rule()),
     ("equal_treatment", _transfer_rule()),
     ("homogeneity", _wavy_rule()),
@@ -432,7 +430,7 @@ SELF_DUAL_AXIOMS = (
     "dummy",
 )
 
-DUALITY_RULES = [FULL, NAFR, AFamilyRule(ScalarFn.constant(0.5)), LinearRule(0.3, 0.2)]
+DUALITY_RULES = [FULL, NAFR, parse_rule("afam:A=const:0.5"), parse_rule("lin:0.3,0.2")]
 
 
 @pytest.mark.parametrize("rule", DUALITY_RULES, ids=["full", "nafr", "afam", "lin"])

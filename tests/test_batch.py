@@ -25,9 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from redistrib import (
-    ABRule,
     ALL_AXIOMS,
-    BFamilyRule,
     ConvexCombination,
     CustomRule,
     DualRule,
@@ -39,11 +37,11 @@ from redistrib import (
     PROP,
     Problem,
     RuleError,
-    AFamilyRule,
     Block,
     SampleConfig,
     ScalarFn,
     ValidationError,
+    WeightedRule,
     ZeroTotalNeed,
     check_axiom,
     check_self_dual,
@@ -180,10 +178,10 @@ def _one(t):
 
 # Rules with plain-callable weights, which take one float at a time.
 CALLABLE_RULES = [
-    AFamilyRule(_step),
-    BFamilyRule(_step),
-    ABRule(_one, ScalarFn.identity()),
-    ABRule(_step, _one),
+    WeightedRule("afam", (_step,)),
+    WeightedRule("bfam", (_step,)),
+    WeightedRule("ab", (_one, ScalarFn.identity())),
+    WeightedRule("ab", (_step, _one)),
 ]
 _WITH_CALLABLES = st.one_of(
     st.sampled_from(CALLABLE_RULES),
@@ -226,13 +224,13 @@ def test_weights_at_an_array_equal_weights_at_each_ratio_for_nested_rules(rule, 
 
 def test_payoffs_batch_takes_weights_once_per_block(monkeypatch):
     calls = []
-    weights_at = ABRule.weights_at
+    weights_at = WeightedRule.weights_at
 
     def counting(self, t):
         calls.append(np.shape(t))
         return weights_at(self, t)
 
-    monkeypatch.setattr(ABRule, "weights_at", counting)
+    monkeypatch.setattr(WeightedRule, "weights_at", counting)
     rule = parse_rule("dual(convex(ab:A=id,B=const:0.5;dual(ab:A=const:0.2,B=id);0.3))")
     rule.payoffs_batch(Block(*axioms.draw_profiles(rng_for(3, "count"), (50, 4))))
     # One call per ab rule inside, each on the block's 50 ratios.
@@ -604,7 +602,7 @@ def _unstable_or_overflowing(problem):
     if problem.total_income > 15.0:
         return [math.inf] * len(problem)
     if problem.total_income < -15.0:
-        return AFamilyRule(ScalarFn.constant(0.5)).payoffs(problem)
+        return parse_rule("afam:A=const:0.5").payoffs(problem)
     return problem.incomes
 
 

@@ -8,9 +8,6 @@ from hypothesis import strategies as st
 
 from redistrib import rules as rules_module
 from redistrib import (
-    ABRule,
-    AFamilyRule,
-    BFamilyRule,
     ConvexCombination,
     CustomRule,
     LengthMismatch,
@@ -19,8 +16,6 @@ from redistrib import (
     DualRule,
     FULL,
     LF,
-    LinearDualRule,
-    LinearRule,
     NAFR,
     PROP,
     SampleConfig,
@@ -28,7 +23,6 @@ from redistrib import (
     WeightedRule,
     check_allocation,
     check_self_dual,
-    dual_ab,
     dual_closed_form,
     dual_payoffs,
     equivalent_on,
@@ -45,6 +39,7 @@ from conftest import (
     random_problems,
     reference_problem,
 )
+from test_golden import _benchmark_oracle
 
 TOL = 1e-9
 
@@ -90,33 +85,24 @@ def test_dual_of_custom_rule_still_balances():
 
 
 def test_dual_ab_catalog_weights():
-    assert dual_ab(ScalarFn.constant(0.0), ScalarFn.constant(0.0)) == (
-        ScalarFn.constant(0.0),
-        ScalarFn.constant(1.0),
-    )
-    assert dual_ab(ScalarFn.constant(0.0), ScalarFn.identity()) == (
-        ScalarFn.constant(0.0),
-        ScalarFn.identity(),
-    )
-    assert dual_ab(ScalarFn.constant(1.0), ScalarFn.constant(0.0)) == (
-        ScalarFn.constant(1.0),
-        ScalarFn.constant(0.0),
-    )
-    income, need = dual_ab(ScalarFn.poly(0.0, 0.0, 1.0), ScalarFn.constant(0.0))
-    assert income == ScalarFn.poly(1.0, -2.0, 1.0)
-    assert need == ScalarFn.poly(0.0, 2.0, -1.0)
+    # An ab rule's dual is spelled as an ab rule, its weights reflected exactly.
+    for spec, dual in [
+        ("ab:A=const:0.0,B=const:0.0", "ab:A=const:0.0,B=const:1.0"),
+        ("ab:A=const:0.0,B=id", "ab:A=const:0.0,B=id"),
+        ("ab:A=const:1.0,B=const:0.0", "ab:A=const:1.0,B=const:0.0"),
+        ("ab:A=poly:0.0,0.0,1.0,B=const:0.0", "ab:A=poly:1.0,-2.0,1.0,B=poly:0.0,2.0,-1.0"),
+    ]:
+        assert dual_closed_form(parse_rule(spec)) == parse_rule(dual)
 
 
 def test_dual_ab_callables_match_catalog_pointwise():
     # plain callables have no closed form: the dual rule reflects them pointwise
-    catalog = dual_ab(ScalarFn.poly(0.0, 0.0, 1.0), ScalarFn.identity())
-    rule = ABRule(lambda t: t * t, lambda t: t)
+    catalog = dual_closed_form(parse_rule("ab:A=poly:0.0,0.0,1.0,B=id"))
+    rule = WeightedRule("ab", (lambda t: t * t, lambda t: t))
     plain = dual_closed_form(rule)
     assert plain == DualRule(rule)
     for t in (-2.0, -0.5, 0.0, 0.5, 1.0, 3.0):
-        assert plain.weights_at(t) == pytest.approx(
-            (catalog[0](t), catalog[1](t)), abs=1e-12
-        )
+        assert plain.weights_at(t) == pytest.approx(catalog.weights_at(t), abs=1e-12)
 
 
 def _through_points(f, degree):
@@ -136,10 +122,7 @@ def _through_points(f, degree):
 def _exact_dual_weights(rule):
     """The weights of the dual of an ab rule with poly weights, each
     coefficient the exact value rounded once."""
-    a, b = (
-        [Fraction(c) for c in fn.coefficients()]
-        for fn in (rule.income_weight, rule.need_weight)
-    )
+    a, b = ([Fraction(c) for c in fn.coefficients()] for fn in rule.fields)
 
     def at(coeffs, x):
         return sum(c * x**k for k, c in enumerate(coeffs))
@@ -160,7 +143,7 @@ def _exact_closed_form(rule):
         return ConvexCombination(
             _exact_closed_form(rule.first), _exact_closed_form(rule.second), rule.weight
         )
-    return ABRule(*_exact_dual_weights(rule))
+    return WeightedRule("ab", _exact_dual_weights(rule))
 
 
 def _negative_zeros(spec):
@@ -174,7 +157,10 @@ _POLY_WEIGHTS = st.lists(
 
 @settings(max_examples=300, deadline=None)
 @given(
-    rule=st.one_of(st.builds(ABRule, _POLY_WEIGHTS, _POLY_WEIGHTS), nested_rules(2))
+    rule=st.one_of(
+        st.tuples(_POLY_WEIGHTS, _POLY_WEIGHTS).map(lambda fields: WeightedRule("ab", fields)),
+        nested_rules(2),
+    )
 )
 def test_closed_form_dual_weights_are_the_exact_reflection_rounded_once(rule):
     dual = dual_closed_form(rule)
@@ -188,19 +174,17 @@ def test_closed_form_catalog():
     assert dual_closed_form(PROP) is PROP
     assert dual_closed_form(FULL) == NAFR
     assert dual_closed_form(NAFR) == FULL
-    assert dual_closed_form(LinearRule(0.3, 0.2)) == LinearDualRule(0.3, 0.2)
-    assert dual_closed_form(LinearDualRule(0.3, 0.2)) == LinearRule(0.3, 0.2)
-    assert dual_closed_form(AFamilyRule(ScalarFn.identity())) == AFamilyRule(
-        ScalarFn.affine(-1.0, 1.0)
-    )
-    assert dual_closed_form(BFamilyRule(ScalarFn.poly(0.0, 0.0, 1.0))) == BFamilyRule(
-        ScalarFn.poly(0.0, 2.0, -1.0)
+    assert dual_closed_form(parse_rule("lin:0.3,0.2")) == parse_rule("lindual:0.3,0.2")
+    assert dual_closed_form(parse_rule("lindual:0.3,0.2")) == parse_rule("lin:0.3,0.2")
+    assert dual_closed_form(parse_rule("afam:A=id")) == parse_rule("afam:A=affine:-1.0,1.0")
+    assert dual_closed_form(parse_rule("bfam:B=poly:0.0,0.0,1.0")) == parse_rule(
+        "bfam:B=poly:0.0,2.0,-1.0"
     )
     combo = dual_closed_form(ConvexCombination(FULL, PROP, 0.25))
     assert combo == ConvexCombination(NAFR, PROP, 0.25)
-    inner = LinearRule(0.3, 0.2)
+    inner = parse_rule("lin:0.3,0.2")
     assert dual_closed_form(DualRule(inner)) is inner
-    for rule in (AFamilyRule(lambda t: t), BFamilyRule(lambda t: t)):
+    for rule in (WeightedRule("afam", (lambda t: t,)), WeightedRule("bfam", (lambda t: t,))):
         assert dual_closed_form(rule) == DualRule(rule)
 
 
@@ -227,6 +211,13 @@ DUAL_SPELLINGS = [
     ("bfam:B=affine:0.5,0.25", "bfam:B=affine:0.5,0.25"),
     ("lin:0.3,0.2", "lindual:0.3,0.2"),
     ("lindual:-0.5,1.0", "lin:-0.5,1.0"),
+    # A lin or lindual rule whose coefficients sum to exactly 1 is self-dual,
+    # so its own form spells its dual.
+    ("lin:0.5,0.5", "lin:0.5,0.5"),
+    ("lindual:0.25,0.75", "lindual:0.25,0.75"),
+    # A dual its own form cannot hold takes the first form of _FORMS that can.
+    ("lin:0.0,0.0", "nafr"),
+    ("lindual:0.0,0.0", "full"),
     ("convex(lf;prop;0.3)", "convex(lf;prop;0.3)"),
     ("convex(full;lin:0.3,0.2;0.75)", "convex(nafr;lindual:0.3,0.2;0.75)"),
     ("dual(afam:A=scale:2.0)", "afam:A=scale:2.0"),
@@ -244,8 +235,10 @@ def test_closed_form_duals_are_spelled_as_pinned(spec, dual):
 
 
 def test_closed_form_duals_of_rules_the_grammar_cannot_spell():
-    plain = ABRule(_squared, ScalarFn.identity())
+    plain = WeightedRule("ab", (_squared, ScalarFn.identity()))
     assert format_rule(dual_closed_form(plain)) == "dual(ab:A=<_squared>,B=id)"
+    unbounded = WeightedRule("lin", (math.inf, 0.0))
+    assert dual_closed_form(unbounded) == DualRule(unbounded)
     assert dual_closed_form(ConvexCombination(PROP, needs_squared_rule(), 0.3)) is None
 
 
@@ -259,13 +252,13 @@ REWRITE_CASES = [
     FULL,
     PROP,
     NAFR,
-    ABRule(ScalarFn.constant(0.5), ScalarFn.identity()),
-    ABRule(ScalarFn.poly(0.0, 0.0, 1.0), ScalarFn.poly(1.0, -1.0)),
-    AFamilyRule(ScalarFn.poly(0.0, 0.0, 1.0)),
-    BFamilyRule(ScalarFn.identity()),
-    LinearRule(-0.5, 1.0),
-    LinearDualRule(0.3, 0.2),
-    ConvexCombination(FULL, LinearRule(0.3, 0.2), 0.75),
+    parse_rule("ab:A=const:0.5,B=id"),
+    parse_rule("ab:A=poly:0.0,0.0,1.0,B=poly:1.0,-1.0"),
+    parse_rule("afam:A=poly:0.0,0.0,1.0"),
+    parse_rule("bfam:B=id"),
+    parse_rule("lin:-0.5,1.0"),
+    parse_rule("lindual:0.3,0.2"),
+    ConvexCombination(FULL, parse_rule("lin:0.3,0.2"), 0.75),
 ]
 
 
@@ -294,8 +287,8 @@ KERNEL_CASES = REWRITE_CASES + [
 ]
 
 
-def test_weighted_cases_cover_every_weighted_class():
-    assert {type(rule) for rule in WEIGHTED_CASES} == set(WeightedRule.__subclasses__())
+def test_weighted_cases_cover_every_catalog_form():
+    assert {rule.form for rule in WEIGHTED_CASES} == set(rules_module._FORMS)
 
 
 @pytest.mark.parametrize("rule", KERNEL_CASES, ids=format_rule)
@@ -305,6 +298,48 @@ def test_weights_match_extraction_and_reflect_under_duality(rule):
         assert rule.weights_at(t) == pytest.approx(extract_ab(rule, t), abs=1e-9)
         a, b = rule.weights_at(1.0 - t)
         assert dual.weights_at(t) == pytest.approx((a, 1.0 - a - b), abs=1e-12)
+
+
+ORACLE = _benchmark_oracle()
+
+
+def _rounded_is(exact, expected):
+    """Whether exact coefficients, each rounded to a float, are the oracle's
+    polynomial within its COEF_TOL."""
+    rounded, expected = [float(c) for c in exact.coeffs], list(expected.coef)
+    width = max(len(rounded), len(expected))
+    return all(
+        abs(u - v) <= ORACLE.COEF_TOL
+        for u, v in zip(rounded + [0.0] * width, expected + [0.0] * width)
+    )
+
+
+def _assert_exact_weights_are_the_oracles(rule):
+    weights = ORACLE.rule_ab(format_rule(rule))
+    assert all(map(_rounded_is, rule.exact_weights(), weights)), format_rule(rule)
+    reflected = ORACLE.reflect(*weights)
+    dual = dual_closed_form(rule)
+    assert all(map(_rounded_is, dual.exact_weights(), reflected)), format_rule(dual)
+
+
+@pytest.mark.parametrize("rule", WEIGHTED_CASES, ids=format_rule)
+def test_exact_weights_of_each_form_are_the_oracles(rule):
+    _assert_exact_weights_are_the_oracles(rule)
+
+
+def _leaves(rule):
+    if isinstance(rule, WeightedRule):
+        return [rule]
+    if isinstance(rule, DualRule):
+        return _leaves(rule.inner)
+    return _leaves(rule.first) + _leaves(rule.second)
+
+
+@settings(deadline=None)
+@given(rule=nested_rules(2))
+def test_exact_weights_of_drawn_leaves_are_the_oracles(rule):
+    for leaf in _leaves(rule):
+        _assert_exact_weights_are_the_oracles(leaf)
 
 
 def _assert_close(observed, expected, problem):
@@ -371,7 +406,7 @@ def test_rules_with_a_custom_rule_inside_have_no_weights():
 
 def test_self_dual_verdicts():
     cfg = SampleConfig(seed=42, trials=200)
-    for rule in (LF, PROP, AFamilyRule(ScalarFn.constant(0.5))):
+    for rule in (LF, PROP, parse_rule("afam:A=const:0.5")):
         report = check_self_dual(rule, cfg)
         assert isinstance(report, DualReport)
         assert report.is_self_dual, format_rule(rule)
@@ -393,8 +428,8 @@ def test_self_dual_in_the_income_weight_family():
     # a weight that varies with the funding ratio does not reflect onto
     # itself and the symmetry breaks
     cfg = SampleConfig(seed=11, trials=100)
-    assert check_self_dual(AFamilyRule(ScalarFn.constant(0.4)), cfg).is_self_dual
-    assert not check_self_dual(AFamilyRule(ScalarFn.identity()), cfg).is_self_dual
+    assert check_self_dual(parse_rule("afam:A=const:0.4"), cfg).is_self_dual
+    assert not check_self_dual(parse_rule("afam:A=id"), cfg).is_self_dual
 
 
 @pytest.mark.parametrize("name", NAN_RULES)

@@ -1,6 +1,6 @@
 import ast
-import dataclasses
 import math
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -9,9 +9,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from redistrib import (
-    ABRule,
-    AFamilyRule,
-    BFamilyRule,
     ConvexCombination,
     CustomRule,
     DualRule,
@@ -19,8 +16,6 @@ from redistrib import (
     InvalidWeight,
     LF,
     LengthMismatch,
-    LinearDualRule,
-    LinearRule,
     NAFR,
     PROP,
     ParseError,
@@ -41,6 +36,7 @@ from redistrib import (
     split_rule_list,
 )
 import redistrib
+from redistrib import rules as rules_module
 from redistrib import rng_for
 from redistrib.axioms import _draw_problems, draw_trials
 from redistrib.rules import MAX_RULE_DEPTH
@@ -70,15 +66,15 @@ def test_convex_combination_payoffs():
 
 def test_a_family_payoffs():
     p = reference_problem()
-    assert evaluate(AFamilyRule(ScalarFn.constant(0.5)), p).values == pytest.approx(
+    assert evaluate(parse_rule("afam:A=const:0.5"), p).values == pytest.approx(
         (3.25, 2.75)
     )
 
 
 def test_linear_rule_payoffs():
     p = reference_problem()
-    assert evaluate(LinearRule(0.3, 0.2), p).values == pytest.approx((3.3, 2.7))
-    assert evaluate(LinearDualRule(0.3, 0.2), p).values == pytest.approx((2.8, 3.2))
+    assert evaluate(parse_rule("lin:0.3,0.2"), p).values == pytest.approx((3.3, 2.7))
+    assert evaluate(parse_rule("lindual:0.3,0.2"), p).values == pytest.approx((2.8, 3.2))
 
 
 @pytest.mark.parametrize(
@@ -197,7 +193,7 @@ def test_ab_rule_evaluates_ratio_once_per_problem():
         return 0.5
 
     p = reference_problem()
-    evaluate(ABRule(tracking, tracking), p)
+    evaluate(WeightedRule("ab", (tracking, tracking)), p)
     assert calls == [1.5, 1.5]
 
 
@@ -222,11 +218,11 @@ def test_single_agent_gets_everything():
         FULL,
         PROP,
         NAFR,
-        ABRule(ScalarFn.poly(0.0, 0.0, 1.0), ScalarFn.identity()),
-        AFamilyRule(ScalarFn.constant(0.4)),
-        BFamilyRule(ScalarFn.identity()),
-        LinearRule(0.3, 0.2),
-        LinearDualRule(-0.5, 1.0),
+        parse_rule("ab:A=poly:0.0,0.0,1.0,B=id"),
+        parse_rule("afam:A=const:0.4"),
+        parse_rule("bfam:B=id"),
+        parse_rule("lin:0.3,0.2"),
+        parse_rule("lindual:-0.5,1.0"),
         ConvexCombination(LF, NAFR, 0.25),
         DualRule(PROP),
     ]
@@ -235,18 +231,18 @@ def test_single_agent_gets_everything():
 
 
 EMBEDDINGS = [
-    (ABRule(ScalarFn.constant(1.0), ScalarFn.constant(0.0)), LF),
-    (ABRule(ScalarFn.constant(0.0), ScalarFn.constant(0.0)), FULL),
-    (ABRule(ScalarFn.constant(0.0), ScalarFn.identity()), PROP),
-    (ABRule(ScalarFn.constant(0.0), ScalarFn.constant(1.0)), NAFR),
-    (BFamilyRule(ScalarFn.poly(0.0, 0.0, 1.0)), ABRule(ScalarFn.constant(0.0), ScalarFn.poly(0.0, 0.0, 1.0))),
-    (AFamilyRule(ScalarFn.constant(0.3)), ConvexCombination(LF, PROP, 0.3)),
-    (AFamilyRule(ScalarFn.constant(0.5)), ABRule(ScalarFn.constant(0.5), ScalarFn.scaled(0.5))),
-    (LinearRule(0.3, 0.2), ABRule(ScalarFn.constant(0.3), ScalarFn.scaled(0.2))),
-    (LinearRule(1.0, 0.0), LF),
-    (LinearRule(0.0, 1.0), PROP),
-    (LinearRule(0.0, 0.0), FULL),
-    (LinearDualRule(0.0, 0.0), NAFR),
+    (parse_rule("ab:A=const:1.0,B=const:0.0"), LF),
+    (parse_rule("ab:A=const:0.0,B=const:0.0"), FULL),
+    (parse_rule("ab:A=const:0.0,B=id"), PROP),
+    (parse_rule("ab:A=const:0.0,B=const:1.0"), NAFR),
+    (parse_rule("bfam:B=poly:0.0,0.0,1.0"), parse_rule("ab:A=const:0.0,B=poly:0.0,0.0,1.0")),
+    (parse_rule("afam:A=const:0.3"), ConvexCombination(LF, PROP, 0.3)),
+    (parse_rule("afam:A=const:0.5"), parse_rule("ab:A=const:0.5,B=scale:0.5")),
+    (parse_rule("lin:0.3,0.2"), parse_rule("ab:A=const:0.3,B=scale:0.2")),
+    (parse_rule("lin:1.0,0.0"), LF),
+    (parse_rule("lin:0.0,1.0"), PROP),
+    (parse_rule("lin:0.0,0.0"), FULL),
+    (parse_rule("lindual:0.0,0.0"), NAFR),
     (ConvexCombination(NAFR, NAFR, 0.7), NAFR),
 ]
 
@@ -472,13 +468,12 @@ def test_parse_format_round_trip(spec):
     assert parse_rule(format_rule(rule)) == rule
 
 
-def test_every_weighted_class_spells_each_of_its_fields():
-    classes = WeightedRule.__subclasses__()
-    assert len({cls.spelling[0] for cls in classes}) == len(classes)
-    for cls in classes:
-        name, *labels = cls.spelling
-        assert len(labels) == len(dataclasses.fields(cls)), name
+def test_every_catalog_form_spells_each_of_its_fields():
+    for name, (labels, weights) in rules_module._FORMS.items():
         assert set(labels) <= {"", "A=", "B="}, name
+        rule = WeightedRule(name, tuple(ScalarFn.identity() if label else 0.25 for label in labels))
+        assert parse_rule(format_rule(rule)) == rule, name
+        assert len(rule.weights_at(0.5)) == 2, name
 
 
 def test_parse_returns_the_catalog_instances():
@@ -535,16 +530,22 @@ def test_parse_convex_weight_out_of_range():
         parse_rule("convex(lf;prop;1.5)")
 
 
+@pytest.mark.parametrize("form,fields", [("bogus", ()), ("lin", (0.3,)), ("lf", (1.0,))])
+def test_a_weighted_rule_takes_a_catalog_form_and_one_value_per_field(form, fields):
+    with pytest.raises(ValueError, match="no catalog form"):
+        WeightedRule(form, fields)
+
+
 def test_format_callable_weight_is_marked():
-    rule = ABRule(lambda t: 0.0, ScalarFn.identity())
+    rule = WeightedRule("ab", (lambda t: 0.0, ScalarFn.identity()))
     assert format_rule(rule).startswith("ab:A=<")
 
 
 def test_split_rule_list():
     assert split_rule_list("lf,prop,full") == [LF, PROP, FULL]
-    assert split_rule_list("lin:1,0,prop") == [LinearRule(1.0, 0.0), PROP]
+    assert split_rule_list("lin:1,0,prop") == [parse_rule("lin:1.0,0.0"), PROP]
     assert split_rule_list("ab:A=const:1,B=const:0,lf") == [
-        ABRule(ScalarFn.constant(1.0), ScalarFn.constant(0.0)),
+        parse_rule("ab:A=const:1.0,B=const:0.0"),
         LF,
     ]
     with pytest.raises(ParseError):
@@ -576,10 +577,11 @@ _POLY_FNS = st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=4).map(
 )
 _LISTED_RULES = st.one_of(
     st.sampled_from([LF, FULL, PROP, NAFR]),
-    st.builds(LinearRule, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
-    st.builds(LinearDualRule, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
-    st.builds(AFamilyRule, _POLY_FNS),
-    st.builds(BFamilyRule, _POLY_FNS),
+    *(
+        st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)).map(partial(WeightedRule, form))
+        for form in ("lin", "lindual")
+    ),
+    *(st.tuples(_POLY_FNS).map(partial(WeightedRule, form)) for form in ("afam", "bfam")),
     nested_rules(2),
 )
 
@@ -594,14 +596,14 @@ RULE_POOL = [
     FULL,
     PROP,
     NAFR,
-    ABRule(ScalarFn.constant(0.5), ScalarFn.identity()),
-    ABRule(ScalarFn.identity(), ScalarFn.poly(0.0, 0.0, 1.0)),
-    AFamilyRule(ScalarFn.constant(0.25)),
-    BFamilyRule(ScalarFn.poly(1.0, -1.0)),
-    LinearRule(-0.5, 1.0),
-    LinearDualRule(0.3, 0.2),
+    parse_rule("ab:A=const:0.5,B=id"),
+    parse_rule("ab:A=id,B=poly:0.0,0.0,1.0"),
+    parse_rule("afam:A=const:0.25"),
+    parse_rule("bfam:B=poly:1.0,-1.0"),
+    parse_rule("lin:-0.5,1.0"),
+    parse_rule("lindual:0.3,0.2"),
     ConvexCombination(FULL, NAFR, 0.5),
-    DualRule(LinearRule(0.3, 0.2)),
+    DualRule(parse_rule("lin:0.3,0.2")),
 ]
 
 
@@ -641,7 +643,7 @@ def test_income_weights_beyond_one_balance(size, negative, b, n, data):
     # its income bit for bit.
     p = _drawn_problem(data, n)
     a = -size if negative else size
-    payoffs = ABRule(ScalarFn.constant(a), ScalarFn.constant(b)).payoffs(p)
+    payoffs = WeightedRule("ab", (ScalarFn.constant(a), ScalarFn.constant(b))).payoffs(p)
     assert check_allocation(p, payoffs).passed
     if n == 1:
         assert payoffs == p.incomes
