@@ -4,9 +4,10 @@ The dual of a rule pays each agent her need minus what the rule would pay
 her in the reflected problem, where every income is replaced by the gap
 between need and income. Applying the operator twice returns the original
 rule. The operator itself lives in rules, beside DualRule: reflected_payoffs
-on a block of problems and dual_payoffs on one. Here dual_closed_form
-reflects a rule's exact weights and spells its dual as a catalog rule, and
-check_self_dual compares a rule with its dual on sampled problems.
+on a block of problems, dual_payoffs on one, and DualRule.weights_at on
+weights. Here dual_closed_form spells the exact weights of a DualRule as a
+catalog rule, and check_self_dual compares a rule with its dual on sampled
+problems.
 """
 
 from __future__ import annotations
@@ -23,9 +24,7 @@ from .rules import (
     ConvexCombination,
     DualRule,
     RuleSpec,
-    ScalarFn,
     WeightedRule,
-    _Exact,
     reflected_payoffs,
     spelled_rule,
 )
@@ -34,20 +33,15 @@ from .rules import (
 def dual_closed_form(rule: RuleSpec) -> RuleSpec | None:
     """Rewrite a rule into the closed form of its dual, when one is known.
 
-    A weighted rule's exact weights (A, B) reflect to (A(1−t),
-    1 − A(1−t) − B(1−t)), the operator of Thomson & Yeh (2008), spelled
-    by spelled_rule in the rule's own form when it can hold them. Returns
+    A weighted rule's DualRule reflects its weights, and spelled_rule spells
+    their exact values, in the rule's own form when it can hold them. Returns
     None for rules outside the rewrite catalog, such as custom rules; a
     weighted rule with no exact weights, say with a plain callable weight,
     comes back as its DualRule.
     """
     if isinstance(rule, WeightedRule):
-        weights = rule.exact_weights()
-        if weights is None:
-            return DualRule(rule)
-        one_minus_t = _Exact.of(ScalarFn.affine(-1.0, 1.0))
-        a, b = (w.at(one_minus_t) for w in weights)
-        return spelled_rule(a, 1.0 - a - b, rule.form)
+        weights = DualRule(rule).exact_weights()
+        return DualRule(rule) if weights is None else spelled_rule(*weights, rule.form)
     if isinstance(rule, ConvexCombination):
         first = dual_closed_form(rule.first)
         second = dual_closed_form(rule.second)

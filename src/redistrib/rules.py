@@ -3,21 +3,23 @@
 Every rule maps a problem to one payoff vector that exhausts total income.
 Each catalog form is one row of the _FORMS table: its field labels and
 one expression of its two deviation weights at the problem's
-income-to-need ratio. A WeightedRule is a form with its field values; the
-expression pays it in floats and gives its exact weights on exact
-polynomials, which a closed-form dual reflects. Every rule is evaluated on a
+income-to-need ratio. A WeightedRule is a form with its field values.
+RuleSpec.weights_at is the one evaluation of a rule's weights: it pays on
+floats, and at the exact t, a polynomial with rational coefficients, gives
+the exact weights a closed-form dual spells. Every rule is evaluated on a
 core.Block of problems by RuleSpec.payoffs_batch, and one problem is its
 one-row Block. A rule with weights pays through ab_payoffs_batch, the one
 payoff kernel; a convex mixture or a dual around a rule without weights
 mixes or reflects its inner rule's block payoffs, and a custom rule's
 function pays each row, its vector length-checked, into one buffer. The
-reflection lives beside DualRule: reflected_payoffs on a block and
-dual_payoffs on one problem.
+reflection lives beside DualRule: of weights in DualRule.weights_at, of
+payoffs in reflected_payoffs on a block and dual_payoffs on one problem.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -145,11 +147,15 @@ def from_coefficients(coeffs: Sequence[float]) -> ScalarFn:
 
 
 FnLike = Union[ScalarFn, Callable[[float], float]]
-Ratio = Union[float, np.ndarray]
+Ratio = Union[float, np.ndarray, "_Exact"]
 
 
 def _weight(fn: FnLike, t: Ratio) -> Ratio:
     """fn at t; a plain callable takes one float, so an array goes entry by entry."""
+    if isinstance(t, _Exact):
+        if not isinstance(fn, ScalarFn):
+            raise _Inexact
+        return _Exact.of(fn(t))
     if not isinstance(t, np.ndarray):
         return float(fn(t))
     if isinstance(fn, ScalarFn):
@@ -176,8 +182,17 @@ class RuleSpec:
         """(A(t), B(t)) if the rule pays ȳ + A(t)(y−ȳ) + B(t)(z−z̄), else None.
 
         For an array of ratios t, a weight is an array or one float for all.
+        At the exact t, each weight is an exact polynomial in t.
         """
         return None
+
+    def exact_weights(self) -> tuple[_Exact, _Exact] | None:
+        """weights_at the exact t: (A, B) as exact polynomials; None if the rule
+        has no weights, or a weight is a plain callable or a real not finite."""
+        try:
+            return self.weights_at(_EXACT_T)
+        except _Inexact:
+            return None
 
     def payoffs_batch(self, block: Block) -> np.ndarray:
         """Payoffs of a block of problems, one row per problem.
@@ -248,8 +263,8 @@ class WeightedRule(RuleSpec):
 
     The form names a row of _FORMS; fields holds one value per label, in
     label order: a ScalarFn, or a plain callable of one float, after "A="
-    or "B=", and a real after "". The weights are evaluated once per
-    problem, at its income-to-need ratio.
+    or "B=", and a real after ""; a value of another kind is refused. The
+    weights are evaluated once per problem, at its income-to-need ratio.
     """
 
     form: str
@@ -258,6 +273,13 @@ class WeightedRule(RuleSpec):
     def __post_init__(self) -> None:
         if self.form not in _FORMS or len(self.fields) != len(_FORMS[self.form][0]):
             raise ValueError(f"no catalog form {self.form!r} with {len(self.fields)} fields")
+        labels = _FORMS[self.form][0]
+        for label, value in zip(labels, self.fields):
+            if not (callable(value) if label else isinstance(value, numbers.Real)):
+                raise ValueError(
+                    f"no catalog form {self.form!r} with field {label}{value!r};"
+                    f" it takes {_usage(labels)}"
+                )
 
     # Named here, not only inherited, so that perfbench's tracer, which wraps
     # the payoffs each direct RuleSpec subclass names, counts this class's.
@@ -265,23 +287,22 @@ class WeightedRule(RuleSpec):
 
     def weights_at(self, t: Ratio) -> tuple[Ratio, Ratio]:
         labels, weights = _FORMS[self.form]
-        return weights(t, *[_weight(v, t) if label else v for label, v in zip(labels, self.fields)])
+        exact = isinstance(t, _Exact)
+        pairs = zip(labels, self.fields)
+        a, b = weights(t, *[_weight(v, t) if k else _Exact.of(v) if exact else v for k, v in pairs])
+        return (_Exact.of(a), _Exact.of(b)) if exact else (a, b)
 
-    def exact_weights(self) -> tuple[_Exact, _Exact] | None:
-        """(A, B) as exact polynomials; None if a field is a plain callable
-        or a real that is not finite."""
-        pairs = zip(_FORMS[self.form][0], self.fields)
-        if all(isinstance(v, ScalarFn) if label else math.isfinite(v) for label, v in pairs):
-            return _exact_weights(self.form, map(_Exact.of, self.fields))
-        return None
+
+class _Inexact(Exception):
+    """A weight with no exact value: a plain callable's, or a real not finite."""
 
 
 class _Exact:
     """A polynomial in t with exact rational coefficients, in ascending order.
 
-    It has the arithmetic a _FORMS expression uses, and a float operand
-    counts at its exact value. fractions is imported on first use, so
-    paying a rule never loads it.
+    It has the arithmetic weights_at uses at the exact t, and a finite float
+    operand counts at its exact value. fractions is imported on first use,
+    so paying a rule never loads it.
     """
 
     def __init__(self, coeffs: Iterable) -> None:
@@ -292,13 +313,14 @@ class _Exact:
 
     @staticmethod
     def of(value: object) -> _Exact:
-        """value as a polynomial: itself, a ScalarFn's, or a real as a constant."""
+        """value as a polynomial: itself, or a finite real as a constant."""
         from fractions import Fraction
 
         if isinstance(value, _Exact):
             return value
-        coeffs = value.coefficients() if isinstance(value, ScalarFn) else (value,)
-        return _Exact(map(Fraction, coeffs))
+        if not math.isfinite(value):
+            raise _Inexact
+        return _Exact((Fraction(value),))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, _Exact) and self.coeffs == other.coeffs
@@ -326,18 +348,9 @@ class _Exact:
 
     __radd__, __rmul__ = __add__, __mul__
 
-    def at(self, x: _Exact) -> _Exact:
-        """This polynomial of x, by Horner's rule."""
-        acc = _Exact(())
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
-
-def _exact_weights(form: str, fields: Iterable[_Exact]) -> tuple[_Exact, _Exact]:
-    """The form's exact weights with these exact field values."""
-    a, b = _FORMS[form][1](_Exact.of(ScalarFn.identity()), *fields)
-    return _Exact.of(a), _Exact.of(b)
+# The ratio t itself, as an exact polynomial; its integer coefficients need no fractions.
+_EXACT_T = _Exact((0, 1))
 
 
 def _rounded(c: Fraction) -> float:
@@ -360,7 +373,7 @@ def spelled_rule(a: _Exact, b: _Exact, form: str) -> WeightedRule:
         labels = _FORMS[name][0]
         reals = iter((_Exact(a.coeffs[:1]), _Exact(b.coeffs[1:2])))
         fields = [a if label == "A=" else b if label == "B=" else next(reals) for label in labels]
-        if _exact_weights(name, fields) == (a, b):
+        if tuple(map(_Exact.of, _FORMS[name][1](_EXACT_T, *fields))) == (a, b):
             break
     rounded = [
         from_coefficients([_rounded(c) for c in f.coeffs]) if label else _rounded(sum(f.coeffs))
@@ -386,8 +399,8 @@ class ConvexCombination(RuleSpec):
             raise InvalidWeight(f"weight {w!r} is not in [0, 1]")
 
     def _mix(self, u: Ratio, v: Ratio) -> Ratio:
-        """w·u + (1−w)·v, of two weights or two payoff arrays."""
-        w = self.weight
+        """w·u + (1−w)·v, of two weights or two payoff arrays, exact ones with the exact w."""
+        w = _Exact.of(self.weight) if isinstance(u, _Exact) else self.weight
         return w * u + (1.0 - w) * v
 
     payoffs = RuleSpec.payoffs  # named for perfbench's tracer, as WeightedRule's

@@ -239,7 +239,10 @@ def test_closed_form_duals_of_rules_the_grammar_cannot_spell():
     assert format_rule(dual_closed_form(plain)) == "dual(ab:A=<_squared>,B=id)"
     unbounded = WeightedRule("lin", (math.inf, 0.0))
     assert dual_closed_form(unbounded) == DualRule(unbounded)
-    assert dual_closed_form(ConvexCombination(PROP, needs_squared_rule(), 0.3)) is None
+    mixed = ConvexCombination(PROP, needs_squared_rule(), 0.3)
+    assert dual_closed_form(mixed) is None
+    for rule in (plain, unbounded, mixed):
+        assert rule.exact_weights() is None
 
 
 def test_closed_form_unknown_rules_return_none():
@@ -327,19 +330,30 @@ def test_exact_weights_of_each_form_are_the_oracles(rule):
     _assert_exact_weights_are_the_oracles(rule)
 
 
-def _leaves(rule):
-    if isinstance(rule, WeightedRule):
-        return [rule]
-    if isinstance(rule, DualRule):
-        return _leaves(rule.inner)
-    return _leaves(rule.first) + _leaves(rule.second)
-
-
 @settings(deadline=None)
 @given(rule=nested_rules(2))
-def test_exact_weights_of_drawn_leaves_are_the_oracles(rule):
-    for leaf in _leaves(rule):
-        _assert_exact_weights_are_the_oracles(leaf)
+def test_exact_weights_of_drawn_rules_are_the_oracles(rule):
+    _assert_exact_weights_are_the_oracles(rule)
+
+
+W = Fraction(0.3)
+MIXED_A = W * W + (1 - W) * Fraction(0.6)
+
+# Exact weights, not merely close ones, as ascending coefficients of A and B.
+# A mixture's 1 − w is exact, so the identity B = (1 − A)·t of afam survives
+# a mix of two afam rules, and a dual's weights are the exact reflection of
+# its inner rule's: A = 0.3, B = 1 − 0.3 − 0.2(1 − t).
+EXACT_WEIGHTS = {
+    "convex(lf;nafr;0.3)": ((W,), (1 - W,)),
+    "convex(afam:A=const:0.3;afam:A=const:0.6;0.3)": ((MIXED_A,), (0, 1 - MIXED_A)),
+    "dual(lin:0.3,0.2)": ((W,), (1 - W - Fraction(0.2), Fraction(0.2))),
+}
+
+
+@pytest.mark.parametrize("spec", EXACT_WEIGHTS)
+def test_exact_weights_are_exact(spec):
+    weights = parse_rule(spec).exact_weights()
+    assert tuple(w.coeffs for w in weights) == EXACT_WEIGHTS[spec]
 
 
 def _assert_close(observed, expected, problem):

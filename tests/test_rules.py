@@ -357,22 +357,44 @@ def test_custom_payoffs_reject_a_payoff_vector_of_another_length():
             CustomRule("wrong-length", allocate).payoffs(p)
 
 
+def _package_trees():
+    """Each module of the package, by file name, as its parsed tree."""
+    for path in sorted(Path(redistrib.__file__).parent.glob("*.py")):
+        yield path.name, ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _imports(tree):
+    """Each import under tree, with the module and names it reads; a relative
+    import reads from redistrib."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "") if node.level == 0 else "redistrib"
+            yield node, [module] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            yield node, [alias.name for alias in node.names]
+
+
 def test_no_function_imports_a_module_of_the_package():
     # The package's modules import each other at their heads only.
     imports = []
-    for path in sorted(Path(redistrib.__file__).parent.glob("*.py")):
-        for function in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for filename, tree in _package_trees():
+        for function in ast.walk(tree):
             if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 continue
-            for node in ast.walk(function):
-                if isinstance(node, ast.ImportFrom):
-                    names = [node.module or ""] if node.level == 0 else ["redistrib"]
-                elif isinstance(node, ast.Import):
-                    names = [alias.name for alias in node.names]
-                else:
-                    continue
+            for node, names in _imports(function):
                 if any(name.partition(".")[0] == "redistrib" for name in names):
-                    imports.append(f"{path.name}:{node.lineno}")
+                    imports.append(f"{filename}:{node.lineno}")
+    assert imports == []
+
+
+def test_no_module_of_the_package_imports_the_benchmark_or_its_oracle():
+    # perfbench's oracle referees the package's weights and verdicts, which
+    # it can do only while it shares no code with the package.
+    imports = []
+    for filename, tree in _package_trees():
+        for node, names in _imports(tree):
+            if {part for name in names for part in name.split(".")} & {"perfbench", "oracle"}:
+                imports.append(f"{filename}:{node.lineno}")
     assert imports == []
 
 
@@ -530,7 +552,17 @@ def test_parse_convex_weight_out_of_range():
         parse_rule("convex(lf;prop;1.5)")
 
 
-@pytest.mark.parametrize("form,fields", [("bogus", ()), ("lin", (0.3,)), ("lf", (1.0,))])
+@pytest.mark.parametrize(
+    "form,fields",
+    [
+        ("bogus", ()),
+        ("lin", (0.3,)),
+        ("lf", (1.0,)),
+        # A weight function goes after "A=" or "B=", a real after "".
+        ("ab", (0.5, 0.5)),
+        ("lin", (ScalarFn.identity(), 0.0)),
+    ],
+)
 def test_a_weighted_rule_takes_a_catalog_form_and_one_value_per_field(form, fields):
     with pytest.raises(ValueError, match="no catalog form"):
         WeightedRule(form, fields)
