@@ -229,9 +229,14 @@ class Block:
     Every block built is validated, by checked_totals, as a Problem is: the
     first invalid row raises the error that row would raise as a Problem,
     and each row's totals are those of its Problem. Only Block.of, one
-    checked problem's row, takes its totals as they are. The arrays are
-    held, not copied, and marked read-only, so each row's Problem is a view
-    of them.
+    checked problem's row, takes its totals as they are.
+
+    The arrays are stored column-major and marked read-only, so per-row work
+    (elementwise steps, (rows, 1) broadcasts, reductions along axis 1) runs
+    along the long axis. A row-major input is copied once, here; a
+    column-major one, as any one-row array is, is held as it is, and
+    Block.of copies nothing. Each row's Problem is a view of the arrays,
+    and may be strided.
     """
 
     incomes: np.ndarray
@@ -242,9 +247,11 @@ class Block:
     total_need: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        incomes, needs = self.incomes, self.needs
+        incomes, needs = np.asfortranarray(self.incomes), np.asfortranarray(self.needs)
         incomes.setflags(write=False)
         needs.setflags(write=False)
+        object.__setattr__(self, "incomes", incomes)
+        object.__setattr__(self, "needs", needs)
         if incomes.ndim != 2 or incomes.shape != needs.shape:
             raise LengthMismatch(
                 f"got income and need blocks of shapes {incomes.shape} and {needs.shape}"
@@ -280,8 +287,11 @@ class Block:
 
     @property
     def agent_mask(self) -> np.ndarray:
-        """Where the agents are: entry (k, j) is True if j < counts[k], False on padding."""
-        return np.arange(self.incomes.shape[1]) < self.counts[:, None]
+        """Where the agents are: entry (k, j) is True if j < counts[k], False on padding.
+
+        Column-major, as the block's arrays.
+        """
+        return (np.arange(self.incomes.shape[1])[:, None] < self.counts).T
 
     def problem(self, k: int) -> Problem:
         """Row k as a Problem of its first counts[k] agents.

@@ -235,8 +235,7 @@ def ab_payoffs_batch(block: Block, a: np.ndarray | float, b: np.ndarray | float)
     if large.any():
         deviation = mean_income + (incomes - mean_income) * a + need_terms
         payoffs = np.where(large, deviation, payoffs)
-    payoffs[~block.agent_mask] = 0.0
-    return payoffs
+    return np.where(block.agent_mask, payoffs, 0.0)
 
 
 # The catalog forms, by the name that spells each. A form gives a label per

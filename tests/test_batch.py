@@ -364,6 +364,44 @@ def test_padded_rows_equal_their_own_unpadded_blocks(rule, seed, counts):
                 _assert_padded_row(values[k], measure(rule, alone)[0], (measure, k))
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    rule=st.one_of(
+        nested_rules(1),
+        st.sampled_from([needs_squared_rule(), ConvexCombination(needs_squared_rule(), LF, 0.3)]),
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    counts=COUNTS,
+)
+def test_a_block_pays_the_same_bits_whatever_the_layout_it_is_given(rule, seed, counts):
+    # A Block stores its columns column-major, copying a row-major input
+    # once, so payoffs never depend on the layout its arrays came in. Its
+    # rows are Problems whose columns may be strided views.
+    rng = rng_for(seed, "layout")
+    drawn = axioms.draw_trials(rng, np.asarray(counts), axioms._draw_problems)["problem"]
+    given_arrays = {
+        order: (np.array(drawn.incomes, order=order), np.array(drawn.needs, order=order))
+        for order in "CF"
+    }
+    blocks = {order: Block(*arrays, drawn.counts) for order, arrays in given_arrays.items()}
+    for order, block in blocks.items():
+        for column, given_column in zip((block.incomes, block.needs), given_arrays[order]):
+            assert column.flags.f_contiguous and not column.flags.writeable
+            assert np.shares_memory(column, given_column) is (order == "F")
+    with np.errstate(over="ignore", invalid="ignore"):
+        payoffs = [rule.payoffs_batch(block).tobytes() for block in blocks.values()]
+    assert payoffs[0] == payoffs[1]
+    block = blocks["C"]
+    incomes, needs = given_arrays["C"]
+    for k, (row, n) in enumerate(zip(block.problems(), counts)):
+        source = make_problem(range(1, n + 1), incomes[k, :n], needs[k, :n])
+        assert row == source
+        assert (row.total_income, row.total_need) == (source.total_income, source.total_need)
+        assert not row.incomes.flags.writeable and not row.needs.flags.writeable
+        assert np.shares_memory(Block.of(source).incomes, source.incomes)
+        assert np.shares_memory(Block.of(row).incomes, row.incomes)
+
+
 @pytest.mark.parametrize(
     "rule", [parse_rule("afam:A=const:0.5"), needs_squared_rule()], ids=format_rule
 )
