@@ -70,10 +70,11 @@ def _extract_ab_batch(
     agents is one agent count for every row, or each row's own count, as a
     padded Block holds them; each row is probed with its own agents. Needs
     are bumped first, by half a mean need, which leaves every probe need
-    nonnegative, then incomes, by half a mean |income| plus 1.
+    nonnegative, then incomes, by half a mean |income| plus 1. The columns
+    are built column-major, as Block holds them, so no block copies them.
     """
     counts = np.broadcast_to(agents, total_income.shape)
-    agent = np.arange(int(counts.max())) < counts[:, None]
+    agent = (np.arange(int(counts.max()))[:, None] < counts).T
     weights = {}
     with np.errstate(over="ignore", invalid="ignore"):
         means = total_income / counts, total_need / counts
@@ -82,7 +83,7 @@ def _extract_ab_batch(
         bumps = ((1, total_need / (2 * counts)), (0, np.abs(total_income) / (2 * counts) + 1.0))
         for column, bump in bumps:
             columns = list(flat)
-            columns[column] = bumped = flat[column].copy()
+            columns[column] = bumped = np.copy(flat[column])
             bumped[:, 0] += bump
             bumped[:, 1] -= bump
             block = Block(*columns, counts)
@@ -275,34 +276,29 @@ def verify_characterization(
     passed = {report.axiom: report.passed for report in reports}
     classification = classify(rule, grid, cfg, tol)
 
-    core_ok = all(passed[name] for name in CORE_AXIOMS)
-    is_ab = classification.label != "non-AB"
-    a_zero = classification.a_shape == "zero"
+    label = classification.label
+    is_ab = label != "non-AB"
     profile = classification.profile
     mix_b = [(1.0 - a) * t for a, t in zip(profile.a_values, profile.grid)]
     afam_shape = is_ab and _near(profile.b_values, mix_b, tol, scales=profile.grid)
 
-    implications = (
+    # Each implication: the axioms it adds to core + nat, the family it
+    # concludes, and whether the classification lands in that family.
+    table = (
+        (("stability", "dummy"), "untouched incomes or proportional",
+         label in (CATALOG_LABELS["lf"], CATALOG_LABELS["prop"])),
+        (("stability",), "untouched incomes or need-deviation family",
+         label == CATALOG_LABELS["lf"] or (is_ab and classification.a_shape == "zero")),
+        (("dummy",), "income-weighted mix family", afam_shape),
+        ((), "deviation-weighted family", is_ab),
+    )
+    implications = tuple(
         ImplicationCheck(
-            "core+nat+stability+dummy -> untouched incomes or proportional",
-            core_ok and passed["nat"] and passed["stability"] and passed["dummy"],
-            classification.label in (CATALOG_LABELS["lf"], CATALOG_LABELS["prop"]),
-        ),
-        ImplicationCheck(
-            "core+nat+stability -> untouched incomes or need-deviation family",
-            core_ok and passed["nat"] and passed["stability"],
-            classification.label == CATALOG_LABELS["lf"] or (is_ab and a_zero),
-        ),
-        ImplicationCheck(
-            "core+nat+dummy -> income-weighted mix family",
-            core_ok and passed["nat"] and passed["dummy"],
-            afam_shape,
-        ),
-        ImplicationCheck(
-            "core+nat -> deviation-weighted family",
-            core_ok and passed["nat"],
-            is_ab,
-        ),
+            "+".join(("core", "nat", *added)) + " -> " + family,
+            all(passed[name] for name in (*CORE_AXIOMS, "nat", *added)),
+            holds,
+        )
+        for added, family, holds in table
     )
     return CharacterizationReport(
         rule,

@@ -198,11 +198,11 @@ def worst_trial(
     for _, trials in trial_blocks(rng, cfg, _draw_problems):
         block = trials["problem"]
         values = _screened(measure, rule, block)
-        nan_rows = np.flatnonzero(np.isnan(values))
-        k = int(nan_rows[0]) if nan_rows.size else int(np.argmax(values))
+        # argmax picks the first NaN, else the first of the largest values.
+        k = int(np.argmax(values))
         if not values[k] <= worst:
             worst, witness = float(values[k]), block.problem(k)
-            if nan_rows.size:
+            if np.isnan(worst):
                 break
     return worst, witness
 

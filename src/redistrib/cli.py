@@ -484,10 +484,6 @@ def _emit(report: dict, args: argparse.Namespace) -> None:
         print(f"wrote report to {args.output}", file=sys.stderr)
 
 
-def _sample_config(args: argparse.Namespace) -> SampleConfig:
-    return SampleConfig(seed=args.seed, trials=args.samples)
-
-
 def _agent_columns(
     ids: Sequence[str], incomes: np.ndarray, needs: np.ndarray
 ) -> dict[str, _Column | _Table]:
@@ -575,7 +571,7 @@ def _cmd_check(args: argparse.Namespace) -> tuple[dict, int]:
     names = expand_axiom_names(
         [part.strip() for part in args.axioms.split(",") if part.strip()]
     )
-    reports = axiom_suite(rule, names, _sample_config(args), args.tol)
+    reports = axiom_suite(rule, names, SampleConfig(args.seed, args.samples), args.tol)
     for item in reports:
         status = "pass" if item.passed else "FAIL"
         print(f"{item.axiom}: {status}", file=sys.stderr)
@@ -598,7 +594,7 @@ def _cmd_check(args: argparse.Namespace) -> tuple[dict, int]:
 def _cmd_dual(args: argparse.Namespace) -> tuple[dict, int]:
     rule = parse_rule(args.rule)
     closed = dual_closed_form(rule)
-    self_report = check_self_dual(rule, _sample_config(args), args.tol)
+    self_report = check_self_dual(rule, SampleConfig(args.seed, args.samples), args.tol)
     dual_rule = format_rule(closed) if closed is not None else None
     report = _base_report(args)
     report["dual_rule"] = dual_rule
@@ -623,7 +619,7 @@ def _cmd_extract(args: argparse.Namespace) -> tuple[dict, int]:
 def _cmd_classify(args: argparse.Namespace) -> tuple[dict, int]:
     rule = parse_rule(args.rule)
     grid = parse_grid(args.grid)
-    result = classify(rule, grid, _sample_config(args), args.tol)
+    result = classify(rule, grid, SampleConfig(args.seed, args.samples), args.tol)
     report = _base_report(args)
     report["label"] = result.label
     report["a_shape"] = result.a_shape

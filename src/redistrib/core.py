@@ -67,18 +67,13 @@ def float_column(values: Iterable[float]) -> np.ndarray:
 
     A float64 array, which float() would leave as it is, is copied whole.
     """
-    if is_float64_vector(values):
+    if isinstance(values, np.ndarray) and values.dtype == np.float64 and values.ndim == 1:
         column = values.copy()
     else:
         count = len(values) if hasattr(values, "__len__") else -1
         column = np.fromiter(map(float, values), float, count=count)
     column.setflags(write=False)
     return column
-
-
-def is_float64_vector(values) -> bool:
-    """Whether values are a 1-D float64 array, whose entries float() leaves as they are."""
-    return isinstance(values, np.ndarray) and values.dtype == np.float64 and values.ndim == 1
 
 
 class _TupleEquality:
@@ -344,7 +339,8 @@ class Allocation(_TupleEquality):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", float_column(self.values))
-        verdict = _balance(self.problem, checked_length(self.values, self.problem))
+        check_count(len(self.values), self.problem)
+        verdict = _balance(self.problem, self.values)
         if not verdict.passed:
             total_income = self.problem.total_income
             raise BalanceViolation(
@@ -375,13 +371,8 @@ def check_allocation(problem: Problem, values: Sequence[float]) -> BalanceVerdic
     each total. A sum that overflows balances nothing, so a residual that is
     not finite fails.
     """
-    return _balance(problem, float_column(checked_length(values, problem)))
-
-
-def checked_length(values: Sequence[float], problem: Problem) -> Sequence[float]:
-    """The values, if there is one for each agent of the problem."""
     check_count(len(values), problem)
-    return values
+    return _balance(problem, float_column(values))
 
 
 def check_count(count: int, problem: Problem) -> None:

@@ -36,7 +36,6 @@ from .core import (
     ValidationError,
     check_count,
     check_tol,
-    is_float64_vector,
 )
 
 if TYPE_CHECKING:
@@ -467,20 +466,16 @@ class CustomRule(RuleSpec):
         """Each row's function payoffs, gathered in one buffer.
 
         Rows are paid in order, each a Problem from Block.problems, and each
-        value goes through float() into one float64 buffer; a float64 array,
-        which float() would leave as it is, is copied in whole. The first
-        row not paid once per agent raises LengthMismatch, and no later row
-        is paid. The buffer fills the block's agent entries, through
-        Block.agent_mask, in one assignment.
+        row's values, whatever sequence holds them, go through float() into
+        one float64 buffer. The first row not paid once per agent raises
+        LengthMismatch, and no later row is paid. The buffer fills the
+        block's agent entries, through Block.agent_mask, in one assignment.
         """
         values = array("d")
         for problem in block.problems():
-            start, row = len(values), self.allocate(problem)
-            if is_float64_vector(row):
-                values.frombytes(row.tobytes())
-            else:
-                values.fromlist(list(map(float, row)))
-            check_count(len(values) - start, problem)
+            row = list(map(float, self.allocate(problem)))
+            check_count(len(row), problem)
+            values.fromlist(row)
         payoffs = np.zeros(block.incomes.shape)
         payoffs[block.agent_mask] = np.frombuffer(values)
         return payoffs

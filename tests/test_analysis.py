@@ -1,6 +1,8 @@
+import itertools
 import math
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +12,8 @@ from hypothesis import strategies as st
 from redistrib import analysis
 from redistrib import (
     AnalysisError,
+    Block,
+    CORE_AXIOMS,
     ConvexCombination,
     CustomRule,
     DEFAULT_GRID,
@@ -239,6 +243,51 @@ def test_characterization_of_proportional():
     assert all(check.premise_holds for check in report.implications)
     assert all(check.conclusion_holds for check in report.implications)
     assert report.consistent
+
+
+# Each implication of verify_characterization, in order, by name, with the
+# axioms its premise adds to core and nat.
+IMPLICATIONS = {
+    "core+nat+stability+dummy -> untouched incomes or proportional": ("stability", "dummy"),
+    "core+nat+stability -> untouched incomes or need-deviation family": ("stability",),
+    "core+nat+dummy -> income-weighted mix family": ("dummy",),
+    "core+nat -> deviation-weighted family": (),
+}
+
+
+def test_each_implication_holds_its_premise_exactly_when_its_axioms_pass(monkeypatch):
+    # Over every set of verdicts of the six checked axioms, each premise
+    # holds iff core, nat and the axioms it adds all passed.
+    axioms = (*CORE_AXIOMS, "nat", "stability", "dummy")
+    classification = classify(PROP, DEFAULT_GRID, CFG)
+    monkeypatch.setattr(analysis, "classify", lambda *args: classification)
+    for verdicts in itertools.product((False, True), repeat=len(axioms)):
+        passed = dict(zip(axioms, verdicts))
+        reports = [SimpleNamespace(axiom=name, passed=ok) for name, ok in passed.items()]
+        monkeypatch.setattr(analysis, "axiom_suite", lambda *args: reports)
+        implications = verify_characterization(PROP, CFG).implications
+        assert [check.name for check in implications] == list(IMPLICATIONS)
+        for check, added in zip(implications, IMPLICATIONS.values()):
+            premise = all(passed[name] for name in (*CORE_AXIOMS, "nat", *added))
+            assert (check.premise_holds, check.conclusion_holds) == (premise, True)
+
+
+def test_probe_blocks_hold_the_columns_they_are_handed(monkeypatch):
+    # The probe builds its columns column-major, as a Block stores them, so
+    # no probe block copies them again.
+    handed = []
+
+    def recording_block(*columns):
+        block = Block(*columns)
+        handed.append((columns[:2], block))
+        return block
+
+    monkeypatch.setattr(analysis, "Block", recording_block)
+    classify(PROP, DEFAULT_GRID, CFG)
+    assert len(handed) == 4 and min(len(block.counts) for _, block in handed) > 1
+    for columns, block in handed:
+        for given_column, held in zip(columns, (block.incomes, block.needs)):
+            assert held.flags.f_contiguous and np.shares_memory(held, given_column)
 
 
 def test_characterization_of_need_weight_family_member():

@@ -151,11 +151,26 @@ def test_custom_payoffs_of_any_sequence_give_the_same_allocation_bits(make):
         assert batch[k, n:].tobytes() == bytes(8 * (6 - n))
 
 
-@pytest.mark.parametrize("fault", [None, "raises", "short", "long"])
+@pytest.mark.parametrize("make", SEQUENCES.values(), ids=SEQUENCES)
+def test_a_custom_rule_pays_the_same_bits_from_any_sequence_of_its_values(make):
+    # Every row takes one path, each value through float() into one buffer,
+    # so any sequence of the same values, a float64 or a float32 array too,
+    # pays the same bits, on a padded 128-row block and on one wide problem.
+    counts = np.arange(128) % 5 + 2
+    block = draw_trials(rng_for(5, "one fill path"), counts, _draw_problems)["problem"]
+    rng = np.random.default_rng(5)
+    wide = make_problem(range(20_000), rng.uniform(-10, 10, 20_000), rng.uniform(0.1, 10, 20_000))
+    # Incomes rounded to float32, which a float32 array holds exactly.
+    rule = CustomRule("float32 incomes", lambda q: make(q.incomes.astype(np.float32).tolist()))
+    for rows, payoffs in ((block, rule.payoffs_batch(block)), (wide, rule.payoffs(wide))):
+        assert payoffs.tobytes() == np.float64(np.float32(rows.incomes)).tobytes()
+
+
+@pytest.mark.parametrize("fault", [None, "raises", "short", "long", "short-array", "long-array"])
 def test_a_custom_block_pays_each_row_once_in_order_up_to_the_first_fault(fault):
     # The function sees each row's Problem once, in row order; a row that
-    # raises or pays the wrong number of values ends the block, and no
-    # later row is paid.
+    # raises or pays the wrong number of values, in a list or an array,
+    # ends the block, and no later row is paid.
     counts = np.array([2, 5, 3, 6, 4])
     block = draw_trials(rng_for(4, "recording"), counts, _draw_problems)["problem"]
     seen = []
@@ -166,7 +181,8 @@ def test_a_custom_block_pays_each_row_once_in_order_up_to_the_first_fault(fault)
         if len(seen) == 3 and fault == "raises":
             raise ZeroDivisionError("row 2")
         if len(seen) == 3 and fault is not None:
-            return values[:-1] if fault == "short" else values + [0.0]
+            values = values[:-1] if fault.startswith("short") else values + [0.0]
+            return np.array(values) if fault.endswith("array") else values
         return values
 
     rule = CustomRule("recording", allocate)
@@ -179,7 +195,7 @@ def test_a_custom_block_pays_each_row_once_in_order_up_to_the_first_fault(fault)
         "raises": (ZeroDivisionError, "^row 2$"),
         "short": (LengthMismatch, "^2 values for 3 agents$"),
         "long": (LengthMismatch, "^4 values for 3 agents$"),
-    }[fault]
+    }[fault.removesuffix("-array")]
     with pytest.raises(error, match=message):
         rule.payoffs_batch(block)
     assert seen == [block.problem(k) for k in range(3)]
