@@ -54,6 +54,9 @@ ALL_AXIOMS = CORE_AXIOMS + (
     "dual_income_additivity",
 )
 
+# What each name in an axiom list stands for: a group or one axiom.
+_AXIOM_GROUPS = {"core": CORE_AXIOMS, "all": ALL_AXIOMS, **{a: (a,) for a in ALL_AXIOMS}}
+
 CONTINUITY_STEPS = 40
 # Halvings at the end of the continuity probe whose gap must not grow.
 CONTINUITY_TAIL = CONTINUITY_STEPS // 2
@@ -214,22 +217,14 @@ def expand_axiom_names(names: Iterable[str]) -> tuple[str, ...]:
     """
     if isinstance(names, str):
         names = [names]
-    out: list[str] = []
+    members: list[str] = []
     for name in names:
-        if name == "core":
-            group: Sequence[str] = CORE_AXIOMS
-        elif name == "all":
-            group = ALL_AXIOMS
-        elif name in ALL_AXIOMS:
-            group = (name,)
-        else:
+        if name not in _AXIOM_GROUPS:
             raise UnknownAxiom(f"unknown axiom {_excerpt(name)!r}")
-        for member in group:
-            if member not in out:
-                out.append(member)
-    if not out:
+        members += _AXIOM_GROUPS[name]
+    if not members:
         raise UnknownAxiom("no axiom named")
-    return tuple(out)
+    return tuple(dict.fromkeys(members))
 
 
 @dataclass

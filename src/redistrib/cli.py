@@ -497,22 +497,17 @@ def _agent_columns(
 def _coverage(values: np.ndarray, needs: np.ndarray) -> _Column:
     """Needs coverage texts, value / need per agent or null for a zero need.
 
-    Coverage alone can overflow, so one pass checks it before the column
-    is returned: a report holding a non-finite value is then refused with
-    json's own error before any byte of it is written. The pass and the
-    column divide a block of rows at a time; numpy divides as Python does,
-    to the same bits.
+    Coverage alone can overflow, so the whole column is divided once before
+    it is returned: a report holding a non-finite value is then refused with
+    json's own error before any byte of it is written. The texts divide a
+    block of rows at a time, so the emit never holds a whole column; numpy
+    divides as Python does, to the same bits.
     """
-    bad: set[str] = set()
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for start in range(0, len(values), _BLOCK_ROWS):
-            need_block = needs[start : start + _BLOCK_ROWS]
-            coverage = values[start : start + _BLOCK_ROWS] / need_block
-            bad.update(
-                map(float.__repr__, coverage[(need_block > 0) & ~np.isfinite(coverage)].tolist())
-            )
-    for text in ("nan", "inf", "-inf"):
-        if text in bad:
+        coverage = values / needs
+    bad = coverage[(needs > 0) & ~np.isfinite(coverage)]
+    for text, flags in (("nan", np.isnan(bad)), ("inf", bad > 0), ("-inf", bad < 0)):
+        if flags.any():
             raise ValueError(f"Out of range float values are not JSON compliant: {text}")
 
     def texts(start: int, stop: int) -> list[str]:

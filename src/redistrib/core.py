@@ -136,36 +136,25 @@ def make_problem(
     return Problem(ids, incomes, needs)
 
 
-# Entries of the scratch array row_sums adds a wide row in: the running
-# total, then the row's next _SUM_BLOCK - 1 entries.
-_SUM_BLOCK = 1 << 16
-
-
 def row_sums(values: np.ndarray) -> np.ndarray:
     """Sum each row of a 2-D array left to right from +0.0, rounding once per addition.
 
     Not np.sum's pairwise sum, nor sum(), which compensates from Python 3.12.
     Rows no wider than the array is tall are added a column at a time, and
-    the column loop leaves overflow warnings to its caller. A wider row is
-    added by np.cumsum, strictly in order, a chunk at a time after the
-    running total. Both give the same bits, and never -0.0.
+    the column loop leaves overflow warnings to its caller. A wider array is
+    added by one np.cumsum along its rows, strictly in order. Both give the
+    same bits, and never -0.0.
     """
     rows, width = values.shape
-    total = np.zeros(rows)
     if width <= rows:
+        total = np.zeros(rows)
         for column in values.T:
             total += column
         return total
-    step = _SUM_BLOCK - 1
-    scratch = np.empty(min(width, step) + 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, row in enumerate(values):
-            for start in range(0, width, step):
-                chunk = row[start : start + step]
-                part = scratch[: len(chunk) + 1]
-                part[0], part[1:] = total[k], chunk
-                total[k] = np.cumsum(part, out=part)[-1]
-    return total
+        # cumsum starts from a row's first entry, but a sum that starts
+        # from +0.0 is never -0.0: adding +0.0 turns -0.0 into +0.0.
+        return np.cumsum(values, axis=1)[:, -1] + 0.0
 
 
 def checked_totals(incomes: np.ndarray, needs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -283,12 +283,12 @@ def _recording_rule(seen):
     return CustomRule("recording", allocate)
 
 
-@pytest.mark.parametrize("n", [1, 2, 6, 2 * core._SUM_BLOCK + 3])
+@pytest.mark.parametrize("n", [1, 2, 6, 131_075])
 def test_one_problem_is_paid_as_its_one_row_block(n):
     # Composites around a custom rule pay one problem through its one-row
     # Block: the custom rule sees the problem's own ids, and the payoffs
-    # are the per-problem definitions' bits. 2·_SUM_BLOCK + 3 agents are
-    # totalled in three chunks.
+    # are the per-problem definitions' bits. 131,075 agents, more than
+    # 2**16, are totalled by one cumsum.
     rng = np.random.default_rng(n)
     p = make_problem(
         [f"h{k}" for k in range(n)], rng.uniform(-10.0, 10.0, n), rng.uniform(0.1, 10.0, n)

@@ -1593,6 +1593,19 @@ def test_load_dataset_holds_little_beyond_the_problem(tmp_path):
     assert peak / MEMORY_ROWS < 220
 
 
+@pytest.mark.parametrize("rule", [PROP, NAFR, parse_rule(f"dual({AB_POLY})")], ids=format_rule)
+def test_evaluate_holds_little_per_row(rule):
+    problem = _memory_problem()
+    tracemalloc.start()
+    try:
+        evaluate(rule, problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # about 33 B: the allocation and a few float64 temporaries as long as it
+    assert peak / MEMORY_ROWS < 48
+
+
 def test_apply_report_holds_little_per_row():
     problem = _memory_problem()
     values = evaluate(PROP, problem).values

@@ -4,7 +4,6 @@ import math
 import operator
 import struct
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -257,7 +256,7 @@ EDGE_FLOATS = st.one_of(
 def _row_sums_quietly(values):
     """row_sums, with the column loop's overflow warnings, and only those, off.
 
-    The chunked branch silences its own; it must raise none.
+    The cumsum branch silences its own; it must raise none.
     """
     values = np.array(values, dtype=float)
     with warnings.catch_warnings():
@@ -291,19 +290,16 @@ _SUM_ROWS = st.integers(1, 6).flatmap(
 @given(_SUM_ROWS)
 def test_row_sums_is_left_sum_bit_for_bit(rows):
     expected = [left_sum(row) for row in rows]
-    # Chunks of 1 and 2 entries carry the running total across chunks.
-    for block in (core._SUM_BLOCK, 2, 3):
-        with mock.patch.object(core, "_SUM_BLOCK", block):
-            totals = _row_sums_quietly(rows)
-        assert totals.shape == (len(rows),)
-        assert all(map(_same_bits, totals.tolist(), expected)), (block, rows)
+    totals = _row_sums_quietly(rows)
+    assert totals.shape == (len(rows),)
+    assert all(map(_same_bits, totals.tolist(), expected)), rows
 
 
-def test_row_sums_over_many_chunks():
-    # Rows three chunks long, one row alone and two stacked, against the
+def test_row_sums_of_wide_rows():
+    # Rows wider than 2**16, one row alone and two stacked, against the
     # same rows stacked tall enough to be added a column at a time.
     rng = np.random.default_rng(0)
-    n = 2 * core._SUM_BLOCK + 3
+    n = 131_075
     values = rng.standard_normal((2, n)) * 10.0 ** rng.integers(-8, 17, (2, n))
     expected = [_bits(left_sum(row)) for row in values.tolist()]
     assert [_bits(row_sums(values[k : k + 1])[0]) for k in range(2)] == expected
